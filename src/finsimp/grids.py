@@ -6,11 +6,33 @@ injective, vertical arrows ``(i,j) -> (i,j-1)`` are surjective, and every
 square commutes.  A grid is determined up to unique levelwise bijection by
 its corner data (top row plus left column), and restricting along monotone
 paths turns grids into strings.
+
+Facts that depend only on a grid, or only on its shape, are computed once
+and reused by every caller:
+
+- ``GridDiagram.arrow`` memoizes composites per grid, keyed by the pair of
+  cells; the memo is dropped once the chain table is built.
+- ``GridDiagram.chain_cores`` maps every chain of the grid to the core of
+  its restriction.  It is built on first use and stored on the instance, so
+  it takes no part in ``==``, ``hash`` or ``to_json``.  ``image_subset``
+  and ``boundary_image`` read their members from it, and the cores are
+  interned, so each canonical class is one object however many grids
+  realize it.
+- ``iter_chains`` and the boundary chains are cached per shape ``(r, s)``,
+  so grids of one shape share their chain tuples.
+- ``enumerate_corner_grids`` runs its census once per
+  ``(max_card, allow_empty)``; every caller sees the same grid objects and
+  hence the same chain tables.
+- ``is_saturated`` looks up ``core(saturate(z))`` per member in a memo
+  keyed by the member.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .errors import DualConstructionError, InputError, StaircaseDefectError
 from .finmap import FinMap, MapClass, classify, compose, identity
@@ -78,16 +100,41 @@ class GridDiagram:
                     raise InputError(f"square at ({i},{j}) does not commute")
 
     def arrow(self, src: tuple[int, int], dst: tuple[int, int]) -> FinMap:
-        """Composite map from cell ``src`` down-left to cell ``dst``."""
+        """Composite map from cell ``src`` down-left to cell ``dst``.
+
+        Folds the row of ``src`` leftwards, then the column of ``dst``
+        downwards; each composite extends a memoized shorter one by a
+        single map.
+        """
         (i2, j2), (i1, j1) = src, dst
         if not (i1 <= i2 and j1 <= j2):
             raise InputError(f"no arrow from {src} to {dst}")
-        f = identity(self.card(i2, j2))
-        for i in range(i2 - 1, i1 - 1, -1):
-            f = compose(self.horiz_map(i, j2), f)
-        for j in range(j2 - 1, j1 - 1, -1):
-            f = compose(self.vert_map(i1, j), f)
+        key = (i2, j2, i1, j1)
+        f = self._composites.get(key)
+        if f is None:
+            if j1 < j2:
+                f = compose(self.vert_map(i1, j1), self.arrow(src, (i1, j1 + 1)))
+            elif i1 < i2:
+                f = compose(self.horiz_map(i1, j1), self.arrow(src, (i1 + 1, j1)))
+            else:
+                f = identity(self.card(i1, j1))
+            self._composites[key] = f
         return f
+
+    @cached_property
+    def _composites(self) -> dict[tuple[int, int, int, int], FinMap]:
+        return {}
+
+    @cached_property
+    def chain_cores(self) -> Mapping[tuple[tuple[int, int], ...], MapString]:
+        """The core of the restriction of every chain, keyed by the chain.
+
+        Read-only, since every caller shares it.
+        """
+        table = {ch: _intern(core(restrict(self, ch))[0]) for ch in iter_chains(self.r, self.s)}
+        # every later lookup goes through the table; free the composites
+        self.__dict__.pop("_composites", None)
+        return MappingProxyType(table)
 
     def to_json(self) -> dict:
         return {
@@ -231,7 +278,8 @@ def restrict(grid: GridDiagram, path) -> MapString:
     return MapString(grid.card(*path[0]), maps)
 
 
-def iter_chains(r: int, s: int):
+@lru_cache(maxsize=None)
+def iter_chains(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Nonempty strictly increasing chains in the cell poset, as tuples."""
     cells = [(i, j) for i in range(r + 1) for j in range(s + 1)]
     out = []
@@ -247,7 +295,7 @@ def iter_chains(r: int, s: int):
 
     for v in cells:
         extend([v])
-    return out
+    return tuple(out)
 
 
 def chain_in_boundary(chain, r: int, s: int) -> bool:
@@ -257,20 +305,32 @@ def chain_in_boundary(chain, r: int, s: int) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
+def _boundary_chains(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(ch for ch in iter_chains(r, s) if chain_in_boundary(ch, r, s))
+
+
+_interned: dict[MapString, MapString] = {}
+
+
+def _intern(z: MapString) -> MapString:
+    return _interned.setdefault(z, z)
+
+
 def image_subset(grid: GridDiagram) -> StringComplex:
     """Cores of all restricted chains; face-closed by construction."""
-    members = {core(restrict(grid, ch))[0] for ch in iter_chains(grid.r, grid.s)}
-    return StringComplex(frozenset(members))
+    return StringComplex(frozenset(grid.chain_cores.values()))
 
 
 def boundary_image(grid: GridDiagram) -> StringComplex:
     """Image of the boundary of the cell prism (chains missing a row/column)."""
-    members = {
-        core(restrict(grid, ch))[0]
-        for ch in iter_chains(grid.r, grid.s)
-        if chain_in_boundary(ch, grid.r, grid.s)
-    }
-    return StringComplex(frozenset(members))
+    cores = grid.chain_cores
+    return StringComplex(frozenset(cores[ch] for ch in _boundary_chains(grid.r, grid.s)))
+
+
+@lru_cache(maxsize=None)
+def _saturation_core(z: MapString) -> MapString:
+    return core(saturate(z))[0]
 
 
 def is_saturated(C: StringComplex) -> bool:
@@ -279,7 +339,7 @@ def is_saturated(C: StringComplex) -> bool:
     Degenerate members need no separate check: saturating a degeneracy gives
     a degeneracy of the saturation of its core.
     """
-    return all(C.contains(saturate(z)) for z in C.members if z.degree >= 1)
+    return all(_saturation_core(z) in C.members for z in C.members if z.degree >= 1)
 
 
 def _corner_strings(max_card: int, allow_empty: bool):
@@ -324,15 +384,22 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
     """All grids with nondegenerate corner data and cardinalities <= max_card.
 
     Returns ``(corner_string, s, r, grid)`` tuples sorted by total degree
-    then serialization; one entry per isomorphism class.
+    then serialization; one entry per isomorphism class.  The census runs
+    once per ``(max_card, allow_empty)``, so every call returns the same
+    grid objects, chain tables included.
     """
+    return list(_corner_grid_census(max_card, allow_empty))
+
+
+@lru_cache(maxsize=None)
+def _corner_grid_census(max_card: int, allow_empty: bool):
     entries = []
     for z, s in _corner_strings(max_card, allow_empty):
         r = z.degree - s
         grid = complete_from_corner(corner_from_string(z, s, r))
         entries.append((z, s, r, grid))
     entries.sort(key=lambda e: (e[0].degree, serialize(e[0]), e[1]))
-    return entries
+    return tuple(entries)
 
 
 def is_accessible(C: StringComplex) -> bool:

@@ -8,12 +8,22 @@ Attaching a grid image to a string complex walks the shuffles in a linear
 extension of this order and certifies, for each one, that the fresh part
 glues along an inner generalized horn (or a boundary sphere for the last
 shuffle).
+
+The past of a shuffle (the faces of its simplex that lie in the prism
+boundary or under a smaller shuffle) depends only on the move word.
+``_excluded_faces`` computes the faces outside it once per word, memoized
+by the word, and feeds both ``horn_certificate`` and ``attach_diagram``.
+``attach_diagram`` reads every core it needs (the shuffle path, its
+excluded faces and its subchains) from the grid's chain table,
+``GridDiagram.chain_cores``.  ``prior_subcomplex`` materializes the same
+past independently and is kept as the test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CertificateError, HypothesisError, InputError
 from .finmap import MapClass, classify
@@ -25,9 +35,8 @@ from .grids import (
     image_subset,
     is_saturated,
     iter_chains,
-    restrict,
 )
-from .strings import MapString, StringComplex, core, face
+from .strings import MapString, StringComplex, face
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,28 +153,6 @@ def _subchains(path):
             yield tuple(path[x] for x in idx)
 
 
-def _prior_membership(sigma: Shuffle):
-    """Predicate deciding membership in the pre-``sigma`` subcomplex.
-
-    A chain belongs when it lies in the prism boundary or inside the path
-    of a strictly smaller shuffle.
-    """
-    r, s = sigma.r, sigma.s
-    smaller = [
-        frozenset(sh.path())
-        for sh in enumerate_shuffles(r, s)
-        if sh != sigma and sh.le(sigma)
-    ]
-
-    def member(chain) -> bool:
-        if chain_in_boundary(chain, r, s):
-            return True
-        cs = set(chain)
-        return any(cs <= p for p in smaller)
-
-    return member
-
-
 def prior_subcomplex(sigma: Shuffle) -> ProductSubset:
     """Boundary of the prism plus all shuffle simplices strictly below sigma."""
     r, s = sigma.r, sigma.s
@@ -216,17 +203,40 @@ class HornCertificate:
         }
 
 
-def _overlap_subsets(sigma: Shuffle):
-    """Position subsets T whose face of sigma lies in the prior subcomplex."""
-    n = sigma.r + sigma.s
+@lru_cache(maxsize=None)
+def _faces(n: int) -> tuple[tuple[int, ...], ...]:
+    """Nonempty position subsets of ``0..n``, by size then lexicographically."""
+    return tuple(
+        idx for k in range(1, n + 2) for idx in itertools.combinations(range(n + 1), k)
+    )
+
+
+@lru_cache(maxsize=None)
+def _excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
+    """The faces of a shuffle simplex outside its past, in ``_faces`` order.
+
+    A face lies in the past when its chain lies in the prism boundary or on
+    the path of a strictly smaller shuffle.  Every face not listed here is
+    in the past; only the excluded side is kept, since it stays small while
+    the number of faces doubles with each move.
+    """
+    sigma = Shuffle(word)
+    r, s = sigma.r, sigma.s
     path = sigma.path()
-    member = _prior_membership(sigma)
-    inside, outside = [], []
-    for k in range(1, n + 2):
-        for idx in itertools.combinations(range(n + 1), k):
-            chain = tuple(path[x] for x in idx)
-            (inside if member(chain) else outside).append(idx)
-    return inside, outside
+    smaller = [
+        frozenset(sh.path())
+        for sh in enumerate_shuffles(r, s)
+        if sh != sigma and sh.le(sigma)
+    ]
+    excluded = []
+    for idx in _faces(r + s):
+        chain = tuple(path[x] for x in idx)
+        if chain_in_boundary(chain, r, s):
+            continue
+        cs = set(chain)
+        if not any(cs <= p for p in smaller):
+            excluded.append(idx)
+    return tuple(excluded)
 
 
 def horn_certificate(sigma: Shuffle) -> HornCertificate:
@@ -242,7 +252,8 @@ def horn_certificate(sigma: Shuffle) -> HornCertificate:
     if r < 1 or s < 1:
         raise InputError("horn certificates need r >= 1 and s >= 1")
     n = r + s
-    inside, _ = _overlap_subsets(sigma)
+    excluded = set(_excluded_faces(sigma.word))
+    inside = [idx for idx in _faces(n) if idx not in excluded]
     inside_set = set(inside)
     full = tuple(range(n + 1))
     if full in inside_set:
@@ -395,7 +406,6 @@ def attach_diagram(
     C: StringComplex,
     grid: GridDiagram,
     order: list[Shuffle] | None = None,
-    check_saturated: bool = True,
 ) -> tuple[StringComplex, list[AttachmentCertificate]]:
     """Attach the image of a grid to a complex, certifying every shuffle step.
 
@@ -413,7 +423,7 @@ def attach_diagram(
     if D.issubset(C):
         return C, []
     hypothesis = attachment_hypothesis(C, grid)
-    if check_saturated and not hypothesis["saturated"]:
+    if not hypothesis["saturated"]:
         raise HypothesisError("complex is not saturated")
 
     def anomaly(message, witness):
@@ -437,56 +447,54 @@ def attach_diagram(
             seen.append(sh)
         if sorted(sh.word for sh in seen) != sorted(sh.word for sh in enumerate_shuffles(r, s)):
             raise InputError("order must list every shuffle exactly once")
+    cores = grid.chain_cores
     current = set(C.members)
     records = []
     for sigma in order:
         path = sigma.path()
-        full_string = restrict(grid, path)
-        z = core(full_string)[0]
+        z = cores[path]
         if z in current:
             records.append(AttachmentCertificate(sigma.word, "already-present"))
             continue
         checks: list[tuple[str, bool]] = []
-        if not full_string.is_nondegenerate():
+        # a string is nondegenerate exactly when its core keeps its degree
+        if z.degree != n:
             anomaly(
                 "new shuffle simplex is degenerate but its core is missing",
                 {"sigma": sigma.word},
             )
         checks.append(("c_nondegenerate", True))
-        member = _prior_membership(sigma)
         full = tuple(range(n + 1))
-        excluded = []
-        for k in range(1, n + 2):
-            for idx in itertools.combinations(range(n + 1), k):
-                if not member(tuple(path[x] for x in idx)):
-                    excluded.append(idx)
+        excluded = _excluded_faces(sigma.word)
         assert full in excluded
         proper_excluded = [idx for idx in excluded if idx != full]
         for T in proper_excluded:
             _gap_pattern_checks(sigma, T)
         checks.append(("a_endpoints_and_isolated_gaps", True))
         checks.append(("b_gap_moves", True))
-        face_strings = {}
+        face_cores = {}
         for T in proper_excluded:
-            w = restrict(grid, [path[x] for x in T])
-            face_strings[T] = w
-            if not w.is_nondegenerate():
+            w = cores[tuple(path[x] for x in T)]
+            face_cores[T] = w
+            if w.degree != len(T) - 1:
                 raise CertificateError(
                     "excluded proper face is degenerate",
                     witness={"sigma": sigma.word, "T": list(T)},
                 )
-            if core(w)[0] in current:
+            if w in current:
                 anomaly(
                     "excluded face already lies in the complex",
                     {"sigma": sigma.word, "T": list(T)},
                 )
         checks.append(("d_excluded_faces_nondegenerate", True))
         checks.append(("ii_excluded_faces_new", True))
-        for T, w in face_strings.items():
+        # map classes survive relabeling, so the canonical core of a
+        # nondegenerate face string carries the same class pattern
+        for T, w in face_cores.items():
             _recover_gaps(sigma, w, T)
         by_dim: dict[int, set[MapString]] = {}
-        for T, w in face_strings.items():
-            by_dim.setdefault(len(T), set()).add(core(w)[0])
+        for T, w in face_cores.items():
+            by_dim.setdefault(len(T), set()).add(w)
         for k, forms in by_dim.items():
             count = sum(1 for T in proper_excluded if len(T) == k)
             if len(forms) != count:
@@ -507,7 +515,7 @@ def attach_diagram(
                 )
             kind, S = "boundary", tuple(range(n + 1)) if n else ()
         for idx in _subchains(path):
-            current.add(core(restrict(grid, idx))[0])
+            current.add(cores[idx])
         records.append(
             AttachmentCertificate(
                 sigma.word,

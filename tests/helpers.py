@@ -1,9 +1,10 @@
-"""Shared test utilities: raw enumerations and an independent iso checker."""
+"""Shared test utilities: raw enumerations, an independent iso checker and
+the uncached grid restriction kept as an oracle for the chain tables."""
 
 import itertools
 import random
 
-from finsimp import FinMap, MapString
+from finsimp import FinMap, MapString, compose, core, identity
 from finsimp.finmap import all_maps
 
 
@@ -77,4 +78,35 @@ def random_relabeling(rng: random.Random, z: MapString):
         phi = list(range(c))
         rng.shuffle(phi)
         out.append(tuple(phi))
+    return out
+
+
+def oracle_arrow(grid, src, dst) -> FinMap:
+    """Composite folded from ``identity``: along the row of ``src``, then
+    down the column of ``dst``."""
+    (i2, j2), (i1, j1) = src, dst
+    f = identity(grid.card(i2, j2))
+    for i in range(i2 - 1, i1 - 1, -1):
+        f = compose(grid.horiz_map(i, j2), f)
+    for j in range(j2 - 1, j1 - 1, -1):
+        f = compose(grid.vert_map(i1, j), f)
+    return f
+
+
+def oracle_chains(r, s):
+    """Chains of the cell poset: lexicographically sorted cell subsets whose
+    rows never decrease."""
+    cells = sorted((i, j) for i in range(r + 1) for j in range(s + 1))
+    for k in range(1, len(cells) + 1):
+        for ch in itertools.combinations(cells, k):
+            if all(a[1] <= b[1] for a, b in zip(ch, ch[1:])):
+                yield ch
+
+
+def oracle_chain_cores(grid) -> dict:
+    """``core(restrict(grid, chain))`` per chain, with no cached state."""
+    out = {}
+    for ch in oracle_chains(grid.r, grid.s):
+        maps = tuple(oracle_arrow(grid, b, a) for a, b in zip(ch, ch[1:]))
+        out[ch] = core(MapString(grid.card(*ch[0]), maps))[0]
     return out

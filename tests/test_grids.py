@@ -24,6 +24,7 @@ from finsimp.finmap import all_maps
 from finsimp.grids import (
     GridDiagram,
     boundary_image,
+    chain_in_boundary,
     corner_from_string,
     corner_of,
     enumerate_corner_grids,
@@ -32,7 +33,7 @@ from finsimp.grids import (
 )
 from finsimp.strings import StringComplex, enumerate_nondegenerate
 
-from helpers import are_isomorphic
+from helpers import are_isomorphic, oracle_arrow, oracle_chain_cores
 
 
 def small_grids(max_card=3, rs_bound=2, allow_empty=False):
@@ -370,3 +371,55 @@ def test_staircase_depth_three_sweep_never_miscompletes():
 def test_defect_subcomplex_alpha_four():
     C = defect_subcomplex(4)
     assert len(C) == 561 and C.max_degree() == 6
+
+
+def _oracle_grids():
+    for z, s, r, g in enumerate_corner_grids(3):
+        yield g
+    for z, s, r, g in enumerate_corner_grids(2, allow_empty=True):
+        yield g
+
+
+def _cells(g):
+    return [(i, j) for i in range(g.r + 1) for j in range(g.s + 1)]
+
+
+def test_chain_table_matches_uncached_oracle():
+    for g in _oracle_grids():
+        want = oracle_chain_cores(g)
+        assert g.chain_cores == want
+        assert image_subset(g).members == frozenset(want.values())
+        assert boundary_image(g).members == frozenset(
+            v for ch, v in want.items() if chain_in_boundary(ch, g.r, g.s)
+        )
+        for src in _cells(g):
+            for dst in _cells(g):
+                if dst[0] <= src[0] and dst[1] <= src[1]:
+                    g.arrow(src, dst)
+        memo = g._composites
+        assert len(memo) == sum(
+            1 for a in _cells(g) for b in _cells(g) if b[0] <= a[0] and b[1] <= a[1]
+        )
+        for (i2, j2, i1, j1), f in memo.items():
+            assert f == oracle_arrow(g, (i2, j2), (i1, j1))
+
+
+def test_cached_tables_are_invisible():
+    for z, s, r, g in enumerate_corner_grids(3):
+        image_subset(g)
+        g.arrow((g.r, g.s), (0, 0))
+        fresh = complete_from_corner(corner_from_string(z, s, r))
+        assert fresh is not g and "chain_cores" not in vars(fresh)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert g.to_json() == fresh.to_json()
+        assert repr(g) == repr(fresh)
+        assert fresh.chain_cores == g.chain_cores
+        # interned cores: one object per canonical class
+        assert all(fresh.chain_cores[ch] is w for ch, w in g.chain_cores.items())
+
+
+def test_corner_grid_census_is_shared():
+    first = enumerate_corner_grids(2)
+    again = enumerate_corner_grids(2)
+    assert first == again and first is not again
+    assert all(a[3] is b[3] for a, b in zip(first, again))

@@ -17,8 +17,14 @@ from finsimp import (
     prior_subcomplex,
 )
 from finsimp.errors import HypothesisError, InputError
-from finsimp.grids import boundary_image, complete_from_corner, corner_from_string, enumerate_corner_grids
-from finsimp.shuffles import hasse_edges, poset_dot
+from finsimp.grids import (
+    CornerData,
+    boundary_image,
+    complete_from_corner,
+    corner_from_string,
+    enumerate_corner_grids,
+)
+from finsimp.shuffles import _excluded_faces, hasse_edges, poset_dot
 from finsimp.strings import StringComplex
 
 
@@ -274,3 +280,75 @@ def test_attach_wide_grid():
     attached = [rec for rec in records if rec.status == "attached"]
     assert attached and attached[-1].kind == "boundary"
     assert all(dict(rec.checks).get("iii_excluded_faces_distinct", True) for rec in attached)
+
+
+def _proper_grid(r, s):
+    """A grid of shape (r, s) whose every arrow is proper, so every shuffle
+    restricts to a nondegenerate string; needs corner cardinality r+s+1."""
+    c = r + s + 1
+    top = tuple(FinMap(c - 1 - k, c - k, tuple(range(c - 1 - k))) for k in range(r))
+    left = tuple(FinMap(c - k, c - k - 1, (0,) + tuple(range(c - k - 1))) for k in range(s))
+    return complete_from_corner(CornerData(c, top, left))
+
+
+def test_one_past_per_shuffle():
+    # three views of the faces outside a shuffle's past must agree: what
+    # attach_diagram certifies, what the materialized prior subcomplex
+    # misses, and the complement of the horn certificate's overlap
+    import itertools
+
+    for n in range(2, 7):
+        faces = {idx for k in range(1, n + 2) for idx in itertools.combinations(range(n + 1), k)}
+        full = tuple(range(n + 1))
+        for r in range(1, n):
+            s = n - r
+            certified = {}
+            # corner cardinality 7 makes n = 6 too slow to attach here
+            if n <= 5:
+                grid = _proper_grid(r, s)
+                _, records = attach_diagram(boundary_image(grid), grid)
+                assert [rec.status for rec in records] == ["attached"] * len(records)
+                certified = {rec.sigma: set(rec.excluded) | {full} for rec in records}
+            for sh in enumerate_shuffles(r, s):
+                path = sh.path()
+                prior = prior_subcomplex(sh)
+                missing = {idx for idx in faces if tuple(path[x] for x in idx) not in prior}
+                cert = horn_certificate(sh)
+                assert cert == horn_certificate(sh)
+                overlap = set()
+                for facet in cert.facets:
+                    for k in range(1, len(facet) + 1):
+                        overlap.update(itertools.combinations(facet, k))
+                assert faces - overlap == missing
+                assert set(_excluded_faces(sh.word)) == missing
+                if certified:
+                    assert certified[sh.word] == missing
+
+
+def test_second_round_makes_no_core_call(monkeypatch):
+    import finsimp.grids as grids_mod
+    import finsimp.shuffles as shuffles_mod
+
+    C0 = boundary_image(_proper_grid(2, 1))
+    grid = _proper_grid(2, 1)  # an equal grid whose tables are still empty
+    calls = []
+    real = grids_mod.core
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+
+    for mod in (grids_mod, shuffles_mod):
+        monkeypatch.setattr(mod, "core", counted, raising=False)
+
+    def one_round():
+        image_subset(grid)
+        boundary_image(grid)
+        attachment_hypothesis(C0, grid)
+        return attach_diagram(C0, grid)
+
+    first = one_round()
+    assert calls
+    calls.clear()
+    assert one_round() == first
+    assert calls == []
