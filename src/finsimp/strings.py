@@ -4,8 +4,14 @@ A degree-``t`` string is ``S_0 <- S_1 <- ... <- S_t`` with ``maps[i-1]``
 the map ``S_i -> S_{i-1}``.  Face operators compose adjacent maps (or drop
 an end), degeneracies insert identities, and two strings are regarded as
 equal when they differ by levelwise bijections.  ``canonicalize`` picks the
-lexicographically minimal representative of that equivalence class, which
-makes string sets hashable and output byte-stable.
+lexicographically minimal representative of that equivalence class (the
+least concatenation of image tuples), which makes string sets hashable and
+output byte-stable.
+
+Read as a leveled rooted forest, a string's minimal block ``k`` is fixed by
+the fiber sizes of level ``k`` in the best admissible order, so the
+canonical form is found level by level from a frontier of nested
+tie-groups of equal-shaped subtrees, in polynomial time.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from operator import itemgetter
 
 from .errors import InputError
 from .finmap import FinMap, compose, epi_mono_factor, identity
@@ -110,56 +116,119 @@ def saturate(z: MapString) -> MapString:
     return MapString(z.card0, tuple(out))
 
 
-@lru_cache(maxsize=None)
-def _perms(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.permutations(range(n)))
+# A frontier is the set of admissible orders of one level, stored as a list
+# of parts in fixed order.  A part is an element (int), a tuple of elements
+# that may be permuted freely, or a tie-group: a list of at least two
+# equal-shaped member frontiers that may be permuted only as wholes.
+
+_vector = itemgetter(0)
 
 
-@lru_cache(maxsize=None)
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for k, v in enumerate(p):
-        inv[v] = k
-    return tuple(inv)
+def _resolve(parts: list, fiber: list[int]) -> tuple[tuple[int, ...], list]:
+    """Largest fiber vector over the orders ``parts`` admits, and the
+    frontier of the orders that reach it.
+
+    Members of a group are sorted by vector, largest first; members with
+    equal vectors stay one group, every other member is spliced in place.
+    """
+    vec: list[int] = []
+    out: list = []
+    for p in parts:
+        if p.__class__ is int:
+            vec.append(fiber[p])
+            out.append(p)
+            continue
+        if p.__class__ is tuple:
+            els = sorted(p, key=fiber.__getitem__, reverse=True)
+            i, n = 0, len(els)
+            while i < n:
+                c = fiber[els[i]]
+                j = i + 1
+                while j < n and fiber[els[j]] == c:
+                    j += 1
+                out.append(els[i] if j - i == 1 else tuple(els[i:j]))
+                vec.extend([c] * (j - i))
+                i = j
+            continue
+        members = sorted([_resolve(m, fiber) for m in p], key=_vector, reverse=True)
+        i, n = 0, len(members)
+        while i < n:
+            v = members[i][0]
+            j = i + 1
+            while j < n and members[j][0] == v:
+                j += 1
+            if j - i == 1:
+                out.extend(members[i][1])
+            else:
+                out.append([m[1] for m in members[i:j]])
+            vec.extend(v * (j - i))
+            i = j
+    return tuple(vec), out
+
+
+def _expand(parts: list, children: list[list[int]]) -> list:
+    """Frontier of the next level after ``parts`` is resolved: the children
+    of one element permute freely, and tied parts keep their children
+    together.  Tied parts have equal fiber vectors, so their children have
+    equal shapes, and a part of leaves vanishes."""
+    out: list = []
+    for p in parts:
+        if p.__class__ is int:
+            ch = children[p]
+            if len(ch) == 1:
+                out.append(ch[0])
+            elif ch:
+                out.append(tuple(ch))
+            continue
+        if p.__class__ is tuple:
+            ch = children[p[0]]
+            if len(ch) == 1:
+                out.append(tuple(children[e][0] for e in p))
+            elif ch:
+                out.append([[tuple(children[e])] for e in p])
+            continue
+        members = [_expand(m, children) for m in p]
+        if members[0]:
+            out.append(members)
+    return out
 
 
 def canonicalize(z: MapString) -> MapString:
     """Lexicographically minimal relabeling of ``z``.
 
     Minimizes the concatenation ``img(maps[0]) || img(maps[1]) || ...`` over
-    all tuples of levelwise bijections.  Block ``k`` depends only on the
-    bijections at levels ``k`` and ``k+1``, so a frontier of optimal
-    level-``k`` bijections is enough state; the frontier is deduplicated at
-    every level, which keeps the sweep polynomial at desk-scale
-    cardinalities.  The result is a member of the input's equivalence class,
-    so equal canonical forms are equivalent strings by construction.
+    all tuples of levelwise bijections.  The result is a member of the
+    input's equivalence class, so equal canonical forms are equivalent
+    strings by construction.
+
+    The string is a leveled rooted forest: the parent of an element of
+    ``S_{k+1}`` is its image in ``S_k``.  For a fixed order of ``S_k`` the
+    best block ``k`` is sorted, ``0^c0 1^c1 ...`` with ``c_i`` the fiber
+    size of the element labeled ``i``, so the minimal block comes from the
+    admissible order whose fiber vector ``(c0, c1, ...)`` is
+    lexicographically largest.  The admissible orders of a level form a
+    frontier of nested tie-groups: order is fixed between parts and free
+    among the members of a group, which move only as wholes because tied
+    subtrees swap together.  Each level resolves the frontier (sort the
+    members of each group by fiber vector, split off the unequal ones) and
+    expands it by the children of every element, in time polynomial in the
+    size of the string.
     """
     if z.degree == 0:
         return z
-    cards = z.cards()
-    frontier = set(_perms(cards[0]))
-    blocks: list[tuple[int, ...]] = []
+    frontier: list = [tuple(range(z.card0))]
+    maps = []
     for f in z.maps:
-        best = None
-        winners = set()
-        # one source-sorted image per phi_src; distinct pres share work
-        pres: dict[tuple[int, ...], list] = {}
-        for phi_src in _perms(f.src):
-            pres.setdefault(tuple(map(f.img.__getitem__, _inverse(phi_src))), []).append(phi_src)
-        for pre, sources in pres.items():
-            for phi_dst in frontier:
-                block = tuple(map(phi_dst.__getitem__, pre))
-                if best is None or block < best:
-                    best = block
-                    winners = set(sources)
-                elif block == best:
-                    winners.update(sources)
-        frontier = winners
-        blocks.append(best)
-    maps = tuple(
-        FinMap(f.src, f.dst, blk) for f, blk in zip(z.maps, blocks)
-    )
-    return MapString(z.card0, maps)
+        children: list[list[int]] = [[] for _ in range(f.dst)]
+        for j, v in enumerate(f.img):
+            children[v].append(j)
+        vec, frontier = _resolve(frontier, [len(ch) for ch in children])
+        block: list[int] = []
+        for i, c in enumerate(vec):
+            block += [i] * c
+        maps.append(FinMap(f.src, f.dst, tuple(block)))
+        frontier = _expand(frontier, children)
+    return MapString(z.card0, tuple(maps))
 
 
 def is_canonical(z: MapString) -> bool:
@@ -174,8 +243,10 @@ def relabel(z: MapString, bijections) -> MapString:
     maps = []
     for k, f in enumerate(z.maps):
         phi_dst, phi_src = bijections[k], bijections[k + 1]
-        inv = _inverse(phi_src)
-        maps.append(FinMap(f.src, f.dst, tuple(phi_dst[f.img[inv[j]]] for j in range(f.src))))
+        img = [0] * f.src
+        for j, v in enumerate(f.img):
+            img[phi_src[j]] = phi_dst[v]
+        maps.append(FinMap(f.src, f.dst, tuple(img)))
     return MapString(z.card0, tuple(maps))
 
 

@@ -1,8 +1,10 @@
-"""Shared test utilities: raw enumerations, an independent iso checker and
-the uncached grid restriction kept as an oracle for the chain tables."""
+"""Shared test utilities: raw enumerations, an independent iso checker, the
+permutation-sweep canonicalizer kept as an oracle for the canonical form,
+and the uncached grid restriction kept as an oracle for the chain tables."""
 
 import itertools
 import random
+from functools import lru_cache
 
 from finsimp import FinMap, MapString, compose, core, identity
 from finsimp.finmap import all_maps
@@ -57,6 +59,56 @@ def are_isomorphic_exhaustive(x: MapString, y: MapString) -> bool:
 
     pools = [list(itertools.permutations(range(c))) for c in x.cards()]
     return any(relabel(x, phis) == y for phis in itertools.product(*pools))
+
+
+@lru_cache(maxsize=None)
+def _perms(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.permutations(range(n)))
+
+
+@lru_cache(maxsize=None)
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for k, v in enumerate(p):
+        inv[v] = k
+    return tuple(inv)
+
+
+def oracle_canonicalize(z: MapString) -> MapString:
+    """Lexicographically minimal relabeling of ``z``, by brute force per level.
+
+    Minimizes the concatenation ``img(maps[0]) || img(maps[1]) || ...`` over
+    all tuples of levelwise bijections.  Block ``k`` depends only on the
+    bijections at levels ``k`` and ``k+1``, so a frontier of optimal
+    level-``k`` bijections is enough state; every level still loops over
+    all ``src!`` relabelings, so the cost is factorial in the cardinality.
+    """
+    if z.degree == 0:
+        return z
+    cards = z.cards()
+    frontier = set(_perms(cards[0]))
+    blocks: list[tuple[int, ...]] = []
+    for f in z.maps:
+        best = None
+        winners = set()
+        # one source-sorted image per phi_src; distinct pres share work
+        pres: dict[tuple[int, ...], list] = {}
+        for phi_src in _perms(f.src):
+            pres.setdefault(tuple(map(f.img.__getitem__, _inverse(phi_src))), []).append(phi_src)
+        for pre, sources in pres.items():
+            for phi_dst in frontier:
+                block = tuple(map(phi_dst.__getitem__, pre))
+                if best is None or block < best:
+                    best = block
+                    winners = set(sources)
+                elif block == best:
+                    winners.update(sources)
+        frontier = winners
+        blocks.append(best)
+    maps = tuple(
+        FinMap(f.src, f.dst, blk) for f, blk in zip(z.maps, blocks)
+    )
+    return MapString(z.card0, maps)
 
 
 def random_string(rng: random.Random, max_degree=5, max_card=4, allow_empty=False) -> MapString:

@@ -65,6 +65,18 @@ def test_attach_golden():
     assert out == (FIXTURES / "cli_attach_e1.json").read_text()
 
 
+def test_attach_large_star_names_unmet_hypothesis(tmp_path):
+    # a cardinality-10 string used to take 10! relabelings per canonical form
+    star = [{"card0": 1, "maps": [{"src": 10, "dst": 1, "img": [0] * 10}]}]
+    subset = tmp_path / "star.json"
+    subset.write_text(json.dumps(star))
+    code, out, err = run_cli(
+        ["attach", "--subset", str(subset), "--grid", str(FIXTURES / "attach_grid_1_1.json")]
+    )
+    assert code == 1 and out == ""
+    assert "boundary image is not contained" in err
+
+
 def test_defect_from_stdin():
     payload = {
         "card0": 2,

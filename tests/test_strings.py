@@ -24,7 +24,14 @@ from finsimp.strings import (
     string_from_json,
 )
 
-from helpers import are_isomorphic, are_isomorphic_exhaustive, random_relabeling, random_string, raw_strings
+from helpers import (
+    are_isomorphic,
+    are_isomorphic_exhaustive,
+    oracle_canonicalize,
+    random_relabeling,
+    random_string,
+    raw_strings,
+)
 
 
 def test_face_inner_composes():
@@ -123,6 +130,71 @@ def test_canonical_form_is_in_the_class():
         assert are_isomorphic_exhaustive(z, w) == are_isomorphic(z, w)
     for z in raw_strings(2, 3):
         assert are_isomorphic(z, canonicalize(z))
+
+
+def test_canonicalize_agrees_with_oracle_exhaustive():
+    for z in raw_strings(3, 3, allow_empty=True):
+        assert canonicalize(z) == oracle_canonicalize(z), z
+
+
+def test_canonicalize_agrees_with_oracle_random():
+    rng = random.Random(41)
+    for _ in range(2000):
+        z = random_string(rng, max_degree=7, max_card=5, allow_empty=True)
+        w = relabel(z, random_relabeling(rng, z))
+        zc = oracle_canonicalize(z)
+        assert canonicalize(z) == zc, z
+        assert canonicalize(w) == zc, (z, w)
+
+
+def test_canonicalize_swaps_tied_subtrees_jointly():
+    # both roots have two children, so they tie at level 1; the children of
+    # root 0 have fibers (2, 0) and those of root 1 have (1, 1).  Sorting all
+    # four level-1 elements by fiber size alone would give (0, 0, 1, 2),
+    # which no relabeling reaches: tied subtrees move only as wholes.
+    z = MapString(2, (FinMap(4, 2, (0, 0, 1, 1)), FinMap(4, 4, (2, 3, 0, 0))))
+    expected = MapString(2, (FinMap(4, 2, (0, 0, 1, 1)), FinMap(4, 4, (0, 0, 2, 3))))
+    assert canonicalize(z) == expected
+    assert oracle_canonicalize(z) == expected
+
+
+def test_canonicalize_large_star():
+    # 12 leaves under one root, fibers (3, 2, 2, 1, 1, 1, 1, 1, 0, 0, 0, 0)
+    # above them: 12! relabelings per level for a permutation sweep
+    expected = MapString(
+        1,
+        (
+            FinMap(12, 1, (0,) * 12),
+            FinMap(12, 12, (0, 0, 0, 1, 1, 2, 2, 3, 4, 5, 6, 7)),
+        ),
+    )
+    rng = random.Random(12)
+    z = relabel(expected, random_relabeling(rng, expected))
+    assert z != expected
+    assert canonicalize(z) == expected
+
+
+def test_canonicalize_nested_symmetric_deep():
+    # a full binary tree of depth 3, then 600 identity-shaped levels
+    tree = (FinMap(2, 1, (0, 0)), FinMap(4, 2, (0, 0, 1, 1)), FinMap(8, 4, (0, 0, 1, 1, 2, 2, 3, 3)))
+    expected = MapString(1, tree + (identity(8),) * 600)
+    rng = random.Random(600)
+    z = relabel(expected, random_relabeling(rng, expected))
+    assert z != expected
+    assert canonicalize(z) == expected
+
+
+def test_canonicalize_degree_3000():
+    rng = random.Random(3000)
+    cards = [rng.randint(1, 6) for _ in range(3001)]
+    maps = tuple(
+        FinMap(cards[k + 1], cards[k], tuple(rng.randrange(cards[k]) for _ in range(cards[k + 1])))
+        for k in range(3000)
+    )
+    z = MapString(cards[0], maps)
+    zc = canonicalize(z)
+    assert canonicalize(zc) == zc
+    assert canonicalize(relabel(z, random_relabeling(rng, z))) == zc
 
 
 @settings(max_examples=150, deadline=None)
