@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .errors import DualConstructionError, InputError, StaircaseDefectError
+from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
 from .finmap import FinMap, MapClass, classify, compose, identity
 from .finmap import from_json as finmap_from_json
 from .strings import (
@@ -439,7 +439,11 @@ def defect_subcomplex(alpha: int, allow_empty: bool = False) -> StringComplex:
     cap = alpha * (alpha + 2) + 1
     by_degree = enumerate_nondegenerate(alpha, cap, allow_empty, max_defect=alpha)
     direct = {z for level in by_degree for z in level}
-    assert not by_degree[-1] or len(by_degree) < cap, "degree cap reached"
+    if by_degree[-1] and len(by_degree) >= cap:
+        raise CertificateError(
+            "degree cap reached",
+            witness={"alpha": alpha, "cap": cap, "top_degree_members": len(by_degree[-1])},
+        )
     union: set[MapString] = set()
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
         union |= image_subset(grid).members

@@ -10,13 +10,21 @@ glues along an inner generalized horn (or a boundary sphere for the last
 shuffle).
 
 The past of a shuffle (the faces of its simplex that lie in the prism
-boundary or under a smaller shuffle) depends only on the move word.
-``_excluded_faces`` computes the faces outside it once per word, memoized
-by the word, and feeds both ``horn_certificate`` and ``attach_diagram``.
-``attach_diagram`` reads every core it needs (the shuffle path, its
-excluded faces and its subchains) from the grid's chain table,
-``GridDiagram.chain_cores``.  ``prior_subcomplex`` materializes the same
-past independently and is kept as the test oracle.
+boundary or under a smaller shuffle) depends only on the move word.  A face
+is a set of positions ``0..n`` on the shuffle's path, held as an integer
+bitmask.  ``_excluded_faces`` derives the faces outside the past from its
+definition once per word, memoized by the word: an excluded face must hit
+one mask per row value, one per column value and one per smaller shuffle
+(the positions off that shuffle's path), so only the supersets of the
+positions forced by single-position masks are listed and tested.  The
+comparisons with smaller shuffles read one height table per ``(r, s)``.
+The excluded family stays small while the faces double with each move, so
+``horn_certificate`` checks the horn shape on it alone, and
+``attach_diagram`` certifies each excluded face.  ``attach_diagram`` reads
+every core it needs (the shuffle path, its excluded faces and its
+subchains) from the grid's chain table, ``GridDiagram.chain_cores``.
+``prior_subcomplex`` materializes the same past independently and is kept
+as the test oracle.
 """
 
 from __future__ import annotations
@@ -204,92 +212,108 @@ class HornCertificate:
 
 
 @lru_cache(maxsize=None)
-def _faces(n: int) -> tuple[tuple[int, ...], ...]:
-    """Nonempty position subsets of ``0..n``, by size then lexicographically."""
-    return tuple(
-        idx for k in range(1, n + 2) for idx in itertools.combinations(range(n + 1), k)
-    )
+def _height_table(r: int, s: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Word and heights of every ``(r, s)``-shuffle, built once per shape."""
+    return tuple((sh.word, sh.heights()) for sh in enumerate_shuffles(r, s))
+
+
+def _positions(mask: int) -> tuple[int, ...]:
+    """The positions set in a face mask, ascending."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
 @lru_cache(maxsize=None)
 def _excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
-    """The faces of a shuffle simplex outside its past, in ``_faces`` order.
+    """The faces of a shuffle simplex outside its past, by size then
+    lexicographically.
 
-    A face lies in the past when its chain lies in the prism boundary or on
-    the path of a strictly smaller shuffle.  Every face not listed here is
-    in the past; only the excluded side is kept, since it stays small while
-    the number of faces doubles with each move.
+    A face is a nonempty set of positions ``0..n`` on the path, handled as a
+    bitmask.  It lies in the past when its chain lies in the prism boundary,
+    that is when it misses every position of some row value or column
+    value, or when it lies on the path of a strictly smaller shuffle ``tau``.
+    Both paths have one cell per antidiagonal, so they share the cell at
+    position ``x`` exactly when their heights agree there, and the face lies
+    on ``tau``'s path exactly when it avoids every other position.  An
+    excluded face therefore hits each of these masks: the row masks, the
+    column masks and, per ``tau``, the positions off ``tau``'s path.  A
+    single-position mask forces its position, so only the supersets of the
+    forced positions are tested against the other masks; the list is exact.
     """
     sigma = Shuffle(word)
     r, s = sigma.r, sigma.s
+    n = r + s
+    full = (1 << (n + 1)) - 1
     path = sigma.path()
-    smaller = [
-        frozenset(sh.path())
-        for sh in enumerate_shuffles(r, s)
-        if sh != sigma and sh.le(sigma)
-    ]
+    heights = sigma.heights()
+    hit = {sum(1 << x for x in range(n + 1) if path[x][0] == i) for i in range(r + 1)}
+    hit |= {sum(1 << x for x in range(n + 1) if path[x][1] == j) for j in range(s + 1)}
+    for other, low in _height_table(r, s):
+        if other != word and all(a <= b for a, b in zip(low, heights)):
+            hit.add(full & ~sum(1 << x for x in range(n + 1) if low[x] == heights[x]))
+    forced = 0
+    for m in hit:
+        if m and not m & (m - 1):
+            forced |= m
+    rest = [m for m in hit if not m & forced]
+    free = full & ~forced
     excluded = []
-    for idx in _faces(r + s):
-        chain = tuple(path[x] for x in idx)
-        if chain_in_boundary(chain, r, s):
-            continue
-        cs = set(chain)
-        if not any(cs <= p for p in smaller):
-            excluded.append(idx)
+    sub = free
+    while True:
+        face = forced | sub
+        if face and all(face & m for m in rest):
+            excluded.append(_positions(face))
+        if not sub:
+            break
+        sub = (sub - 1) & free
+    excluded.sort(key=lambda idx: (len(idx), idx))
     return tuple(excluded)
 
 
 def horn_certificate(sigma: Shuffle) -> HornCertificate:
     """Certify the attachment shape of one shuffle simplex.
 
-    Verifies, by direct computation of the overlap: every maximal overlap
-    face has codimension one; the overlap is the union of those facets; for
-    a non-maximal shuffle the facet index set is not an interval, and for
-    the maximal shuffle the overlap is the entire boundary.  Any failure
-    raises, since each of these facts is forced.
+    Works on the excluded family ``E`` from ``_excluded_faces`` as bitmasks;
+    every face outside ``E`` lies in the overlap with the past.  Verifies:
+    the full face is excluded; every maximal overlap face (one whose
+    one-position extensions all lie in ``E``, so it is some member of ``E``
+    less one position) has codimension one; the overlap is the union of
+    those facets, which holds exactly when ``E`` is the set of nonempty
+    supersets of ``S``, checked by count and containment; for a non-maximal
+    shuffle the facet index set ``S`` is not an interval, and for the
+    maximal shuffle the overlap is the entire boundary, ``E == {full}``.
+    The cost is about ``|E| * n`` per shuffle.  Any failure raises, since
+    each of these facts is forced.
     """
     r, s = sigma.r, sigma.s
     if r < 1 or s < 1:
         raise InputError("horn certificates need r >= 1 and s >= 1")
     n = r + s
-    excluded = set(_excluded_faces(sigma.word))
-    inside = [idx for idx in _faces(n) if idx not in excluded]
-    inside_set = set(inside)
-    full = tuple(range(n + 1))
-    if full in inside_set:
+    full = (1 << (n + 1)) - 1
+    excluded = {sum(1 << x for x in idx) for idx in _excluded_faces(sigma.word)}
+    if full not in excluded:
         raise CertificateError("shuffle simplex lies in its own past", witness=sigma.word)
     # The overlap is subchain-closed, so maximality is detected by
-    # one-element extensions.
-    facets = [
-        idx
-        for idx in inside
-        if all(
-            tuple(sorted(set(idx) | {x})) not in inside_set
-            for x in range(n + 1)
-            if x not in idx
-        )
-    ]
-    S = tuple(sorted(i for i in range(n + 1) if tuple(x for x in full if x != i) in inside_set))
+    # one-position extensions.
+    bits = [1 << x for x in range(n + 1)]
+    candidates = {e & ~b for e in excluded for b in bits if e & b} - excluded - {0}
+    facets = sorted(
+        _positions(f) for f in candidates if all(f | b in excluded for b in bits if not f & b)
+    )
+    S = tuple(i for i in range(n + 1) if full & ~bits[i] not in excluded)
     if sigma.is_maximal():
-        expected = {idx for k in range(1, n + 1) for idx in itertools.combinations(range(n + 1), k)}
-        if inside_set != expected:
+        if excluded != {full}:
             raise CertificateError(
                 "maximal shuffle overlap is not the boundary sphere", witness=sigma.word
             )
-        return HornCertificate(sigma.word, "boundary", S, tuple(sorted(facets)))
+        return HornCertificate(sigma.word, "boundary", S, tuple(facets))
     if any(len(idx) != n for idx in facets):
         raise CertificateError(
             "overlap has a maximal face of codimension > 1",
-            witness={"sigma": sigma.word, "facets": sorted(facets)},
+            witness={"sigma": sigma.word, "facets": facets},
         )
-    union = set()
-    for i in S:
-        fc = tuple(x for x in full if x != i)
-        for sub in itertools.chain.from_iterable(
-            itertools.combinations(fc, k) for k in range(1, n + 1)
-        ):
-            union.add(sub)
-    if union != inside_set:
+    S_mask = sum(bits[i] for i in S)
+    supersets = (1 << (n + 1 - len(S))) - (0 if S else 1)
+    if len(excluded) != supersets or any(e & S_mask != S_mask for e in excluded):
         raise CertificateError(
             "overlap is not the union of its codimension-one faces", witness=sigma.word
         )
@@ -297,7 +321,7 @@ def horn_certificate(sigma: Shuffle) -> HornCertificate:
         raise CertificateError(
             "facet index set is an interval", witness={"sigma": sigma.word, "S": sorted(S)}
         )
-    return HornCertificate(sigma.word, "inner", S, tuple(sorted(facets)))
+    return HornCertificate(sigma.word, "inner", S, tuple(facets))
 
 
 @dataclass(frozen=True)
@@ -466,7 +490,11 @@ def attach_diagram(
         checks.append(("c_nondegenerate", True))
         full = tuple(range(n + 1))
         excluded = _excluded_faces(sigma.word)
-        assert full in excluded
+        if full not in excluded:
+            raise CertificateError(
+                "new shuffle simplex lies in its own past",
+                witness={"sigma": sigma.word, "excluded": [list(T) for T in excluded]},
+            )
         proper_excluded = [idx for idx in excluded if idx != full]
         for T in proper_excluded:
             _gap_pattern_checks(sigma, T)

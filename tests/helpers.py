@@ -1,13 +1,23 @@
 """Shared test utilities: raw enumerations, an independent iso checker, the
 permutation-sweep canonicalizer kept as an oracle for the canonical form,
-and the uncached grid restriction kept as an oracle for the chain tables."""
+the uncached grid restriction kept as an oracle for the chain tables, and
+the set-of-faces past and horn certificate kept as oracles for the bitmask
+versions in ``finsimp.shuffles``."""
 
 import itertools
 import random
 from functools import lru_cache
 
 from finsimp import FinMap, MapString, compose, core, identity
+from finsimp.errors import CertificateError, InputError
 from finsimp.finmap import all_maps
+from finsimp.grids import chain_in_boundary
+from finsimp.shuffles import (
+    HornCertificate,
+    Shuffle,
+    enumerate_shuffles,
+    is_inner_generalized_horn,
+)
 
 
 def raw_strings(max_card, max_degree, allow_empty=False, nondegenerate_only=False):
@@ -162,3 +172,100 @@ def oracle_chain_cores(grid) -> dict:
         maps = tuple(oracle_arrow(grid, b, a) for a, b in zip(ch, ch[1:]))
         out[ch] = core(MapString(grid.card(*ch[0]), maps))[0]
     return out
+
+
+@lru_cache(maxsize=None)
+def _faces(n: int) -> tuple[tuple[int, ...], ...]:
+    """Nonempty position subsets of ``0..n``, by size then lexicographically."""
+    return tuple(
+        idx for k in range(1, n + 2) for idx in itertools.combinations(range(n + 1), k)
+    )
+
+
+@lru_cache(maxsize=None)
+def oracle_excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
+    """The faces of a shuffle simplex outside its past, in ``_faces`` order.
+
+    A face lies in the past when its chain lies in the prism boundary or on
+    the path of a strictly smaller shuffle.  Every face not listed here is
+    in the past; only the excluded side is kept, since it stays small while
+    the number of faces doubles with each move.
+    """
+    sigma = Shuffle(word)
+    r, s = sigma.r, sigma.s
+    path = sigma.path()
+    smaller = [
+        frozenset(sh.path())
+        for sh in enumerate_shuffles(r, s)
+        if sh != sigma and sh.le(sigma)
+    ]
+    excluded = []
+    for idx in _faces(r + s):
+        chain = tuple(path[x] for x in idx)
+        if chain_in_boundary(chain, r, s):
+            continue
+        cs = set(chain)
+        if not any(cs <= p for p in smaller):
+            excluded.append(idx)
+    return tuple(excluded)
+
+
+def oracle_horn_certificate(sigma: Shuffle) -> HornCertificate:
+    """Certify the attachment shape of one shuffle simplex.
+
+    Verifies, by direct computation of the overlap: every maximal overlap
+    face has codimension one; the overlap is the union of those facets; for
+    a non-maximal shuffle the facet index set is not an interval, and for
+    the maximal shuffle the overlap is the entire boundary.  Any failure
+    raises, since each of these facts is forced.
+    """
+    r, s = sigma.r, sigma.s
+    if r < 1 or s < 1:
+        raise InputError("horn certificates need r >= 1 and s >= 1")
+    n = r + s
+    excluded = set(oracle_excluded_faces(sigma.word))
+    inside = [idx for idx in _faces(n) if idx not in excluded]
+    inside_set = set(inside)
+    full = tuple(range(n + 1))
+    if full in inside_set:
+        raise CertificateError("shuffle simplex lies in its own past", witness=sigma.word)
+    # The overlap is subchain-closed, so maximality is detected by
+    # one-element extensions.
+    facets = [
+        idx
+        for idx in inside
+        if all(
+            tuple(sorted(set(idx) | {x})) not in inside_set
+            for x in range(n + 1)
+            if x not in idx
+        )
+    ]
+    S = tuple(sorted(i for i in range(n + 1) if tuple(x for x in full if x != i) in inside_set))
+    if sigma.is_maximal():
+        expected = {idx for k in range(1, n + 1) for idx in itertools.combinations(range(n + 1), k)}
+        if inside_set != expected:
+            raise CertificateError(
+                "maximal shuffle overlap is not the boundary sphere", witness=sigma.word
+            )
+        return HornCertificate(sigma.word, "boundary", S, tuple(sorted(facets)))
+    if any(len(idx) != n for idx in facets):
+        raise CertificateError(
+            "overlap has a maximal face of codimension > 1",
+            witness={"sigma": sigma.word, "facets": sorted(facets)},
+        )
+    union = set()
+    for i in S:
+        fc = tuple(x for x in full if x != i)
+        for sub in itertools.chain.from_iterable(
+            itertools.combinations(fc, k) for k in range(1, n + 1)
+        ):
+            union.add(sub)
+    if union != inside_set:
+        raise CertificateError(
+            "overlap is not the union of its codimension-one faces", witness=sigma.word
+        )
+    if not is_inner_generalized_horn(set(S), n):
+        raise CertificateError(
+            "facet index set is an interval", witness={"sigma": sigma.word, "S": sorted(S)}
+        )
+    return HornCertificate(sigma.word, "inner", S, tuple(sorted(facets)))

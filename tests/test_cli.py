@@ -25,19 +25,22 @@ def run_cli(argv, stdin_text=None):
     return code, out.getvalue(), err.getvalue()
 
 
+# Parametrized in this order, so a new fixture goes last and the existing
+# test ids keep their index.
 GOLDEN = {
-    "cli_shuffles_2_2.json": ["shuffles", "--r", "2", "--s", "2"],
-    "cli_shuffles_1_1.dot": ["shuffles", "--r", "1", "--s", "1", "--dot"],
-    "cli_horns_1_1.json": ["horns", "--r", "1", "--s", "1"],
     "cli_e_alpha_2.json": ["e-alpha", "--alpha", "2"],
     "cli_f_enumerate_2_3.json": ["f-enumerate", "--alpha", "2", "--degree-bound", "3"],
+    "cli_horns_1_1.json": ["horns", "--r", "1", "--s", "1"],
     "cli_present_1.json": ["present", "--alpha", "1"],
+    "cli_shuffles_1_1.dot": ["shuffles", "--r", "1", "--s", "1", "--dot"],
+    "cli_shuffles_2_2.json": ["shuffles", "--r", "2", "--s", "2"],
     "cli_skeleton_dim_3.json": ["skeleton-dim", "--alpha", "3"],
     "cli_t_match_2_2.json": ["t-match", "--alpha", "2", "--degree-bound", "2"],
+    "cli_horns_3_2.json": ["horns", "--r", "3", "--s", "2"],
 }
 
 
-@pytest.mark.parametrize("name,argv", sorted(GOLDEN.items()))
+@pytest.mark.parametrize("name,argv", list(GOLDEN.items()))
 def test_golden_outputs(name, argv):
     code, out, err = run_cli(argv)
     assert code == 0, err
@@ -75,6 +78,42 @@ def test_attach_large_star_names_unmet_hypothesis(tmp_path):
     )
     assert code == 1 and out == ""
     assert "boundary image is not contained" in err
+
+
+def test_own_past_in_attach_exits_two(monkeypatch):
+    # a past that swallows the whole simplex is a falsified fact, also under -O
+    import finsimp.shuffles as shuffles_mod
+
+    monkeypatch.setattr(shuffles_mod, "_excluded_faces", lambda word: ())
+    code, out, err = run_cli(
+        [
+            "attach",
+            "--subset",
+            str(FIXTURES / "attach_subset_e1.json"),
+            "--grid",
+            str(FIXTURES / "attach_grid_1_1.json"),
+        ]
+    )
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "new shuffle simplex lies in its own past"
+    assert report["witness"] == {"excluded": [], "sigma": "VH"}
+
+
+def test_degree_cap_exits_two(monkeypatch):
+    import finsimp.grids as grids_mod
+    from finsimp import MapString
+
+    # alpha 1 caps the degree at 4; a fourth level that is still nonempty
+    # means the enumeration did not terminate under the cap
+    monkeypatch.setattr(
+        grids_mod, "enumerate_nondegenerate", lambda *args, **kwargs: [[MapString(1)]] * 4
+    )
+    code, out, err = run_cli(["e-alpha", "--alpha", "1"])
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "degree cap reached"
+    assert report["witness"] == {"alpha": 1, "cap": 4, "top_degree_members": 1}
 
 
 def test_defect_from_stdin():

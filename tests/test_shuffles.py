@@ -16,7 +16,7 @@ from finsimp import (
     is_saturated,
     prior_subcomplex,
 )
-from finsimp.errors import HypothesisError, InputError
+from finsimp.errors import CertificateError, HypothesisError, InputError
 from finsimp.grids import (
     CornerData,
     boundary_image,
@@ -26,6 +26,9 @@ from finsimp.grids import (
 )
 from finsimp.shuffles import _excluded_faces, hasse_edges, poset_dot
 from finsimp.strings import StringComplex
+
+import helpers
+from helpers import oracle_excluded_faces, oracle_horn_certificate
 
 
 def test_census_one_one():
@@ -352,3 +355,77 @@ def test_second_round_makes_no_core_call(monkeypatch):
     calls.clear()
     assert one_round() == first
     assert calls == []
+
+
+def test_bitmask_past_matches_set_oracle():
+    # same excluded tuples in the same order, and equal certificates
+    for n in range(2, 8):
+        for r in range(1, n):
+            for sh in enumerate_shuffles(r, n - r):
+                assert _excluded_faces(sh.word) == oracle_excluded_faces(sh.word)
+                assert horn_certificate(sh) == oracle_horn_certificate(sh)
+    for certify in (horn_certificate, oracle_horn_certificate):
+        with pytest.raises(InputError):
+            certify(Shuffle("HH"))
+
+
+def test_past_closed_form_at_hv_corners():
+    # independent of both implementations: the excluded faces are the full
+    # face less any set of HV corners, and S is everything but the corners
+    import itertools
+
+    for n in range(1, 9):
+        full = set(range(n + 1))
+        for r in range(n + 1):
+            s = n - r
+            for sh in enumerate_shuffles(r, s):
+                w = sh.word
+                corners = [x for x in range(1, n) if w[x - 1] == "H" and w[x] == "V"]
+                expected = {
+                    tuple(sorted(full - set(drop)))
+                    for k in range(len(corners) + 1)
+                    for drop in itertools.combinations(corners, k)
+                }
+                assert set(_excluded_faces(w)) == expected
+                assert set(oracle_excluded_faces(w)) == expected
+                if r >= 1 and s >= 1 and not sh.is_maximal():
+                    S = tuple(sorted(full - set(corners)))
+                    assert horn_certificate(sh).S == S
+                    assert oracle_horn_certificate(sh).S == S
+
+
+@pytest.mark.parametrize(
+    "word,past,message",
+    [
+        ("HV", (), "shuffle simplex lies in its own past"),
+        ("VH", ((0, 1), (0, 1, 2)), "maximal shuffle overlap is not the boundary sphere"),
+        (
+            "HV",
+            ((0, 1), (0, 2), (1, 2), (0, 1, 2)),
+            "overlap has a maximal face of codimension > 1",
+        ),
+        ("HV", ((2,), (0, 1), (0, 1, 2)), "overlap is not the union of its codimension-one faces"),
+        ("HV", ((0, 1), (0, 1, 2)), "facet index set is an interval"),
+    ],
+)
+def test_every_certificate_check_can_fail(monkeypatch, word, past, message):
+    # a doctored past reaches each raise, in the bitmask code and the oracle
+    import finsimp.shuffles as shuffles_mod
+
+    monkeypatch.setattr(shuffles_mod, "_excluded_faces", lambda w: past)
+    monkeypatch.setattr(helpers, "oracle_excluded_faces", lambda w: past)
+    for certify in (horn_certificate, oracle_horn_certificate):
+        with pytest.raises(CertificateError) as info:
+            certify(Shuffle(word))
+        assert str(info.value) == message
+
+
+def test_attach_refuses_simplex_in_own_past(monkeypatch):
+    import finsimp.shuffles as shuffles_mod
+
+    grid = _proper_grid(1, 1)
+    monkeypatch.setattr(shuffles_mod, "_excluded_faces", lambda w: ((0, 1),))
+    with pytest.raises(CertificateError) as info:
+        attach_diagram(boundary_image(grid), grid)
+    assert str(info.value) == "new shuffle simplex lies in its own past"
+    assert info.value.witness == {"sigma": "HV", "excluded": [[0, 1]]}
