@@ -48,7 +48,6 @@ from .presentation import (
 from .shuffles import (
     AttachmentCertificate,
     HornCertificate,
-    ProductSubset,
     Shuffle,
     attach_diagram,
     attachment_hypothesis,
@@ -56,7 +55,6 @@ from .shuffles import (
     horn_certificate,
     is_inner_generalized_horn,
     poset_dot,
-    prior_subcomplex,
 )
 from .strings import (
     MapString,

@@ -7,32 +7,27 @@ square commutes.  A grid is determined up to unique levelwise bijection by
 its corner data (top row plus left column), and restricting along monotone
 paths turns grids into strings.
 
-Facts that depend only on a grid, or only on its shape, are computed once
-and reused by every caller:
+The image of a grid is the face closure of the cores of its
+``C(r+s, s)`` shuffle paths: every chain of the cell poset lies on some
+shuffle path, so its restriction is an iterated face of a path
+restriction.  ``image_subset`` and ``boundary_image`` restrict only those
+paths (or the boundary facets of them) and hand the rest to
+``StringComplex.closure``, whose face-core memo every grid shares.  No
+chain table is kept on a grid, and ``arrow`` composes on demand.
 
-- ``GridDiagram.arrow`` memoizes composites per grid, keyed by the pair of
-  cells; the memo is dropped once the chain table is built.
-- ``GridDiagram.chain_cores`` maps every chain of the grid to the core of
-  its restriction.  It is built on first use and stored on the instance, so
-  it takes no part in ``==``, ``hash`` or ``to_json``.  ``image_subset``
-  and ``boundary_image`` read their members from it, and the cores are
-  interned, so each canonical class is one object however many grids
-  realize it.
-- ``iter_chains`` and the boundary chains are cached per shape ``(r, s)``,
-  so grids of one shape share their chain tuples.
+Facts that depend only on a shape or on the census are computed once:
+
+- the shuffle paths and their boundary facets are cached per ``(r, s)``;
 - ``enumerate_corner_grids`` runs its census once per
-  ``(max_card, allow_empty)``; every caller sees the same grid objects and
-  hence the same chain tables.
+  ``(max_card, allow_empty)``; every caller sees the same grid objects;
 - ``is_saturated`` looks up ``core(saturate(z))`` per member in a memo
   keyed by the member.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from types import MappingProxyType
+from functools import lru_cache
 
 from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
 from .finmap import FinMap, MapClass, classify, compose, identity
@@ -103,38 +98,19 @@ class GridDiagram:
         """Composite map from cell ``src`` down-left to cell ``dst``.
 
         Folds the row of ``src`` leftwards, then the column of ``dst``
-        downwards; each composite extends a memoized shorter one by a
-        single map.
+        downwards; a single step is the grid's own map.
         """
         (i2, j2), (i1, j1) = src, dst
         if not (i1 <= i2 and j1 <= j2):
             raise InputError(f"no arrow from {src} to {dst}")
-        key = (i2, j2, i1, j1)
-        f = self._composites.get(key)
-        if f is None:
-            if j1 < j2:
-                f = compose(self.vert_map(i1, j1), self.arrow(src, (i1, j1 + 1)))
-            elif i1 < i2:
-                f = compose(self.horiz_map(i1, j1), self.arrow(src, (i1 + 1, j1)))
-            else:
-                f = identity(self.card(i1, j1))
-            self._composites[key] = f
+        steps = [self.horiz_map(i, j2) for i in range(i2 - 1, i1 - 1, -1)]
+        steps += [self.vert_map(i1, j) for j in range(j2 - 1, j1 - 1, -1)]
+        if not steps:
+            return identity(self.card(i1, j1))
+        f = steps[0]
+        for g in steps[1:]:
+            f = compose(g, f)
         return f
-
-    @cached_property
-    def _composites(self) -> dict[tuple[int, int, int, int], FinMap]:
-        return {}
-
-    @cached_property
-    def chain_cores(self) -> Mapping[tuple[tuple[int, int], ...], MapString]:
-        """The core of the restriction of every chain, keyed by the chain.
-
-        Read-only, since every caller shares it.
-        """
-        table = {ch: _intern(core(restrict(self, ch))[0]) for ch in iter_chains(self.r, self.s)}
-        # every later lookup goes through the table; free the composites
-        self.__dict__.pop("_composites", None)
-        return MappingProxyType(table)
 
     def to_json(self) -> dict:
         return {
@@ -279,53 +255,43 @@ def restrict(grid: GridDiagram, path) -> MapString:
 
 
 @lru_cache(maxsize=None)
-def iter_chains(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Nonempty strictly increasing chains in the cell poset, as tuples."""
-    cells = [(i, j) for i in range(r + 1) for j in range(s + 1)]
-    out = []
+def _shuffle_paths(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The cell paths of the ``(r, s)``-shuffles, built once per shape."""
+    from .shuffles import enumerate_shuffles  # local import to avoid a cycle
 
-    def extend(chain):
-        out.append(tuple(chain))
-        last = chain[-1]
-        for v in cells:
-            if v != last and v[0] >= last[0] and v[1] >= last[1]:
-                chain.append(v)
-                extend(chain)
-                chain.pop()
-
-    for v in cells:
-        extend([v])
-    return tuple(out)
-
-
-def chain_in_boundary(chain, r: int, s: int) -> bool:
-    """True when the chain misses a column value or a row value."""
-    return {v[0] for v in chain} != set(range(r + 1)) or {v[1] for v in chain} != set(
-        range(s + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _boundary_chains(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(ch for ch in iter_chains(r, s) if chain_in_boundary(ch, r, s))
-
-
-_interned: dict[MapString, MapString] = {}
-
-
-def _intern(z: MapString) -> MapString:
-    return _interned.setdefault(z, z)
+    return tuple(sh.path() for sh in enumerate_shuffles(r, s))
 
 
 def image_subset(grid: GridDiagram) -> StringComplex:
-    """Cores of all restricted chains; face-closed by construction."""
-    return StringComplex(frozenset(grid.chain_cores.values()))
+    """Face closure of the cores of the grid's shuffle paths.
+
+    Every chain of the cell poset lies on some shuffle path (the shuffle
+    triangulation of the prism), so its restriction is an iterated face of
+    a path restriction and its core lies in this closure.
+    """
+    return StringComplex.closure(restrict(grid, p) for p in _shuffle_paths(grid.r, grid.s))
+
+
+@lru_cache(maxsize=None)
+def _boundary_facets(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each shuffle path less one position alone in its row or its column,
+    without repeats; built once per shape."""
+    facets = {}
+    for p in _shuffle_paths(r, s):
+        for x, (i, j) in enumerate(p):
+            if sum(v[0] == i for v in p) == 1 or sum(v[1] == j for v in p) == 1:
+                facets[p[:x] + p[x + 1 :]] = None
+    return tuple(ch for ch in facets if ch)
 
 
 def boundary_image(grid: GridDiagram) -> StringComplex:
-    """Image of the boundary of the cell prism (chains missing a row/column)."""
-    cores = grid.chain_cores
-    return StringComplex(frozenset(cores[ch] for ch in _boundary_chains(grid.r, grid.s)))
+    """Image of the boundary of the cell prism (chains missing a row/column).
+
+    The face closure of the boundary facets of the shuffle paths.  A chain
+    missing row ``j`` lies on a path that crosses row ``j`` in one cell, so
+    it is a face of the facet that drops that cell; likewise for columns.
+    """
+    return StringComplex.closure(restrict(grid, ch) for ch in _boundary_facets(grid.r, grid.s))
 
 
 @lru_cache(maxsize=None)
@@ -386,7 +352,7 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
     Returns ``(corner_string, s, r, grid)`` tuples sorted by total degree
     then serialization; one entry per isomorphism class.  The census runs
     once per ``(max_card, allow_empty)``, so every call returns the same
-    grid objects, chain tables included.
+    grid objects.
     """
     return list(_corner_grid_census(max_card, allow_empty))
 

@@ -20,11 +20,9 @@ positions forced by single-position masks are listed and tested.  The
 comparisons with smaller shuffles read one height table per ``(r, s)``.
 The excluded family stays small while the faces double with each move, so
 ``horn_certificate`` checks the horn shape on it alone, and
-``attach_diagram`` certifies each excluded face.  ``attach_diagram`` reads
-every core it needs (the shuffle path, its excluded faces and its
-subchains) from the grid's chain table, ``GridDiagram.chain_cores``.
-``prior_subcomplex`` materializes the same past independently and is kept
-as the test oracle.
+``attach_diagram`` certifies each excluded face.  ``attach_diagram`` cores
+the restriction of the shuffle path and of each excluded face, and adds
+the face closure of the path's core to the complex.
 """
 
 from __future__ import annotations
@@ -35,16 +33,8 @@ from functools import lru_cache
 
 from .errors import CertificateError, HypothesisError, InputError
 from .finmap import MapClass, classify
-from .grids import (
-    GridDiagram,
-    boundary_image,
-    chain_in_boundary,
-    corner_of,
-    image_subset,
-    is_saturated,
-    iter_chains,
-)
-from .strings import MapString, StringComplex, face
+from .grids import GridDiagram, boundary_image, corner_of, image_subset, is_saturated, restrict
+from .strings import MapString, StringComplex, core, face
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,44 +124,6 @@ def poset_dot(r: int, s: int) -> str:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class ProductSubset:
-    """A subchain-closed set of strictly increasing chains in the cell poset."""
-
-    r: int
-    s: int
-    chains: frozenset[tuple[tuple[int, int], ...]]
-
-    def __contains__(self, chain) -> bool:
-        return tuple(chain) in self.chains
-
-    def issubset(self, other: "ProductSubset") -> bool:
-        return self.chains <= other.chains
-
-    def __len__(self):
-        return len(self.chains)
-
-
-def _subchains(path):
-    n = len(path)
-    for k in range(1, n + 1):
-        for idx in itertools.combinations(range(n), k):
-            yield tuple(path[x] for x in idx)
-
-
-def prior_subcomplex(sigma: Shuffle) -> ProductSubset:
-    """Boundary of the prism plus all shuffle simplices strictly below sigma."""
-    r, s = sigma.r, sigma.s
-    chains = set()
-    for sh in enumerate_shuffles(r, s):
-        if sh != sigma and sh.le(sigma):
-            chains.update(_subchains(sh.path()))
-    for ch in iter_chains(r, s):
-        if chain_in_boundary(ch, r, s):
-            chains.add(ch)
-    return ProductSubset(r, s, frozenset(chains))
 
 
 def is_inner_generalized_horn(S, n: int) -> bool:
@@ -471,12 +423,11 @@ def attach_diagram(
             seen.append(sh)
         if sorted(sh.word for sh in seen) != sorted(sh.word for sh in enumerate_shuffles(r, s)):
             raise InputError("order must list every shuffle exactly once")
-    cores = grid.chain_cores
     current = set(C.members)
     records = []
     for sigma in order:
         path = sigma.path()
-        z = cores[path]
+        z = core(restrict(grid, path))[0]
         if z in current:
             records.append(AttachmentCertificate(sigma.word, "already-present"))
             continue
@@ -502,7 +453,7 @@ def attach_diagram(
         checks.append(("b_gap_moves", True))
         face_cores = {}
         for T in proper_excluded:
-            w = cores[tuple(path[x] for x in T)]
+            w = core(restrict(grid, [path[x] for x in T]))[0]
             face_cores[T] = w
             if w.degree != len(T) - 1:
                 raise CertificateError(
@@ -542,8 +493,8 @@ def attach_diagram(
                     witness={"sigma": sigma.word},
                 )
             kind, S = "boundary", tuple(range(n + 1)) if n else ()
-        for idx in _subchains(path):
-            current.add(cores[idx])
+        # stops only at faces this walk has visited: C need not be face-closed
+        current |= StringComplex.closure([z]).members
         records.append(
             AttachmentCertificate(
                 sigma.word,

@@ -285,6 +285,16 @@ def string_from_json(obj, where: str = "string") -> MapString:
         raise InputError(f"{where}: {exc}") from None
 
 
+# Each core met by a closure walk as one shared object, and the cores of
+# its faces in face order.
+_interned: dict[MapString, MapString] = {}
+_face_cores: dict[MapString, tuple[MapString, ...]] = {}
+
+
+def _intern(z: MapString) -> MapString:
+    return _interned.setdefault(z, z)
+
+
 @dataclass(frozen=True)
 class StringComplex:
     """A face-closed set of canonical nondegenerate strings.
@@ -302,17 +312,30 @@ class StringComplex:
 
     @staticmethod
     def closure(seed) -> "StringComplex":
-        """Face-closure of arbitrary strings (canonicalized via cores)."""
-        todo = [core(z)[0] for z in seed]
+        """Face-closure of arbitrary strings (canonicalized via cores).
+
+        The walk stops only at members it has already visited.  Every core
+        it meets is interned, and the cores of a member's faces are read
+        from ``_face_cores``, which every caller shares, so each canonical
+        class is one object and has its faces cored once.
+        """
+        todo = []
+        for z in seed:
+            w = _interned.get(z)  # an interned string is its own core
+            todo.append(_intern(core(z)[0]) if w is None else w)
         out: set[MapString] = set()
         while todo:
             z = todo.pop()
             if z in out:
                 continue
             out.add(z)
-            for i in range(z.degree + 1):
-                if z.degree >= 1:
-                    todo.append(core(face(z, i))[0])
+            faces = _face_cores.get(z)
+            if faces is None:
+                faces = ()
+                if z.degree:
+                    faces = tuple(_intern(core(face(z, i))[0]) for i in range(z.degree + 1))
+                _face_cores[z] = faces
+            todo.extend(faces)
         return StringComplex(frozenset(out))
 
     def contains(self, z: MapString) -> bool:

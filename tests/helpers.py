@@ -1,17 +1,18 @@
 """Shared test utilities: raw enumerations, an independent iso checker, the
 permutation-sweep canonicalizer kept as an oracle for the canonical form,
-the uncached grid restriction kept as an oracle for the chain tables, and
-the set-of-faces past and horn certificate kept as oracles for the bitmask
+the all-chains restriction table kept as an oracle for the grid images
+built from shuffle paths, and the materialized prior subcomplex and the
+set-of-faces past and horn certificate kept as oracles for the bitmask
 versions in ``finsimp.shuffles``."""
 
 import itertools
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 
 from finsimp import FinMap, MapString, compose, core, identity
 from finsimp.errors import CertificateError, InputError
 from finsimp.finmap import all_maps
-from finsimp.grids import chain_in_boundary
 from finsimp.shuffles import (
     HornCertificate,
     Shuffle,
@@ -163,6 +164,71 @@ def oracle_chains(r, s):
         for ch in itertools.combinations(cells, k):
             if all(a[1] <= b[1] for a, b in zip(ch, ch[1:])):
                 yield ch
+
+
+@lru_cache(maxsize=None)
+def iter_chains(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Nonempty strictly increasing chains in the cell poset, as tuples."""
+    cells = [(i, j) for i in range(r + 1) for j in range(s + 1)]
+    out = []
+
+    def extend(chain):
+        out.append(tuple(chain))
+        last = chain[-1]
+        for v in cells:
+            if v != last and v[0] >= last[0] and v[1] >= last[1]:
+                chain.append(v)
+                extend(chain)
+                chain.pop()
+
+    for v in cells:
+        extend([v])
+    return tuple(out)
+
+
+def chain_in_boundary(chain, r: int, s: int) -> bool:
+    """True when the chain misses a column value or a row value."""
+    return {v[0] for v in chain} != set(range(r + 1)) or {v[1] for v in chain} != set(
+        range(s + 1)
+    )
+
+
+@dataclass(frozen=True)
+class ProductSubset:
+    """A subchain-closed set of strictly increasing chains in the cell poset."""
+
+    r: int
+    s: int
+    chains: frozenset[tuple[tuple[int, int], ...]]
+
+    def __contains__(self, chain) -> bool:
+        return tuple(chain) in self.chains
+
+    def issubset(self, other: "ProductSubset") -> bool:
+        return self.chains <= other.chains
+
+    def __len__(self):
+        return len(self.chains)
+
+
+def _subchains(path):
+    n = len(path)
+    for k in range(1, n + 1):
+        for idx in itertools.combinations(range(n), k):
+            yield tuple(path[x] for x in idx)
+
+
+def prior_subcomplex(sigma: Shuffle) -> ProductSubset:
+    """Boundary of the prism plus all shuffle simplices strictly below sigma."""
+    r, s = sigma.r, sigma.s
+    chains = set()
+    for sh in enumerate_shuffles(r, s):
+        if sh != sigma and sh.le(sigma):
+            chains.update(_subchains(sh.path()))
+    for ch in iter_chains(r, s):
+        if chain_in_boundary(ch, r, s):
+            chains.add(ch)
+    return ProductSubset(r, s, frozenset(chains))
 
 
 def oracle_chain_cores(grid) -> dict:

@@ -80,6 +80,44 @@ def test_attach_large_star_names_unmet_hypothesis(tmp_path):
     assert "boundary image is not contained" in err
 
 
+def test_attach_subset_not_face_closed(tmp_path):
+    # the boundary image of the grid less its two-element vertex: the closure
+    # of each attached simplex must not stop at members of this subset
+    subset = tmp_path / "unclosed.json"
+    subset.write_text(
+        json.dumps(
+            [
+                {"card0": 1, "maps": []},
+                {"card0": 1, "maps": [{"src": 2, "dst": 1, "img": [0, 0]}]},
+                {"card0": 2, "maps": [{"src": 1, "dst": 2, "img": [0]}]},
+            ]
+        )
+    )
+    code, out, err = run_cli(
+        ["attach", "--subset", str(subset), "--grid", str(FIXTURES / "attach_grid_1_1.json")]
+    )
+    assert code == 0, err
+    assert out == (FIXTURES / "cli_attach_unclosed_subset.json").read_text()
+
+
+def test_attach_oversized_identity_grid(tmp_path):
+    # a (6,6) grid of singletons has 1.15M chains but only 924 shuffle paths
+    n = 6
+    one = {"src": 1, "dst": 1, "img": [0]}
+    grid = {
+        "r": n,
+        "s": n,
+        "cards": [[1] * (n + 1) for _ in range(n + 1)],
+        "horiz": [[one] * (n + 1) for _ in range(n)],
+        "vert": [[one] * n for _ in range(n + 1)],
+    }
+    grid_path, subset = tmp_path / "grid.json", tmp_path / "point.json"
+    grid_path.write_text(json.dumps(grid))
+    subset.write_text(json.dumps([{"card0": 1, "maps": []}]))
+    code, out, err = run_cli(["attach", "--subset", str(subset), "--grid", str(grid_path)])
+    assert code == 0, err
+
+
 def test_own_past_in_attach_exits_two(monkeypatch):
     # a past that swallows the whole simplex is a falsified fact, also under -O
     import finsimp.shuffles as shuffles_mod

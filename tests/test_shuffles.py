@@ -14,7 +14,6 @@ from finsimp import (
     image_subset,
     is_inner_generalized_horn,
     is_saturated,
-    prior_subcomplex,
 )
 from finsimp.errors import CertificateError, HypothesisError, InputError
 from finsimp.grids import (
@@ -28,7 +27,13 @@ from finsimp.shuffles import _excluded_faces, hasse_edges, poset_dot
 from finsimp.strings import StringComplex
 
 import helpers
-from helpers import oracle_excluded_faces, oracle_horn_certificate
+from helpers import (
+    chain_in_boundary,
+    iter_chains,
+    oracle_excluded_faces,
+    oracle_horn_certificate,
+    prior_subcomplex,
+)
 
 
 def test_census_one_one():
@@ -69,8 +74,6 @@ def test_prior_of_minimal_is_boundary():
     for r, s in [(1, 1), (2, 1), (2, 2)]:
         lo = enumerate_shuffles(r, s)[0]
         A = prior_subcomplex(lo)
-        from finsimp.grids import chain_in_boundary, iter_chains
-
         boundary = {ch for ch in iter_chains(r, s) if chain_in_boundary(ch, r, s)}
         assert A.chains == frozenset(boundary)
 
@@ -305,13 +308,10 @@ def test_one_past_per_shuffle():
         full = tuple(range(n + 1))
         for r in range(1, n):
             s = n - r
-            certified = {}
-            # corner cardinality 7 makes n = 6 too slow to attach here
-            if n <= 5:
-                grid = _proper_grid(r, s)
-                _, records = attach_diagram(boundary_image(grid), grid)
-                assert [rec.status for rec in records] == ["attached"] * len(records)
-                certified = {rec.sigma: set(rec.excluded) | {full} for rec in records}
+            grid = _proper_grid(r, s)
+            _, records = attach_diagram(boundary_image(grid), grid)
+            assert [rec.status for rec in records] == ["attached"] * len(records)
+            certified = {rec.sigma: set(rec.excluded) | {full} for rec in records}
             for sh in enumerate_shuffles(r, s):
                 path = sh.path()
                 prior = prior_subcomplex(sh)
@@ -324,25 +324,24 @@ def test_one_past_per_shuffle():
                         overlap.update(itertools.combinations(facet, k))
                 assert faces - overlap == missing
                 assert set(_excluded_faces(sh.word)) == missing
-                if certified:
-                    assert certified[sh.word] == missing
+                assert certified[sh.word] == missing
 
 
-def test_second_round_makes_no_core_call(monkeypatch):
-    import finsimp.grids as grids_mod
-    import finsimp.shuffles as shuffles_mod
+def test_second_round_cores_no_face(monkeypatch):
+    # face cores live in one memo that every grid shares: a second round
+    # over an equal grid walks the same closures without coring any face
+    import finsimp.strings as strings_mod
 
+    written = []
+
+    class Recording(dict):
+        def __setitem__(self, z, faces):
+            written.append(z)
+            super().__setitem__(z, faces)
+
+    monkeypatch.setattr(strings_mod, "_face_cores", Recording())
     C0 = boundary_image(_proper_grid(2, 1))
-    grid = _proper_grid(2, 1)  # an equal grid whose tables are still empty
-    calls = []
-    real = grids_mod.core
-
-    def counted(z):
-        calls.append(z)
-        return real(z)
-
-    for mod in (grids_mod, shuffles_mod):
-        monkeypatch.setattr(mod, "core", counted, raising=False)
+    grid = _proper_grid(2, 1)  # an equal grid, built anew
 
     def one_round():
         image_subset(grid)
@@ -351,10 +350,10 @@ def test_second_round_makes_no_core_call(monkeypatch):
         return attach_diagram(C0, grid)
 
     first = one_round()
-    assert calls
-    calls.clear()
+    assert written
+    written.clear()
     assert one_round() == first
-    assert calls == []
+    assert written == []
 
 
 def test_bitmask_past_matches_set_oracle():
