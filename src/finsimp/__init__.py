@@ -37,7 +37,6 @@ from .presentation import (
     Generator,
     Matching,
     PresentationSkeleton,
-    enumerate_generators,
     excess_strings,
     match_excess,
     order_excess,

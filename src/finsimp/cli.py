@@ -33,8 +33,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, payload: str) -> None:
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InputError(f"output: {exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -51,6 +54,10 @@ def _read_json(path: str | None, what: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what}: not UTF-8 ({exc})") from None
+    except RecursionError:
+        raise InputError(f"{what}: JSON nested too deeply") from None
     except OSError as exc:
         raise InputError(f"{what}: {exc}") from None
 

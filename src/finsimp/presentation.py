@@ -1,7 +1,8 @@
 """Presentation skeletons for defect-bounded complexes.
 
-Generators are grids with nondegenerate corner data and cardinalities at
-most ``alpha``, replayed in degree order through the certified attachment.
+The corner grids with cardinalities at most ``alpha`` are replayed in
+degree order through the certified attachment, in one pass; the grids
+whose image is new when attached are the generators.
 The excess strings (cardinalities bounded, defect above ``alpha``) carry a
 run-length profile that splits them into an upper and a lower class, with
 an inner-face matching between adjacent degrees and a precedence order
@@ -16,13 +17,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, InputError, MatchingError, OrderAuditError
 from .finmap import MapClass, classify, epi_mono_factor
-from .grids import (
-    GridDiagram,
-    boundary_image,
-    defect_subcomplex,
-    enumerate_corner_grids,
-    image_subset,
-)
+from .grids import GridDiagram, boundary_image, defect_subcomplex, enumerate_corner_grids
 from .shuffles import AttachmentCertificate, attach_diagram
 from .strings import (
     MapString,
@@ -38,56 +33,13 @@ from .strings import (
 
 @dataclass(frozen=True)
 class Generator:
-    """One attachment cell: a grid plus the audited enumeration flags."""
+    """One attachment cell: a corner grid whose image was new when attached."""
 
     index: int
     r: int
     s: int
     corner: MapString
     grid: GridDiagram
-    novel: bool
-    boundary_contained: bool
-
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "r": self.r,
-            "s": self.s,
-            "corner": self.corner.to_json(canonical=True),
-            "novel": self.novel,
-            "boundary_contained": self.boundary_contained,
-        }
-
-
-def enumerate_generators(alpha: int, allow_empty: bool = False) -> list[Generator]:
-    """Grid isomorphism classes in a valid attachment order.
-
-    Candidates are ordered by total degree r+s, then canonical corner
-    serialization.  Under this order the boundary image of every candidate
-    lies in the union of the earlier images (deleting a grid row or column
-    yields a smaller grid), and every candidate is novel: its corner string
-    is a nondegenerate simplex of degree r+s that no other candidate of
-    equal or smaller degree contains.  Both flags are still checked per
-    entry rather than trusted.
-    """
-    if alpha < 1:
-        raise InputError("alpha must be >= 1")
-    out = []
-    union: set[MapString] = set()
-    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
-        img = image_subset(grid)
-        novel = not img.members <= union
-        boundary_ok = boundary_image(grid).members <= union
-        if not boundary_ok:
-            raise CertificateError(
-                "generator boundary not contained in earlier images",
-                witness={"corner": serialize(z), "r": r, "s": s},
-            )
-        if not novel:
-            continue
-        out.append(Generator(len(out), r, s, z, grid, novel, boundary_ok))
-        union |= img.members
-    return out
 
 
 @dataclass(frozen=True)
@@ -127,17 +79,32 @@ class PresentationSkeleton:
 
 
 def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
-    """Replay the generators through certified attachment.
+    """Replay the corner grids through certified attachment.
 
-    The final complex must coincide with the defect-bounded complex built
-    independently; any discrepancy raises.
+    Grids come in order of total degree r+s, then canonical corner
+    serialization.  Under this order the boundary image of every grid lies
+    in the complex attached so far (deleting a grid row or column yields a
+    smaller grid); this is checked per grid rather than trusted.  A grid
+    whose attachment adds a simplex becomes a generator; the others are
+    images already present.  The final complex must coincide with the
+    defect-bounded complex built independently; any discrepancy raises.
     """
-    gens = enumerate_generators(alpha, allow_empty)
+    if alpha < 1:
+        raise InputError("alpha must be >= 1")
     C = StringComplex(frozenset())
+    gens = []
     certs = []
-    for g in gens:
-        C, recs = attach_diagram(C, g.grid)
-        certs.append((g.index, tuple(recs)))
+    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
+        if not boundary_image(grid).issubset(C):
+            raise CertificateError(
+                "generator boundary not contained in earlier images",
+                witness={"corner": serialize(z), "r": r, "s": s},
+            )
+        C, recs = attach_diagram(C, grid)
+        if recs:
+            g = Generator(len(gens), r, s, z, grid)
+            gens.append(g)
+            certs.append((g.index, tuple(recs)))
     want = defect_subcomplex(alpha, allow_empty)
     if C != want:
         raise CertificateError(

@@ -398,14 +398,13 @@ def attach_diagram(
     D = image_subset(grid)
     if D.issubset(C):
         return C, []
-    hypothesis = attachment_hypothesis(C, grid)
-    if not hypothesis["saturated"]:
+    if not is_saturated(C):
         raise HypothesisError("complex is not saturated")
 
     def anomaly(message, witness):
         # with the boundary inside C these conditions are forced facts;
         # without it they just witness the unmet hypothesis
-        if hypothesis["boundary_contained"]:
+        if boundary_image(grid).issubset(C):
             raise CertificateError(message, witness)
         raise HypothesisError(
             f"{message} (the grid boundary image is not contained in the complex)"

@@ -377,16 +377,12 @@ class StringComplex:
         return hash(self.members)
 
 
-def _sorted_img_tuples(src: int, dst: int):
-    """Image tuples that are weakly increasing: one per source-relabel orbit."""
-    yield from itertools.combinations_with_replacement(range(dst), src)
-
-
-def extension_maps(last_card: int, new_card: int, skip_bijective: bool = True):
+def extension_maps(last_card: int, new_card: int):
     """Non-bijective maps ``new_card -> last_card`` up to source relabeling."""
     ident = tuple(range(last_card))
-    for img in _sorted_img_tuples(new_card, last_card):
-        if skip_bijective and new_card == last_card and img == ident:
+    # image tuples that are weakly increasing: one per source-relabel orbit
+    for img in itertools.combinations_with_replacement(range(last_card), new_card):
+        if new_card == last_card and img == ident:
             continue
         yield FinMap(new_card, last_card, img)
 

@@ -37,6 +37,7 @@ GOLDEN = {
     "cli_skeleton_dim_3.json": ["skeleton-dim", "--alpha", "3"],
     "cli_t_match_2_2.json": ["t-match", "--alpha", "2", "--degree-bound", "2"],
     "cli_horns_3_2.json": ["horns", "--r", "3", "--s", "2"],
+    "cli_present_2_empty.json": ["present", "--alpha", "2", "--allow-empty"],
 }
 
 
@@ -204,6 +205,31 @@ def test_output_file(tmp_path):
     code, out, _ = run_cli(["skeleton-dim", "--alpha", "2", "--output", str(target)])
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["skeletal_dimension"] >= 1
+
+
+def _assert_clean_exit_one(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_subset_not_utf8_exits_one(tmp_path):
+    subset = tmp_path / "latin1.json"
+    subset.write_bytes(b'["\xe9"]')
+    argv = ["attach", "--subset", str(subset), "--grid", str(FIXTURES / "attach_grid_1_1.json")]
+    _assert_clean_exit_one(*run_cli(argv))
+
+
+def test_deeply_nested_input_exits_one(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    _assert_clean_exit_one(*run_cli(["defect", "--input", str(deep)]))
+
+
+def test_unwritable_output_exits_one(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["skeleton-dim", "--alpha", "1", "--output", str(target)])
+    _assert_clean_exit_one(code, out, err)
+    assert err.startswith("error: output: ")
 
 
 def test_console_script_runs():

@@ -1,15 +1,21 @@
+import io
 import json
 import pathlib
+import sys
+import types
+from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
 from finsimp import (
     FinMap,
+    GridDiagram,
     MapString,
+    attachment_hypothesis,
     canonicalize,
     defect,
     defect_subcomplex,
-    enumerate_generators,
     excess_strings,
     face,
     match_excess,
@@ -20,7 +26,8 @@ from finsimp import (
 )
 from finsimp.errors import CertificateError, MatchingError, OrderAuditError
 from finsimp.finmap import all_maps
-from finsimp.grids import boundary_image, image_subset
+from finsimp.cli import main
+from finsimp.grids import boundary_image, enumerate_corner_grids, image_subset
 from finsimp.presentation import in_excess, match_inverse, match_partner, profile_of
 from finsimp.strings import serialize
 
@@ -28,26 +35,26 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def test_generators_alpha_one():
-    gens = enumerate_generators(1)
+    gens = present(1).generators
     assert len(gens) == 1
     g = gens[0]
     assert (g.r, g.s) == (0, 0) and g.corner == MapString(1)
 
 
 def test_generators_alpha_one_empty():
-    gens = enumerate_generators(1, allow_empty=True)
+    gens = present(1, allow_empty=True).generators
     assert len(gens) == 3
     assert sorted((g.r, g.s) for g in gens) == [(0, 0), (0, 0), (1, 0)]
 
 
 def test_generator_flags_audited():
     for alpha in (1, 2, 3):
-        gens = enumerate_generators(alpha)
+        gens = present(alpha).generators
         union = set()
         for g in gens:
             img = image_subset(g.grid)
-            assert g.novel and not img.members <= union
-            assert g.boundary_contained and boundary_image(g.grid).members <= union
+            assert not img.members <= union
+            assert boundary_image(g.grid).members <= union
             union |= img.members
         assert union == defect_subcomplex(alpha).members
 
@@ -93,7 +100,7 @@ def _raw_corner_count(alpha, allow_empty=False):
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_generator_count_matches_raw_census(alpha):
-    assert len(enumerate_generators(alpha)) == _raw_corner_count(alpha)
+    assert len(present(alpha).generators) == _raw_corner_count(alpha)
 
 
 def test_present_alpha_one():
@@ -115,6 +122,75 @@ def test_present_counts_golden():
         alpha, empty = key.split(":")
         skel = present(int(alpha), allow_empty=empty == "empty")
         assert skel.counts() == want
+
+
+def _count_grid_calls(monkeypatch, fns):
+    """Wrap every module binding of ``fns``; count each one's calls per grid."""
+    counts = {fn.__name__: Counter() for fn in fns}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            grid = next(a for a in args if isinstance(a, GridDiagram))
+            counts[fn.__name__][grid] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {fn: counted(fn) for fn in fns}
+    for name, mod in list(sys.modules.items()):
+        if name != "finsimp" and not name.startswith("finsimp."):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if isinstance(value, types.FunctionType) and value in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[value])
+    return counts
+
+
+def test_present_one_pass_per_grid(monkeypatch):
+    counts = _count_grid_calls(monkeypatch, [boundary_image, image_subset, attachment_hypothesis])
+    for alpha, allow_empty in ((3, False), (2, True)):
+        for c in counts.values():
+            c.clear()
+        present(alpha, allow_empty)
+        grids = [grid for *_, grid in enumerate_corner_grids(alpha, allow_empty)]
+        assert counts["boundary_image"] == Counter({g: 1 for g in grids})
+        # one image from the attachment, one from the dual construction
+        assert counts["image_subset"] == Counter({g: 2 for g in grids})
+        assert not counts["attachment_hypothesis"]
+    counts["boundary_image"].clear()
+    argv = [
+        "attach",
+        "--subset",
+        str(FIXTURES / "attach_subset_e1.json"),
+        "--grid",
+        str(FIXTURES / "attach_grid_1_1.json"),
+    ]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert sum(counts["boundary_image"].values()) == 1
+
+
+def test_present_grid_already_attached_is_no_generator(monkeypatch):
+    import finsimp.presentation as presentation_mod
+
+    # every corner grid is new in the real census; repeat one to reach the
+    # branch where an attachment adds nothing
+    census = list(enumerate_corner_grids(2))
+    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census + census[:1])
+    skel = present(2)
+    assert [g.grid for g in skel.generators] == [grid for *_, grid in census]
+    assert [idx for idx, _ in skel.certificates] == list(range(len(census)))
+
+
+def test_present_checks_boundary_of_each_grid(monkeypatch):
+    import finsimp.presentation as presentation_mod
+
+    census = list(enumerate_corner_grids(2))
+    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census[::-1])
+    with pytest.raises(CertificateError, match="generator boundary not contained") as exc:
+        present(2)
+    z, s, r, _ = census[-1]
+    assert exc.value.witness == {"corner": serialize(z), "r": r, "s": s}
 
 
 def test_present_json_deterministic():
