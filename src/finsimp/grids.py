@@ -393,29 +393,41 @@ def is_accessible(C: StringComplex) -> bool:
 def defect_subcomplex(alpha: int, allow_empty: bool = False) -> StringComplex:
     """All canonical nondegenerate strings of defect <= alpha.
 
-    Built two independent ways and compared: once by direct enumeration
-    with the defect formula, once as the union of images of all grids with
-    cardinalities <= alpha.  Disagreement raises, since it would falsify
-    the equivalence the rest of the pipeline relies on.
+    Built two independent ways and compared: the union of the images of all
+    grids with cardinalities <= alpha is checked against the direct
+    enumeration by ``check_against_enumeration``, as ``present`` checks its
+    replay of the same union.
     """
     if alpha < 1:
         raise InputError("alpha must be >= 1")
+    union: set[MapString] = set()
+    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
+        union |= image_subset(grid).members
+    C = StringComplex(frozenset(union))
+    check_against_enumeration(C, alpha, allow_empty)
+    return C
+
+
+def check_against_enumeration(C: StringComplex, alpha: int, allow_empty: bool) -> None:
+    """Compare a union of grid images with the direct enumeration of the
+    strings of defect <= alpha by the defect formula.
+
+    Disagreement raises, since it would falsify the equivalence the rest
+    of the pipeline relies on.
+    """
     # Degree self-terminates: proper injections strictly shrink cardinality,
     # everything else strictly raises defect.  alpha*(alpha+2) is a safe cap.
     cap = alpha * (alpha + 2) + 1
     by_degree = enumerate_nondegenerate(alpha, cap, allow_empty, max_defect=alpha)
-    direct = {z for level in by_degree for z in level}
     if by_degree[-1] and len(by_degree) >= cap:
         raise CertificateError(
             "degree cap reached",
             witness={"alpha": alpha, "cap": cap, "top_degree_members": len(by_degree[-1])},
         )
-    union: set[MapString] = set()
-    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
-        union |= image_subset(grid).members
-    if direct != union:
-        only_direct = sorted(direct - union, key=MapString.sort_key)
-        only_union = sorted(union - direct, key=MapString.sort_key)
+    direct = {z for level in by_degree for z in level}
+    if direct != C.members:
+        only_direct = sorted(direct - C.members, key=MapString.sort_key)
+        only_union = sorted(C.members - direct, key=MapString.sort_key)
         raise DualConstructionError(
             "defect enumeration and grid-image union disagree",
             witness={
@@ -423,16 +435,6 @@ def defect_subcomplex(alpha: int, allow_empty: bool = False) -> StringComplex:
                 "only_union": [serialize(z) for z in only_union[:5]],
             },
         )
-    return StringComplex(frozenset(direct))
-
-
-def _staircase_cells(T: int):
-    cells = {}
-    for k in range(T + 1):
-        cells[(k, k)] = None
-    for k in range(T):
-        cells[(k + 1, k)] = None
-    return cells
 
 
 def complete_from_staircase(st: MapString) -> GridDiagram:

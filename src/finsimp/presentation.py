@@ -2,7 +2,9 @@
 
 The corner grids with cardinalities at most ``alpha`` are replayed in
 degree order through the certified attachment, in one pass; the grids
-whose image is new when attached are the generators.
+whose image is new when attached are the generators.  The replayed complex
+is the grid-image half of the dual construction of ``E^alpha`` and is
+compared with the direct enumeration.
 The excess strings (cardinalities bounded, defect above ``alpha``) carry a
 run-length profile that splits them into an upper and a lower class, with
 an inner-face matching between adjacent degrees and a precedence order
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, InputError, MatchingError, OrderAuditError
 from .finmap import MapClass, classify, epi_mono_factor
-from .grids import GridDiagram, boundary_image, defect_subcomplex, enumerate_corner_grids
+from .grids import GridDiagram, boundary_image, check_against_enumeration, defect_subcomplex
+from .grids import enumerate_corner_grids
 from .shuffles import AttachmentCertificate, attach_diagram
 from .strings import (
     MapString,
@@ -33,23 +36,24 @@ from .strings import (
 
 @dataclass(frozen=True)
 class Generator:
-    """One attachment cell: a corner grid whose image was new when attached."""
+    """One attachment cell: a corner grid whose image was new when attached,
+    with the records of its attachment."""
 
-    index: int
     r: int
     s: int
     corner: MapString
     grid: GridDiagram
+    records: tuple[AttachmentCertificate, ...]
 
 
 @dataclass(frozen=True)
 class PresentationSkeleton:
+    """The generators in attachment order and the complex they attach."""
+
     alpha: int
     allow_empty: bool
     complex: StringComplex
     generators: tuple[Generator, ...]
-    certificates: tuple[tuple[int, tuple[AttachmentCertificate, ...]], ...]
-    skeletal_dim: int
 
     def counts(self) -> dict:
         by_rs = Counter((g.r, g.s) for g in self.generators)
@@ -67,12 +71,12 @@ class PresentationSkeleton:
                 {"r": g.r, "s": g.s, "corner": g.corner.to_json(canonical=True), "grid": g.grid.to_json()}
                 for g in self.generators
             ],
-            "attachment_order": [g.index for g in self.generators],
+            "attachment_order": list(range(len(self.generators))),
             "certificates": [
-                {"cell": idx, "records": [rec.to_json() for rec in recs]}
-                for idx, recs in self.certificates
+                {"cell": k, "records": [rec.to_json() for rec in g.records]}
+                for k, g in enumerate(self.generators)
             ],
-            "skeletal_dimension": self.skeletal_dim,
+            "skeletal_dimension": self.complex.max_degree(),
             "counts": self.counts(),
             "complex": self.complex.to_json(),
         }
@@ -86,14 +90,15 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     in the complex attached so far (deleting a grid row or column yields a
     smaller grid); this is checked per grid rather than trusted.  A grid
     whose attachment adds a simplex becomes a generator; the others are
-    images already present.  The final complex must coincide with the
-    defect-bounded complex built independently; any discrepancy raises.
+    images already present.  Each attachment certifies that it adds exactly
+    the grid's image, so the final complex is the grid-image half of the
+    dual construction of ``E^alpha``; it is compared with the direct
+    enumeration, and any discrepancy raises.
     """
     if alpha < 1:
         raise InputError("alpha must be >= 1")
     C = StringComplex(frozenset())
     gens = []
-    certs = []
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
         if not boundary_image(grid).issubset(C):
             raise CertificateError(
@@ -102,28 +107,19 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
             )
         C, recs = attach_diagram(C, grid)
         if recs:
-            g = Generator(len(gens), r, s, z, grid)
-            gens.append(g)
-            certs.append((g.index, tuple(recs)))
-    want = defect_subcomplex(alpha, allow_empty)
-    if C != want:
-        raise CertificateError(
-            "replayed complex differs from the defect-bounded complex",
-            witness={"alpha": alpha, "allow_empty": allow_empty},
-        )
-    return PresentationSkeleton(alpha, allow_empty, C, tuple(gens), tuple(certs), C.max_degree())
+            gens.append(Generator(r, s, z, grid, tuple(recs)))
+    check_against_enumeration(C, alpha, allow_empty)
+    return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))
 
 
 def verify_skeleton(skel: PresentationSkeleton) -> bool:
     """Re-run every attachment and compare certificates field by field."""
     C = StringComplex(frozenset())
-    for g, (idx, recs) in zip(skel.generators, skel.certificates):
-        if g.index != idx:
-            raise CertificateError("certificate indices out of order")
+    for k, g in enumerate(skel.generators):
         C, fresh = attach_diagram(C, g.grid)
-        if tuple(fresh) != recs:
+        if tuple(fresh) != g.records:
             raise CertificateError(
-                "attachment records changed under replay", witness={"cell": idx}
+                "attachment records changed under replay", witness={"cell": k}
             )
     if C != skel.complex:
         raise CertificateError("replay does not reproduce the stored complex")

@@ -21,8 +21,9 @@ comparisons with smaller shuffles read one height table per ``(r, s)``.
 The excluded family stays small while the faces double with each move, so
 ``horn_certificate`` checks the horn shape on it alone, and
 ``attach_diagram`` certifies each excluded face.  ``attach_diagram`` cores
-the restriction of the shuffle path and of each excluded face, and adds
-the face closure of the path's core to the complex.
+the restriction of each shuffle path once: the face closure of those cores
+is the grid image, and the walk adds the closure of each new path core to
+the complex.  It also cores the restriction of each excluded face.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from functools import lru_cache
 
 from .errors import CertificateError, HypothesisError, InputError
 from .finmap import MapClass, classify
-from .grids import GridDiagram, boundary_image, corner_of, image_subset, is_saturated, restrict
-from .strings import MapString, StringComplex, core, face
+from .grids import GridDiagram, boundary_image, corner_of, is_saturated, restrict
+from .strings import MapString, StringComplex, core, face, interned_core
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,14 +277,22 @@ def horn_certificate(sigma: Shuffle) -> HornCertificate:
     return HornCertificate(sigma.word, "inner", S, tuple(facets))
 
 
+# The facts ``attach_diagram`` verifies for each shuffle it attaches.
+_ATTACHED_CHECKS = (
+    "c_nondegenerate", "a_endpoints_and_isolated_gaps", "b_gap_moves",
+    "d_excluded_faces_nondegenerate", "ii_excluded_faces_new", "iii_excluded_faces_distinct",
+)
+
+
 @dataclass(frozen=True)
 class AttachmentCertificate:
     """Per-shuffle record of the facts verified while attaching a grid image.
 
     ``excluded`` lists the faces of the shuffle simplex missing from the
-    prior subcomplex (position subsets).  The ``checks`` map records each
-    verified fact; a record is re-checkable from the grid, the shuffle and
-    the complex as it stood when the shuffle was processed.
+    prior subcomplex (position subsets).  Each fact in ``_ATTACHED_CHECKS``
+    raises when it fails, so an attached record holds all of them; a record
+    is re-checkable from the grid, the shuffle and the complex as it stood
+    when the shuffle was processed.
     """
 
     sigma: str
@@ -291,7 +300,6 @@ class AttachmentCertificate:
     kind: str | None = None  # "inner" | "boundary" | None when skipped
     S: tuple[int, ...] = ()
     excluded: tuple[tuple[int, ...], ...] = ()
-    checks: tuple[tuple[str, bool], ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -300,7 +308,7 @@ class AttachmentCertificate:
             "kind": self.kind,
             "S": list(self.S),
             "excluded": [list(t) for t in self.excluded],
-            "checks": {k: v for k, v in self.checks},
+            "checks": dict.fromkeys(_ATTACHED_CHECKS, True) if self.status == "attached" else {},
         }
 
 
@@ -393,9 +401,15 @@ def attach_diagram(
     containing with isolated horizontal-vertical gaps, nondegenerate, not
     yet present, and pairwise distinguishable both by class fingerprints
     and by canonical forms.  The result is exactly ``C`` united with the
-    grid image, independent of the chosen linear extension.
+    grid image, independent of the chosen linear extension.  Each shuffle
+    path is restricted and cored once; the image is the face closure of
+    those cores.
     """
-    D = image_subset(grid)
+    r, s = grid.r, grid.s
+    n = r + s
+    shuffles = enumerate_shuffles(r, s)
+    cores = {sh.word: interned_core(restrict(grid, sh.path())) for sh in shuffles}
+    D = StringComplex.closure(cores.values())
     if D.issubset(C):
         return C, []
     if not is_saturated(C):
@@ -410,34 +424,29 @@ def attach_diagram(
             f"{message} (the grid boundary image is not contained in the complex)"
         )
 
-    r, s = grid.r, grid.s
-    n = r + s
     if order is None:
-        order = enumerate_shuffles(r, s)
+        order = shuffles
     else:
         seen: list[Shuffle] = []
         for sh in order:
             if any(sh.le(prev) and sh != prev for prev in seen):
                 raise InputError("order is not a linear extension of the shuffle poset")
             seen.append(sh)
-        if sorted(sh.word for sh in seen) != sorted(sh.word for sh in enumerate_shuffles(r, s)):
+        if sorted(sh.word for sh in seen) != [sh.word for sh in shuffles]:
             raise InputError("order must list every shuffle exactly once")
     current = set(C.members)
     records = []
     for sigma in order:
-        path = sigma.path()
-        z = core(restrict(grid, path))[0]
+        z = cores[sigma.word]
         if z in current:
             records.append(AttachmentCertificate(sigma.word, "already-present"))
             continue
-        checks: list[tuple[str, bool]] = []
         # a string is nondegenerate exactly when its core keeps its degree
         if z.degree != n:
             anomaly(
                 "new shuffle simplex is degenerate but its core is missing",
                 {"sigma": sigma.word},
             )
-        checks.append(("c_nondegenerate", True))
         full = tuple(range(n + 1))
         excluded = _excluded_faces(sigma.word)
         if full not in excluded:
@@ -448,8 +457,7 @@ def attach_diagram(
         proper_excluded = [idx for idx in excluded if idx != full]
         for T in proper_excluded:
             _gap_pattern_checks(sigma, T)
-        checks.append(("a_endpoints_and_isolated_gaps", True))
-        checks.append(("b_gap_moves", True))
+        path = sigma.path()
         face_cores = {}
         for T in proper_excluded:
             w = core(restrict(grid, [path[x] for x in T]))[0]
@@ -464,8 +472,6 @@ def attach_diagram(
                     "excluded face already lies in the complex",
                     {"sigma": sigma.word, "T": list(T)},
                 )
-        checks.append(("d_excluded_faces_nondegenerate", True))
-        checks.append(("ii_excluded_faces_new", True))
         # map classes survive relabeling, so the canonical core of a
         # nondegenerate face string carries the same class pattern
         for T, w in face_cores.items():
@@ -480,7 +486,6 @@ def attach_diagram(
                     "two excluded faces share a canonical form",
                     witness={"sigma": sigma.word, "dimension": k - 1},
                 )
-        checks.append(("iii_excluded_faces_distinct", True))
         if r >= 1 and s >= 1 and not sigma.is_maximal():
             cert = horn_certificate(sigma)
             kind, S = cert.kind, cert.S
@@ -501,7 +506,6 @@ def attach_diagram(
                 kind,
                 tuple(S),
                 tuple(sorted(proper_excluded)),
-                tuple(checks),
             )
         )
     result = StringComplex(frozenset(current))

@@ -236,7 +236,7 @@ def is_canonical(z: MapString) -> bool:
 
 
 def relabel(z: MapString, bijections) -> MapString:
-    """Apply one bijection per level; used by tests and the core builder."""
+    """Apply one bijection per level; the tests relabel strings with it."""
     bijections = [tuple(b) for b in bijections]
     if len(bijections) != z.degree + 1:
         raise InputError("need one bijection per level")
@@ -295,6 +295,13 @@ def _intern(z: MapString) -> MapString:
     return _interned.setdefault(z, z)
 
 
+def interned_core(z: MapString) -> MapString:
+    """The core of ``z`` as the one shared object of its class; an interned
+    string is its own core, so it is not cored again."""
+    w = _interned.get(z)
+    return _intern(core(z)[0]) if w is None else w
+
+
 @dataclass(frozen=True)
 class StringComplex:
     """A face-closed set of canonical nondegenerate strings.
@@ -319,10 +326,7 @@ class StringComplex:
         from ``_face_cores``, which every caller shares, so each canonical
         class is one object and has its faces cored once.
         """
-        todo = []
-        for z in seed:
-            w = _interned.get(z)  # an interned string is its own core
-            todo.append(_intern(core(z)[0]) if w is None else w)
+        todo = [interned_core(z) for z in seed]
         out: set[MapString] = set()
         while todo:
             z = todo.pop()
@@ -369,12 +373,6 @@ class StringComplex:
 
     def __len__(self):
         return len(self.members)
-
-    def __eq__(self, other):
-        return isinstance(other, StringComplex) and self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
 
 
 def extension_maps(last_card: int, new_card: int):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import pathlib
@@ -46,6 +47,15 @@ def test_golden_outputs(name, argv):
     code, out, err = run_cli(argv)
     assert code == 0, err
     assert out == (FIXTURES / name).read_text()
+
+
+def test_present_alpha_three_empty_digest():
+    # recorded at commit a53124d; no golden fixture covers alpha 3 with empty
+    # sets, where the grids with r == 0 or s == 0 attach as boundary spheres
+    code, out, err = run_cli(["present", "--alpha", "3", "--allow-empty"])
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5b33e9dfdfbb597ac072906156890b8a41f797bd8b431c72dae34bd5476ef023"
 
 
 @pytest.mark.parametrize("argv", [GOLDEN["cli_present_1.json"], GOLDEN["cli_horns_1_1.json"]])

@@ -5,6 +5,7 @@ import sys
 import types
 from collections import Counter
 from contextlib import redirect_stdout
+from math import comb
 
 import pytest
 
@@ -24,10 +25,10 @@ from finsimp import (
     skeletal_dimension,
     verify_skeleton,
 )
-from finsimp.errors import CertificateError, MatchingError, OrderAuditError
+from finsimp.errors import CertificateError, DualConstructionError, MatchingError, OrderAuditError
 from finsimp.finmap import all_maps
 from finsimp.cli import main
-from finsimp.grids import boundary_image, enumerate_corner_grids, image_subset
+from finsimp.grids import _boundary_facets, boundary_image, enumerate_corner_grids, image_subset, restrict
 from finsimp.presentation import in_excess, match_inverse, match_partner, profile_of
 from finsimp.strings import serialize
 
@@ -106,7 +107,7 @@ def test_generator_count_matches_raw_census(alpha):
 def test_present_alpha_one():
     skel = present(1)
     assert skel.counts()["total"] == 1
-    assert skel.skeletal_dim == 0
+    assert skel.to_json()["skeletal_dimension"] == 0
     assert skel.complex == defect_subcomplex(1)
 
 
@@ -147,16 +148,28 @@ def _count_grid_calls(monkeypatch, fns):
 
 
 def test_present_one_pass_per_grid(monkeypatch):
-    counts = _count_grid_calls(monkeypatch, [boundary_image, image_subset, attachment_hypothesis])
+    counts = _count_grid_calls(
+        monkeypatch, [boundary_image, image_subset, attachment_hypothesis, restrict]
+    )
     for alpha, allow_empty in ((3, False), (2, True)):
         for c in counts.values():
             c.clear()
-        present(alpha, allow_empty)
+        skel = present(alpha, allow_empty)
         grids = [grid for *_, grid in enumerate_corner_grids(alpha, allow_empty)]
         assert counts["boundary_image"] == Counter({g: 1 for g in grids})
-        # one image from the attachment, one from the dual construction
-        assert counts["image_subset"] == Counter({g: 2 for g in grids})
+        # the attachment images each grid from its own shuffle walk
+        assert not counts["image_subset"]
         assert not counts["attachment_hypothesis"]
+        # the boundary facets, each shuffle path once, each excluded face once
+        records = {g.grid: g.records for g in skel.generators}
+        assert counts["restrict"] == Counter(
+            {
+                g: len(_boundary_facets(g.r, g.s))
+                + comb(g.r + g.s, g.s)
+                + sum(len(rec.excluded) for rec in records.get(g, ()))
+                for g in grids
+            }
+        )
     counts["boundary_image"].clear()
     argv = [
         "attach",
@@ -179,7 +192,9 @@ def test_present_grid_already_attached_is_no_generator(monkeypatch):
     monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census + census[:1])
     skel = present(2)
     assert [g.grid for g in skel.generators] == [grid for *_, grid in census]
-    assert [idx for idx, _ in skel.certificates] == list(range(len(census)))
+    doc = skel.to_json()
+    assert doc["attachment_order"] == list(range(len(census)))
+    assert [cert["cell"] for cert in doc["certificates"]] == list(range(len(census)))
 
 
 def test_present_checks_boundary_of_each_grid(monkeypatch):
@@ -191,6 +206,19 @@ def test_present_checks_boundary_of_each_grid(monkeypatch):
         present(2)
     z, s, r, _ = census[-1]
     assert exc.value.witness == {"corner": serialize(z), "r": r, "s": s}
+
+
+@pytest.mark.parametrize("alpha,allow_empty", [(2, False), (3, False), (2, True)])
+def test_present_compares_with_direct_enumeration(monkeypatch, alpha, allow_empty):
+    import finsimp.presentation as presentation_mod
+
+    # without the last grid its corner string is missing from the replay
+    census = list(enumerate_corner_grids(alpha, allow_empty))
+    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census[:-1])
+    with pytest.raises(DualConstructionError) as exc:
+        present(alpha, allow_empty)
+    z = census[-1][0]
+    assert exc.value.witness == {"only_direct": [serialize(z)], "only_union": []}
 
 
 def test_present_json_deterministic():
@@ -285,11 +313,11 @@ def test_verify_skeleton_detects_tampering():
     import dataclasses
 
     skel = present(2)
-    records = list(skel.certificates)
-    cell, recs = records[-1]
+    gens = list(skel.generators)
+    recs = gens[-1].records
     tampered = recs[:-1] + (dataclasses.replace(recs[-1], sigma="VH" if recs[-1].sigma != "VH" else "HV"),)
-    records[-1] = (cell, tampered)
-    broken = dataclasses.replace(skel, certificates=tuple(records))
+    gens[-1] = dataclasses.replace(gens[-1], records=tampered)
+    broken = dataclasses.replace(skel, generators=tuple(gens))
     with pytest.raises(CertificateError):
         verify_skeleton(broken)
 

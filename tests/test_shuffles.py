@@ -196,7 +196,7 @@ def test_attach_sweep_from_boundary_closure():
         for rec in records:
             if rec.status != "attached":
                 continue
-            checks = dict(rec.checks)
+            checks = rec.to_json()["checks"]
             assert all(checks.values())
             if rec.kind == "inner":
                 assert is_inner_generalized_horn(set(rec.S), r + s)
@@ -285,7 +285,7 @@ def test_attach_wide_grid():
     assert result == C0.union(image_subset(grid))
     attached = [rec for rec in records if rec.status == "attached"]
     assert attached and attached[-1].kind == "boundary"
-    assert all(dict(rec.checks).get("iii_excluded_faces_distinct", True) for rec in attached)
+    assert all(rec.to_json()["checks"].get("iii_excluded_faces_distinct", True) for rec in attached)
 
 
 def _proper_grid(r, s):
