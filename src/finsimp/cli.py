@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import CertificateError, InputError
@@ -29,6 +30,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InputError(message)
+
+
+def _check_output(path: str) -> None:
+    """Refuse an unwritable output path before any work is done.
+
+    Opening for append neither truncates an existing file nor changes its
+    bytes; a file created by the probe is removed again, so a run that
+    later fails leaves nothing behind.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise InputError(f"output: {exc}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _emit(args, payload: str) -> None:
@@ -253,6 +271,8 @@ def main(argv=None) -> int:
         for name in ("r", "s"):
             if getattr(args, name, None) is not None and getattr(args, name) < 0:
                 raise InputError(f"--{name} must be >= 0")
+        if args.output and args.output != "-":
+            _check_output(args.output)
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

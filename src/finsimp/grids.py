@@ -14,14 +14,18 @@ restriction.  ``image_subset`` and ``boundary_image`` restrict only those
 paths (or the boundary facets of them) and hand the rest to
 ``StringComplex.closure``, whose face-core memo every grid shares.  No
 chain table is kept on a grid, and ``arrow`` composes on demand.
+``path_cores`` restricts each path once and also reports where the core of
+each face of the restriction sits, so ``boundary_cores`` reads the core of
+every boundary facet off the path cores without restricting the facet.
 
 Facts that depend only on a shape or on the census are computed once:
 
 - the shuffle paths and their boundary facets are cached per ``(r, s)``;
 - ``enumerate_corner_grids`` runs its census once per
   ``(max_card, allow_empty)``; every caller sees the same grid objects;
-- ``is_saturated`` looks up ``core(saturate(z))`` per member in a memo
-  keyed by the member.
+- ``is_saturated`` looks up ``core(saturate(z))`` for every member in a
+  memo keyed by the member; the replay of ``present`` looks up only the
+  members added since its last check, in the same memo.
 """
 
 from __future__ import annotations
@@ -37,9 +41,12 @@ from .strings import (
     StringComplex,
     canonicalize,
     core,
+    core_face_indices,
     defect,
     enumerate_nondegenerate,
     extension_maps,
+    face_cores,
+    interned_core,
     saturate,
     serialize,
 )
@@ -273,15 +280,54 @@ def image_subset(grid: GridDiagram) -> StringComplex:
 
 
 @lru_cache(maxsize=None)
-def _boundary_facets(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each shuffle path less one position alone in its row or its column,
-    without repeats; built once per shape."""
-    facets = {}
-    for p in _shuffle_paths(r, s):
+def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
+    """Each boundary facet as ``(k, x)``: shuffle path ``k`` less its
+    position ``x``, which is alone in its row or its column.  Facets are
+    nonempty and without repeats, each named by its first pair; built once
+    per shape."""
+    facets: dict[tuple, tuple[int, int]] = {}
+    for k, p in enumerate(_shuffle_paths(r, s)):
         for x, (i, j) in enumerate(p):
             if sum(v[0] == i for v in p) == 1 or sum(v[1] == j for v in p) == 1:
-                facets[p[:x] + p[x + 1 :]] = None
-    return tuple(ch for ch in facets if ch)
+                facets.setdefault(p[:x] + p[x + 1 :], (k, x))
+    return tuple(kx for ch, kx in facets.items() if ch)
+
+
+@lru_cache(maxsize=None)
+def _boundary_facets(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The cell chains of the boundary facets, in ``_boundary_positions``
+    order."""
+    paths = _shuffle_paths(r, s)
+    return tuple(paths[k][:x] + paths[k][x + 1 :] for k, x in _boundary_positions(r, s))
+
+
+def path_cores(grid: GridDiagram) -> tuple[tuple[MapString, tuple[int | None, ...]], ...]:
+    """Restrict each shuffle path of the grid once, in shuffle order.
+
+    Per path: the interned core of its restriction, and where the core of
+    each face of the restriction sits (``core_face_indices``).
+    """
+    out = []
+    for p in _shuffle_paths(grid.r, grid.s):
+        y = restrict(grid, p)
+        out.append((interned_core(y), core_face_indices(y)))
+    return tuple(out)
+
+
+def boundary_cores(grid: GridDiagram, paths) -> list[MapString]:
+    """The core of each boundary facet, in ``_boundary_facets`` order, read
+    off ``paths = path_cores(grid)`` without restricting the facets.
+
+    The facet that drops position ``x`` of a path restricts to face ``x``
+    of the path's restriction, so its core is the path core or one of the
+    path core's face cores.
+    """
+    out = []
+    for k, x in _boundary_positions(grid.r, grid.s):
+        z, where = paths[k]
+        i = where[x]
+        out.append(z if i is None else face_cores(z)[i])
+    return out
 
 
 def boundary_image(grid: GridDiagram) -> StringComplex:

@@ -2,9 +2,15 @@
 
 The corner grids with cardinalities at most ``alpha`` are replayed in
 degree order through the certified attachment, in one pass; the grids
-whose image is new when attached are the generators.  The replayed complex
-is the grid-image half of the dual construction of ``E^alpha`` and is
-compared with the direct enumeration.
+whose image is new when attached are the generators.  The replay keeps one
+growing member set, face-closed by construction, so each grid costs work in
+proportion to its own size: its boundary is checked through the cores of
+its boundary facets, read off its path cores; only the members added since
+the last check are checked for saturation; and the union with the image is
+checked on the image and the added members alone.  ``verify_skeleton``
+replays the generators through the same state.  The replayed complex is
+the grid-image half of the dual construction of ``E^alpha`` and is compared
+with the direct enumeration.
 The excess strings (cardinalities bounded, defect above ``alpha``) carry a
 run-length profile that splits them into an upper and a lower class, with
 an inner-face matching between adjacent degrees and a precedence order
@@ -17,11 +23,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .errors import CertificateError, InputError, MatchingError, OrderAuditError
+from .errors import CertificateError, HypothesisError, InputError, MatchingError, OrderAuditError
 from .finmap import MapClass, classify, epi_mono_factor
-from .grids import GridDiagram, boundary_image, check_against_enumeration, defect_subcomplex
-from .grids import enumerate_corner_grids
-from .shuffles import AttachmentCertificate, attach_diagram
+from .grids import GridDiagram, _saturation_core, boundary_cores, check_against_enumeration
+from .grids import defect_subcomplex, enumerate_corner_grids, path_cores
+from .shuffles import AttachmentCertificate, attach_walk, enumerate_shuffles
 from .strings import (
     MapString,
     StringComplex,
@@ -30,6 +36,7 @@ from .strings import (
     defect,
     enumerate_nondegenerate,
     face,
+    face_closure,
     serialize,
 )
 
@@ -82,6 +89,64 @@ class PresentationSkeleton:
         }
 
 
+class _Replay:
+    """The complex attached so far, as one member set that only grows.
+
+    The set starts empty and grows only by face closures, so it is
+    face-closed by construction; the final comparison with the direct
+    enumeration vouches for the result.  Each grid therefore costs work in
+    proportion to the grid: membership of a few cores decides its boundary
+    and its image, and only the members added since the last saturation
+    check are checked.
+    """
+
+    def __init__(self):
+        self.members: set[MapString] = set()
+        self.unchecked: list[MapString] = []
+
+    def saturated(self) -> bool:
+        """``is_saturated`` of the members: the saturations of the members
+        checked before are still members, since the set only grows."""
+        if any(_saturation_core(z) not in self.members for z in self.unchecked if z.degree >= 1):
+            return False
+        self.unchecked = []
+        return True
+
+    def attach(self, z: MapString, r: int, s: int, grid: GridDiagram) -> list[AttachmentCertificate]:
+        """Certify and attach one corner grid; returns its records, empty
+        when its image is already present."""
+        paths = path_cores(grid)
+        # the members are face-closed, so the boundary image lies in them
+        # exactly when the core of every boundary facet does
+        if any(w not in self.members for w in boundary_cores(grid, paths)):
+            raise CertificateError(
+                "generator boundary not contained in earlier images",
+                witness={"corner": serialize(z), "r": r, "s": s},
+            )
+        shuffles = enumerate_shuffles(r, s)
+        cores = {sh.word: w for sh, (w, _) in zip(shuffles, paths)}
+        image = face_closure(cores.values())
+        if image <= self.members:
+            return []
+        if not self.saturated():
+            raise HypothesisError("complex is not saturated")
+
+        def anomaly(message, witness):
+            # the boundary lies in the complex, so these are forced facts
+            raise CertificateError(message, witness)
+
+        records, added = attach_walk(self.members, grid, cores, shuffles, anomaly, self.members)
+        # with the members grown by exactly ``added``, this is the check
+        # that the result is the union of the complex before and the image
+        if not (image.issuperset(added) and image <= self.members):
+            raise CertificateError("attachment result is not the union with the image")
+        self.unchecked += added
+        return records
+
+    def complex(self) -> StringComplex:
+        return StringComplex(frozenset(self.members))
+
+
 def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     """Replay the corner grids through certified attachment.
 
@@ -97,31 +162,27 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     """
     if alpha < 1:
         raise InputError("alpha must be >= 1")
-    C = StringComplex(frozenset())
+    replay = _Replay()
     gens = []
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
-        if not boundary_image(grid).issubset(C):
-            raise CertificateError(
-                "generator boundary not contained in earlier images",
-                witness={"corner": serialize(z), "r": r, "s": s},
-            )
-        C, recs = attach_diagram(C, grid)
+        recs = replay.attach(z, r, s, grid)
         if recs:
             gens.append(Generator(r, s, z, grid, tuple(recs)))
+    C = replay.complex()
     check_against_enumeration(C, alpha, allow_empty)
     return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))
 
 
 def verify_skeleton(skel: PresentationSkeleton) -> bool:
     """Re-run every attachment and compare certificates field by field."""
-    C = StringComplex(frozenset())
+    replay = _Replay()
     for k, g in enumerate(skel.generators):
-        C, fresh = attach_diagram(C, g.grid)
+        fresh = replay.attach(g.corner, g.r, g.s, g.grid)
         if tuple(fresh) != g.records:
             raise CertificateError(
                 "attachment records changed under replay", witness={"cell": k}
             )
-    if C != skel.complex:
+    if replay.complex() != skel.complex:
         raise CertificateError("replay does not reproduce the stored complex")
     return True
 

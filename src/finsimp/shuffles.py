@@ -19,11 +19,17 @@ one mask per row value, one per column value and one per smaller shuffle
 positions forced by single-position masks are listed and tested.  The
 comparisons with smaller shuffles read one height table per ``(r, s)``.
 The excluded family stays small while the faces double with each move, so
-``horn_certificate`` checks the horn shape on it alone, and
-``attach_diagram`` certifies each excluded face.  ``attach_diagram`` cores
-the restriction of each shuffle path once: the face closure of those cores
-is the grid image, and the walk adds the closure of each new path core to
-the complex.  It also cores the restriction of each excluded face.
+``horn_certificate`` checks the horn shape on it alone, and the attachment
+walk certifies each excluded face.
+
+``attach_walk`` is the attachment of one grid: it adds the face closure of
+each new path core to a member set the caller owns, cores the restriction
+of each excluded face, and returns the records and the members it added,
+so a caller that replays many grids pays for each grid, not for the
+complex.  ``attach_diagram`` wraps it for one grid and an arbitrary
+complex: it checks the saturation of every member, lets each closure stop
+only at faces it has visited itself (the complex need not be face-closed),
+and checks that the result is the union of the complex and the grid image.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ from functools import lru_cache
 
 from .errors import CertificateError, HypothesisError, InputError
 from .finmap import MapClass, classify
-from .grids import GridDiagram, boundary_image, corner_of, is_saturated, restrict
-from .strings import MapString, StringComplex, core, face, interned_core
+from .grids import GridDiagram, boundary_image, corner_of, is_saturated, path_cores, restrict
+from .strings import MapString, StringComplex, core, face, face_closure
 
 
 @dataclass(frozen=True, slots=True)
@@ -386,56 +392,29 @@ def attachment_hypothesis(C: StringComplex, grid: GridDiagram) -> dict:
     }
 
 
-def attach_diagram(
-    C: StringComplex,
+def attach_walk(
+    current: set[MapString],
     grid: GridDiagram,
-    order: list[Shuffle] | None = None,
-) -> tuple[StringComplex, list[AttachmentCertificate]]:
-    """Attach the image of a grid to a complex, certifying every shuffle step.
+    cores: dict[str, MapString],
+    order: list[Shuffle],
+    anomaly,
+    stop: set[MapString],
+) -> tuple[list[AttachmentCertificate], list[MapString]]:
+    """Attach the shuffle simplices of a grid to the member set ``current``
+    in place, in ``order``, certifying every one that is new.
 
-    Requires ``C`` saturated (raises :class:`HypothesisError` otherwise).
-    When the image is already contained in ``C`` the complex is returned
-    unchanged with no certificates.  Otherwise shuffles are processed in a
-    linear extension of the poset order; for each shuffle whose simplex is
-    new, the certificate records that the excluded faces are endpoint-
-    containing with isolated horizontal-vertical gaps, nondegenerate, not
-    yet present, and pairwise distinguishable both by class fingerprints
-    and by canonical forms.  The result is exactly ``C`` united with the
-    grid image, independent of the chosen linear extension.  Each shuffle
-    path is restricted and cored once; the image is the face closure of
-    those cores.
+    ``cores`` maps each move word to the interned core of its path's
+    restriction.  ``anomaly(message, witness)`` raises for a condition
+    that the attachment hypotheses force.  The face closure of each new
+    path core stops at the members of ``stop``, a face-closed set that
+    grows with each closure; ``stop`` is ``current`` itself when
+    ``current`` is face-closed.  Returns the records and the members added.
     """
     r, s = grid.r, grid.s
     n = r + s
-    shuffles = enumerate_shuffles(r, s)
-    cores = {sh.word: interned_core(restrict(grid, sh.path())) for sh in shuffles}
-    D = StringComplex.closure(cores.values())
-    if D.issubset(C):
-        return C, []
-    if not is_saturated(C):
-        raise HypothesisError("complex is not saturated")
-
-    def anomaly(message, witness):
-        # with the boundary inside C these conditions are forced facts;
-        # without it they just witness the unmet hypothesis
-        if boundary_image(grid).issubset(C):
-            raise CertificateError(message, witness)
-        raise HypothesisError(
-            f"{message} (the grid boundary image is not contained in the complex)"
-        )
-
-    if order is None:
-        order = shuffles
-    else:
-        seen: list[Shuffle] = []
-        for sh in order:
-            if any(sh.le(prev) and sh != prev for prev in seen):
-                raise InputError("order is not a linear extension of the shuffle poset")
-            seen.append(sh)
-        if sorted(sh.word for sh in seen) != [sh.word for sh in shuffles]:
-            raise InputError("order must list every shuffle exactly once")
-    current = set(C.members)
+    full = tuple(range(n + 1))
     records = []
+    added: list[MapString] = []
     for sigma in order:
         z = cores[sigma.word]
         if z in current:
@@ -447,7 +426,6 @@ def attach_diagram(
                 "new shuffle simplex is degenerate but its core is missing",
                 {"sigma": sigma.word},
             )
-        full = tuple(range(n + 1))
         excluded = _excluded_faces(sigma.word)
         if full not in excluded:
             raise CertificateError(
@@ -497,8 +475,11 @@ def attach_diagram(
                     witness={"sigma": sigma.word},
                 )
             kind, S = "boundary", tuple(range(n + 1)) if n else ()
-        # stops only at faces this walk has visited: C need not be face-closed
-        current |= StringComplex.closure([z]).members
+        closure = face_closure([z], stop)
+        fresh = [w for w in closure if w not in current]
+        stop |= closure
+        current.update(fresh)
+        added += fresh
         records.append(
             AttachmentCertificate(
                 sigma.word,
@@ -508,6 +489,58 @@ def attach_diagram(
                 tuple(sorted(proper_excluded)),
             )
         )
+    return records, added
+
+
+def attach_diagram(
+    C: StringComplex,
+    grid: GridDiagram,
+    order: list[Shuffle] | None = None,
+) -> tuple[StringComplex, list[AttachmentCertificate]]:
+    """Attach the image of a grid to a complex, certifying every shuffle step.
+
+    Requires ``C`` saturated (raises :class:`HypothesisError` otherwise).
+    When the image is already contained in ``C`` the complex is returned
+    unchanged with no certificates.  Otherwise shuffles are processed in a
+    linear extension of the poset order; for each shuffle whose simplex is
+    new, the certificate records that the excluded faces are endpoint-
+    containing with isolated horizontal-vertical gaps, nondegenerate, not
+    yet present, and pairwise distinguishable both by class fingerprints
+    and by canonical forms.  The result is exactly ``C`` united with the
+    grid image, independent of the chosen linear extension.  Each shuffle
+    path is restricted and cored once; the image is the face closure of
+    those cores.  ``C`` need not be face-closed, so the closure walks stop
+    only at faces they have visited.
+    """
+    shuffles = enumerate_shuffles(grid.r, grid.s)
+    cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
+    D = StringComplex.closure(cores.values())
+    if D.issubset(C):
+        return C, []
+    if not is_saturated(C):
+        raise HypothesisError("complex is not saturated")
+
+    def anomaly(message, witness):
+        # with the boundary inside C these conditions are forced facts;
+        # without it they just witness the unmet hypothesis
+        if boundary_image(grid).issubset(C):
+            raise CertificateError(message, witness)
+        raise HypothesisError(
+            f"{message} (the grid boundary image is not contained in the complex)"
+        )
+
+    if order is None:
+        order = shuffles
+    else:
+        seen: list[Shuffle] = []
+        for sh in order:
+            if any(sh.le(prev) and sh != prev for prev in seen):
+                raise InputError("order is not a linear extension of the shuffle poset")
+            seen.append(sh)
+        if sorted(sh.word for sh in seen) != [sh.word for sh in shuffles]:
+            raise InputError("order must list every shuffle exactly once")
+    current = set(C.members)
+    records, _ = attach_walk(current, grid, cores, order, anomaly, set())
     result = StringComplex(frozenset(current))
     if result != C.union(D):
         raise CertificateError("attachment result is not the union with the image")

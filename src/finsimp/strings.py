@@ -302,6 +302,59 @@ def interned_core(z: MapString) -> MapString:
     return _intern(core(z)[0]) if w is None else w
 
 
+def face_cores(z: MapString) -> tuple[MapString, ...]:
+    """The interned cores of the faces of the interned core ``z``, in face
+    order; computed once per class and shared by every caller."""
+    faces = _face_cores.get(z)
+    if faces is None:
+        faces = ()
+        if z.degree:
+            faces = tuple(_intern(core(face(z, i))[0]) for i in range(z.degree + 1))
+        _face_cores[z] = faces
+    return faces
+
+
+def core_face_indices(z: MapString) -> tuple[int | None, ...]:
+    """Where the core of each face of ``z`` sits, per face index ``x``:
+    ``None`` when it is the core of ``z`` itself, else the index ``x'`` with
+    ``core(face(z, x))[0] == face_cores(interned_core(z))[x']``.
+
+    ``core`` merges each run of levels joined by bijective maps into one
+    level.  Dropping a level that shares its run leaves a degeneracy of the
+    same core (``d_j s_j = d_{j+1} s_j = id``); dropping a level alone in
+    its run is the face at that run's index.
+    """
+    bij = [f.is_bijective for f in z.maps]
+    out = []
+    k = -1
+    for x in range(z.degree + 1):
+        below = x > 0 and bij[x - 1]
+        if not below:
+            k += 1
+        out.append(None if below or (x < z.degree and bij[x]) else k)
+    return tuple(out)
+
+
+def face_closure(seed, stop=frozenset()) -> set[MapString]:
+    """The face closure of the cores of ``seed``, less the members of
+    ``stop``, which must be face-closed.
+
+    The walk stops at members of ``stop`` and at members it has already
+    visited.  Every core it meets is interned, and the cores of a member's
+    faces come from ``face_cores``, so each canonical class is one object
+    and has its faces cored once.
+    """
+    todo = [interned_core(z) for z in seed]
+    out: set[MapString] = set()
+    while todo:
+        z = todo.pop()
+        if z in out or z in stop:
+            continue
+        out.add(z)
+        todo.extend(face_cores(z))
+    return out
+
+
 @dataclass(frozen=True)
 class StringComplex:
     """A face-closed set of canonical nondegenerate strings.
@@ -319,28 +372,9 @@ class StringComplex:
 
     @staticmethod
     def closure(seed) -> "StringComplex":
-        """Face-closure of arbitrary strings (canonicalized via cores).
-
-        The walk stops only at members it has already visited.  Every core
-        it meets is interned, and the cores of a member's faces are read
-        from ``_face_cores``, which every caller shares, so each canonical
-        class is one object and has its faces cored once.
-        """
-        todo = [interned_core(z) for z in seed]
-        out: set[MapString] = set()
-        while todo:
-            z = todo.pop()
-            if z in out:
-                continue
-            out.add(z)
-            faces = _face_cores.get(z)
-            if faces is None:
-                faces = ()
-                if z.degree:
-                    faces = tuple(_intern(core(face(z, i))[0]) for i in range(z.degree + 1))
-                _face_cores[z] = faces
-            todo.extend(faces)
-        return StringComplex(frozenset(out))
+        """Face-closure of arbitrary strings (canonicalized via cores); see
+        ``face_closure``."""
+        return StringComplex(frozenset(face_closure(seed)))
 
     def contains(self, z: MapString) -> bool:
         return core(z)[0] in self.members

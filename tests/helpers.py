@@ -1,24 +1,29 @@
 """Shared test utilities: raw enumerations, an independent iso checker, the
 permutation-sweep canonicalizer kept as an oracle for the canonical form,
 the all-chains restriction table kept as an oracle for the grid images
-built from shuffle paths, and the materialized prior subcomplex and the
+built from shuffle paths, the materialized prior subcomplex and the
 set-of-faces past and horn certificate kept as oracles for the bitmask
-versions in ``finsimp.shuffles``."""
+versions in ``finsimp.shuffles``, and the whole-complex replay kept as an
+oracle for the incremental replay of ``present``."""
 
 import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from finsimp import FinMap, MapString, compose, core, identity
+from finsimp import FinMap, MapString, StringComplex, compose, core, identity
 from finsimp.errors import CertificateError, InputError
 from finsimp.finmap import all_maps
+from finsimp.grids import boundary_image, check_against_enumeration, enumerate_corner_grids
+from finsimp.presentation import Generator, PresentationSkeleton
 from finsimp.shuffles import (
     HornCertificate,
     Shuffle,
+    attach_diagram,
     enumerate_shuffles,
     is_inner_generalized_horn,
 )
+from finsimp.strings import serialize
 
 
 def raw_strings(max_card, max_degree, allow_empty=False, nondegenerate_only=False):
@@ -335,3 +340,23 @@ def oracle_horn_certificate(sigma: Shuffle) -> HornCertificate:
             "facet index set is an interval", witness={"sigma": sigma.word, "S": sorted(S)}
         )
     return HornCertificate(sigma.word, "inner", S, tuple(sorted(facets)))
+
+
+def oracle_present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
+    """``present`` as a loop of whole-complex steps: per grid, the boundary
+    image is tested against the complex so far and the public
+    ``attach_diagram`` attaches the grid to all of it, re-checking the
+    saturation of every member and the union with the image."""
+    C = StringComplex(frozenset())
+    gens = []
+    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
+        if not boundary_image(grid).issubset(C):
+            raise CertificateError(
+                "generator boundary not contained in earlier images",
+                witness={"corner": serialize(z), "r": r, "s": s},
+            )
+        C, recs = attach_diagram(C, grid)
+        if recs:
+            gens.append(Generator(r, s, z, grid, tuple(recs)))
+    check_against_enumeration(C, alpha, allow_empty)
+    return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))

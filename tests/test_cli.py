@@ -250,3 +250,33 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 2
+
+
+def test_unwritable_output_refused_before_the_work(monkeypatch, tmp_path):
+    import finsimp.cli as cli_mod
+
+    def never(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli_mod, "present", never)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["present", "--alpha", "4", "--output", str(target)])
+    _assert_clean_exit_one(code, out, err)
+    assert err.startswith("error: output: ")
+
+
+def test_output_probe_leaves_files_alone(tmp_path):
+    # t-match exits 2 at this bound: an existing file keeps its bytes and a
+    # missing one is not created
+    existing = tmp_path / "existing.json"
+    existing.write_text("keep me\n")
+    before = existing.stat()
+    argv = ["t-match", "--alpha", "2", "--degree-bound", "3", "--output"]
+    code, out, _ = run_cli(argv + [str(existing)])
+    assert code == 2 and out == ""
+    after = existing.stat()
+    assert existing.read_text() == "keep me\n"
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    missing = tmp_path / "missing.json"
+    code, out, _ = run_cli(argv + [str(missing)])
+    assert code == 2 and not missing.exists()

@@ -23,13 +23,17 @@ from finsimp.errors import InputError, StaircaseDefectError
 from finsimp.finmap import all_maps
 from finsimp.grids import (
     GridDiagram,
+    _boundary_facets,
+    _shuffle_paths,
+    boundary_cores,
     boundary_image,
     corner_from_string,
     corner_of,
     enumerate_corner_grids,
     grid_from_json,
+    path_cores,
 )
-from finsimp.strings import StringComplex, enumerate_nondegenerate
+from finsimp.strings import StringComplex, enumerate_nondegenerate, interned_core
 
 from helpers import (
     are_isomorphic,
@@ -406,6 +410,19 @@ def test_chain_table_matches_uncached_oracle():
                 if dst[0] <= src[0] and dst[1] <= src[1]:
                     assert g.arrow(src, dst) == oracle_arrow(g, src, dst)
     assert {(0, 0), (0, 2), (2, 0), (3, 1), (3, 3)} <= shapes
+
+
+def test_boundary_cores_match_restricted_facets():
+    # the facet cores read off the path cores equal the cores of the
+    # restricted facets, which is how boundary_image finds them
+    for g in _oracle_grids():
+        paths = path_cores(g)
+        assert [z for z, _ in paths] == [
+            interned_core(restrict(g, p)) for p in _shuffle_paths(g.r, g.s)
+        ]
+        derived = boundary_cores(g, paths)
+        assert derived == [interned_core(restrict(g, ch)) for ch in _boundary_facets(g.r, g.s)]
+        assert StringComplex.closure(derived) == boundary_image(g)
 
 
 def test_cached_tables_are_invisible():

@@ -25,12 +25,19 @@ from finsimp import (
     skeletal_dimension,
     verify_skeleton,
 )
-from finsimp.errors import CertificateError, DualConstructionError, MatchingError, OrderAuditError
+from finsimp.errors import (
+    CertificateError,
+    DualConstructionError,
+    HypothesisError,
+    MatchingError,
+    OrderAuditError,
+)
 from finsimp.finmap import all_maps
 from finsimp.cli import main
-from finsimp.grids import _boundary_facets, boundary_image, enumerate_corner_grids, image_subset, restrict
-from finsimp.presentation import in_excess, match_inverse, match_partner, profile_of
-from finsimp.strings import serialize
+from finsimp.grids import boundary_image, enumerate_corner_grids, image_subset, is_saturated, restrict
+from finsimp.presentation import _Replay, in_excess, match_inverse, match_partner, profile_of
+from finsimp.strings import StringComplex, serialize
+from helpers import oracle_present
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -156,17 +163,16 @@ def test_present_one_pass_per_grid(monkeypatch):
             c.clear()
         skel = present(alpha, allow_empty)
         grids = [grid for *_, grid in enumerate_corner_grids(alpha, allow_empty)]
-        assert counts["boundary_image"] == Counter({g: 1 for g in grids})
+        # the boundary facet cores are read off the shuffle path cores, and
         # the attachment images each grid from its own shuffle walk
+        assert not counts["boundary_image"]
         assert not counts["image_subset"]
         assert not counts["attachment_hypothesis"]
-        # the boundary facets, each shuffle path once, each excluded face once
+        # each shuffle path once, each excluded face once, no boundary facet
         records = {g.grid: g.records for g in skel.generators}
         assert counts["restrict"] == Counter(
             {
-                g: len(_boundary_facets(g.r, g.s))
-                + comb(g.r + g.s, g.s)
-                + sum(len(rec.excluded) for rec in records.get(g, ()))
+                g: comb(g.r + g.s, g.s) + sum(len(rec.excluded) for rec in records.get(g, ()))
                 for g in grids
             }
         )
@@ -181,6 +187,43 @@ def test_present_one_pass_per_grid(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert sum(counts["boundary_image"].values()) == 1
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_present_matches_whole_complex_replay(alpha, allow_empty):
+    def dump(skel):
+        return json.dumps(skel.to_json(), sort_keys=True, indent=2)
+
+    assert dump(present(alpha, allow_empty)) == dump(oracle_present(alpha, allow_empty))
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_replay_state_face_closed_and_saturated(alpha, allow_empty):
+    replay = _Replay()
+    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
+        replay.attach(z, r, s, grid)
+        C = StringComplex(frozenset(replay.members))
+        assert C.is_face_closed()
+        # the incremental verdict checks only the members added since the
+        # last call; the whole-complex check sees every member
+        assert replay.saturated() == is_saturated(C)
+
+
+def test_incremental_saturation_sees_earlier_members(monkeypatch):
+    import finsimp.presentation as presentation_mod
+
+    # the corner string of the first generator of positive degree is added
+    # by its own grid; from the next attaching grid on, its saturation is
+    # made to lie outside the complex
+    target = next(g.corner for g in present(2).generators if g.corner.degree >= 1)
+    real = presentation_mod._saturation_core
+    monkeypatch.setattr(
+        presentation_mod, "_saturation_core", lambda z: MapString(3) if z == target else real(z)
+    )
+    with pytest.raises(HypothesisError, match="complex is not saturated"):
+        present(2)
 
 
 def test_present_grid_already_attached_is_no_generator(monkeypatch):

@@ -18,7 +18,11 @@ from finsimp.errors import InputError
 from finsimp.finmap import identity
 from finsimp.strings import (
     StringComplex,
+    core_face_indices,
     enumerate_nondegenerate,
+    face_closure,
+    face_cores,
+    interned_core,
     is_canonical,
     relabel,
     string_from_json,
@@ -318,3 +322,27 @@ def test_complex_json_ordering_contract():
         for obj in listed
     ]
     assert keys == sorted(keys)
+
+
+def test_core_face_indices_locate_face_cores():
+    # degenerate strings included: runs of bijections collapse in the core
+    rng = random.Random(11)
+    sample = list(raw_strings(2, 3, allow_empty=True))
+    sample += [random_string(rng, max_degree=6, max_card=3) for _ in range(300)]
+    for z in sample:
+        if z.degree == 0:
+            continue
+        base = interned_core(z)
+        where = core_face_indices(z)
+        assert len(where) == z.degree + 1
+        for x, i in enumerate(where):
+            got = base if i is None else face_cores(base)[i]
+            assert got == core(face(z, x))[0]
+
+
+def test_face_closure_stops_at_a_closed_set():
+    z = canonicalize(MapString(3, (FinMap(2, 3, (0, 2)), FinMap(2, 2, (1, 1)))))
+    whole = face_closure([z])
+    assert StringComplex(frozenset(whole)).is_face_closed()
+    low = face_closure([face(z, 0)])
+    assert face_closure([z], low) == whole - low
