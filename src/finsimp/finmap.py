@@ -8,6 +8,7 @@ operations are pure integer bookkeeping.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -100,22 +101,9 @@ def epi_mono_factor(f: FinMap) -> tuple[FinMap, FinMap]:
 
 
 def all_maps(src: int, dst: int):
-    """All maps ``src -> dst`` (empty when dst == 0 < src)."""
-    if src == 0:
-        yield FinMap(0, dst, ())
-        return
-    if dst == 0:
-        return
-    idx = [0] * src
-    while True:
-        yield FinMap(src, dst, tuple(idx))
-        k = src - 1
-        while k >= 0 and idx[k] == dst - 1:
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        idx[k] += 1
+    """All maps ``src -> dst`` in lexicographic order of image tuples
+    (none when dst == 0 < src)."""
+    return (FinMap(src, dst, img) for img in itertools.product(range(dst), repeat=src))
 
 
 def from_json(obj, where: str = "map") -> FinMap:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 
 from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
 from .finmap import FinMap, MapClass, classify, compose, identity
@@ -39,12 +40,12 @@ from .finmap import from_json as finmap_from_json
 from .strings import (
     MapString,
     StringComplex,
-    canonicalize,
+    canonical_extensions,
+    canonicalize,  # unused here; perfbench's tracer test checks this binding
     core,
     core_face_indices,
     defect,
     enumerate_nondegenerate,
-    extension_maps,
     face_cores,
     interned_core,
     saturate,
@@ -355,40 +356,39 @@ def is_saturated(C: StringComplex) -> bool:
 
 
 def _corner_strings(max_card: int, allow_empty: bool):
-    """Canonical nondegenerate corner strings (surjections then injections).
+    """Canonical nondegenerate corner strings (surjections then injections),
+    as ``(z, s)`` with ``s`` the number of surjections.
 
+    The prefix of a canonical corner string is one too, so each is grown
+    once from its prefix through ``canonical_extensions``, by proper
+    surjections and then proper injections, and none is canonicalized.
     Cardinalities move strictly along proper maps, so both runs terminate
     on their own below ``max_card``.
     """
     lo = 0 if allow_empty else 1
-    seen: set[tuple[MapString, int]] = set()
     out = []
 
-    def note(z: MapString, s: int):
-        zc = canonicalize(z)
-        key = (zc, s)
-        if key not in seen:
-            seen.add(key)
-            out.append((zc, s))
-
-    def grow_top(z: MapString, s: int):
-        note(z, s)
+    def grow_top(z: MapString, frontier: list, s: int):
+        out.append((z, s))
         last = z.cards()[-1]
-        for new_card in range(lo, last):
-            for f in extension_maps(last, new_card):
-                if f.is_injective:
-                    grow_top(MapString(z.card0, z.maps + (f,)), s)
+        injections = (img for n in range(lo, last) for img in combinations(range(last), n))
+        for w, top in canonical_extensions(z, frontier, injections):
+            grow_top(w, top, s)
 
-    def grow_left(z: MapString):
-        grow_top(z, z.degree)
+    def grow_left(z: MapString, frontier: list):
+        grow_top(z, frontier, z.degree)
         last = z.cards()[-1]
-        for new_card in range(last + 1, max_card + 1):
-            for f in extension_maps(last, new_card):
-                if f.is_surjective:
-                    grow_left(MapString(z.card0, z.maps + (f,)))
+        surjections = (
+            img
+            for n in range(last + 1, max_card + 1)
+            for img in combinations_with_replacement(range(last), n)
+            if len(set(img)) == last
+        )
+        for w, top in canonical_extensions(z, frontier, surjections):
+            grow_left(w, top)
 
     for c in range(lo, max_card + 1):
-        grow_left(MapString(c))
+        grow_left(MapString(c), [tuple(range(c))])
     return out
 
 

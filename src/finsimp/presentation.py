@@ -267,12 +267,7 @@ def excess_strings(alpha: int, degree_bound: int, allow_empty: bool = False) -> 
     if degree_bound < 2:
         raise InputError("degree_bound must be >= 2")
     by_degree = enumerate_nondegenerate(alpha, degree_bound, allow_empty)
-    out = []
-    for level in by_degree:
-        for z in level:
-            if in_excess(z, alpha):
-                out.append(profile_of(z))
-    return out
+    return [profile_of(z) for level in by_degree for z in level if in_excess(z, alpha)]
 
 
 def match_partner(p: ExcessProfile) -> MapString:

@@ -6,12 +6,20 @@ an end), degeneracies insert identities, and two strings are regarded as
 equal when they differ by levelwise bijections.  ``canonicalize`` picks the
 lexicographically minimal representative of that equivalence class (the
 least concatenation of image tuples), which makes string sets hashable and
-output byte-stable.
+output byte-stable.  It works level by level on the string read as a
+leveled rooted forest, from a frontier of nested tie-groups of
+equal-shaped subtrees, in polynomial time.
 
-Read as a leveled rooted forest, a string's minimal block ``k`` is fixed by
-the fiber sizes of level ``k`` in the best admissible order, so the
-canonical form is found level by level from a frontier of nested
-tie-groups of equal-shaped subtrees, in polynomial time.
+Prefix lemma: block ``k`` of the canonical form depends on the first ``k``
+maps alone, and any relabeling of a prefix extends to the whole string, so
+the prefix of a canonical string is canonical and every canonical string
+of degree ``t+1`` has exactly one canonical parent, its degree-``t``
+prefix.  Written in the parent's labels, its top block is the sorted block
+of a fiber vector ``c``, and the child is canonical iff ``c`` is the
+largest fiber vector over the orders the parent's top frontier admits.
+``canonical_extensions`` applies this acceptance test, and the censuses
+(``enumerate_nondegenerate`` and the corner census of ``grids``) grow each
+canonical string once from its parent: no canonicalizing, no dedupe.
 """
 
 from __future__ import annotations
@@ -231,6 +239,24 @@ def canonicalize(z: MapString) -> MapString:
     return MapString(z.card0, tuple(maps))
 
 
+def canonical_extensions(z: MapString, frontier: list, images):
+    """Each canonical extension of the canonical string ``z`` by one map
+    whose weakly increasing image tuple is drawn from ``images``, with the
+    frontier of its own top level.  ``frontier`` is that of ``z``'s top
+    level (``[tuple(range(n))]`` for ``MapString(n)``); an extension of
+    fiber vector ``c`` is kept iff ``_resolve(frontier, c)[0] == tuple(c)``
+    (the prefix lemma above)."""
+    last = z.cards()[-1]
+    for img in images:
+        fiber = [img.count(v) for v in range(last)]
+        vec, resolved = _resolve(frontier, fiber)
+        if vec == tuple(fiber):
+            # the tuple is sorted, so the children of each element are a run
+            ends = itertools.accumulate(fiber)
+            children = [list(range(e - c, e)) for c, e in zip(fiber, ends)]
+            yield MapString(z.card0, z.maps + (FinMap(len(img), last, img),)), _expand(resolved, children)
+
+
 def is_canonical(z: MapString) -> bool:
     return canonicalize(z) == z
 
@@ -399,24 +425,11 @@ class StringComplex:
     def max_card(self) -> int:
         return max((max(z.cards()) for z in self.members), default=0)
 
-    def sorted_members(self) -> list[MapString]:
-        return sorted(self.members, key=MapString.sort_key)
-
     def to_json(self) -> list:
-        return [z.to_json(canonical=True) for z in self.sorted_members()]
+        return [z.to_json(canonical=True) for z in sorted(self.members, key=MapString.sort_key)]
 
     def __len__(self):
         return len(self.members)
-
-
-def extension_maps(last_card: int, new_card: int):
-    """Non-bijective maps ``new_card -> last_card`` up to source relabeling."""
-    ident = tuple(range(last_card))
-    # image tuples that are weakly increasing: one per source-relabel orbit
-    for img in itertools.combinations_with_replacement(range(last_card), new_card):
-        if new_card == last_card and img == ident:
-            continue
-        yield FinMap(new_card, last_card, img)
 
 
 def enumerate_nondegenerate(
@@ -425,34 +438,36 @@ def enumerate_nondegenerate(
     allow_empty: bool = False,
     max_defect: int | None = None,
 ) -> list[list[MapString]]:
-    """Canonical nondegenerate strings, grouped by degree.
+    """Canonical nondegenerate strings, grouped by degree and sorted by
+    ``MapString.sort_key``.
 
-    Extends canonical representatives one map at a time; source-sorted image
-    tuples cover every extension up to relabeling of the new level, and a
-    canonical pass after each step removes the remaining symmetry.  With
-    ``max_defect`` set, branches whose defect exceeds the bound are pruned
-    (appending to a string never lowers its defect).
+    Orderly generation: each level carries every string with the frontier
+    of its top level and its defect, and ``canonical_extensions`` grows
+    each canonical string of the next level once, from its prefix.  With
+    ``max_defect`` set, extensions over the bound are skipped (appending
+    to a string never lowers its defect).
     """
     lo = 0 if allow_empty else 1
-    level: list[MapString] = []
-    for c in range(lo, max_card + 1):
-        z = MapString(c)
-        if max_defect is None or defect(z) <= max_defect:
-            level.append(z)
-    level.sort(key=MapString.sort_key)
-    out = [level]
-    for _ in range(max_degree):
-        seen: set[MapString] = set()
-        for z in level:
-            last = z.cards()[-1]
-            budget = None if max_defect is None else max_defect - defect(z)
-            for new_card in range(lo, max_card + 1):
-                for f in extension_maps(last, new_card):
-                    if budget is not None and new_card - len(set(f.img)) > budget:
-                        continue
-                    seen.add(canonicalize(MapString(z.card0, z.maps + (f,))))
-        level = sorted(seen, key=MapString.sort_key)
-        out.append(level)
-        if not level:
+    cap = float("inf") if max_defect is None else max_defect
+    level = [(MapString(c), [tuple(range(c))], c) for c in range(lo, max_card + 1) if c <= cap]
+    out: list[list[MapString]] = []
+    for degree in range(max_degree + 1):
+        level.sort(key=lambda e: e[0].sort_key())
+        out.append([e[0] for e in level])
+        if degree == max_degree or (degree and not level):
             break
+        grown = []
+        for z, frontier, d in level:
+            last = z.cards()[-1]
+            ident = tuple(range(last))
+            images = (
+                img
+                for n in range(lo, max_card + 1)
+                for img in itertools.combinations_with_replacement(range(last), n)
+                if img != ident and d + n - len(set(img)) <= cap
+            )
+            for w, top in canonical_extensions(z, frontier, images):
+                f = w.maps[-1]
+                grown.append((w, top, d + f.src - len(set(f.img))))
+        level = grown
     return out

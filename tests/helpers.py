@@ -3,15 +3,17 @@ permutation-sweep canonicalizer kept as an oracle for the canonical form,
 the all-chains restriction table kept as an oracle for the grid images
 built from shuffle paths, the materialized prior subcomplex and the
 set-of-faces past and horn certificate kept as oracles for the bitmask
-versions in ``finsimp.shuffles``, and the whole-complex replay kept as an
-oracle for the incremental replay of ``present``."""
+versions in ``finsimp.shuffles``, the whole-complex replay kept as an
+oracle for the incremental replay of ``present``, and the
+canonicalize-then-dedupe censuses kept as oracles for the orderly
+generation of ``enumerate_nondegenerate`` and ``_corner_strings``."""
 
 import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from finsimp import FinMap, MapString, StringComplex, compose, core, identity
+from finsimp import FinMap, MapString, StringComplex, canonicalize, compose, core, defect, identity
 from finsimp.errors import CertificateError, InputError
 from finsimp.finmap import all_maps
 from finsimp.grids import boundary_image, check_against_enumeration, enumerate_corner_grids
@@ -360,3 +362,90 @@ def oracle_present(alpha: int, allow_empty: bool = False) -> PresentationSkeleto
             gens.append(Generator(r, s, z, grid, tuple(recs)))
     check_against_enumeration(C, alpha, allow_empty)
     return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))
+
+
+def extension_maps(last_card: int, new_card: int):
+    """Non-bijective maps ``new_card -> last_card`` up to source relabeling."""
+    ident = tuple(range(last_card))
+    # image tuples that are weakly increasing: one per source-relabel orbit
+    for img in itertools.combinations_with_replacement(range(last_card), new_card):
+        if new_card == last_card and img == ident:
+            continue
+        yield FinMap(new_card, last_card, img)
+
+
+def oracle_enumerate_nondegenerate(
+    max_card: int,
+    max_degree: int,
+    allow_empty: bool = False,
+    max_defect: int | None = None,
+) -> list[list[MapString]]:
+    """Canonical nondegenerate strings, grouped by degree.
+
+    Extends canonical representatives one map at a time; source-sorted image
+    tuples cover every extension up to relabeling of the new level, and a
+    canonical pass after each step removes the remaining symmetry.  With
+    ``max_defect`` set, branches whose defect exceeds the bound are pruned
+    (appending to a string never lowers its defect).
+    """
+    lo = 0 if allow_empty else 1
+    level: list[MapString] = []
+    for c in range(lo, max_card + 1):
+        z = MapString(c)
+        if max_defect is None or defect(z) <= max_defect:
+            level.append(z)
+    level.sort(key=MapString.sort_key)
+    out = [level]
+    for _ in range(max_degree):
+        seen: set[MapString] = set()
+        for z in level:
+            last = z.cards()[-1]
+            budget = None if max_defect is None else max_defect - defect(z)
+            for new_card in range(lo, max_card + 1):
+                for f in extension_maps(last, new_card):
+                    if budget is not None and new_card - len(set(f.img)) > budget:
+                        continue
+                    seen.add(canonicalize(MapString(z.card0, z.maps + (f,))))
+        level = sorted(seen, key=MapString.sort_key)
+        out.append(level)
+        if not level:
+            break
+    return out
+
+
+def oracle_corner_strings(max_card: int, allow_empty: bool):
+    """Canonical nondegenerate corner strings (surjections then injections).
+
+    Cardinalities move strictly along proper maps, so both runs terminate
+    on their own below ``max_card``.
+    """
+    lo = 0 if allow_empty else 1
+    seen: set[tuple[MapString, int]] = set()
+    out = []
+
+    def note(z: MapString, s: int):
+        zc = canonicalize(z)
+        key = (zc, s)
+        if key not in seen:
+            seen.add(key)
+            out.append((zc, s))
+
+    def grow_top(z: MapString, s: int):
+        note(z, s)
+        last = z.cards()[-1]
+        for new_card in range(lo, last):
+            for f in extension_maps(last, new_card):
+                if f.is_injective:
+                    grow_top(MapString(z.card0, z.maps + (f,)), s)
+
+    def grow_left(z: MapString):
+        grow_top(z, z.degree)
+        last = z.cards()[-1]
+        for new_card in range(last + 1, max_card + 1):
+            for f in extension_maps(last, new_card):
+                if f.is_surjective:
+                    grow_left(MapString(z.card0, z.maps + (f,)))
+
+    for c in range(lo, max_card + 1):
+        grow_left(MapString(c))
+    return out

@@ -21,9 +21,11 @@ from finsimp import (
 )
 from finsimp.errors import InputError, StaircaseDefectError
 from finsimp.finmap import all_maps
+from finsimp import grids, strings
 from finsimp.grids import (
     GridDiagram,
     _boundary_facets,
+    _corner_strings,
     _shuffle_paths,
     boundary_cores,
     boundary_image,
@@ -41,6 +43,7 @@ from helpers import (
     iter_chains,
     oracle_arrow,
     oracle_chain_cores,
+    oracle_corner_strings,
 )
 
 
@@ -444,3 +447,26 @@ def test_corner_grid_census_is_shared():
     again = enumerate_corner_grids(2)
     assert first == again and first is not again
     assert all(a[3] is b[3] for a, b in zip(first, again))
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("max_card", [0, 1, 2, 3, 4])
+def test_corner_strings_match_oracle(max_card, allow_empty):
+    got = _corner_strings(max_card, allow_empty)
+    assert len(got) == len(set(got))
+    assert set(got) == set(oracle_corner_strings(max_card, allow_empty))
+
+
+def test_corner_strings_alpha_five_count():
+    assert len(_corner_strings(5, False)) == 5609
+
+
+def test_censuses_call_no_canonicalize(monkeypatch):
+    def refuse(z):
+        raise AssertionError(f"canonicalize called on {z}")
+
+    monkeypatch.setattr(strings, "canonicalize", refuse)
+    monkeypatch.setattr(grids, "canonicalize", refuse)
+    assert enumerate_nondegenerate(3, 4, True)[-1]
+    assert enumerate_nondegenerate(4, 8, max_defect=4)[4]
+    assert _corner_strings(4, True)

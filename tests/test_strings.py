@@ -32,6 +32,7 @@ from helpers import (
     are_isomorphic,
     are_isomorphic_exhaustive,
     oracle_canonicalize,
+    oracle_enumerate_nondegenerate,
     random_relabeling,
     random_string,
     raw_strings,
@@ -264,6 +265,27 @@ def test_defect_at_least_max_card():
     for level in enumerate_nondegenerate(4, 4):
         for z in level:
             assert defect(z) >= max(z.cards())
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("max_card", [0, 1, 2, 3])
+def test_enumerate_nondegenerate_matches_oracle(max_card, allow_empty):
+    # same lists in the same order, at every degree bound up to 5
+    want = oracle_enumerate_nondegenerate(max_card, 5, allow_empty)
+    for max_degree in range(6):
+        assert enumerate_nondegenerate(max_card, max_degree, allow_empty) == want[: max_degree + 1]
+
+
+@pytest.mark.parametrize("args", [(4, 8, False, 4), (3, 6, True, 3)])
+def test_enumerate_nondegenerate_bounded_defect_matches_oracle(args):
+    assert enumerate_nondegenerate(*args) == oracle_enumerate_nondegenerate(*args)
+
+
+def test_enumerate_nondegenerate_e5_counts():
+    # the direct half of E^5; both halves of defect_subcomplex agree on it
+    levels = enumerate_nondegenerate(5, 36, max_defect=5)
+    assert [len(level) for level in levels] == [5, 34, 223, 985, 2688, 4442, 4317, 2267, 496, 0]
+    assert sum(map(len, levels)) == 15457
 
 
 def test_saturate_examples():
