@@ -4,14 +4,22 @@ Every command emits JSON (DOT for ``shuffles --dot``) with sorted keys and
 sorted member lists, so identical invocations are byte-identical.  Exit
 codes: 0 success, 1 invalid input or unmet hypothesis, 2 a certified claim
 failed to verify.
+
+Output is streamed: JSON is written in pieces, with the bytes of
+``json.dumps(obj, sort_keys=True, indent=2)`` and a final newline, so no
+string of the whole document is built.  This holds for stdout, ``--output``
+and the exit-2 diagnostic on stderr.  An ``--output`` file that fails
+partway is removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import CertificateError, InputError
 from .grids import defect_subcomplex, grid_from_json
@@ -49,19 +57,99 @@ def _check_output(path: str) -> None:
         os.remove(path)
 
 
-def _emit(args, payload: str) -> None:
-    if args.output and args.output != "-":
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise InputError(f"output: {exc}") from None
+# ``_write_json`` joins and writes its pending chunks once this many pile up.
+_FLUSH_CHUNKS = 8192
+
+
+def _json_scalar(o) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write_json(obj, write) -> None:
+    """Write the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
+
+    No string of the whole document is ever built: the chunks are joined
+    and handed to ``write`` every ``_FLUSH_CHUNKS`` chunks.  Dict keys must
+    be ``str``.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+
+    def emit(o, nl: str) -> None:
+        if isinstance(o, dict):
+            sep, inner = "{" + nl + "  ", nl + "  "
+            for key in sorted(o):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                append(sep + encode_basestring_ascii(key) + ": ")
+                emit(o[key], inner)
+                sep = "," + inner
+            append(nl + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            sep, inner = "[" + nl + "  ", nl + "  "
+            for item in o:
+                append(sep)
+                emit(item, inner)
+                sep = "," + inner
+            append(nl + "]" if o else "[]")
+        else:
+            append(_json_scalar(o))
+        if len(chunks) >= _FLUSH_CHUNKS:
+            write("".join(chunks))
+            chunks.clear()
+
+    emit(obj, "\n")
+    append("\n")
+    write("".join(chunks))
+
+
+def _write(payload, write) -> None:
+    """Write ``payload``: a ``str`` (DOT text) as is, anything else as JSON."""
+    if isinstance(payload, str):
+        write(payload)
     else:
-        sys.stdout.write(payload)
+        _write_json(payload, write)
 
 
-def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _emit(args, payload) -> None:
+    """Write ``payload`` to ``--output`` or stdout.
+
+    A file that cannot be written to the end is removed, so a failed run
+    leaves no partial output behind.
+    """
+    if not args.output or args.output == "-":
+        _write(payload, sys.stdout.write)
+        return
+    try:
+        fh = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"output: {exc}") from None
+    try:
+        with fh:
+            _write(payload, fh.write)
+    except BaseException as exc:
+        os.remove(args.output)
+        if isinstance(exc, OSError):
+            raise InputError(f"output: {exc}") from None
+        raise
 
 
 def _read_json(path: str | None, what: str):
@@ -95,7 +183,7 @@ def _cmd_f_enumerate(args) -> int:
         args.alpha, args.degree_bound, args.allow_empty, max_defect=args.alpha
     )
     members = sorted((z for level in levels for z in level), key=MapString.sort_key)
-    _emit_json(
+    _emit(
         args,
         {
             "alpha": args.alpha,
@@ -110,13 +198,13 @@ def _cmd_f_enumerate(args) -> int:
 
 def _cmd_defect(args) -> int:
     z = string_from_json(_read_json(args.input, "input"), "input")
-    _emit_json(args, {"degree": z.degree, "defect": defect(z)})
+    _emit(args, {"degree": z.degree, "defect": defect(z)})
     return 0
 
 
 def _cmd_e_alpha(args) -> int:
     C = defect_subcomplex(args.alpha, args.allow_empty)
-    _emit_json(
+    _emit(
         args,
         {
             "alpha": args.alpha,
@@ -133,7 +221,7 @@ def _cmd_shuffles(args) -> int:
         _emit(args, poset_dot(args.r, args.s))
         return 0
     shs = enumerate_shuffles(args.r, args.s)
-    _emit_json(
+    _emit(
         args,
         {
             "r": args.r,
@@ -151,7 +239,7 @@ def _cmd_horns(args) -> int:
     if args.r < 1 or args.s < 1:
         raise InputError("horns needs --r >= 1 and --s >= 1")
     certs = [horn_certificate(sh).to_json() for sh in enumerate_shuffles(args.r, args.s)]
-    _emit_json(args, {"r": args.r, "s": args.s, "certificates": certs})
+    _emit(args, {"r": args.r, "s": args.s, "certificates": certs})
     return 0
 
 
@@ -160,7 +248,7 @@ def _cmd_attach(args) -> int:
     grid = grid_from_json(_read_json(args.grid, "grid"), "grid")
     hypothesis = attachment_hypothesis(C, grid)
     result, records = attach_diagram(C, grid)
-    _emit_json(
+    _emit(
         args,
         {
             "hypothesis": hypothesis,
@@ -173,7 +261,7 @@ def _cmd_attach(args) -> int:
 
 def _cmd_present(args) -> int:
     skel = present(args.alpha, args.allow_empty)
-    _emit_json(args, skel.to_json())
+    _emit(args, skel.to_json())
     return 0
 
 
@@ -181,7 +269,7 @@ def _cmd_t_match(args) -> int:
     profiles = excess_strings(args.alpha, args.degree_bound, args.allow_empty)
     matching = match_excess(profiles, args.alpha, args.degree_bound)
     ordered, report = order_excess(profiles, args.alpha)
-    _emit_json(
+    _emit(
         args,
         {
             "alpha": args.alpha,
@@ -199,7 +287,7 @@ def _cmd_t_match(args) -> int:
 
 
 def _cmd_skeleton_dim(args) -> int:
-    _emit_json(
+    _emit(
         args,
         {
             "alpha": args.alpha,
@@ -279,7 +367,7 @@ def main(argv=None) -> int:
         return 1
     except CertificateError as exc:
         payload = {"error": str(exc), "witness": exc.witness}
-        print(json.dumps(payload, sort_keys=True, indent=2), file=sys.stderr)
+        _write_json(payload, sys.stderr.write)
         return 2
 
 

@@ -1,14 +1,20 @@
+import errno
 import hashlib
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finsimp.cli import main
+import finsimp.cli as cli_mod
+from finsimp.cli import _write_json, main
+from finsimp.presentation import present
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -280,3 +286,98 @@ def test_output_probe_leaves_files_alone(tmp_path):
     missing = tmp_path / "missing.json"
     code, out, _ = run_cli(argv + [str(missing)])
     assert code == 2 and not missing.exists()
+
+
+def test_partial_output_file_is_removed(monkeypatch, tmp_path):
+    # the disk fills after the first chunk: no truncated document is left
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            if self.writes:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.writes += 1
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(cli_mod, "open", lambda *a, **k: FullDisk(real_open(*a, **k)), raising=False)
+    target = tmp_path / "p4.json"
+    code, out, err = run_cli(["present", "--alpha", "4", "--output", str(target)])
+    _assert_clean_exit_one(code, out, err)
+    assert err.startswith("error: output: ") and "No space left" in err
+    assert not target.exists()
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def _write_to_string(value) -> str:
+    pieces = []
+    _write_json(value, pieces.append)
+    return "".join(pieces)
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\xe9\U0001f600'))
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.integers(-(2**200), -(2**64))
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+    | _TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert _write_to_string(value) == _dumps(value)
+
+
+def test_writer_flushes_a_large_document_in_pieces():
+    doc = present(4).to_json()
+    pieces = []
+    _write_json(doc, pieces.append)
+    assert len(pieces) > 2
+    assert "".join(pieces) == _dumps(doc)
+
+
+def test_writer_refuses_non_json_keys_and_values():
+    with pytest.raises(TypeError):
+        _write_to_string({1: "one"})
+    with pytest.raises(TypeError):
+        _write_to_string([object()])
+
+
+def test_cli_encodes_no_whole_document(monkeypatch):
+    argvs = [
+        ["present", "--alpha", "2"],
+        ["horns", "--r", "3", "--s", "2"],
+        ["t-match", "--alpha", "2", "--degree-bound", "3"],
+    ]
+    usual = [run_cli(argv) for argv in argvs]
+    assert [result[0] for result in usual] == [0, 0, 2]
+    assert usual[1][1] == (FIXTURES / "cli_horns_3_2.json").read_text()
+    assert usual[2][2] == _dumps(json.loads(usual[2][2]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI encoded a whole document")
+
+    monkeypatch.setattr(cli_mod, "json", types.SimpleNamespace(**{**vars(json), "dumps": refuse}))
+    assert [run_cli(argv) for argv in argvs] == usual
