@@ -310,6 +310,20 @@ class Matching:
         }
 
 
+def _matching_faces(z: MapString, w: MapString, j: int) -> list[int]:
+    """The inner face indices ``i`` of ``z`` with
+    ``canonicalize(face(z, i)) == w``, given that ``w`` is the canonical
+    face ``j``.  Cardinalities are a class invariant and face ``i`` has the
+    cards of ``z`` with entry ``i`` dropped, so only faces with the cards
+    of ``w`` are canonicalized, and face ``j`` is not canonicalized again."""
+    cards, want = z.cards(), w.cards()
+    return [
+        i
+        for i in range(1, z.degree)
+        if cards[:i] + cards[i + 1 :] == want and (i == j or canonicalize(face(z, i)) == w)
+    ]
+
+
 def match_excess(profiles: list[ExcessProfile], alpha: int, degree_bound: int) -> Matching:
     """Verify the matching invariants over the enumerated range.
 
@@ -349,7 +363,7 @@ def match_excess(profiles: list[ExcessProfile], alpha: int, degree_bound: int) -
                 "matched face has the wrong profile",
                 witness={"upper": serialize(p.string), "lower": serialize(w)},
             )
-        hits = [i for i in range(1, n) if canonicalize(face(p.string, i)) == w]
+        hits = _matching_faces(p.string, w, j)
         if hits != [j]:
             raise MatchingError(
                 "distinguished face index is not unique",

@@ -20,12 +20,14 @@ largest fiber vector over the orders the parent's top frontier admits.
 ``canonical_extensions`` applies this acceptance test, and the censuses
 (``enumerate_nondegenerate`` and the corner census of ``grids``) grow each
 canonical string once from its parent: no canonicalizing, no dedupe.
+
+Identity is cheap: ``MapString`` caches its dataclass hash lazily, on the
+first ``hash`` call, and ``serialize`` writes the compact JSON by hand.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -36,10 +38,15 @@ from .finmap import from_json as finmap_from_json
 
 @dataclass(frozen=True, slots=True)
 class MapString:
-    """A string of composable maps; ``card0`` is the cardinality of ``S_0``."""
+    """A string of composable maps; ``card0`` is the cardinality of ``S_0``.
+
+    ``_hash`` caches the dataclass hash ``hash((card0, maps))`` on the first
+    ``hash`` call; equality and ``repr`` ignore it.
+    """
 
     card0: int
     maps: tuple[FinMap, ...] = ()
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.card0 < 0:
@@ -51,6 +58,13 @@ class MapString:
             if f.dst != prev:
                 raise InputError(f"maps[{k}]: dst={f.dst} does not match previous cardinality {prev}")
             prev = f.src
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.card0, self.maps))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def degree(self) -> int:
@@ -75,8 +89,11 @@ class MapString:
 
 
 def serialize(z: MapString) -> str:
-    """Compact deterministic JSON form, used as the tie-break sort key."""
-    return json.dumps(z.to_json(), sort_keys=True, separators=(",", ":"))
+    """Compact deterministic JSON form, used as the tie-break sort key: the
+    bytes of ``json.dumps(z.to_json(), sort_keys=True, separators=(",", ":"))``,
+    written by hand."""
+    maps = ['{"dst":%d,"img":[%s],"src":%d}' % (f.dst, ",".join(map(str, f.img)), f.src) for f in z.maps]
+    return '{"card0":%d,"maps":[%s]}' % (z.card0, ",".join(maps))
 
 
 def face(z: MapString, i: int) -> MapString:

@@ -6,9 +6,13 @@ set-of-faces past and horn certificate kept as oracles for the bitmask
 versions in ``finsimp.shuffles``, the whole-complex replay kept as an
 oracle for the incremental replay of ``present``, and the
 canonicalize-then-dedupe censuses kept as oracles for the orderly
-generation of ``enumerate_nondegenerate`` and ``_corner_strings``."""
+generation of ``enumerate_nondegenerate`` and ``_corner_strings``, the
+``json.dumps`` body kept as an oracle for the hand-written ``serialize``,
+and the every-inner-face loop kept as an oracle for the cards-first
+``_matching_faces`` of ``match_excess``."""
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +29,7 @@ from finsimp.shuffles import (
     enumerate_shuffles,
     is_inner_generalized_horn,
 )
-from finsimp.strings import serialize
+from finsimp.strings import face, serialize
 
 
 def raw_strings(max_card, max_degree, allow_empty=False, nondegenerate_only=False):
@@ -449,3 +453,14 @@ def oracle_corner_strings(max_card: int, allow_empty: bool):
     for c in range(lo, max_card + 1):
         grow_left(MapString(c))
     return out
+
+
+def oracle_serialize(z: MapString) -> str:
+    """The compact JSON form through ``json.dumps``."""
+    return json.dumps(z.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def oracle_matching_faces(z: MapString, w: MapString) -> list[int]:
+    """The inner face indices of ``z`` whose canonical face is ``w``, found
+    by canonicalizing every inner face."""
+    return [i for i in range(1, z.degree) if canonicalize(face(z, i)) == w]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import pathlib
@@ -35,9 +36,17 @@ from finsimp.errors import (
 from finsimp.finmap import all_maps
 from finsimp.cli import main
 from finsimp.grids import boundary_image, enumerate_corner_grids, image_subset, is_saturated, restrict
-from finsimp.presentation import _Replay, in_excess, match_inverse, match_partner, profile_of
+from finsimp.presentation import (
+    ExcessProfile,
+    _matching_faces,
+    _Replay,
+    in_excess,
+    match_inverse,
+    match_partner,
+    profile_of,
+)
 from finsimp.strings import StringComplex, serialize
-from helpers import oracle_present
+from helpers import oracle_matching_faces, oracle_present
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -372,3 +381,110 @@ def test_excess_strings_rejects_bad_bounds():
         excess_strings(0, 4)
     with pytest.raises(InputError):
         excess_strings(2, 1)
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_matching_faces_match_oracle(alpha):
+    uppers = [p for p in excess_strings(alpha, 5) if p.side == "upper"]
+    assert uppers
+    for p in uppers:
+        w = match_partner(p)
+        assert _matching_faces(p.string, w, p.junction) == oracle_matching_faces(p.string, w)
+
+
+def test_matching_faces_match_oracle_on_every_inner_face():
+    # every inner face taken as the distinguished one, so classes hit by
+    # several faces are covered too
+    several = 0
+    for p in excess_strings(2, 5):
+        z = p.string
+        for j in range(1, z.degree):
+            w = canonicalize(face(z, j))
+            want = oracle_matching_faces(z, w)
+            assert _matching_faces(z, w, j) == want
+            several += len(want) > 1
+    assert several
+
+
+def _upper_and_lower(profiles):
+    lowers = {q.string: q for q in profiles if q.side == "lower"}
+    p = next(q for q in profiles if q.side == "upper")
+    return p, lowers[match_partner(p)]
+
+
+def test_match_excess_refuses_a_junction_that_is_not_inner():
+    profiles = excess_strings(2, 4)
+    p, _ = _upper_and_lower(profiles)
+    bad = dataclasses.replace(p, inj_run=p.degree - p.surj_run)
+    assert bad.junction == 0
+    with pytest.raises(MatchingError, match="not inner") as exc:
+        match_excess([bad if q is p else q for q in profiles], 2, 4)
+    assert exc.value.witness == serialize(p.string)
+
+
+def test_match_excess_refuses_an_empty_surjective_run():
+    profiles = excess_strings(2, 4)
+    p, _ = _upper_and_lower(profiles)
+    bad = dataclasses.replace(p, inj_run=p.inj_run + p.surj_run, surj_run=0)
+    assert bad.junction == p.junction
+    with pytest.raises(MatchingError, match="empty surjective run") as exc:
+        match_excess([bad if q is p else q for q in profiles], 2, 4)
+    assert exc.value.witness == serialize(p.string)
+
+
+def test_match_excess_refuses_a_face_that_changes_the_defect():
+    profiles = excess_strings(2, 4)
+    p, lower = _upper_and_lower(profiles)
+    bad = dataclasses.replace(p, excess_defect=p.excess_defect + 1)
+    with pytest.raises(MatchingError, match="changes the defect") as exc:
+        match_excess([bad if q is p else q for q in profiles], 2, 4)
+    assert exc.value.witness == {"upper": serialize(p.string), "lower": serialize(lower.string)}
+
+
+def test_match_excess_refuses_a_face_outside_the_lower_class():
+    profiles = excess_strings(2, 4)
+    p, lower = _upper_and_lower(profiles)
+    with pytest.raises(MatchingError, match="not an enumerated lower string") as exc:
+        match_excess([q for q in profiles if q is not lower], 2, 4)
+    assert exc.value.witness == {"upper": serialize(p.string), "lower": serialize(lower.string)}
+
+
+def test_match_excess_refuses_a_lower_face_of_the_wrong_profile():
+    profiles = excess_strings(2, 4)
+    p, lower = _upper_and_lower(profiles)
+    bad = dataclasses.replace(lower, surj_run=lower.surj_run + 1)
+    with pytest.raises(MatchingError, match="wrong profile") as exc:
+        match_excess([bad if q is lower else q for q in profiles], 2, 4)
+    assert exc.value.witness == {"upper": serialize(p.string), "lower": serialize(lower.string)}
+
+
+def test_match_excess_refuses_a_distinguished_face_that_is_not_unique():
+    # faces 1 and 2 of this string are one class with equal cards, so the
+    # cards prefilter must canonicalize face 2 and report the second hit
+    c = FinMap(2, 2, (0, 0))
+    z = MapString(2, (c, c, c))
+    w = canonicalize(face(z, 1))
+    assert canonicalize(face(z, 2)) == w and face(z, 2).cards() == w.cards()
+    upper = ExcessProfile(z, defect(w), inj_run=1, surj_run=1, side="upper")
+    lower = ExcessProfile(w, defect(w), inj_run=1, surj_run=0, side="lower")
+    assert upper.junction == 1 and match_partner(upper) == w
+    assert _matching_faces(z, w, 1) == oracle_matching_faces(z, w) == [1, 2]
+    with pytest.raises(MatchingError, match="not unique") as exc:
+        match_excess([upper, lower], 2, 3)
+    assert exc.value.witness == {"upper": serialize(z), "indices": [1, 2]}
+
+
+def test_match_excess_refuses_two_uppers_on_one_face():
+    profiles = excess_strings(2, 4)
+    p, lower = _upper_and_lower(profiles)
+    with pytest.raises(MatchingError, match="share a matched face") as exc:
+        match_excess(profiles + [p], 2, 4)
+    assert exc.value.witness == serialize(lower.string)
+
+
+def test_match_excess_refuses_a_matching_that_is_not_onto():
+    profiles = excess_strings(2, 4)
+    p, lower = _upper_and_lower(profiles)
+    with pytest.raises(MatchingError, match="not onto") as exc:
+        match_excess([q for q in profiles if q is not p], 2, 4)
+    assert exc.value.witness == {"degree": lower.degree, "missing": [serialize(lower.string)]}

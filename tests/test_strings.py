@@ -1,8 +1,9 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finsimp import (
     FinMap,
@@ -25,6 +26,7 @@ from finsimp.strings import (
     interned_core,
     is_canonical,
     relabel,
+    serialize,
     string_from_json,
 )
 
@@ -33,6 +35,7 @@ from helpers import (
     are_isomorphic_exhaustive,
     oracle_canonicalize,
     oracle_enumerate_nondegenerate,
+    oracle_serialize,
     random_relabeling,
     random_string,
     raw_strings,
@@ -368,3 +371,91 @@ def test_face_closure_stops_at_a_closed_set():
     assert StringComplex(frozenset(whole)).is_face_closed()
     low = face_closure([face(z, 0)])
     assert face_closure([z], low) == whole - low
+
+
+@st.composite
+def map_strings(draw, max_card=12, max_degree=4):
+    """Any string, not up to equivalence: degree 0, empty levels, empty
+    images and cardinalities of 10 and more included."""
+    card0 = draw(st.integers(0, max_card))
+    maps = []
+    last = card0
+    for _ in range(draw(st.integers(0, max_degree))):
+        src = draw(st.integers(0, max_card if last else 0))
+        img = draw(st.lists(st.integers(0, max(last - 1, 0)), min_size=src, max_size=src))
+        maps.append(FinMap(src, last, tuple(img)))
+        last = src
+    return MapString(card0, tuple(maps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_strings())
+@example(MapString(0))
+@example(MapString(0, (FinMap(0, 0, ()),)))
+@example(MapString(3, (FinMap(0, 3, ()), FinMap(0, 0, ()))))
+@example(MapString(12, (FinMap(10, 12, tuple(range(10))), FinMap(11, 10, (9,) * 11))))
+def test_serialize_matches_json_dumps(z):
+    assert serialize(z) == oracle_serialize(z)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(map_strings(), max_size=30))
+def test_sort_key_orders_as_compact_json(zs):
+    # the JSON text puts [0,1] before [0] and 10 before 2; a tuple key of
+    # cards and images would put them the other way round
+    zs += [
+        MapString(2, (FinMap(2, 2, (0, 1)),)),
+        MapString(2, (FinMap(1, 2, (0,)),)),
+        MapString(10),
+        MapString(2),
+        MapString(10, (FinMap(1, 10, (9,)),)),
+        MapString(2, (FinMap(1, 2, (1,)),)),
+    ]
+    by_oracle = sorted(zs, key=lambda z: (z.degree, oracle_serialize(z)))
+    assert sorted(zs, key=MapString.sort_key) == by_oracle
+
+
+def test_hash_is_the_dataclass_hash_cached_lazily():
+    rng = random.Random(5)
+    for _ in range(200):
+        z = random_string(rng, max_degree=5, max_card=4, allow_empty=True)
+        assert z._hash is None
+        assert hash(z) == hash((z.card0, z.maps))
+        assert z._hash == hash((z.card0, z.maps))
+        assert hash(z) == hash((z.card0, z.maps))
+
+
+def test_hash_cache_is_invisible_to_equality_and_repr():
+    z = MapString(2, (FinMap(1, 2, (1,)), FinMap(3, 1, (0, 0, 0))))
+    fresh = MapString(2, (FinMap(1, 2, (1,)), FinMap(3, 1, (0, 0, 0))))
+    assert z == fresh and repr(z) == repr(fresh)
+    hash(z)
+    assert z._hash is not None and fresh._hash is None
+    assert z == fresh and fresh == z and repr(z) == repr(fresh)
+    assert "_hash" not in repr(z)
+    assert MapString.__match_args__ == ("card0", "maps")
+
+
+def test_equal_strings_hash_alike_before_and_after_caching():
+    def build():
+        return MapString(3, (FinMap(2, 3, (0, 2)), FinMap(2, 2, (1, 1))))
+
+    a, b = build(), build()
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    a2, b2 = build(), build()
+    hash(a2)
+    assert b2._hash is None and hash(b2) == hash(a2)
+    assert {a2: 1}[b2] == 1 and b2 in {a2} and a2 in {b2}
+
+
+def test_replace_builds_a_string_with_its_own_hash():
+    z = MapString(2, (FinMap(1, 2, (1,)),))
+    hash(z)
+    w = dataclasses.replace(z, maps=(FinMap(1, 2, (0,)),))
+    assert w._hash is None
+    assert hash(w) == hash((w.card0, w.maps)) != hash(z)
+    same = dataclasses.replace(z)
+    assert same == z and hash(same) == hash(z)
+    with pytest.raises(ValueError):
+        dataclasses.replace(z, _hash=0)
