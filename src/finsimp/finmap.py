@@ -69,7 +69,8 @@ def identity(n: int) -> FinMap:
 
 def classify(f: FinMap) -> MapClass:
     """Classify by the injective/surjective dichotomy."""
-    inj, sur = f.is_injective, f.is_surjective
+    size = len(set(f.img))
+    inj, sur = size == f.src, size == f.dst
     if inj and sur:
         return MapClass.BIJECTIVE
     if inj:

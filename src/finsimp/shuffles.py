@@ -17,7 +17,11 @@ definition once per word, memoized by the word: an excluded face must hit
 one mask per row value, one per column value and one per smaller shuffle
 (the positions off that shuffle's path), so only the supersets of the
 positions forced by single-position masks are listed and tested.  The
-comparisons with smaller shuffles read one height table per ``(r, s)``.
+smaller shuffles are read off the word itself, by the cover lemma: every
+strictly smaller shuffle lies at or below a lower cover (one ``VH``
+swapped to ``HV``), whose off-path mask is the single position between
+the two swapped moves and is contained in the smaller shuffle's mask.  So
+the covers alone give the same excluded faces, with no scan of the shape.
 The excluded family stays small while the faces double with each move, so
 ``horn_certificate`` checks the horn shape on it alone, and the attachment
 walk certifies each excluded face.
@@ -170,12 +174,6 @@ class HornCertificate:
         }
 
 
-@lru_cache(maxsize=None)
-def _height_table(r: int, s: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """Word and heights of every ``(r, s)``-shuffle, built once per shape."""
-    return tuple((sh.word, sh.heights()) for sh in enumerate_shuffles(r, s))
-
-
 def _positions(mask: int) -> tuple[int, ...]:
     """The positions set in a face mask, ascending."""
     return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
@@ -194,21 +192,26 @@ def _excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
     position ``x`` exactly when their heights agree there, and the face lies
     on ``tau``'s path exactly when it avoids every other position.  An
     excluded face therefore hits each of these masks: the row masks, the
-    column masks and, per ``tau``, the positions off ``tau``'s path.  A
-    single-position mask forces its position, so only the supersets of the
-    forced positions are tested against the other masks; the list is exact.
+    column masks and, per ``tau``, the positions off ``tau``'s path.
+
+    Only the lower covers of ``sigma`` need a mask.  A cover swaps a ``VH``
+    at moves ``k, k+1`` to ``HV``, which lowers the height at position
+    ``k+1`` alone, so its mask is ``1 << (k+1)``.  Any other ``tau`` lies at
+    or below some cover, with heights at most the cover's and so at most
+    ``sigma``'s; where ``tau`` meets ``sigma`` the cover does too, so
+    ``tau``'s mask contains the cover's and a face hitting the cover's mask
+    hits ``tau``'s.  A single-position mask forces its position, so only
+    the supersets of the forced positions are tested against the other
+    masks; the list is exact.
     """
     sigma = Shuffle(word)
     r, s = sigma.r, sigma.s
     n = r + s
     full = (1 << (n + 1)) - 1
     path = sigma.path()
-    heights = sigma.heights()
     hit = {sum(1 << x for x in range(n + 1) if path[x][0] == i) for i in range(r + 1)}
     hit |= {sum(1 << x for x in range(n + 1) if path[x][1] == j) for j in range(s + 1)}
-    for other, low in _height_table(r, s):
-        if other != word and all(a <= b for a, b in zip(low, heights)):
-            hit.add(full & ~sum(1 << x for x in range(n + 1) if low[x] == heights[x]))
+    hit |= {1 << (k + 1) for k in range(n - 1) if word[k] == "V" and word[k + 1] == "H"}
     forced = 0
     for m in hit:
         if m and not m & (m - 1):

@@ -61,6 +61,18 @@ def test_classify(f, expected):
     assert classify(f) is expected
 
 
+def test_classify_agrees_with_properties_exhaustive():
+    # classify counts the image once; the properties each count it again
+    by_properties = {
+        (True, True): MapClass.BIJECTIVE,
+        (True, False): MapClass.PROPER_INJECTIVE,
+        (False, True): MapClass.PROPER_SURJECTIVE,
+        (False, False): MapClass.NEITHER,
+    }
+    for f in maps_up_to(4):
+        assert classify(f) is by_properties[f.is_injective, f.is_surjective], f
+
+
 def test_epi_mono_examples():
     epi, mono = epi_mono_factor(FinMap(3, 3, (0, 0, 2)))
     assert epi == FinMap(3, 2, (0, 0, 1))

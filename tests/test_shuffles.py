@@ -393,6 +393,33 @@ def test_past_closed_form_at_hv_corners():
                     assert oracle_horn_certificate(sh).S == S
 
 
+def test_lower_covers_bound_every_smaller_past():
+    # independent of both implementations: each lower cover (one VH swapped
+    # to HV) leaves sigma's path at one position, every strictly smaller
+    # shuffle lies at or below a cover, and it leaves sigma's path wherever
+    # each cover above it does
+    def off_path(tau, sigma):
+        return {x for x, (a, b) in enumerate(zip(tau.heights(), sigma.heights())) if a != b}
+
+    for n in range(1, 9):
+        for r in range(n + 1):
+            shs = enumerate_shuffles(r, n - r)
+            for sigma in shs:
+                w = sigma.word
+                covers = {}
+                for k in range(n - 1):
+                    if w[k : k + 2] == "VH":
+                        tau = Shuffle(w[:k] + "HV" + w[k + 2 :])
+                        assert tau.le(sigma) and off_path(tau, sigma) == {k + 1}
+                        covers[k + 1] = tau
+                for low in shs:
+                    if low == sigma or not low.le(sigma):
+                        continue
+                    above = {x for x, tau in covers.items() if low.le(tau)}
+                    assert above, (low.word, w)
+                    assert above <= off_path(low, sigma)
+
+
 @pytest.mark.parametrize(
     "word,past,message",
     [
