@@ -31,7 +31,7 @@ from .shuffles import (
     horn_certificate,
     poset_dot,
 )
-from .strings import MapString, StringComplex, core, defect, enumerate_nondegenerate, string_from_json
+from .strings import StringComplex, core, defect, enumerate_nondegenerate, string_from_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,7 +182,8 @@ def _cmd_f_enumerate(args) -> int:
     levels = enumerate_nondegenerate(
         args.alpha, args.degree_bound, args.allow_empty, max_defect=args.alpha
     )
-    members = sorted((z for level in levels for z in level), key=MapString.sort_key)
+    # the levels come in degree order, each sorted, so this is sort_key order
+    members = [z for level in levels for z in level]
     _emit(
         args,
         {

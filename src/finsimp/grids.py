@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
 
 from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
 from .finmap import FinMap, MapClass, classify, compose, identity
@@ -46,6 +45,7 @@ from .strings import (
     core_face_indices,
     defect,
     enumerate_nondegenerate,
+    extension_table,
     face_cores,
     interned_core,
     saturate,
@@ -362,29 +362,33 @@ def _corner_strings(max_card: int, allow_empty: bool):
     The prefix of a canonical corner string is one too, so each is grown
     once from its prefix through ``canonical_extensions``, by proper
     surjections and then proper injections, and none is canonicalized.
+    Both are read off one ``extension_table`` per top cardinality.
     Cardinalities move strictly along proper maps, so both runs terminate
     on their own below ``max_card``.
     """
     lo = 0 if allow_empty else 1
     out = []
+    tables: dict[int, tuple[list, list]] = {}
+
+    def proper(last: int) -> tuple[list, list]:
+        # the proper injections and the proper surjections onto ``last``;
+        # the table holds no identity
+        split = tables.get(last)
+        if split is None:
+            table = extension_table(last, lo, max_card, float("inf"))
+            injections = [e for e in table if e.inc == 0]
+            surjections = [e for e in table if e.map.src - e.inc == last]
+            split = tables[last] = (injections, surjections)
+        return split
 
     def grow_top(z: MapString, frontier: list, s: int):
         out.append((z, s))
-        last = z.cards()[-1]
-        injections = (img for n in range(lo, last) for img in combinations(range(last), n))
-        for w, top in canonical_extensions(z, frontier, injections):
+        for w, top, _ in canonical_extensions(z, frontier, proper(z.cards()[-1])[0]):
             grow_top(w, top, s)
 
     def grow_left(z: MapString, frontier: list):
         grow_top(z, frontier, z.degree)
-        last = z.cards()[-1]
-        surjections = (
-            img
-            for n in range(last + 1, max_card + 1)
-            for img in combinations_with_replacement(range(last), n)
-            if len(set(img)) == last
-        )
-        for w, top in canonical_extensions(z, frontier, surjections):
+        for w, top, _ in canonical_extensions(z, frontier, proper(z.cards()[-1])[1]):
             grow_left(w, top)
 
     for c in range(lo, max_card + 1):

@@ -231,8 +231,9 @@ class ExcessProfile:
         }
 
 
-def profile_of(z: MapString) -> ExcessProfile:
-    """Compute the run-length profile; requires the runs to stop inside."""
+def profile_of(z: MapString, d: int) -> ExcessProfile:
+    """Compute the run-length profile of ``z``, whose defect is ``d``;
+    requires the runs to stop inside."""
     t = z.degree
     r = 0
     while r < t and classify(z.maps[t - 1 - r]) is MapClass.PROPER_INJECTIVE:
@@ -248,7 +249,7 @@ def profile_of(z: MapString) -> ExcessProfile:
         )
     junction_class = classify(z.maps[t - 1 - r - s])
     side = "upper" if junction_class is MapClass.PROPER_INJECTIVE else "lower"
-    return ExcessProfile(z, defect(z), r, s, side)
+    return ExcessProfile(z, d, r, s, side)
 
 
 def in_excess(z: MapString, alpha: int) -> bool:
@@ -261,13 +262,23 @@ def in_excess(z: MapString, alpha: int) -> bool:
 
 
 def excess_strings(alpha: int, degree_bound: int, allow_empty: bool = False) -> list[ExcessProfile]:
-    """Profiles of all canonical excess strings up to the degree bound."""
+    """Profiles of all canonical excess strings up to the degree bound.
+
+    The census holds only nondegenerate strings with cardinalities at most
+    ``alpha``, so of ``in_excess`` only the degree and the defect are left
+    to check, and each defect is computed once."""
     if alpha < 1:
         raise InputError("alpha must be >= 1")
     if degree_bound < 2:
         raise InputError("degree_bound must be >= 2")
     by_degree = enumerate_nondegenerate(alpha, degree_bound, allow_empty)
-    return [profile_of(z) for level in by_degree for z in level if in_excess(z, alpha)]
+    out = []
+    for level in by_degree[1:]:
+        for z in level:
+            d = defect(z)
+            if d > alpha:
+                out.append(profile_of(z, d))
+    return out
 
 
 def match_partner(p: ExcessProfile) -> MapString:
@@ -376,9 +387,12 @@ def match_excess(profiles: list[ExcessProfile], alpha: int, degree_bound: int) -
         image_by_degree[n].add(w)
         pairs.append((p.string, w, j))
     upper_count = Counter(p.degree for p in uppers)
-    lower_count = Counter(p.degree for p in lowers.values())
+    lower_by_degree: dict[int, set[MapString]] = defaultdict(set)
+    for z in lowers:
+        lower_by_degree[z.degree].add(z)
+    lower_count = {m: len(zs) for m, zs in lower_by_degree.items()}
     for m in range(1, degree_bound):
-        want = {p.string for p in lowers.values() if p.degree == m}
+        want = lower_by_degree[m]
         got = image_by_degree[m + 1]
         if want != got:
             missing = sorted(want - got, key=MapString.sort_key)
@@ -426,7 +440,7 @@ def order_excess(profiles: list[ExcessProfile], alpha: int):
                         witness={"string": serialize(z), "face": i},
                     )
                 continue
-            wp = by_string.get(w) or profile_of(w)
+            wp = by_string.get(w) or profile_of(w, defect(w))
             if wp.side == "upper":
                 report["cases"]["b_upper_degree_drop"] += 1
                 if not (wp.weight(), w.sort_key()) < (p.weight(), z.sort_key()):
@@ -437,7 +451,7 @@ def order_excess(profiles: list[ExcessProfile], alpha: int):
                 continue
             # lower face: must sit at one of the two junction-adjacent indices
             partner = match_inverse(wp)
-            pp = profile_of(partner)
+            pp = profile_of(partner, defect(partner))
             if match_partner(pp) != w:
                 raise OrderAuditError(
                     "inverse matching failed to recover the face",

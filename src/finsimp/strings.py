@@ -21,6 +21,16 @@ largest fiber vector over the orders the parent's top frontier admits.
 (``enumerate_nondegenerate`` and the corner census of ``grids``) grow each
 canonical string once from its parent: no canonicalizing, no dedupe.
 
+The candidate maps depend only on the parent's top cardinality, so each
+census call builds one ``extension_table`` per top cardinality: one shared
+``FinMap`` per candidate, with its fiber vector, its defect increment and
+the children of each top element, sorted once by the compact JSON of the
+one-map string.  Order lemma: a child's ``serialize`` is its parent's with
+the closing ``]}`` replaced by ``,<map json>]}`` (no comma after an empty
+list), and no map's JSON is a prefix of another's, since each holds
+exactly one ``}``, at its end.  So children emitted in parent order, and
+in table order within a parent, come out sorted; only degree 0 is sorted.
+
 Identity is cheap: ``MapString`` caches its dataclass hash lazily, on the
 first ``hash`` call, and ``serialize`` writes the compact JSON by hand.
 """
@@ -30,6 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InputError
 from .finmap import FinMap, compose, epi_mono_factor, identity
@@ -256,22 +267,55 @@ def canonicalize(z: MapString) -> MapString:
     return MapString(z.card0, tuple(maps))
 
 
-def canonical_extensions(z: MapString, frontier: list, images):
-    """Each canonical extension of the canonical string ``z`` by one map
-    whose weakly increasing image tuple is drawn from ``images``, with the
-    frontier of its own top level.  ``frontier`` is that of ``z``'s top
-    level (``[tuple(range(n))]`` for ``MapString(n)``); an extension of
-    fiber vector ``c`` is kept iff ``_resolve(frontier, c)[0] == tuple(c)``
-    (the prefix lemma above)."""
-    last = z.cards()[-1]
-    for img in images:
-        fiber = [img.count(v) for v in range(last)]
-        vec, resolved = _resolve(frontier, fiber)
-        if vec == tuple(fiber):
-            # the tuple is sorted, so the children of each element are a run
-            ends = itertools.accumulate(fiber)
-            children = [list(range(e - c, e)) for c, e in zip(fiber, ends)]
-            yield MapString(z.card0, z.maps + (FinMap(len(img), last, img),)), _expand(resolved, children)
+class Extension(NamedTuple):
+    """One entry of an extension table: a map onto the top level, shared by
+    every string it extends, with its fiber vector, its defect increment
+    ``src - |image|`` and the labels of the children of each top element
+    (the image tuple is sorted, so each element's children are a run)."""
+
+    map: FinMap
+    fiber: tuple[int, ...]
+    inc: int
+    children: tuple[tuple[int, ...], ...]
+
+
+def extension_table(last: int, lo: int, max_card: int, room: float) -> list[Extension]:
+    """The extensions of a string whose top cardinality is ``last`` by one
+    non-identity map with a weakly increasing image tuple, a source of
+    cardinality ``lo`` to ``max_card`` and a defect increment of at most
+    ``room``, sorted by the compact JSON of the one-map string (see the
+    order lemma above).
+
+    An image tuple is its set of values together with the multiset of its
+    ``inc`` repeats, so only the tuples within ``room`` are generated."""
+    table = []
+    for k in range(last + 1):
+        for inc in range(max(0, lo - k), min(room, max_card - k) + 1):
+            if k == last and inc == 0:
+                continue  # the identity
+            for support in itertools.combinations(range(last), k):
+                for repeats in itertools.combinations_with_replacement(support, inc):
+                    img = tuple(sorted(support + repeats))
+                    fiber = tuple(map(img.count, range(last)))
+                    ends = itertools.accumulate(fiber)
+                    children = tuple(tuple(range(e - c, e)) for c, e in zip(fiber, ends))
+                    table.append(Extension(FinMap(k + inc, last, img), fiber, inc, children))
+    table.sort(key=lambda e: serialize(MapString(last, (e.map,))))
+    return table
+
+
+def canonical_extensions(z: MapString, frontier: list, table):
+    """Each canonical extension of the canonical string ``z`` by an entry of
+    ``table`` (an ``extension_table`` of ``z``'s top cardinality, or a part
+    of one), as ``(child, its top frontier, entry)``, in table order.
+    ``frontier`` is that of ``z``'s top level (``[tuple(range(n))]`` for
+    ``MapString(n)``); an extension of fiber vector ``c`` is kept iff
+    ``_resolve(frontier, c)[0] == c`` (the prefix lemma above)."""
+    card0, maps = z.card0, z.maps
+    for e in table:
+        vec, resolved = _resolve(frontier, e.fiber)
+        if vec == e.fiber:
+            yield MapString(card0, maps + (e.map,)), _expand(resolved, e.children), e
 
 
 def is_canonical(z: MapString) -> bool:
@@ -460,31 +504,42 @@ def enumerate_nondegenerate(
 
     Orderly generation: each level carries every string with the frontier
     of its top level and its defect, and ``canonical_extensions`` grows
-    each canonical string of the next level once, from its prefix.  With
+    each canonical string of the next level once, from its prefix, through
+    one shared ``extension_table`` per top cardinality.  With
     ``max_defect`` set, extensions over the bound are skipped (appending
-    to a string never lowers its defect).
+    to a string never lowers its defect).  Children come in parent order
+    and then in table order, which by the order lemma above is sorted, so
+    only degree 0 is sorted.  Finished levels keep only their strings.
     """
     lo = 0 if allow_empty else 1
     cap = float("inf") if max_defect is None else max_defect
+    tables: dict[tuple[int, float], list[Extension]] = {}
+
+    def table(last: int, room: float) -> list[Extension]:
+        # a string's defect is at least its top cardinality, so no string
+        # with top ``last`` has more room than ``cap - last``; the tables
+        # for less room keep the same entries
+        t = tables.get((last, room))
+        if t is None:
+            widest = cap - last
+            if room == widest:
+                t = extension_table(last, lo, max_card, room)
+            else:
+                t = [e for e in table(last, widest) if e.inc <= room]
+            tables[last, room] = t
+        return t
+
     level = [(MapString(c), [tuple(range(c))], c) for c in range(lo, max_card + 1) if c <= cap]
+    level.sort(key=lambda e: serialize(e[0]))
     out: list[list[MapString]] = []
     for degree in range(max_degree + 1):
-        level.sort(key=lambda e: e[0].sort_key())
         out.append([e[0] for e in level])
         if degree == max_degree or (degree and not level):
             break
         grown = []
         for z, frontier, d in level:
-            last = z.cards()[-1]
-            ident = tuple(range(last))
-            images = (
-                img
-                for n in range(lo, max_card + 1)
-                for img in itertools.combinations_with_replacement(range(last), n)
-                if img != ident and d + n - len(set(img)) <= cap
-            )
-            for w, top in canonical_extensions(z, frontier, images):
-                f = w.maps[-1]
-                grown.append((w, top, d + f.src - len(set(f.img))))
+            last = z.maps[-1].src if z.maps else z.card0
+            for w, top, e in canonical_extensions(z, frontier, table(last, cap - d)):
+                grown.append((w, top, d + e.inc))
         level = grown
     return out

@@ -4,12 +4,13 @@ the all-chains restriction table kept as an oracle for the grid images
 built from shuffle paths, the materialized prior subcomplex and the
 set-of-faces past and horn certificate kept as oracles for the bitmask
 versions in ``finsimp.shuffles``, the whole-complex replay kept as an
-oracle for the incremental replay of ``present``, and the
+oracle for the incremental replay of ``present``, the
 canonicalize-then-dedupe censuses kept as oracles for the orderly
 generation of ``enumerate_nondegenerate`` and ``_corner_strings``, the
 ``json.dumps`` body kept as an oracle for the hand-written ``serialize``,
-and the every-inner-face loop kept as an oracle for the cards-first
-``_matching_faces`` of ``match_excess``."""
+the every-inner-face loop kept as an oracle for the cards-first
+``_matching_faces`` of ``match_excess``, and the ``in_excess`` filter
+kept as an oracle for ``excess_strings``."""
 
 import itertools
 import json
@@ -21,7 +22,7 @@ from finsimp import FinMap, MapString, StringComplex, canonicalize, compose, cor
 from finsimp.errors import CertificateError, InputError
 from finsimp.finmap import all_maps
 from finsimp.grids import boundary_image, check_against_enumeration, enumerate_corner_grids
-from finsimp.presentation import Generator, PresentationSkeleton
+from finsimp.presentation import Generator, PresentationSkeleton, in_excess, profile_of
 from finsimp.shuffles import (
     HornCertificate,
     Shuffle,
@@ -29,7 +30,7 @@ from finsimp.shuffles import (
     enumerate_shuffles,
     is_inner_generalized_horn,
 )
-from finsimp.strings import face, serialize
+from finsimp.strings import enumerate_nondegenerate, face, serialize
 
 
 def raw_strings(max_card, max_degree, allow_empty=False, nondegenerate_only=False):
@@ -464,3 +465,15 @@ def oracle_matching_faces(z: MapString, w: MapString) -> list[int]:
     """The inner face indices of ``z`` whose canonical face is ``w``, found
     by canonicalizing every inner face."""
     return [i for i in range(1, z.degree) if canonicalize(face(z, i)) == w]
+
+
+def oracle_excess_strings(alpha: int, degree_bound: int, allow_empty: bool = False):
+    """Profiles of all canonical excess strings up to the degree bound,
+    with every string of the census checked by ``in_excess`` and its
+    defect computed again."""
+    if alpha < 1:
+        raise InputError("alpha must be >= 1")
+    if degree_bound < 2:
+        raise InputError("degree_bound must be >= 2")
+    by_degree = enumerate_nondegenerate(alpha, degree_bound, allow_empty)
+    return [profile_of(z, defect(z)) for level in by_degree for z in level if in_excess(z, alpha)]

@@ -46,7 +46,7 @@ from finsimp.presentation import (
     profile_of,
 )
 from finsimp.strings import StringComplex, serialize
-from helpers import oracle_matching_faces, oracle_present
+from helpers import oracle_excess_strings, oracle_matching_faces, oracle_present
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -301,15 +301,22 @@ def test_excess_alpha_two():
             assert p.surj_run >= 1
 
 
+@pytest.mark.parametrize("args, kwargs", [((1, 6), {}), ((2, 6), {"allow_empty": True}), ((3, 5), {})])
+def test_excess_strings_match_oracle(args, kwargs):
+    got = excess_strings(*args, **kwargs)
+    assert got == oracle_excess_strings(*args, **kwargs)
+    assert all(p.excess_defect == defect(p.string) for p in got)
+
+
 def test_profile_junction_classes():
     z = canonicalize(
         MapString(2, (FinMap(1, 2, (0,)), FinMap(2, 1, (0, 0)), FinMap(1, 2, (0,))))
     )
-    p = profile_of(z)
+    p = profile_of(z, defect(z))
     assert (p.inj_run, p.surj_run) == (1, 1)
     assert p.side == "upper"
     w = canonicalize(MapString(2, (FinMap(2, 2, (0, 0)), FinMap(1, 2, (0,)))))
-    q = profile_of(w)
+    q = profile_of(w, defect(w))
     assert (q.inj_run, q.surj_run) == (1, 0)
     assert q.side == "lower"
 
@@ -330,7 +337,7 @@ def test_match_inverse_round_trip():
         if p.side != "lower":
             continue
         partner = match_inverse(p)
-        pp = profile_of(partner)
+        pp = profile_of(partner, defect(partner))
         assert pp.side == "upper"
         assert match_partner(pp) == p.string
         assert partner.degree == p.degree + 1

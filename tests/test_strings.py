@@ -17,6 +17,7 @@ from finsimp import (
 )
 from finsimp.errors import InputError
 from finsimp.finmap import identity
+from finsimp.grids import _corner_strings
 from finsimp.strings import (
     StringComplex,
     core_face_indices,
@@ -289,6 +290,36 @@ def test_enumerate_nondegenerate_e5_counts():
     levels = enumerate_nondegenerate(5, 36, max_defect=5)
     assert [len(level) for level in levels] == [5, 34, 223, 985, 2688, 4442, 4317, 2267, 496, 0]
     assert sum(map(len, levels)) == 15457
+
+
+def test_census_levels_sorted_past_nine():
+    # with cardinalities of 10 and more, string order ("10" before "2") is
+    # not numeric order; the levels still come out sorted, though only
+    # degree 0 is sorted (a defect bound of 2 would cap every cardinality
+    # at 2: a string's defect is at least its largest cardinality)
+    levels = enumerate_nondegenerate(10, 1, max_defect=10)
+    assert any(max(z.cards()) >= 10 for z in levels[1])
+    for level in levels:
+        assert level == sorted(level, key=MapString.sort_key)
+        assert len(set(level)) == len(level)
+    numeric = sorted(levels[1], key=lambda z: (z.card0, [(f.dst, f.img, f.src) for f in z.maps]))
+    assert numeric != levels[1]
+
+
+def test_census_shares_equal_top_maps():
+    # one extension table per top cardinality: equal top maps are one object
+    censuses = [
+        [z for level in enumerate_nondegenerate(3, 4, True) for z in level],
+        [z for level in enumerate_nondegenerate(4, 8, max_defect=4) for z in level],
+        [z for z, _ in _corner_strings(4, True)],
+    ]
+    for census in censuses:
+        tops: dict[FinMap, FinMap] = {}
+        extended = [z for z in census if z.maps]
+        for z in extended:
+            f = z.maps[-1]
+            assert tops.setdefault(f, f) is f
+        assert len(tops) < len(extended)
 
 
 def test_saturate_examples():
