@@ -10,22 +10,20 @@ paths turns grids into strings.
 The image of a grid is the face closure of the cores of its
 ``C(r+s, s)`` shuffle paths: every chain of the cell poset lies on some
 shuffle path, so its restriction is an iterated face of a path
-restriction.  ``image_subset`` and ``boundary_image`` restrict only those
-paths (or the boundary facets of them) and hand the rest to
-``StringComplex.closure``, whose face-core memo every grid shares.  No
-chain table is kept on a grid, and ``arrow`` composes on demand.
-``path_cores`` restricts each path once and also reports where the core of
-each face of the restriction sits, so ``boundary_cores`` reads the core of
-every boundary facet off the path cores without restricting the facet.
+restriction.  Every image is read off ``path_cores``, which restricts each
+path once and also reports where the core of each face of the restriction
+sits, so ``boundary_cores`` reads the core of every boundary facet off the
+path cores without restricting the facet.  ``defect_subcomplex`` and
+``is_accessible`` grow one member set and walk only what each image adds
+to it, as the replay of ``present`` does.  No chain table is kept on a
+grid, and ``arrow`` composes on demand.
 
-Facts that depend only on a shape or on the census are computed once:
-
-- the shuffle paths and their boundary facets are cached per ``(r, s)``;
-- ``enumerate_corner_grids`` runs its census once per
-  ``(max_card, allow_empty)``; every caller sees the same grid objects;
-- ``is_saturated`` looks up ``core(saturate(z))`` for every member in a
-  memo keyed by the member; the replay of ``present`` looks up only the
-  members added since its last check, in the same memo.
+``enumerate_corner_grids`` sorts the corner strings and completes each grid
+only when it is taken, so no grid outlives its use.  The shuffle paths and
+their boundary facet positions are cached per ``(r, s)``, and
+``is_saturated`` looks up ``core(saturate(z))`` for every member in a memo
+keyed by the member; the replay of ``present`` looks up only the members
+added since its last check, in the same memo.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from .strings import (
     defect,
     enumerate_nondegenerate,
     extension_table,
+    face_closure,
     face_cores,
     interned_core,
     saturate,
@@ -270,16 +269,6 @@ def _shuffle_paths(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(sh.path() for sh in enumerate_shuffles(r, s))
 
 
-def image_subset(grid: GridDiagram) -> StringComplex:
-    """Face closure of the cores of the grid's shuffle paths.
-
-    Every chain of the cell poset lies on some shuffle path (the shuffle
-    triangulation of the prism), so its restriction is an iterated face of
-    a path restriction and its core lies in this closure.
-    """
-    return StringComplex.closure(restrict(grid, p) for p in _shuffle_paths(grid.r, grid.s))
-
-
 @lru_cache(maxsize=None)
 def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
     """Each boundary facet as ``(k, x)``: shuffle path ``k`` less its
@@ -292,14 +281,6 @@ def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
             if sum(v[0] == i for v in p) == 1 or sum(v[1] == j for v in p) == 1:
                 facets.setdefault(p[:x] + p[x + 1 :], (k, x))
     return tuple(kx for ch, kx in facets.items() if ch)
-
-
-@lru_cache(maxsize=None)
-def _boundary_facets(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The cell chains of the boundary facets, in ``_boundary_positions``
-    order."""
-    paths = _shuffle_paths(r, s)
-    return tuple(paths[k][:x] + paths[k][x + 1 :] for k, x in _boundary_positions(r, s))
 
 
 def path_cores(grid: GridDiagram) -> tuple[tuple[MapString, tuple[int | None, ...]], ...]:
@@ -316,8 +297,8 @@ def path_cores(grid: GridDiagram) -> tuple[tuple[MapString, tuple[int | None, ..
 
 
 def boundary_cores(grid: GridDiagram, paths) -> list[MapString]:
-    """The core of each boundary facet, in ``_boundary_facets`` order, read
-    off ``paths = path_cores(grid)`` without restricting the facets.
+    """The core of each boundary facet, in ``_boundary_positions`` order,
+    read off ``paths = path_cores(grid)`` without restricting the facets.
 
     The facet that drops position ``x`` of a path restricts to face ``x``
     of the path's restriction, so its core is the path core or one of the
@@ -331,6 +312,16 @@ def boundary_cores(grid: GridDiagram, paths) -> list[MapString]:
     return out
 
 
+def image_subset(grid: GridDiagram) -> StringComplex:
+    """Face closure of the cores of the grid's shuffle paths.
+
+    Every chain of the cell poset lies on some shuffle path (the shuffle
+    triangulation of the prism), so its restriction is an iterated face of
+    a path restriction and its core lies in this closure.
+    """
+    return StringComplex.closure(z for z, _ in path_cores(grid))
+
+
 def boundary_image(grid: GridDiagram) -> StringComplex:
     """Image of the boundary of the cell prism (chains missing a row/column).
 
@@ -338,7 +329,7 @@ def boundary_image(grid: GridDiagram) -> StringComplex:
     missing row ``j`` lies on a path that crosses row ``j`` in one cell, so
     it is a face of the facet that drops that cell; likewise for columns.
     """
-    return StringComplex.closure(restrict(grid, ch) for ch in _boundary_facets(grid.r, grid.s))
+    return StringComplex.closure(boundary_cores(grid, path_cores(grid)))
 
 
 @lru_cache(maxsize=None)
@@ -399,23 +390,29 @@ def _corner_strings(max_card: int, allow_empty: bool):
 def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
     """All grids with nondegenerate corner data and cardinalities <= max_card.
 
-    Returns ``(corner_string, s, r, grid)`` tuples sorted by total degree
-    then serialization; one entry per isomorphism class.  The census runs
-    once per ``(max_card, allow_empty)``, so every call returns the same
-    grid objects.
+    Yields ``(corner_string, s, r, grid)`` tuples sorted by total degree
+    then serialization; one entry per isomorphism class.  The corner
+    strings are sorted up front and each grid is completed only when it is
+    taken, so every call builds its own grid objects.
     """
-    return list(_corner_grid_census(max_card, allow_empty))
-
-
-@lru_cache(maxsize=None)
-def _corner_grid_census(max_card: int, allow_empty: bool):
-    entries = []
-    for z, s in _corner_strings(max_card, allow_empty):
+    corners = sorted(
+        _corner_strings(max_card, allow_empty), key=lambda e: (e[0].degree, serialize(e[0]), e[1])
+    )
+    for z, s in corners:
         r = z.degree - s
-        grid = complete_from_corner(corner_from_string(z, s, r))
-        entries.append((z, s, r, grid))
-    entries.sort(key=lambda e: (e[0].degree, serialize(e[0]), e[1]))
-    return tuple(entries)
+        yield z, s, r, complete_from_corner(corner_from_string(z, s, r))
+
+
+# The largest defect bound ``defect_subcomplex`` and ``present`` accept:
+# ``E^7`` has 42,128,037 members by the forest count, too many to enumerate.
+MAX_ALPHA = 6
+
+
+def _check_alpha(alpha: int) -> None:
+    if alpha < 1:
+        raise InputError("alpha must be >= 1")
+    if alpha > MAX_ALPHA:
+        raise InputError(f"alpha must be <= {MAX_ALPHA}: E^7 already has 42,128,037 members")
 
 
 def is_accessible(C: StringComplex) -> bool:
@@ -424,7 +421,9 @@ def is_accessible(C: StringComplex) -> bool:
     Candidate grids are bounded by C itself: a grid with nondegenerate
     corner data contains its corner string, a nondegenerate simplex of
     degree r+s, so r+s is at most the top degree of C, and every
-    cardinality is at most the defect bound of C's members.
+    cardinality is at most the defect bound of C's members.  The images
+    found so far form a face-closed subset of C, so an image lies in C
+    exactly when the part of it outside that subset does.
     """
     if not C.members:
         return True
@@ -433,10 +432,10 @@ def is_accessible(C: StringComplex) -> bool:
     union: set[MapString] = set()
     for z, s, r, grid in enumerate_corner_grids(C.max_card(), allow_empty):
         if r + s > max_degree:
-            continue
-        img = image_subset(grid)
-        if img.issubset(C):
-            union |= img.members
+            break  # the census is sorted by degree
+        new = face_closure((w for w, _ in path_cores(grid)), union)
+        if new <= C.members:
+            union |= new
     return union == C.members
 
 
@@ -448,11 +447,10 @@ def defect_subcomplex(alpha: int, allow_empty: bool = False) -> StringComplex:
     enumeration by ``check_against_enumeration``, as ``present`` checks its
     replay of the same union.
     """
-    if alpha < 1:
-        raise InputError("alpha must be >= 1")
+    _check_alpha(alpha)
     union: set[MapString] = set()
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
-        union |= image_subset(grid).members
+        union |= face_closure((w for w, _ in path_cores(grid)), union)
     C = StringComplex(frozenset(union))
     check_against_enumeration(C, alpha, allow_empty)
     return C

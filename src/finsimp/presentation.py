@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, HypothesisError, InputError, MatchingError, OrderAuditError
 from .finmap import MapClass, classify, epi_mono_factor
-from .grids import GridDiagram, _saturation_core, boundary_cores, check_against_enumeration
-from .grids import defect_subcomplex, enumerate_corner_grids, path_cores
+from .grids import GridDiagram, _check_alpha, _saturation_core, boundary_cores
+from .grids import check_against_enumeration, defect_subcomplex, enumerate_corner_grids, path_cores
 from .shuffles import AttachmentCertificate, attach_walk, enumerate_shuffles
 from .strings import (
     MapString,
@@ -160,8 +160,7 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     dual construction of ``E^alpha``; it is compared with the direct
     enumeration, and any discrepancy raises.
     """
-    if alpha < 1:
-        raise InputError("alpha must be >= 1")
+    _check_alpha(alpha)
     replay = _Replay()
     gens = []
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):

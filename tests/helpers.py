@@ -1,7 +1,10 @@
 """Shared test utilities: raw enumerations, an independent iso checker, the
 permutation-sweep canonicalizer kept as an oracle for the canonical form,
 the all-chains restriction table kept as an oracle for the grid images
-built from shuffle paths, the materialized prior subcomplex and the
+built from shuffle paths, the restricted boundary facets kept as an oracle
+for the boundary cores read off the path cores, the eager corner-grid
+census and the per-grid image test kept as oracles for the streamed census
+and the incremental image walk, the materialized prior subcomplex and the
 set-of-faces past and horn certificate kept as oracles for the bitmask
 versions in ``finsimp.shuffles``, the whole-complex replay kept as an
 oracle for the incremental replay of ``present``, the
@@ -21,7 +24,17 @@ from functools import lru_cache
 from finsimp import FinMap, MapString, StringComplex, canonicalize, compose, core, defect, identity
 from finsimp.errors import CertificateError, InputError
 from finsimp.finmap import all_maps
-from finsimp.grids import boundary_image, check_against_enumeration, enumerate_corner_grids
+from finsimp.grids import (
+    _boundary_positions,
+    _corner_strings,
+    _shuffle_paths,
+    check_against_enumeration,
+    complete_from_corner,
+    corner_from_string,
+    enumerate_corner_grids,
+    image_subset,
+    restrict,
+)
 from finsimp.presentation import Generator, PresentationSkeleton, in_excess, profile_of
 from finsimp.shuffles import (
     HornCertificate,
@@ -252,6 +265,45 @@ def oracle_chain_cores(grid) -> dict:
     return out
 
 
+def oracle_boundary_facets(r: int, s: int) -> list[tuple[tuple[int, int], ...]]:
+    """The cell chains of the boundary facets, in ``_boundary_positions``
+    order."""
+    paths = _shuffle_paths(r, s)
+    return [paths[k][:x] + paths[k][x + 1 :] for k, x in _boundary_positions(r, s)]
+
+
+def oracle_boundary_image(grid) -> StringComplex:
+    """The face closure of the restricted boundary facets."""
+    return StringComplex.closure(restrict(grid, ch) for ch in oracle_boundary_facets(grid.r, grid.s))
+
+
+def oracle_corner_grids(max_card: int, allow_empty: bool) -> list:
+    """Every corner grid completed up front, then sorted."""
+    entries = []
+    for z, s in _corner_strings(max_card, allow_empty):
+        r = z.degree - s
+        grid = complete_from_corner(corner_from_string(z, s, r))
+        entries.append((z, s, r, grid))
+    entries.sort(key=lambda e: (e[0].degree, serialize(e[0]), e[1]))
+    return entries
+
+
+def oracle_is_accessible(C: StringComplex) -> bool:
+    """``is_accessible`` with every candidate image walked in full."""
+    if not C.members:
+        return True
+    allow_empty = any(0 in z.cards() for z in C.members)
+    max_degree = C.max_degree()
+    union: set[MapString] = set()
+    for z, s, r, grid in oracle_corner_grids(C.max_card(), allow_empty):
+        if r + s > max_degree:
+            continue
+        img = image_subset(grid)
+        if img.issubset(C):
+            union |= img.members
+    return union == C.members
+
+
 @lru_cache(maxsize=None)
 def _faces(n: int) -> tuple[tuple[int, ...], ...]:
     """Nonempty position subsets of ``0..n``, by size then lexicographically."""
@@ -357,7 +409,7 @@ def oracle_present(alpha: int, allow_empty: bool = False) -> PresentationSkeleto
     C = StringComplex(frozenset())
     gens = []
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
-        if not boundary_image(grid).issubset(C):
+        if not oracle_boundary_image(grid).issubset(C):
             raise CertificateError(
                 "generator boundary not contained in earlier images",
                 witness={"corner": serialize(z), "r": r, "s": s},

@@ -203,6 +203,19 @@ def test_bad_flag_values_exit_one():
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["e-alpha", "present", "skeleton-dim"])
+def test_alpha_above_the_bound_refused_before_the_census(monkeypatch, command):
+    import finsimp.grids as grids_mod
+
+    def never(*args):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(grids_mod, "_corner_strings", never)
+    code, out, err = run_cli([command, "--alpha", str(grids_mod.MAX_ALPHA + 1)])
+    _assert_clean_exit_one(code, out, err)
+    assert f"alpha must be <= {grids_mod.MAX_ALPHA}" in err
+
+
 def test_unknown_command_exit_one():
     code, _, err = run_cli(["frobnicate"])
     assert code == 1

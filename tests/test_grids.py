@@ -24,7 +24,6 @@ from finsimp.finmap import all_maps
 from finsimp import grids, strings
 from finsimp.grids import (
     GridDiagram,
-    _boundary_facets,
     _corner_strings,
     _shuffle_paths,
     boundary_cores,
@@ -42,8 +41,12 @@ from helpers import (
     chain_in_boundary,
     iter_chains,
     oracle_arrow,
+    oracle_boundary_facets,
+    oracle_boundary_image,
     oracle_chain_cores,
+    oracle_corner_grids,
     oracle_corner_strings,
+    oracle_is_accessible,
 )
 
 
@@ -417,15 +420,15 @@ def test_chain_table_matches_uncached_oracle():
 
 def test_boundary_cores_match_restricted_facets():
     # the facet cores read off the path cores equal the cores of the
-    # restricted facets, which is how boundary_image finds them
+    # restricted facets, and so does the boundary image built from them
     for g in _oracle_grids():
         paths = path_cores(g)
         assert [z for z, _ in paths] == [
             interned_core(restrict(g, p)) for p in _shuffle_paths(g.r, g.s)
         ]
         derived = boundary_cores(g, paths)
-        assert derived == [interned_core(restrict(g, ch)) for ch in _boundary_facets(g.r, g.s)]
-        assert StringComplex.closure(derived) == boundary_image(g)
+        assert derived == [interned_core(restrict(g, ch)) for ch in oracle_boundary_facets(g.r, g.s)]
+        assert boundary_image(g) == oracle_boundary_image(g)
 
 
 def test_cached_tables_are_invisible():
@@ -442,11 +445,50 @@ def test_cached_tables_are_invisible():
         assert boundary_image(fresh) == boundary_image(g)
 
 
-def test_corner_grid_census_is_shared():
-    first = enumerate_corner_grids(2)
-    again = enumerate_corner_grids(2)
-    assert first == again and first is not again
-    assert all(a[3] is b[3] for a, b in zip(first, again))
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("max_card", [0, 1, 2, 3, 4])
+def test_streamed_census_matches_eager_oracle(max_card, allow_empty):
+    assert list(enumerate_corner_grids(max_card, allow_empty)) == oracle_corner_grids(
+        max_card, allow_empty
+    )
+
+
+def test_streamed_census_completes_grids_when_taken(monkeypatch):
+    completed = []
+    real = grids.complete_from_corner
+    monkeypatch.setattr(grids, "complete_from_corner", lambda c: completed.append(c) or real(c))
+    census = enumerate_corner_grids(3)
+    assert completed == []
+    first = next(census)
+    assert len(completed) == 1
+    # a second call completes its own grid objects
+    again = next(enumerate_corner_grids(3))
+    assert again == first and again[3] is not first[3]
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_incremental_walk_is_the_union_of_images(alpha, allow_empty):
+    union = set()
+    for z, s, r, g in enumerate_corner_grids(alpha, allow_empty):
+        union |= image_subset(g).members
+    assert defect_subcomplex(alpha, allow_empty).members == union
+
+
+def test_is_accessible_matches_per_grid_oracle():
+    # E^3 less one maximal member is still face-closed; whether it is still
+    # a union of grid images depends on the member
+    E3 = defect_subcomplex(3)
+    faces = {core(face(z, i))[0] for z in E3.members for i in range(z.degree + 1) if z.degree}
+    maximal = sorted(E3.members - faces, key=MapString.sort_key)
+    assert len(maximal) == 4
+    verdicts = []
+    for top in maximal:
+        C = StringComplex(E3.members - {top})
+        assert C.is_face_closed()
+        verdicts.append(is_accessible(C))
+        assert verdicts[-1] == oracle_is_accessible(C)
+    assert sorted(verdicts) == [False, False, True, True]
 
 
 @pytest.mark.parametrize("allow_empty", [False, True])
