@@ -22,11 +22,11 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .errors import CertificateError, InputError
-from .grids import defect_subcomplex, grid_from_json
+from .grids import defect_subcomplex, grid_from_json, path_cores
 from .presentation import excess_strings, match_excess, order_excess, present, skeletal_dimension
 from .shuffles import (
-    attach_diagram,
-    attachment_hypothesis,
+    _attach_diagram,
+    _attachment_hypothesis,
     enumerate_shuffles,
     horn_certificate,
     poset_dot,
@@ -247,8 +247,10 @@ def _cmd_horns(args) -> int:
 def _cmd_attach(args) -> int:
     C = _complex_from_json(_read_json(args.subset, "subset"), "subset")
     grid = grid_from_json(_read_json(args.grid, "grid"), "grid")
-    hypothesis = attachment_hypothesis(C, grid)
-    result, records = attach_diagram(C, grid)
+    # one restriction of each shuffle path serves both the report and the walk
+    paths = path_cores(grid)
+    hypothesis = _attachment_hypothesis(C, grid, paths)
+    result, records = _attach_diagram(C, grid, None, paths)
     _emit(
         args,
         {

@@ -3,13 +3,22 @@
 The standard set of cardinality ``n`` is ``{0, ..., n-1}``; cardinality 0
 (the empty set) is permitted.  A map is stored by its image array, so all
 operations are pure integer bookkeeping.
+
+``FinMap`` is a named tuple ``(src, dst, img)``: hashing, equality and
+field access run in C, and ``hash(FinMap(s, d, i)) == hash((s, d, i))``.
+Calling ``FinMap`` validates its arguments; that is the boundary for every
+map that comes from outside (``from_json``, ``all_maps``, grid
+completion).  A map derived from valid maps is valid by construction, so
+``identity``, ``compose`` and ``epi_mono_factor`` build theirs with the one
+unchecked constructor ``_unchecked_map``, which is ``tuple.__new__(FinMap,
+(src, dst, img))``; so does ``strings.canonicalize``.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError
 
@@ -21,24 +30,23 @@ class MapClass(enum.Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True, slots=True)
-class FinMap:
+class FinMap(namedtuple("FinMap", "src dst img")):
     """A map ``{0,..,src-1} -> {0,..,dst-1}`` given by its image tuple."""
 
-    src: int
-    dst: int
-    img: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.src < 0 or self.dst < 0:
-            raise InputError(f"negative cardinality: src={self.src}, dst={self.dst}")
-        if not isinstance(self.img, tuple):
-            object.__setattr__(self, "img", tuple(self.img))
-        if len(self.img) != self.src:
-            raise InputError(f"img has length {len(self.img)}, expected src={self.src}")
-        for k, v in enumerate(self.img):
-            if not 0 <= v < self.dst:
-                raise InputError(f"img[{k}]={v} out of range [0, {self.dst})")
+    def __new__(cls, src: int, dst: int, img):
+        if src < 0 or dst < 0:
+            raise InputError(f"negative cardinality: src={src}, dst={dst}")
+        if not isinstance(img, tuple):
+            img = tuple(img)
+        if len(img) != src:
+            raise InputError(f"img has length {len(img)}, expected src={src}")
+        if img and not (0 <= min(img) and max(img) < dst):
+            for k, v in enumerate(img):
+                if not 0 <= v < dst:
+                    raise InputError(f"img[{k}]={v} out of range [0, {dst})")
+        return tuple.__new__(cls, (src, dst, img))
 
     def __call__(self, x: int) -> int:
         return self.img[x]
@@ -63,8 +71,15 @@ class FinMap:
         return {"src": self.src, "dst": self.dst, "img": list(self.img)}
 
 
+def _unchecked_map(src: int, dst: int, img: tuple[int, ...]) -> FinMap:
+    """A FinMap built without validation, for maps derived from valid ones."""
+    return tuple.__new__(FinMap, (src, dst, img))
+
+
 def identity(n: int) -> FinMap:
-    return FinMap(n, n, tuple(range(n)))
+    if n < 0:
+        raise InputError(f"negative cardinality: src={n}, dst={n}")
+    return _unchecked_map(n, n, tuple(range(n)))
 
 
 def classify(f: FinMap) -> MapClass:
@@ -84,7 +99,7 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
     """The composite ``g after f``; requires ``f.dst == g.src``."""
     if f.dst != g.src:
         raise InputError(f"not composable: f.dst={f.dst} != g.src={g.src}")
-    return FinMap(f.src, g.dst, tuple(g.img[v] for v in f.img))
+    return _unchecked_map(f.src, g.dst, tuple(map(g.img.__getitem__, f.img)))
 
 
 def epi_mono_factor(f: FinMap) -> tuple[FinMap, FinMap]:
@@ -96,8 +111,8 @@ def epi_mono_factor(f: FinMap) -> tuple[FinMap, FinMap]:
     """
     image = f.image()
     rank = {v: k for k, v in enumerate(image)}
-    epi = FinMap(f.src, len(image), tuple(rank[v] for v in f.img))
-    mono = FinMap(len(image), f.dst, image)
+    epi = _unchecked_map(f.src, len(image), tuple(map(rank.__getitem__, f.img)))
+    mono = _unchecked_map(len(image), f.dst, image)
     return epi, mono
 
 

@@ -37,6 +37,7 @@ from .finmap import from_json as finmap_from_json
 from .strings import (
     MapString,
     StringComplex,
+    _unchecked_string,
     canonical_extensions,
     canonicalize,  # unused here; perfbench's tracer test checks this binding
     core,
@@ -247,7 +248,10 @@ def complete_from_corner(c: CornerData) -> GridDiagram:
 
 
 def restrict(grid: GridDiagram, path) -> MapString:
-    """The string of composites along a weakly monotone path of cells."""
+    """The string of composites along a weakly monotone path of cells.
+
+    The grid's maps compose (``GridDiagram.validate``), so the string is
+    built without checks."""
     path = [tuple(v) for v in path]
     if not path:
         raise InputError("empty path")
@@ -258,7 +262,7 @@ def restrict(grid: GridDiagram, path) -> MapString:
         if not (0 <= i <= grid.r and 0 <= j <= grid.s):
             raise InputError(f"path cell {(i, j)} outside the grid")
     maps = tuple(grid.arrow(b, a) for a, b in zip(path, path[1:]))
-    return MapString(grid.card(*path[0]), maps)
+    return _unchecked_string(grid.card(*path[0]), maps)
 
 
 @lru_cache(maxsize=None)

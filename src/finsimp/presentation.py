@@ -20,6 +20,7 @@ sorts strictly earlier.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -31,10 +32,10 @@ from .shuffles import AttachmentCertificate, attach_walk, enumerate_shuffles
 from .strings import (
     MapString,
     StringComplex,
+    _census,
     canonicalize,
     core,
     defect,
-    enumerate_nondegenerate,
     face,
     face_closure,
     serialize,
@@ -230,9 +231,11 @@ class ExcessProfile:
         }
 
 
-def profile_of(z: MapString, d: int) -> ExcessProfile:
-    """Compute the run-length profile of ``z``, whose defect is ``d``;
-    requires the runs to stop inside."""
+def _top_runs(z: MapString) -> tuple[int, int, MapClass | None]:
+    """``(inj_run, surj_run, junction)`` of ``z``, classified map by map:
+    the properly injective maps at the top, the properly surjective maps
+    directly below them, and the class of the map below both runs (``None``
+    when the runs reach the bottom).  The census carries the same runs."""
     t = z.degree
     r = 0
     while r < t and classify(z.maps[t - 1 - r]) is MapClass.PROPER_INJECTIVE:
@@ -240,15 +243,27 @@ def profile_of(z: MapString, d: int) -> ExcessProfile:
     s = 0
     while r + s < t and classify(z.maps[t - 1 - r - s]) is MapClass.PROPER_SURJECTIVE:
         s += 1
-    if r + s >= t:
+    return r, s, classify(z.maps[t - 1 - r - s]) if r + s < t else None
+
+
+def _profile(z: MapString, d: int, runs: tuple[int, int, MapClass | None]) -> ExcessProfile:
+    """The profile of ``z``, of defect ``d`` and top runs ``runs``;
+    requires the runs to stop inside."""
+    r, s, junction = runs
+    if junction is None:
         # A pure surjections-then-injections string has defect equal to the
         # cardinality at the meeting point, hence no excess defect.
         raise CertificateError(
             "runs exhaust an excess string", witness=serialize(z)
         )
-    junction_class = classify(z.maps[t - 1 - r - s])
-    side = "upper" if junction_class is MapClass.PROPER_INJECTIVE else "lower"
+    side = "upper" if junction is MapClass.PROPER_INJECTIVE else "lower"
     return ExcessProfile(z, d, r, s, side)
+
+
+def profile_of(z: MapString, d: int) -> ExcessProfile:
+    """Compute the run-length profile of ``z``, whose defect is ``d``;
+    requires the runs to stop inside."""
+    return _profile(z, d, _top_runs(z))
 
 
 def in_excess(z: MapString, alpha: int) -> bool:
@@ -261,22 +276,22 @@ def in_excess(z: MapString, alpha: int) -> bool:
 
 
 def excess_strings(alpha: int, degree_bound: int, allow_empty: bool = False) -> list[ExcessProfile]:
-    """Profiles of all canonical excess strings up to the degree bound.
+    """Profiles of all canonical excess strings up to the degree bound, in
+    census order: by degree, then by ``serialize``.
 
     The census holds only nondegenerate strings with cardinalities at most
     ``alpha``, so of ``in_excess`` only the degree and the defect are left
-    to check, and each defect is computed once."""
+    to check.  Each profile is read off the defect and the top runs the
+    census carries, with no map classified again."""
     if alpha < 1:
         raise InputError("alpha must be >= 1")
     if degree_bound < 2:
         raise InputError("degree_bound must be >= 2")
-    by_degree = enumerate_nondegenerate(alpha, degree_bound, allow_empty)
     out = []
-    for level in by_degree[1:]:
-        for z in level:
-            d = defect(z)
+    for level in itertools.islice(_census(alpha, degree_bound, allow_empty), 1, None):
+        for z, _, d, runs in level:
             if d > alpha:
-                out.append(profile_of(z, d))
+                out.append(_profile(z, d, runs))
     return out
 
 
@@ -337,6 +352,8 @@ def _matching_faces(z: MapString, w: MapString, j: int) -> list[int]:
 def match_excess(profiles: list[ExcessProfile], alpha: int, degree_bound: int) -> Matching:
     """Verify the matching invariants over the enumerated range.
 
+    ``profiles`` arrive in ``excess_strings`` order, by degree and then by
+    serialization, and the pairs keep the order of their upper strings.
     For every upper string the distinguished face index is strictly inner
     and unique, the face preserves defect, lands in the lower class with
     the surjective run shortened by one, and the assignment is a bijection
@@ -401,13 +418,14 @@ def match_excess(profiles: list[ExcessProfile], alpha: int, degree_bound: int) -
             )
     degrees = sorted(set(upper_count) | set(lower_count))
     per_degree = tuple((d, upper_count.get(d, 0), lower_count.get(d, 0)) for d in degrees)
-    pairs.sort(key=lambda tr: tr[0].sort_key())
     return Matching(alpha, degree_bound, tuple(pairs), per_degree)
 
 
 def order_excess(profiles: list[ExcessProfile], alpha: int):
     """Sort the upper class by weight and audit the precedence property.
 
+    ``profiles`` arrive in ``excess_strings`` order, so a stable sort by
+    weight breaks ties by ``MapString.sort_key``.
     For every upper string ``z`` and every face other than the
     distinguished one, the face must either be an upper string of lower
     degree, leave the excess family altogether, or be a lower string whose
@@ -416,10 +434,7 @@ def order_excess(profiles: list[ExcessProfile], alpha: int):
     violation raises with the witnessing string and face index.
     """
     by_string = {p.string: p for p in profiles}
-    uppers = sorted(
-        (p for p in profiles if p.side == "upper"),
-        key=lambda p: (p.weight(), p.string.sort_key()),
-    )
+    uppers = sorted((p for p in profiles if p.side == "upper"), key=ExcessProfile.weight)
     report = {
         "cases": Counter(),
         "fibers": Counter(p.weight() for p in uppers),

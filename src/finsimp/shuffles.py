@@ -44,7 +44,7 @@ from functools import lru_cache
 
 from .errors import CertificateError, HypothesisError, InputError
 from .finmap import MapClass, classify
-from .grids import GridDiagram, boundary_image, corner_of, is_saturated, path_cores, restrict
+from .grids import GridDiagram, boundary_cores, corner_of, is_saturated, path_cores, restrict
 from .strings import MapString, StringComplex, core, face, face_closure
 
 
@@ -384,13 +384,18 @@ def attachment_hypothesis(C: StringComplex, grid: GridDiagram) -> dict:
     shuffles are walked, so the report, not a hard failure, is the honest
     answer when only some of them are present.
     """
+    return _attachment_hypothesis(C, grid, path_cores(grid))
+
+
+def _attachment_hypothesis(C: StringComplex, grid: GridDiagram, paths) -> dict:
+    """``attachment_hypothesis`` with ``paths = path_cores(grid)`` given."""
     y = corner_of(grid).to_string()
     faces = []
     if y.degree >= 1:
         faces = [C.contains(face(y, i)) for i in range(y.degree + 1)]
     return {
         "saturated": is_saturated(C),
-        "boundary_contained": boundary_image(grid).issubset(C),
+        "boundary_contained": StringComplex.closure(boundary_cores(grid, paths)).issubset(C),
         "corner_faces_in_complex": faces,
     }
 
@@ -515,8 +520,18 @@ def attach_diagram(
     those cores.  ``C`` need not be face-closed, so the closure walks stop
     only at faces they have visited.
     """
+    return _attach_diagram(C, grid, order, path_cores(grid))
+
+
+def _attach_diagram(
+    C: StringComplex,
+    grid: GridDiagram,
+    order: list[Shuffle] | None,
+    paths,
+) -> tuple[StringComplex, list[AttachmentCertificate]]:
+    """``attach_diagram`` with ``paths = path_cores(grid)`` given."""
     shuffles = enumerate_shuffles(grid.r, grid.s)
-    cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
+    cores = {sh.word: z for sh, (z, _) in zip(shuffles, paths)}
     D = StringComplex.closure(cores.values())
     if D.issubset(C):
         return C, []
@@ -526,7 +541,7 @@ def attach_diagram(
     def anomaly(message, witness):
         # with the boundary inside C these conditions are forced facts;
         # without it they just witness the unmet hypothesis
-        if boundary_image(grid).issubset(C):
+        if StringComplex.closure(boundary_cores(grid, paths)).issubset(C):
             raise CertificateError(message, witness)
         raise HypothesisError(
             f"{message} (the grid boundary image is not contained in the complex)"

@@ -33,6 +33,22 @@ in table order within a parent, come out sorted; only degree 0 is sorted.
 
 Identity is cheap: ``MapString`` caches its dataclass hash lazily, on the
 first ``hash`` call, and ``serialize`` writes the compact JSON by hand.
+
+Values are validated at the boundary.  ``MapString(...)`` checks that its
+maps compose, and ``string_from_json``, ``extension_table`` and the other
+public constructors keep doing so; a string derived from valid strings is
+valid by construction, so ``face``, ``canonicalize``,
+``canonical_extensions``, ``saturate`` and ``grids.restrict`` build theirs
+with ``_unchecked_string``, and ``canonicalize`` builds its blocks with
+``finmap._unchecked_map``.
+
+The census carries what it already knows about each string: its defect,
+and its top runs ``(inj_run, surj_run, junction)``, the properly injective
+maps at the top, the properly surjective maps directly below them and the
+class of the map below both (``None`` when the runs reach the bottom).
+Each extension table entry knows its class, so a child's runs follow from
+its parent's in O(1); ``presentation.excess_strings`` reads its profiles
+off them through ``_census``.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InputError
-from .finmap import FinMap, compose, epi_mono_factor, identity
+from .finmap import FinMap, MapClass, _unchecked_map, compose, epi_mono_factor, identity
 from .finmap import from_json as finmap_from_json
 
 
@@ -74,7 +90,7 @@ class MapString:
         h = self._hash
         if h is None:
             h = hash((self.card0, self.maps))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     @property
@@ -99,6 +115,21 @@ class MapString:
         return obj
 
 
+_set_card0 = MapString.card0.__set__
+_set_maps = MapString.maps.__set__
+_set_hash = MapString._hash.__set__
+
+
+def _unchecked_string(card0: int, maps: tuple[FinMap, ...]) -> MapString:
+    """A MapString built without validation, for strings derived from valid
+    ones; ``maps`` must be a tuple of composable maps."""
+    z = object.__new__(MapString)
+    _set_card0(z, card0)
+    _set_maps(z, maps)
+    _set_hash(z, None)
+    return z
+
+
 def serialize(z: MapString) -> str:
     """Compact deterministic JSON form, used as the tie-break sort key: the
     bytes of ``json.dumps(z.to_json(), sort_keys=True, separators=(",", ":"))``,
@@ -115,11 +146,11 @@ def face(z: MapString, i: int) -> MapString:
     if not 0 <= i <= t:
         raise InputError(f"face index {i} out of range [0, {t}]")
     if i == 0:
-        return MapString(z.maps[0].src, z.maps[1:])
+        return _unchecked_string(z.maps[0].src, z.maps[1:])
     if i == t:
-        return MapString(z.card0, z.maps[:-1])
+        return _unchecked_string(z.card0, z.maps[:-1])
     merged = compose(z.maps[i - 1], z.maps[i])
-    return MapString(z.card0, z.maps[: i - 1] + (merged,) + z.maps[i + 1 :])
+    return _unchecked_string(z.card0, z.maps[: i - 1] + (merged,) + z.maps[i + 1 :])
 
 
 def degeneracy(z: MapString, i: int) -> MapString:
@@ -149,7 +180,7 @@ def saturate(z: MapString) -> MapString:
         epi, mono = epi_mono_factor(f)
         out.append(mono)
         out.append(epi)
-    return MapString(z.card0, tuple(out))
+    return _unchecked_string(z.card0, tuple(out))
 
 
 # A frontier is the set of admissible orders of one level, stored as a list
@@ -262,21 +293,25 @@ def canonicalize(z: MapString) -> MapString:
         block: list[int] = []
         for i, c in enumerate(vec):
             block += [i] * c
-        maps.append(FinMap(f.src, f.dst, tuple(block)))
+        maps.append(_unchecked_map(f.src, f.dst, tuple(block)))
         frontier = _expand(frontier, children)
-    return MapString(z.card0, tuple(maps))
+    return _unchecked_string(z.card0, tuple(maps))
 
 
 class Extension(NamedTuple):
     """One entry of an extension table: a map onto the top level, shared by
     every string it extends, with its fiber vector, its defect increment
-    ``src - |image|`` and the labels of the children of each top element
-    (the image tuple is sorted, so each element's children are a run)."""
+    ``src - |image|``, the labels of the children of each top element (the
+    image tuple is sorted, so each element's children are a run) and its
+    class.  No entry is a bijection: it is properly injective when
+    ``inc == 0``, properly surjective when ``inc > 0`` and every fiber is
+    nonzero, and neither otherwise."""
 
     map: FinMap
     fiber: tuple[int, ...]
     inc: int
     children: tuple[tuple[int, ...], ...]
+    cls: MapClass
 
 
 def extension_table(last: int, lo: int, max_card: int, room: float) -> list[Extension]:
@@ -293,13 +328,19 @@ def extension_table(last: int, lo: int, max_card: int, room: float) -> list[Exte
         for inc in range(max(0, lo - k), min(room, max_card - k) + 1):
             if k == last and inc == 0:
                 continue  # the identity
+            if inc == 0:
+                cls = MapClass.PROPER_INJECTIVE
+            elif k == last:
+                cls = MapClass.PROPER_SURJECTIVE
+            else:
+                cls = MapClass.NEITHER
             for support in itertools.combinations(range(last), k):
                 for repeats in itertools.combinations_with_replacement(support, inc):
                     img = tuple(sorted(support + repeats))
                     fiber = tuple(map(img.count, range(last)))
                     ends = itertools.accumulate(fiber)
                     children = tuple(tuple(range(e - c, e)) for c, e in zip(fiber, ends))
-                    table.append(Extension(FinMap(k + inc, last, img), fiber, inc, children))
+                    table.append(Extension(FinMap(k + inc, last, img), fiber, inc, children, cls))
     table.sort(key=lambda e: serialize(MapString(last, (e.map,))))
     return table
 
@@ -315,7 +356,7 @@ def canonical_extensions(z: MapString, frontier: list, table):
     for e in table:
         vec, resolved = _resolve(frontier, e.fiber)
         if vec == e.fiber:
-            yield MapString(card0, maps + (e.map,)), _expand(resolved, e.children), e
+            yield _unchecked_string(card0, maps + (e.map,)), _expand(resolved, e.children), e
 
 
 def is_canonical(z: MapString) -> bool:
@@ -493,23 +534,23 @@ class StringComplex:
         return len(self.members)
 
 
-def enumerate_nondegenerate(
-    max_card: int,
-    max_degree: int,
-    allow_empty: bool = False,
-    max_defect: int | None = None,
-) -> list[list[MapString]]:
-    """Canonical nondegenerate strings, grouped by degree and sorted by
-    ``MapString.sort_key``.
+def _census(max_card: int, max_degree: int, allow_empty: bool = False, max_defect: int | None = None):
+    """The census behind ``enumerate_nondegenerate``, one level per degree,
+    each a list of ``(z, frontier, defect, runs)`` sorted by
+    ``MapString.sort_key``; ``frontier`` is that of ``z``'s top level and
+    ``runs`` its top runs (see the module docstring).
 
-    Orderly generation: each level carries every string with the frontier
-    of its top level and its defect, and ``canonical_extensions`` grows
-    each canonical string of the next level once, from its prefix, through
-    one shared ``extension_table`` per top cardinality.  With
-    ``max_defect`` set, extensions over the bound are skipped (appending
-    to a string never lowers its defect).  Children come in parent order
-    and then in table order, which by the order lemma above is sorted, so
-    only degree 0 is sorted.  Finished levels keep only their strings.
+    Orderly generation: ``canonical_extensions`` grows each canonical
+    string of the next level once, from its prefix, through one shared
+    ``extension_table`` per top cardinality.  With ``max_defect`` set,
+    extensions over the bound are skipped (appending to a string never
+    lowers its defect).  Children come in parent order and then in table
+    order, which by the order lemma above is sorted, so only degree 0 is
+    sorted.  A child's runs follow from its parent's and the class of its
+    top map: a properly injective map lengthens the injective run; a
+    properly surjective one starts the surjective run over, or lengthens it
+    when the injective run is empty; any other map is the new junction.
+    Each level is yielded before the next is grown from it.
     """
     lo = 0 if allow_empty else 1
     cap = float("inf") if max_defect is None else max_defect
@@ -529,17 +570,35 @@ def enumerate_nondegenerate(
             tables[last, room] = t
         return t
 
-    level = [(MapString(c), [tuple(range(c))], c) for c in range(lo, max_card + 1) if c <= cap]
+    injective, surjective = MapClass.PROPER_INJECTIVE, MapClass.PROPER_SURJECTIVE
+    level = [(MapString(c), [tuple(range(c))], c, (0, 0, None)) for c in range(lo, max_card + 1) if c <= cap]
     level.sort(key=lambda e: serialize(e[0]))
-    out: list[list[MapString]] = []
     for degree in range(max_degree + 1):
-        out.append([e[0] for e in level])
+        yield level
         if degree == max_degree or (degree and not level):
             break
         grown = []
-        for z, frontier, d in level:
+        for z, frontier, d, (i, s, j) in level:
             last = z.maps[-1].src if z.maps else z.card0
             for w, top, e in canonical_extensions(z, frontier, table(last, cap - d)):
-                grown.append((w, top, d + e.inc))
+                c = e.cls
+                if c is injective:
+                    runs = (i + 1, s, j)
+                elif c is surjective:
+                    runs = (0, s + 1, j) if i == 0 else (0, 1, injective)
+                else:
+                    runs = (0, 0, c)
+                grown.append((w, top, d + e.inc, runs))
         level = grown
-    return out
+
+
+def enumerate_nondegenerate(
+    max_card: int,
+    max_degree: int,
+    allow_empty: bool = False,
+    max_defect: int | None = None,
+) -> list[list[MapString]]:
+    """Canonical nondegenerate strings, grouped by degree and sorted by
+    ``MapString.sort_key``: the strings of ``_census``.  Finished levels
+    keep only their strings."""
+    return [[e[0] for e in level] for level in _census(max_card, max_degree, allow_empty, max_defect)]

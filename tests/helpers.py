@@ -46,6 +46,23 @@ from finsimp.shuffles import (
 from finsimp.strings import enumerate_nondegenerate, face, serialize
 
 
+def assert_rebuilds(z) -> None:
+    """``z``, a FinMap or a MapString built without validation, is equal
+    to the value the validating public constructors build from its fields,
+    with the same hash."""
+    if isinstance(z, FinMap):
+        assert type(z) is FinMap and type(z.img) is tuple
+        assert all(type(v) is int for v in z.img)
+        w = FinMap(*z)
+    else:
+        assert type(z) is MapString and type(z.maps) is tuple
+        for f in z.maps:
+            assert_rebuilds(f)
+        w = MapString(z.card0, tuple(FinMap(*f) for f in z.maps))
+        assert z._hash in (None, hash((z.card0, z.maps)))
+    assert w == z and hash(w) == hash(z)
+
+
 def raw_strings(max_card, max_degree, allow_empty=False, nondegenerate_only=False):
     """Every string with the given bounds, not up to equivalence."""
     lo = 0 if allow_empty else 1

@@ -135,6 +135,31 @@ def test_attach_oversized_identity_grid(tmp_path):
     assert code == 0, err
 
 
+def test_attach_restricts_each_path_once(monkeypatch, tmp_path):
+    # the hypothesis report and the attachment share one path_cores(grid),
+    # also when an unmet hypothesis sends the walk to the boundary image
+    import finsimp.grids as grids_mod
+
+    real, calls = grids_mod.path_cores, []
+
+    def counted(grid):
+        calls.append(grid)
+        return real(grid)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "finsimp" or name.startswith("finsimp.")) and getattr(mod, "path_cores", None) is real:
+            monkeypatch.setattr(mod, "path_cores", counted)
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps([{"card0": 1, "maps": [{"src": 3, "dst": 1, "img": [0, 0, 0]}]}]))
+    grid = str(FIXTURES / "attach_grid_1_1.json")
+    for subset, want in ((str(FIXTURES / "attach_subset_e1.json"), 0), (str(star), 1)):
+        calls.clear()
+        code, out, err = run_cli(["attach", "--subset", subset, "--grid", grid])
+        assert code == want, err
+        assert len(calls) == 1
+    assert "boundary image is not contained" in err
+
+
 def test_own_past_in_attach_exits_two(monkeypatch):
     # a past that swallows the whole simplex is a falsified fact, also under -O
     import finsimp.shuffles as shuffles_mod

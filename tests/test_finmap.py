@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from finsimp import FinMap, MapClass, classify, compose, epi_mono_factor, identity
 from finsimp.errors import InputError
 from finsimp.finmap import all_maps, from_json
+from helpers import assert_rebuilds
 
 
 def maps_up_to(n):
@@ -165,3 +166,71 @@ def test_json_diagnostics_name_fields(obj, fragment):
     with pytest.raises(InputError, match=None) as exc:
         from_json(obj)
     assert fragment in str(exc.value)
+
+
+# Maps derived from valid maps are built without validation; each must equal
+# what the validating constructor builds from its fields.
+
+
+def test_trusted_maps_rebuild_through_the_public_constructor():
+    for n in range(6):
+        assert_rebuilds(identity(n))
+    for f in maps_up_to(3):
+        for part in epi_mono_factor(f):
+            assert_rebuilds(part)
+        for g in maps_up_to(3):
+            if f.dst == g.src:
+                assert_rebuilds(compose(g, f))
+
+
+@given(st.data())
+def test_trusted_maps_rebuild_random(data):
+    dims = [data.draw(st.integers(1, 6)) for _ in range(3)]
+    f = FinMap(dims[0], dims[1], tuple(data.draw(st.integers(0, dims[1] - 1)) for _ in range(dims[0])))
+    g = FinMap(dims[1], dims[2], tuple(data.draw(st.integers(0, dims[2] - 1)) for _ in range(dims[1])))
+    assert_rebuilds(compose(g, f))
+    for part in epi_mono_factor(compose(g, f)):
+        assert_rebuilds(part)
+
+
+def test_finmap_is_its_field_tuple():
+    f = FinMap(2, 3, (0, 2))
+    assert hash(f) == hash((f.src, f.dst, f.img)) == hash((2, 3, (0, 2)))
+    assert repr(f) == "FinMap(src=2, dst=3, img=(0, 2))"
+    assert FinMap.__match_args__ == ("src", "dst", "img")
+    assert FinMap(src=2, dst=3, img=(0, 2)) == f
+    match f:
+        case FinMap(src, dst, img):
+            assert (src, dst, img) == (2, 3, (0, 2))
+    with pytest.raises(AttributeError):
+        f.src = 3
+    assert not hasattr(f, "__dict__")
+
+
+def test_public_constructor_converts_a_list_image():
+    f = FinMap(3, 2, [1, 0, 1])
+    assert type(f.img) is tuple and f == FinMap(3, 2, (1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((-1, 2, ()), "negative cardinality: src=-1, dst=2"),
+        ((2, -1, (0, 0)), "negative cardinality: src=2, dst=-1"),
+        ((2, 2, (0,)), "img has length 1, expected src=2"),
+        ((2, 2, [0, 1, 1]), "img has length 3, expected src=2"),
+        ((3, 2, (0, -1, 5)), "img[1]=-1 out of range [0, 2)"),
+        ((3, 2, (1, 0, 2)), "img[2]=2 out of range [0, 2)"),
+        ((2, 0, (0, 0)), "img[0]=0 out of range [0, 0)"),
+        ((2, 2, [1, 2]), "img[1]=2 out of range [0, 2)"),
+    ],
+)
+def test_public_constructor_keeps_its_messages(args, message):
+    with pytest.raises(InputError) as exc:
+        FinMap(*args)
+    assert str(exc.value) == message
+
+
+def test_identity_refuses_a_negative_cardinality():
+    with pytest.raises(InputError, match="negative cardinality: src=-1, dst=-1"):
+        identity(-1)

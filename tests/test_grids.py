@@ -38,6 +38,7 @@ from finsimp.strings import StringComplex, enumerate_nondegenerate, interned_cor
 
 from helpers import (
     are_isomorphic,
+    assert_rebuilds,
     chain_in_boundary,
     iter_chains,
     oracle_arrow,
@@ -512,3 +513,12 @@ def test_censuses_call_no_canonicalize(monkeypatch):
     assert enumerate_nondegenerate(3, 4, True)[-1]
     assert enumerate_nondegenerate(4, 8, max_defect=4)[4]
     assert _corner_strings(4, True)
+
+
+@pytest.mark.parametrize("alpha,allow_empty", [(3, False), (2, True)])
+def test_restrictions_rebuild_through_the_public_constructors(alpha, allow_empty):
+    # restrict builds its string without validation: every chain of every
+    # corner grid must give what the validating constructors build
+    for *_, g in enumerate_corner_grids(alpha, allow_empty):
+        for ch in iter_chains(g.r, g.s):
+            assert_rebuilds(restrict(g, ch))

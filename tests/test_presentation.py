@@ -35,17 +35,26 @@ from finsimp.errors import (
 )
 from finsimp.finmap import all_maps
 from finsimp.cli import main
-from finsimp.grids import boundary_image, enumerate_corner_grids, image_subset, is_saturated, restrict
+from finsimp.grids import (
+    boundary_cores,
+    boundary_image,
+    enumerate_corner_grids,
+    image_subset,
+    is_saturated,
+    restrict,
+)
+import finsimp.presentation as presentation_mod
 from finsimp.presentation import (
     ExcessProfile,
     _matching_faces,
     _Replay,
+    _top_runs,
     in_excess,
     match_inverse,
     match_partner,
     profile_of,
 )
-from finsimp.strings import StringComplex, serialize
+from finsimp.strings import StringComplex, _census, serialize
 from helpers import oracle_excess_strings, oracle_matching_faces, oracle_present
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -165,7 +174,7 @@ def _count_grid_calls(monkeypatch, fns):
 
 def test_present_one_pass_per_grid(monkeypatch):
     counts = _count_grid_calls(
-        monkeypatch, [boundary_image, image_subset, attachment_hypothesis, restrict]
+        monkeypatch, [boundary_image, boundary_cores, image_subset, attachment_hypothesis, restrict]
     )
     for alpha, allow_empty in ((3, False), (2, True)):
         for c in counts.values():
@@ -185,7 +194,8 @@ def test_present_one_pass_per_grid(monkeypatch):
                 for g in grids
             }
         )
-    counts["boundary_image"].clear()
+    for c in counts.values():
+        c.clear()
     argv = [
         "attach",
         "--subset",
@@ -195,7 +205,9 @@ def test_present_one_pass_per_grid(monkeypatch):
     ]
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert sum(counts["boundary_image"].values()) == 1
+    # one boundary image, read off the path cores that the attachment uses
+    assert not counts["boundary_image"]
+    assert sum(counts["boundary_cores"].values()) == 1
 
 
 @pytest.mark.parametrize("allow_empty", [False, True])
@@ -495,3 +507,50 @@ def test_match_excess_refuses_a_matching_that_is_not_onto():
     with pytest.raises(MatchingError, match="not onto") as exc:
         match_excess([q for q in profiles if q is not p], 2, 4)
     assert exc.value.witness == {"degree": lower.degree, "missing": [serialize(lower.string)]}
+
+
+def test_excess_profiles_are_read_off_the_census():
+    # 81, 12,251 and 69,261 profiles at (2, 6), (3, 5) and (3, 6); the last
+    # is compared in CI
+    for args, count in (((2, 6), 81), ((3, 5), 12251)):
+        got = excess_strings(*args)
+        assert len(got) == count
+        assert got == [profile_of(p.string, defect(p.string)) for p in got]
+
+
+def test_runs_that_reach_the_bottom_are_refused(monkeypatch):
+    # a surjection at the bottom and an injection on top: the runs exhaust
+    # the string, which no excess string allows
+    z = MapString(1, (FinMap(2, 1, (0, 0)), FinMap(1, 2, (1,))))
+    assert _top_runs(z) == (1, 1, None)
+    with pytest.raises(CertificateError, match="runs exhaust an excess string") as exc:
+        profile_of(z, 3)
+    assert exc.value.witness == serialize(z)
+    w = canonicalize(z)
+    runs = next(r for level in _census(2, 2) for y, _, _, r in level if y == w)
+    assert runs == (1, 1, None)
+    # excess_strings takes the same branch on a census entry like it
+    monkeypatch.setattr(presentation_mod, "_census", lambda *args: iter([[], [(w, None, 3, runs)]]))
+    with pytest.raises(CertificateError, match="runs exhaust an excess string") as exc:
+        excess_strings(2, 2)
+    assert exc.value.witness == serialize(w)
+
+
+def _audit_outcome(profiles, alpha):
+    try:
+        ordered, report = order_excess(profiles, alpha)
+    except OrderAuditError as exc:
+        return "raised", exc.args, exc.witness
+    return "ordered", [p.string for p in ordered], report
+
+
+@pytest.mark.parametrize("alpha,degree_bound", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 5)])
+def test_excess_outputs_keep_census_order(alpha, degree_bound):
+    # the profiles come sorted, so neither match_excess nor order_excess
+    # re-sorts by serialization, and both give what a re-sort gives
+    profiles = excess_strings(alpha, degree_bound)
+    assert profiles == sorted(profiles, key=lambda p: p.string.sort_key())
+    pairs = match_excess(profiles, alpha, degree_bound).pairs
+    assert list(pairs) == sorted(pairs, key=lambda tr: tr[0].sort_key())
+    resorted = sorted(profiles, key=lambda p: (p.weight(), p.string.sort_key()))
+    assert _audit_outcome(profiles, alpha) == _audit_outcome(resorted, alpha)

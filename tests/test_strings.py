@@ -18,8 +18,10 @@ from finsimp import (
 from finsimp.errors import InputError
 from finsimp.finmap import identity
 from finsimp.grids import _corner_strings
+from finsimp.presentation import _top_runs
 from finsimp.strings import (
     StringComplex,
+    _census,
     core_face_indices,
     enumerate_nondegenerate,
     face_closure,
@@ -33,6 +35,7 @@ from finsimp.strings import (
 
 from helpers import (
     are_isomorphic,
+    assert_rebuilds,
     are_isomorphic_exhaustive,
     oracle_canonicalize,
     oracle_enumerate_nondegenerate,
@@ -490,3 +493,55 @@ def test_replace_builds_a_string_with_its_own_hash():
     assert same == z and hash(same) == hash(z)
     with pytest.raises(ValueError):
         dataclasses.replace(z, _hash=0)
+
+
+# Strings derived from valid strings are built without validation; each must
+# equal what the validating constructors build from its fields.
+
+
+def test_trusted_strings_rebuild_exhaustive_small():
+    for args in ((2, 4), (3, 2)):
+        for z in raw_strings(*args, allow_empty=True):
+            assert_rebuilds(canonicalize(z))
+            if z.degree >= 1:
+                assert_rebuilds(saturate(z))
+                for i in range(z.degree + 1):
+                    assert_rebuilds(face(z, i))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_trusted_strings_rebuild_random(seed):
+    z = random_string(random.Random(seed), max_degree=6, max_card=5, allow_empty=True)
+    assert_rebuilds(canonicalize(z))
+    if z.degree >= 1:
+        assert_rebuilds(saturate(z))
+        assert_rebuilds(core(z)[0])
+        for i in range(z.degree + 1):
+            assert_rebuilds(face(z, i))
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_census_strings_rebuild(allow_empty):
+    # every string past degree 0 comes from canonical_extensions
+    for level in _census(3, 5, allow_empty):
+        for z, *_ in level:
+            assert_rebuilds(z)
+    for z, _ in _corner_strings(3, allow_empty):
+        assert_rebuilds(z)
+
+
+# The census carries each string's defect and top runs; ``_top_runs``, which
+# ``profile_of`` uses, classifies the maps again.
+
+
+@pytest.mark.parametrize("args", [(2, 6), (3, 5)])
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_census_carries_defect_and_runs(args, allow_empty):
+    seen = 0
+    for level in _census(*args, allow_empty):
+        for z, _, d, runs in level:
+            assert d == defect(z), serialize(z)
+            assert runs == _top_runs(z), serialize(z)
+            seen += 1
+    assert seen == sum(map(len, enumerate_nondegenerate(*args, allow_empty)))
