@@ -7,11 +7,12 @@ operations are pure integer bookkeeping.
 ``FinMap`` is a named tuple ``(src, dst, img)``: hashing, equality and
 field access run in C, and ``hash(FinMap(s, d, i)) == hash((s, d, i))``.
 Calling ``FinMap`` validates its arguments; that is the boundary for every
-map that comes from outside (``from_json``, ``all_maps``, grid
+map that comes from outside (``from_json``, ``all_maps``, the staircase
 completion).  A map derived from valid maps is valid by construction, so
 ``identity``, ``compose`` and ``epi_mono_factor`` build theirs with the one
 unchecked constructor ``_unchecked_map``, which is ``tuple.__new__(FinMap,
-(src, dst, img))``; so does ``strings.canonicalize``.
+(src, dst, img))``; so do ``strings.canonicalize`` and
+``grids.complete_from_corner``.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ square commutes.  A grid is determined up to unique levelwise bijection by
 its corner data (top row plus left column), and restricting along monotone
 paths turns grids into strings.
 
+A grid is checked once, where it enters: ``grid_from_json`` and
+``complete_from_staircase`` validate the grid they build, while
+``complete_from_corner`` (and so the corner census) validates its
+``CornerData`` and builds a grid valid by construction, with unchecked maps.
+
 The image of a grid is the face closure of the cores of its
 ``C(r+s, s)`` shuffle paths: every chain of the cell poset lies on some
 shuffle path, so its restriction is an iterated face of a path
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
-from .finmap import FinMap, MapClass, classify, compose, identity
+from .finmap import FinMap, MapClass, _unchecked_map, classify, compose, identity
 from .finmap import from_json as finmap_from_json
 from .strings import (
     MapString,
@@ -177,15 +182,13 @@ class CornerData:
 
 
 def corner_from_string(z: MapString, s: int, r: int) -> CornerData:
-    """Inverse of :meth:`CornerData.to_string` for an explicit (s, r) split."""
+    """Inverse of :meth:`CornerData.to_string` for an explicit (s, r) split;
+    only the degree is checked, as ``complete_from_corner`` validates corners."""
     if z.degree != r + s:
         raise InputError(f"degree {z.degree} does not match r+s={r + s}")
     left = tuple(reversed(z.maps[:s]))
     top = z.maps[s:]
-    corner_card = z.cards()[s]
-    c = CornerData(corner_card, top, left)
-    c.validate()
-    return c
+    return CornerData(z.cards()[s], top, left)
 
 
 def corner_of(grid: GridDiagram) -> CornerData:
@@ -199,6 +202,10 @@ def complete_from_corner(c: CornerData) -> GridDiagram:
 
     Horizontal maps become inclusions of image subsets (re-indexed along the
     increasing enumeration) and vertical maps are the restricted quotients.
+    The corner data is validated and the grid is valid by construction, so
+    it is not re-checked: each cell is a subset of the labels of ``(0, j)``,
+    rows include these subsets, columns restrict the corner's surjections
+    to them, and both composites of a square restrict the same ambient map.
     """
     c.validate()
     r, s = c.r, c.s
@@ -221,7 +228,7 @@ def complete_from_corner(c: CornerData) -> GridDiagram:
     ]
     horiz = tuple(
         tuple(
-            FinMap(
+            _unchecked_map(
                 cards[i + 1][j],
                 cards[i][j],
                 tuple(pos[i][j][v] for v in subsets[i + 1][j]),
@@ -233,7 +240,7 @@ def complete_from_corner(c: CornerData) -> GridDiagram:
     step = [c.left[s - 1 - j] for j in range(s)]  # step[j]: (0,j+1) -> (0,j) on ambient labels
     vert = tuple(
         tuple(
-            FinMap(
+            _unchecked_map(
                 cards[i][j + 1],
                 cards[i][j],
                 tuple(pos[i][j][step[j].img[v]] for v in subsets[i][j + 1]),
@@ -242,16 +249,14 @@ def complete_from_corner(c: CornerData) -> GridDiagram:
         )
         for i in range(r + 1)
     )
-    grid = GridDiagram(r, s, cards, horiz, vert)
-    grid.validate()
-    return grid
+    return GridDiagram(r, s, cards, horiz, vert)
 
 
 def restrict(grid: GridDiagram, path) -> MapString:
     """The string of composites along a weakly monotone path of cells.
 
-    The grid's maps compose (``GridDiagram.validate``), so the string is
-    built without checks."""
+    The grid's maps compose (a grid is checked where it enters), so the
+    string is built without checks."""
     path = [tuple(v) for v in path]
     if not path:
         raise InputError("empty path")
@@ -591,6 +596,9 @@ def grid_from_json(obj, where: str = "grid") -> GridDiagram:
     r, s = obj["r"], obj["s"]
     if not isinstance(r, int) or not isinstance(s, int) or isinstance(r, bool) or isinstance(s, bool):
         raise InputError(f"{where}.r / {where}.s: expected integers")
+    for name, v in (("r", r), ("s", s)):
+        if v < 0:
+            raise InputError(f"{where}.{name}: expected a nonnegative integer, got {v}")
 
     def int_grid(name, n_i, n_j):
         arr = obj[name]

@@ -235,16 +235,15 @@ def horn_certificate(sigma: Shuffle) -> HornCertificate:
     """Certify the attachment shape of one shuffle simplex.
 
     Works on the excluded family ``E`` from ``_excluded_faces`` as bitmasks;
-    every face outside ``E`` lies in the overlap with the past.  Verifies:
-    the full face is excluded; every maximal overlap face (one whose
-    one-position extensions all lie in ``E``, so it is some member of ``E``
-    less one position) has codimension one; the overlap is the union of
-    those facets, which holds exactly when ``E`` is the set of nonempty
-    supersets of ``S``, checked by count and containment; for a non-maximal
-    shuffle the facet index set ``S`` is not an interval, and for the
-    maximal shuffle the overlap is the entire boundary, ``E == {full}``.
-    The cost is about ``|E| * n`` per shuffle.  Any failure raises, since
-    each of these facts is forced.
+    every face outside ``E`` lies in the overlap with the past, and ``S``
+    holds the positions ``i`` whose facet ``full - {i}`` lies there.
+    Verifies: the full face is excluded; for a non-maximal shuffle ``E`` is
+    the set of nonempty supersets of ``S`` (by count and containment) and
+    ``S`` is not an interval; for the maximal shuffle the overlap is the
+    entire boundary, ``E == {full}``.  Either way the overlap is the faces
+    missing some position of ``S``, so its facets are ``full - {i}`` for
+    ``i`` in ``S``, listed without a search.  The cost is about ``|E| * n``
+    per shuffle.  Any failure raises, since each of these facts is forced.
     """
     r, s = sigma.r, sigma.s
     if r < 1 or s < 1:
@@ -254,36 +253,28 @@ def horn_certificate(sigma: Shuffle) -> HornCertificate:
     excluded = {sum(1 << x for x in idx) for idx in _excluded_faces(sigma.word)}
     if full not in excluded:
         raise CertificateError("shuffle simplex lies in its own past", witness=sigma.word)
-    # The overlap is subchain-closed, so maximality is detected by
-    # one-position extensions.
-    bits = [1 << x for x in range(n + 1)]
-    candidates = {e & ~b for e in excluded for b in bits if e & b} - excluded - {0}
-    facets = sorted(
-        _positions(f) for f in candidates if all(f | b in excluded for b in bits if not f & b)
-    )
-    S = tuple(i for i in range(n + 1) if full & ~bits[i] not in excluded)
+    S = tuple(i for i in range(n + 1) if full & ~(1 << i) not in excluded)
     if sigma.is_maximal():
         if excluded != {full}:
             raise CertificateError(
                 "maximal shuffle overlap is not the boundary sphere", witness=sigma.word
             )
-        return HornCertificate(sigma.word, "boundary", S, tuple(facets))
-    if any(len(idx) != n for idx in facets):
-        raise CertificateError(
-            "overlap has a maximal face of codimension > 1",
-            witness={"sigma": sigma.word, "facets": facets},
-        )
-    S_mask = sum(bits[i] for i in S)
-    supersets = (1 << (n + 1 - len(S))) - (0 if S else 1)
-    if len(excluded) != supersets or any(e & S_mask != S_mask for e in excluded):
-        raise CertificateError(
-            "overlap is not the union of its codimension-one faces", witness=sigma.word
-        )
-    if not is_inner_generalized_horn(set(S), n):
-        raise CertificateError(
-            "facet index set is an interval", witness={"sigma": sigma.word, "S": sorted(S)}
-        )
-    return HornCertificate(sigma.word, "inner", S, tuple(facets))
+        kind = "boundary"
+    else:
+        S_mask = sum(1 << i for i in S)
+        supersets = (1 << (n + 1 - len(S))) - (0 if S else 1)
+        if len(excluded) != supersets or any(e & S_mask != S_mask for e in excluded):
+            raise CertificateError(
+                "overlap is not the union of its codimension-one faces", witness=sigma.word
+            )
+        if not is_inner_generalized_horn(set(S), n):
+            raise CertificateError(
+                "facet index set is an interval", witness={"sigma": sigma.word, "S": sorted(S)}
+            )
+        kind = "inner"
+    # ascending tuple order drops the positions of S in descending order
+    facets = tuple(tuple(x for x in range(n + 1) if x != i) for i in reversed(S))
+    return HornCertificate(sigma.word, kind, S, facets)
 
 
 # The facts ``attach_diagram`` verifies for each shuffle it attaches.
@@ -348,14 +339,15 @@ def _gap_pattern_checks(sigma: Shuffle, T: tuple[int, ...]) -> None:
 
 
 def _recover_gaps(sigma: Shuffle, face_string: MapString, T: tuple[int, ...]) -> None:
-    """Recover the composed positions from map classes and compare with T.
+    """Check that the map classes of the face string determine T.
 
     Along an excluded face, single moves stay properly injective (H) or
     properly surjective (V) while each composed gap becomes neither; the
-    class pattern of the face string therefore pins down T exactly.
+    class pattern of the face string therefore pins down T exactly.  The
+    face string has ``len(T) - 1`` maps (``attach_walk`` checks its
+    degree), so a class check per step covers every position of T.
     """
     word = sigma.word
-    recovered = [T[0]]
     for k, f in enumerate(face_string.maps):
         cls = classify(f)
         step = T[k + 1] - T[k]
@@ -369,11 +361,6 @@ def _recover_gaps(sigma: Shuffle, face_string: MapString, T: tuple[int, ...]) ->
                 "face string classes do not determine the excluded face",
                 witness={"sigma": word, "T": list(T), "position": k, "class": cls.value},
             )
-        recovered.append(T[k] + step)
-    if tuple(recovered) != tuple(T):
-        raise CertificateError(
-            "recovered face index set differs", witness={"T": list(T), "got": recovered}
-        )
 
 
 def attachment_hypothesis(C: StringComplex, grid: GridDiagram) -> dict:

@@ -273,6 +273,17 @@ def test_subset_not_utf8_exits_one(tmp_path):
     _assert_clean_exit_one(*run_cli(argv))
 
 
+def test_attach_negative_grid_size_exits_one(tmp_path):
+    grid = json.loads((FIXTURES / "attach_grid_1_1.json").read_text())
+    grid["r"] = -1
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    argv = ["attach", "--subset", str(FIXTURES / "attach_subset_e1.json"), "--grid", str(grid_path)]
+    code, out, err = run_cli(argv)
+    _assert_clean_exit_one(code, out, err)
+    assert "grid.r: expected a nonnegative integer" in err
+
+
 def test_deeply_nested_input_exits_one(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000)

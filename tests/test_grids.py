@@ -310,6 +310,51 @@ def test_grid_json_diagnostics():
     with pytest.raises(InputError) as exc:
         grid_from_json(obj)
     assert "vert[0][0]" in str(exc.value)
+    # a negative size is named before any array length is derived from it
+    for name, value in (("r", -1), ("s", -2)):
+        bad = dict(complete_from_corner(c).to_json(), **{name: value})
+        with pytest.raises(InputError) as exc:
+            grid_from_json(bad)
+        assert str(exc.value) == f"grid.{name}: expected a nonnegative integer, got {value}"
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_census_grids_pass_the_check_they_skip(allow_empty):
+    # complete_from_corner validates its corner data and builds the grid
+    # unchecked; every census grid must still pass the full check, and each
+    # of its maps must rebuild through the validating constructor
+    grids_seen = 0
+    for z, s, r, g in enumerate_corner_grids(4, allow_empty):
+        g.validate()
+        assert all(type(k) is int for col in g.cards for k in col)
+        for col in g.horiz + g.vert:
+            for f in col:
+                assert_rebuilds(f)
+        grids_seen += 1
+    assert grids_seen > 300
+
+
+def test_complete_from_corner_refuses_bad_corner_data():
+    bad = [
+        (CornerData(2, top=(FinMap(2, 2, (0, 0)),)), "top[0] is not injective"),
+        (CornerData(2, left=(FinMap(2, 2, (0, 0)),)), "left[0] is not surjective"),
+        (CornerData(2, top=(FinMap(1, 3, (0,)),)), "top[0]: dst=3, expected 2"),
+        (CornerData(2, left=(FinMap(3, 1, (0, 0, 0)),)), "left[0]: src=3, expected 2"),
+        # corner_from_string checks only the degree; these strings are not
+        # surjections then injections for the split they are read with
+        (
+            corner_from_string(MapString(3, (FinMap(2, 3, (0, 1)),)), 1, 0),
+            "left[0] is not surjective",
+        ),
+        (
+            corner_from_string(MapString(1, (FinMap(2, 1, (0, 0)),)), 0, 1),
+            "top[0] is not injective",
+        ),
+    ]
+    for c, message in bad:
+        with pytest.raises(InputError) as exc:
+            complete_from_corner(c)
+        assert str(exc.value) == message
 
 
 def test_corner_round_trip():
