@@ -245,6 +245,8 @@ def _cmd_horns(args) -> int:
 
 
 def _cmd_attach(args) -> int:
+    if args.subset == "-" and args.grid == "-":
+        raise InputError("--subset and --grid cannot both read stdin ('-')")
     C = _complex_from_json(_read_json(args.subset, "subset"), "subset")
     grid = grid_from_json(_read_json(args.grid, "grid"), "grid")
     # one restriction of each shuffle path serves both the report and the walk
@@ -334,7 +336,7 @@ def build_parser() -> _Parser:
 
     p = add("attach", _cmd_attach, "attach a grid image to a complex")
     p.add_argument("--subset", required=True, help="path to a JSON array of strings ('-' for stdin)")
-    p.add_argument("--grid", required=True, help="path to a grid JSON")
+    p.add_argument("--grid", required=True, help="path to a grid JSON ('-' for stdin)")
 
     p = add("present", _cmd_present, "certified presentation skeleton")
     p.add_argument("--alpha", type=int, required=True)

@@ -5,12 +5,12 @@ degree order through the certified attachment, in one pass; the grids
 whose image is new when attached are the generators.  The replay keeps one
 growing member set, face-closed by construction, so each grid costs work in
 proportion to its own size: its boundary is checked through the cores of
-its boundary facets, read off its path cores; only the members added since
-the last check are checked for saturation; and the union with the image is
-checked on the image and the added members alone.  ``verify_skeleton``
-replays the generators through the same state.  The replayed complex is
-the grid-image half of the dual construction of ``E^alpha`` and is compared
-with the direct enumeration.
+its boundary facets, read off its path cores; its image is walked only
+where it is new; only the members added since the last check are checked
+for saturation; and the union with the image is checked on that new part
+and the added members.  ``verify_skeleton`` replays the generators through
+the same state.  The replayed complex is the grid-image half of the dual
+construction of ``E^alpha`` and is compared with the direct enumeration.
 The excess strings (cardinalities bounded, defect above ``alpha``) carry a
 run-length profile that splits them into an upper and a lower class, with
 an inner-face matching between adjacent degrees and a precedence order
@@ -96,9 +96,10 @@ class _Replay:
     The set starts empty and grows only by face closures, so it is
     face-closed by construction; the final comparison with the direct
     enumeration vouches for the result.  Each grid therefore costs work in
-    proportion to the grid: membership of a few cores decides its boundary
-    and its image, and only the members added since the last saturation
-    check are checked.
+    proportion to the grid: membership of a few cores decides its boundary,
+    the walk of its image stops at the members, so it visits only the new
+    part that the attachment must add, and only the members added since
+    the last saturation check are checked.
     """
 
     def __init__(self):
@@ -126,8 +127,9 @@ class _Replay:
             )
         shuffles = enumerate_shuffles(r, s)
         cores = {sh.word: w for sh, (w, _) in zip(shuffles, paths)}
-        image = face_closure(cores.values())
-        if image <= self.members:
+        # the members are face-closed: this is the image less the members
+        image = face_closure(cores.values(), self.members)
+        if not image:
             return []
         if not self.saturated():
             raise HypothesisError("complex is not saturated")
@@ -136,10 +138,10 @@ class _Replay:
             # the boundary lies in the complex, so these are forced facts
             raise CertificateError(message, witness)
 
-        records, added = attach_walk(self.members, grid, cores, shuffles, anomaly, self.members)
+        records, added = attach_walk(self.members, cores, shuffles, anomaly, self.members)
         # with the members grown by exactly ``added``, this is the check
         # that the result is the union of the complex before and the image
-        if not (image.issuperset(added) and image <= self.members):
+        if set(added) != image:
             raise CertificateError("attachment result is not the union with the image")
         self.unchecked += added
         return records

@@ -27,10 +27,10 @@ The excluded family stays small while the faces double with each move, so
 walk certifies each excluded face.
 
 ``attach_walk`` is the attachment of one grid: it adds the face closure of
-each new path core to a member set the caller owns, cores the restriction
-of each excluded face, and returns the records and the members it added,
-so a caller that replays many grids pays for each grid, not for the
-complex.  ``attach_diagram`` wraps it for one grid and an arbitrary
+each new path core to a member set the caller owns, reads the core of each
+excluded face off the face cores, and returns the records and the members
+it added, so a caller that replays many grids pays for each grid, not for
+the complex.  ``attach_diagram`` wraps it for one grid and an arbitrary
 complex: it checks the saturation of every member, lets each closure stop
 only at faces it has visited itself (the complex need not be face-closed),
 and checks that the result is the union of the complex and the grid image.
@@ -44,8 +44,8 @@ from functools import lru_cache
 
 from .errors import CertificateError, HypothesisError, InputError
 from .finmap import MapClass, classify
-from .grids import GridDiagram, boundary_cores, corner_of, is_saturated, path_cores, restrict
-from .strings import MapString, StringComplex, core, face, face_closure
+from .grids import GridDiagram, boundary_cores, is_saturated, path_cores
+from .strings import MapString, StringComplex, face_closure, face_cores
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,7 +277,8 @@ def horn_certificate(sigma: Shuffle) -> HornCertificate:
     return HornCertificate(sigma.word, kind, S, facets)
 
 
-# The facts ``attach_diagram`` verifies for each shuffle it attaches.
+# The facts ``attach_diagram`` verifies for each shuffle it attaches;
+# ``iii`` follows from ``a`` and the class check of ``_recover_gaps``.
 _ATTACHED_CHECKS = (
     "c_nondegenerate", "a_endpoints_and_isolated_gaps", "b_gap_moves",
     "d_excluded_faces_nondegenerate", "ii_excluded_faces_new", "iii_excluded_faces_distinct",
@@ -345,7 +346,8 @@ def _recover_gaps(sigma: Shuffle, face_string: MapString, T: tuple[int, ...]) ->
     properly surjective (V) while each composed gap becomes neither; the
     class pattern of the face string therefore pins down T exactly.  The
     face string has ``len(T) - 1`` maps (``attach_walk`` checks its
-    degree), so a class check per step covers every position of T.
+    degree), so a class check per step covers every position of T, and,
+    with 0 in T, two excluded faces of one size never share a core.
     """
     word = sigma.word
     for k, f in enumerate(face_string.maps):
@@ -376,10 +378,11 @@ def attachment_hypothesis(C: StringComplex, grid: GridDiagram) -> dict:
 
 def _attachment_hypothesis(C: StringComplex, grid: GridDiagram, paths) -> dict:
     """``attachment_hypothesis`` with ``paths = path_cores(grid)`` given."""
-    y = corner_of(grid).to_string()
+    # the corner string is the restriction of the maximal shuffle path
+    z, where = paths[-1]
     faces = []
-    if y.degree >= 1:
-        faces = [C.contains(face(y, i)) for i in range(y.degree + 1)]
+    if grid.r + grid.s >= 1:
+        faces = [(z if i is None else face_cores(z)[i]) in C.members for i in where]
     return {
         "saturated": is_saturated(C),
         "boundary_contained": StringComplex.closure(boundary_cores(grid, paths)).issubset(C),
@@ -389,7 +392,6 @@ def _attachment_hypothesis(C: StringComplex, grid: GridDiagram, paths) -> dict:
 
 def attach_walk(
     current: set[MapString],
-    grid: GridDiagram,
     cores: dict[str, MapString],
     order: list[Shuffle],
     anomaly,
@@ -400,17 +402,18 @@ def attach_walk(
 
     ``cores`` maps each move word to the interned core of its path's
     restriction.  ``anomaly(message, witness)`` raises for a condition
-    that the attachment hypotheses force.  The face closure of each new
-    path core stops at the members of ``stop``, a face-closed set that
-    grows with each closure; ``stop`` is ``current`` itself when
-    ``current`` is face-closed.  Returns the records and the members added.
+    that the attachment hypotheses force.  The excluded faces are read
+    off the face cores top-down, a nondegenerate string having the faces
+    of its core up to relabeling.  The face closure of each new path core
+    stops at the members of ``stop``, a face-closed set that grows with
+    each closure; ``stop`` is ``current`` itself when ``current`` is
+    face-closed.  Returns the records and the members added.
     """
-    r, s = grid.r, grid.s
-    n = r + s
-    full = tuple(range(n + 1))
     records = []
     added: list[MapString] = []
     for sigma in order:
+        n = len(sigma.word)
+        full = tuple(range(n + 1))
         z = cores[sigma.word]
         if z in current:
             records.append(AttachmentCertificate(sigma.word, "already-present"))
@@ -430,46 +433,38 @@ def attach_walk(
         proper_excluded = [idx for idx in excluded if idx != full]
         for T in proper_excluded:
             _gap_pattern_checks(sigma, T)
-        path = sigma.path()
-        face_cores = {}
-        for T in proper_excluded:
-            w = core(restrict(grid, [path[x] for x in T]))[0]
-            face_cores[T] = w
+        if sigma.r and sigma.s:
+            cert = horn_certificate(sigma)
+            kind, S = cert.kind, cert.S
+        else:
+            # a single-row/column grid: sphere attachment
+            if proper_excluded:
+                raise CertificateError(
+                    "maximal shuffle has excluded proper faces",
+                    witness={"sigma": sigma.word},
+                )
+            kind, S = "boundary", full if n else ()
+        # with x the first position missing from T, the larger superset
+        # T + {x} of S is excluded and read; x is also its index there
+        read = {full: z}
+        for T in reversed(proper_excluded):
+            x = next(k for k, t in enumerate(T) if k != t)
+            w = read[T] = face_cores(read[T[:x] + (x,) + T[x:]])[x]
             if w.degree != len(T) - 1:
                 raise CertificateError(
                     "excluded proper face is degenerate",
                     witness={"sigma": sigma.word, "T": list(T)},
                 )
-            if w in current:
+        for T in proper_excluded:
+            if read[T] in current:
                 anomaly(
                     "excluded face already lies in the complex",
                     {"sigma": sigma.word, "T": list(T)},
                 )
         # map classes survive relabeling, so the canonical core of a
         # nondegenerate face string carries the same class pattern
-        for T, w in face_cores.items():
-            _recover_gaps(sigma, w, T)
-        by_dim: dict[int, set[MapString]] = {}
-        for T, w in face_cores.items():
-            by_dim.setdefault(len(T), set()).add(w)
-        for k, forms in by_dim.items():
-            count = sum(1 for T in proper_excluded if len(T) == k)
-            if len(forms) != count:
-                raise CertificateError(
-                    "two excluded faces share a canonical form",
-                    witness={"sigma": sigma.word, "dimension": k - 1},
-                )
-        if r >= 1 and s >= 1 and not sigma.is_maximal():
-            cert = horn_certificate(sigma)
-            kind, S = cert.kind, cert.S
-        else:
-            # maximal shuffle (or a single-row/column grid): sphere attachment
-            if proper_excluded:
-                raise CertificateError(
-                    "maximal shuffle has excluded proper faces",
-                    witness={"sigma": sigma.word},
-                )
-            kind, S = "boundary", tuple(range(n + 1)) if n else ()
+        for T in proper_excluded:
+            _recover_gaps(sigma, read[T], T)
         closure = face_closure([z], stop)
         fresh = [w for w in closure if w not in current]
         stop |= closure
@@ -480,7 +475,7 @@ def attach_walk(
                 sigma.word,
                 "attached",
                 kind,
-                tuple(S),
+                S,
                 tuple(sorted(proper_excluded)),
             )
         )
@@ -500,12 +495,12 @@ def attach_diagram(
     linear extension of the poset order; for each shuffle whose simplex is
     new, the certificate records that the excluded faces are endpoint-
     containing with isolated horizontal-vertical gaps, nondegenerate, not
-    yet present, and pairwise distinguishable both by class fingerprints
-    and by canonical forms.  The result is exactly ``C`` united with the
-    grid image, independent of the chosen linear extension.  Each shuffle
-    path is restricted and cored once; the image is the face closure of
-    those cores.  ``C`` need not be face-closed, so the closure walks stop
-    only at faces they have visited.
+    yet present, and pairwise distinguishable by class fingerprints, hence
+    by canonical forms.  The result is exactly ``C`` united with the grid
+    image, independent of the chosen linear extension.  Each shuffle path
+    is restricted and cored once; the excluded faces are read off the face
+    cores of those cores and the image is their face closure.  ``C`` need
+    not be face-closed, so the closure walks stop only at faces they visit.
     """
     return _attach_diagram(C, grid, order, path_cores(grid))
 
@@ -545,7 +540,7 @@ def _attach_diagram(
         if sorted(sh.word for sh in seen) != [sh.word for sh in shuffles]:
             raise InputError("order must list every shuffle exactly once")
     current = set(C.members)
-    records, _ = attach_walk(current, grid, cores, order, anomaly, set())
+    records, _ = attach_walk(current, cores, order, anomaly, set())
     result = StringComplex(frozenset(current))
     if result != C.union(D):
         raise CertificateError("attachment result is not the union with the image")

@@ -7,7 +7,9 @@ census and the per-grid image test kept as oracles for the streamed census
 and the incremental image walk, the materialized prior subcomplex and the
 set-of-faces past and horn certificate kept as oracles for the bitmask
 versions in ``finsimp.shuffles``, the whole-complex replay kept as an
-oracle for the incremental replay of ``present``, the
+oracle for the incremental replay of ``present``, the walk that restricts
+each excluded face kept as an oracle for the ``attach_walk`` that reads
+the excluded faces off the path cores, the
 canonicalize-then-dedupe censuses kept as oracles for the orderly
 generation of ``enumerate_nondegenerate`` and ``_corner_strings``, the
 ``json.dumps`` body kept as an oracle for the hand-written ``serialize``,
@@ -25,6 +27,7 @@ from finsimp import FinMap, MapString, StringComplex, canonicalize, compose, cor
 from finsimp.errors import CertificateError, InputError
 from finsimp.finmap import all_maps
 from finsimp.grids import (
+    GridDiagram,
     _boundary_positions,
     _corner_strings,
     _shuffle_paths,
@@ -33,17 +36,24 @@ from finsimp.grids import (
     corner_from_string,
     enumerate_corner_grids,
     image_subset,
+    path_cores,
     restrict,
 )
 from finsimp.presentation import Generator, PresentationSkeleton, in_excess, profile_of
 from finsimp.shuffles import (
+    AttachmentCertificate,
     HornCertificate,
     Shuffle,
+    _excluded_faces,
+    _gap_pattern_checks,
+    _recover_gaps,
     attach_diagram,
+    attach_walk,
     enumerate_shuffles,
+    horn_certificate,
     is_inner_generalized_horn,
 )
-from finsimp.strings import enumerate_nondegenerate, face, serialize
+from finsimp.strings import enumerate_nondegenerate, face, face_closure, serialize
 
 
 def assert_rebuilds(z) -> None:
@@ -436,6 +446,138 @@ def oracle_present(alpha: int, allow_empty: bool = False) -> PresentationSkeleto
             gens.append(Generator(r, s, z, grid, tuple(recs)))
     check_against_enumeration(C, alpha, allow_empty)
     return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))
+
+
+def oracle_attach_walk(
+    current: set[MapString],
+    grid: GridDiagram,
+    cores: dict[str, MapString],
+    order: list[Shuffle],
+    anomaly,
+    stop: set[MapString],
+) -> tuple[list[AttachmentCertificate], list[MapString]]:
+    """``attach_walk`` as it restricted the grid once more per excluded
+    face and cored the result: attach the shuffle simplices of a grid to
+    the member set ``current`` in place, in ``order``, certifying every
+    one that is new.
+
+    ``cores`` maps each move word to the interned core of its path's
+    restriction.  ``anomaly(message, witness)`` raises for a condition
+    that the attachment hypotheses force.  The face closure of each new
+    path core stops at the members of ``stop``, a face-closed set that
+    grows with each closure; ``stop`` is ``current`` itself when
+    ``current`` is face-closed.  Returns the records and the members added.
+    """
+    r, s = grid.r, grid.s
+    n = r + s
+    full = tuple(range(n + 1))
+    records = []
+    added: list[MapString] = []
+    for sigma in order:
+        z = cores[sigma.word]
+        if z in current:
+            records.append(AttachmentCertificate(sigma.word, "already-present"))
+            continue
+        # a string is nondegenerate exactly when its core keeps its degree
+        if z.degree != n:
+            anomaly(
+                "new shuffle simplex is degenerate but its core is missing",
+                {"sigma": sigma.word},
+            )
+        excluded = _excluded_faces(sigma.word)
+        if full not in excluded:
+            raise CertificateError(
+                "new shuffle simplex lies in its own past",
+                witness={"sigma": sigma.word, "excluded": [list(T) for T in excluded]},
+            )
+        proper_excluded = [idx for idx in excluded if idx != full]
+        for T in proper_excluded:
+            _gap_pattern_checks(sigma, T)
+        path = sigma.path()
+        face_cores = {}
+        for T in proper_excluded:
+            w = core(restrict(grid, [path[x] for x in T]))[0]
+            face_cores[T] = w
+            if w.degree != len(T) - 1:
+                raise CertificateError(
+                    "excluded proper face is degenerate",
+                    witness={"sigma": sigma.word, "T": list(T)},
+                )
+            if w in current:
+                anomaly(
+                    "excluded face already lies in the complex",
+                    {"sigma": sigma.word, "T": list(T)},
+                )
+        # map classes survive relabeling, so the canonical core of a
+        # nondegenerate face string carries the same class pattern
+        for T, w in face_cores.items():
+            _recover_gaps(sigma, w, T)
+        by_dim: dict[int, set[MapString]] = {}
+        for T, w in face_cores.items():
+            by_dim.setdefault(len(T), set()).add(w)
+        for k, forms in by_dim.items():
+            count = sum(1 for T in proper_excluded if len(T) == k)
+            if len(forms) != count:
+                raise CertificateError(
+                    "two excluded faces share a canonical form",
+                    witness={"sigma": sigma.word, "dimension": k - 1},
+                )
+        if r >= 1 and s >= 1 and not sigma.is_maximal():
+            cert = horn_certificate(sigma)
+            kind, S = cert.kind, cert.S
+        else:
+            # maximal shuffle (or a single-row/column grid): sphere attachment
+            if proper_excluded:
+                raise CertificateError(
+                    "maximal shuffle has excluded proper faces",
+                    witness={"sigma": sigma.word},
+                )
+            kind, S = "boundary", tuple(range(n + 1)) if n else ()
+        closure = face_closure([z], stop)
+        fresh = [w for w in closure if w not in current]
+        stop |= closure
+        current.update(fresh)
+        added += fresh
+        records.append(
+            AttachmentCertificate(
+                sigma.word,
+                "attached",
+                kind,
+                tuple(S),
+                tuple(sorted(proper_excluded)),
+            )
+        )
+    return records, added
+
+
+def compare_attach_walks(grids) -> tuple[int, int]:
+    """Replay ``grids`` in order through ``attach_walk`` and
+    ``oracle_attach_walk``, each on its own member set, attaching each grid
+    whose image is not yet present as ``present`` does.  Returns the number
+    of grids attached and the number whose records, added members or
+    resulting member sets differ."""
+    new: set[MapString] = set()
+    old: set[MapString] = set()
+    attached = bad = 0
+
+    def anomaly(message, witness):
+        raise CertificateError(message, witness)
+
+    for grid in grids:
+        shuffles = enumerate_shuffles(grid.r, grid.s)
+        cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
+        if not face_closure(cores.values(), new):
+            continue
+        got = attach_walk(new, cores, shuffles, anomaly, new)
+        want = oracle_attach_walk(old, grid, cores, shuffles, anomaly, old)
+        attached += 1
+        bad += (
+            got[0] != want[0]
+            or len(got[1]) != len(set(got[1]))
+            or set(got[1]) != set(want[1])
+            or new != old
+        )
+    return attached, bad
 
 
 def extension_maps(last_card: int, new_card: int):

@@ -137,27 +137,46 @@ def test_attach_oversized_identity_grid(tmp_path):
 
 def test_attach_restricts_each_path_once(monkeypatch, tmp_path):
     # the hypothesis report and the attachment share one path_cores(grid),
-    # also when an unmet hypothesis sends the walk to the boundary image
+    # also when an unmet hypothesis sends the walk to the boundary image,
+    # and the excluded faces are read off it: one restriction per shuffle
     import finsimp.grids as grids_mod
 
-    real, calls = grids_mod.path_cores, []
+    calls = {"path_cores": [], "restrict": []}
+    for fn_name in calls:
+        real = getattr(grids_mod, fn_name)
 
-    def counted(grid):
-        calls.append(grid)
-        return real(grid)
+        def counted(*args, _real=real, _calls=calls[fn_name]):
+            _calls.append(args)
+            return _real(*args)
 
-    for name, mod in list(sys.modules.items()):
-        if (name == "finsimp" or name.startswith("finsimp.")) and getattr(mod, "path_cores", None) is real:
-            monkeypatch.setattr(mod, "path_cores", counted)
+        for name, mod in list(sys.modules.items()):
+            if (name == "finsimp" or name.startswith("finsimp.")) and getattr(mod, fn_name, None) is real:
+                monkeypatch.setattr(mod, fn_name, counted)
     star = tmp_path / "star.json"
     star.write_text(json.dumps([{"card0": 1, "maps": [{"src": 3, "dst": 1, "img": [0, 0, 0]}]}]))
     grid = str(FIXTURES / "attach_grid_1_1.json")
     for subset, want in ((str(FIXTURES / "attach_subset_e1.json"), 0), (str(star), 1)):
-        calls.clear()
+        for c in calls.values():
+            c.clear()
         code, out, err = run_cli(["attach", "--subset", subset, "--grid", grid])
         assert code == want, err
-        assert len(calls) == 1
+        assert len(calls["path_cores"]) == 1
+        assert len(calls["restrict"]) == math.comb(1 + 1, 1)
     assert "boundary image is not contained" in err
+
+
+def test_attach_refuses_stdin_for_both_inputs():
+    # one stdin cannot carry both documents; nothing is read before refusing
+    subset = (FIXTURES / "attach_subset_e1.json").read_text()
+    stdin = io.StringIO(subset)
+    old_stdin, sys.stdin = sys.stdin, stdin
+    try:
+        code, out, err = run_cli(["attach", "--subset", "-", "--grid", "-"])
+    finally:
+        sys.stdin = old_stdin
+    assert code == 1 and out == ""
+    assert "--subset" in err and "--grid" in err
+    assert stdin.read() == subset
 
 
 def test_own_past_in_attach_exits_two(monkeypatch):

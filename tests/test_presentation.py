@@ -55,7 +55,7 @@ from finsimp.presentation import (
     profile_of,
 )
 from finsimp.strings import StringComplex, _census, serialize
-from helpers import oracle_excess_strings, oracle_matching_faces, oracle_present
+from helpers import compare_attach_walks, oracle_excess_strings, oracle_matching_faces, oracle_present
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -179,21 +179,16 @@ def test_present_one_pass_per_grid(monkeypatch):
     for alpha, allow_empty in ((3, False), (2, True)):
         for c in counts.values():
             c.clear()
-        skel = present(alpha, allow_empty)
+        present(alpha, allow_empty)
         grids = [grid for *_, grid in enumerate_corner_grids(alpha, allow_empty)]
         # the boundary facet cores are read off the shuffle path cores, and
         # the attachment images each grid from its own shuffle walk
         assert not counts["boundary_image"]
         assert not counts["image_subset"]
         assert not counts["attachment_hypothesis"]
-        # each shuffle path once, each excluded face once, no boundary facet
-        records = {g.grid: g.records for g in skel.generators}
-        assert counts["restrict"] == Counter(
-            {
-                g: comb(g.r + g.s, g.s) + sum(len(rec.excluded) for rec in records.get(g, ()))
-                for g in grids
-            }
-        )
+        # each shuffle path once; the excluded faces and the boundary
+        # facets are read off the path cores
+        assert counts["restrict"] == Counter({g: comb(g.r + g.s, g.s) for g in grids})
     for c in counts.values():
         c.clear()
     argv = [
@@ -283,6 +278,40 @@ def test_present_compares_with_direct_enumeration(monkeypatch, alpha, allow_empt
         present(alpha, allow_empty)
     z = census[-1][0]
     assert exc.value.witness == {"only_direct": [serialize(z)], "only_union": []}
+
+
+@pytest.mark.parametrize(
+    "alpha,allow_empty", [(1, False), (2, False), (3, False), (4, False), (1, True), (2, True), (3, True)]
+)
+def test_attach_walk_matches_restricting_oracle_on_census(alpha, allow_empty):
+    # the census replayed through the walk that reads each excluded face
+    # off the path cores and through the walk that restricts it once more
+    grids = [grid for *_, grid in enumerate_corner_grids(alpha, allow_empty)]
+    attached, bad = compare_attach_walks(grids)
+    assert attached == len(present(alpha, allow_empty).generators)
+    assert bad == 0
+
+
+def test_present_checks_the_union_with_the_image(monkeypatch):
+    # a walk that adds one member fewer, or one outside the image, is caught
+    real = presentation_mod.attach_walk
+    outside = MapString(9)
+
+    def fewer(current, *args):
+        records, added = real(current, *args)
+        current.discard(added[-1])
+        return records, added[:-1]
+
+    def more(current, *args):
+        records, added = real(current, *args)
+        current.add(outside)
+        return records, added + [outside]
+
+    for walk in (fewer, more):
+        monkeypatch.setattr(presentation_mod, "attach_walk", walk)
+        with pytest.raises(CertificateError) as info:
+            present(2)
+        assert str(info.value) == "attachment result is not the union with the image"
 
 
 def test_present_json_deterministic():

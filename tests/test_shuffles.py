@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -16,20 +17,24 @@ from finsimp import (
     is_saturated,
 )
 from finsimp.errors import CertificateError, HypothesisError, InputError
+from finsimp.finmap import MapClass, all_maps
 from finsimp.grids import (
     CornerData,
     boundary_image,
     complete_from_corner,
     corner_from_string,
+    corner_of,
     enumerate_corner_grids,
+    path_cores,
 )
-from finsimp.shuffles import _excluded_faces, hasse_edges, poset_dot
-from finsimp.strings import StringComplex
+from finsimp.shuffles import _excluded_faces, _recover_gaps, attach_walk, hasse_edges, poset_dot
+from finsimp.strings import StringComplex, face
 
 import helpers
 from helpers import (
     chain_in_boundary,
     iter_chains,
+    oracle_attach_walk,
     oracle_excluded_faces,
     oracle_horn_certificate,
     prior_subcomplex,
@@ -325,6 +330,148 @@ def test_one_past_per_shuffle():
                 assert faces - overlap == missing
                 assert set(_excluded_faces(sh.word)) == missing
                 assert certified[sh.word] == missing
+
+
+def test_attach_walk_matches_restricting_oracle_on_proper_grids():
+    # from the boundary image, as attach_diagram walks with stop=set():
+    # reading the excluded faces off the path cores gives the records and
+    # the members of the walk that restricts each excluded face
+    def anomaly(message, witness):
+        raise CertificateError(message, witness)
+
+    for n in range(7):
+        for r in range(n + 1):
+            grid = _proper_grid(r, n - r)
+            shuffles = enumerate_shuffles(r, n - r)
+            cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
+            new, old = set(boundary_image(grid).members), set(boundary_image(grid).members)
+            got = attach_walk(new, cores, shuffles, anomaly, set())
+            want = oracle_attach_walk(old, grid, cores, shuffles, anomaly, set())
+            assert got[0] == want[0]
+            assert [rec.status for rec in got[0]] == ["attached"] * len(shuffles)
+            assert len(got[1]) == len(set(got[1])) and set(got[1]) == set(want[1])
+            assert new == old
+
+
+def _class_pattern(word, T):
+    """The map classes along excluded face ``T``, bottom up: a single H move
+    stays properly injective, a single V move properly surjective, and a
+    composed gap is neither."""
+    out = []
+    for a, b in zip(T, T[1:]):
+        if b - a == 1:
+            out.append(MapClass.PROPER_INJECTIVE if word[a] == "H" else MapClass.PROPER_SURJECTIVE)
+        else:
+            out.append(MapClass.NEITHER)
+    return tuple(out)
+
+
+def _string_of_pattern(pattern):
+    """A string whose maps have the given classes, bottom up."""
+    c = 2 * len(pattern) + 2
+    card0, maps = c, []
+    for cls in pattern:
+        if cls is MapClass.PROPER_INJECTIVE:
+            maps.append(FinMap(c - 1, c, tuple(range(c - 1))))
+            c -= 1
+        elif cls is MapClass.PROPER_SURJECTIVE:
+            maps.append(FinMap(c + 1, c, (0,) + tuple(range(c))))
+            c += 1
+        else:
+            maps.append(FinMap(c, c, (0,) * c))
+    return MapString(card0, tuple(maps))
+
+
+def test_excluded_faces_of_one_size_have_distinct_class_patterns():
+    # the lemma behind check iii: with position 0 in T (check a), the class
+    # of each step fixes the next position, so the face strings of two
+    # excluded faces of one size differ in class and so in core
+    pairs = 0
+    for n in range(2, 9):
+        for r in range(1, n):
+            for sh in enumerate_shuffles(r, n - r):
+                full = tuple(range(n + 1))
+                proper = [T for T in _excluded_faces(sh.word) if T != full]
+                by_size = {}
+                for T in proper:
+                    by_size.setdefault(len(T), []).append(T)
+                for faces in by_size.values():
+                    patterns = [_class_pattern(sh.word, T) for T in faces]
+                    assert len(set(patterns)) == len(faces)
+                    for T1, pattern in zip(faces, patterns):
+                        w = _string_of_pattern(pattern)
+                        _recover_gaps(sh, w, T1)
+                        for T2 in faces:
+                            if T2 == T1:
+                                continue
+                            pairs += 1
+                            with pytest.raises(CertificateError) as info:
+                                _recover_gaps(sh, w, T2)
+                            assert str(info.value) == (
+                                "face string classes do not determine the excluded face"
+                            )
+    assert pairs
+
+
+def _corner_chains(c, k, injective):
+    """Every chain of ``k`` injections into, or surjections out of, a set
+    of ``c`` elements, bijections included."""
+    if k == 0:
+        yield ()
+        return
+    for c2 in range(c + 1):
+        for f in all_maps(c2, c) if injective else all_maps(c, c2):
+            if f.is_injective if injective else f.is_surjective:
+                for rest in _corner_chains(c2, k - 1, injective):
+                    yield (f,) + rest
+
+
+def test_corner_faces_are_read_off_the_maximal_path_core():
+    # the corner string is the restriction of the maximal shuffle, so the
+    # membership of its faces is read off that path core, also where a
+    # bijection makes the core drop degree
+    checked = 0
+    for c, r, s in itertools.product(range(3), range(3), range(3)):
+        for top in _corner_chains(c, r, True):
+            for left in _corner_chains(c, s, False):
+                grid = complete_from_corner(CornerData(c, top, left))
+                y = corner_of(grid).to_string()
+                image = sorted(image_subset(grid).members, key=MapString.sort_key)
+                for C in (
+                    StringComplex(frozenset()),
+                    boundary_image(grid),
+                    StringComplex(frozenset(image)),
+                    StringComplex(frozenset(image[::2])),
+                ):
+                    want = [C.contains(face(y, i)) for i in range(y.degree + 1)] if y.degree else []
+                    assert attachment_hypothesis(C, grid)["corner_faces_in_complex"] == want
+                    checked += 1
+    assert checked == 1032
+
+
+def test_attach_diagram_checks_the_union_with_the_image(monkeypatch):
+    # a walk that adds one member fewer, or one outside the image, is caught
+    import finsimp.shuffles as shuffles_mod
+
+    real = shuffles_mod.attach_walk
+    outside = MapString(9)
+
+    def fewer(current, *args):
+        records, added = real(current, *args)
+        current.discard(added[-1])
+        return records, added[:-1]
+
+    def more(current, *args):
+        records, added = real(current, *args)
+        current.add(outside)
+        return records, added + [outside]
+
+    grid = _proper_grid(2, 1)
+    for walk in (fewer, more):
+        monkeypatch.setattr(shuffles_mod, "attach_walk", walk)
+        with pytest.raises(CertificateError) as info:
+            attach_diagram(boundary_image(grid), grid)
+        assert str(info.value) == "attachment result is not the union with the image"
 
 
 def test_second_round_cores_no_face(monkeypatch):
