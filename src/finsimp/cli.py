@@ -249,7 +249,7 @@ def _cmd_attach(args) -> int:
         raise InputError("--subset and --grid cannot both read stdin ('-')")
     C = _complex_from_json(_read_json(args.subset, "subset"), "subset")
     grid = grid_from_json(_read_json(args.grid, "grid"), "grid")
-    # one restriction of each shuffle path serves both the report and the walk
+    # one walk of the shuffle-path trie serves both the report and the attachment
     paths = path_cores(grid)
     hypothesis = _attachment_hypothesis(C, grid, paths)
     result, records = _attach_diagram(C, grid, None, paths)

@@ -15,18 +15,23 @@ A grid is checked once, where it enters: ``grid_from_json`` and
 The image of a grid is the face closure of the cores of its
 ``C(r+s, s)`` shuffle paths: every chain of the cell poset lies on some
 shuffle path, so its restriction is an iterated face of a path
-restriction.  Every image is read off ``path_cores``, which restricts each
-path once and also reports where the core of each face of the restriction
-sits, so ``boundary_cores`` reads the core of every boundary facet off the
-path cores without restricting the facet.  ``defect_subcomplex`` and
+restriction.  Every image is read off ``path_cores``, one depth-first walk
+of the trie of the shuffle paths that carries the state of
+``canonicalize`` along each prefix: a path is never restricted, cored or
+canonicalized, and a bijective step only moves the top frontier, since the
+core merges the levels a bijection joins.  The walk also reports where the
+core of each face of a path's restriction sits, so ``boundary_cores`` reads
+the core of every boundary facet off the path cores without restricting
+the facet.  ``restrict`` stays for ``complete_from_staircase`` and the
+tests.  ``defect_subcomplex`` and
 ``is_accessible`` grow one member set and walk only what each image adds
 to it, as the replay of ``present`` does.  No chain table is kept on a
 grid, and ``arrow`` composes on demand.
 
 ``enumerate_corner_grids`` sorts the corner strings and completes each grid
 only when it is taken, so no grid outlives its use.  The shuffle paths and
-their boundary facet positions are cached per ``(r, s)``, and
-``is_saturated`` looks up ``core(saturate(z))`` for every member in a memo
+their boundary facet positions are cached per ``(r, s)``, what the path
+walk reads off a grid map is cached per map, and ``is_saturated`` looks up ``core(saturate(z))`` for every member in a memo
 keyed by the member; the replay of ``present`` looks up only the members
 added since its last check, in the same memo.
 """
@@ -42,6 +47,10 @@ from .finmap import from_json as finmap_from_json
 from .strings import (
     MapString,
     StringComplex,
+    _block,
+    _expand,
+    _intern,
+    _resolve,
     _unchecked_string,
     canonical_extensions,
     canonicalize,  # unused here; perfbench's tracer test checks this binding
@@ -52,7 +61,6 @@ from .strings import (
     extension_table,
     face_closure,
     face_cores,
-    interned_core,
     saturate,
     serialize,
 )
@@ -292,16 +300,80 @@ def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
     return tuple(kx for ch, kx in facets.items() if ch)
 
 
+@lru_cache(maxsize=None)
+def _move(f: FinMap) -> tuple:
+    """What the path walk needs of a grid map ``f``: its fiber vector, the
+    children of each element of its target, whether it is bijective, and
+    its cardinalities; built once per map."""
+    children = [[] for _ in range(f.dst)]
+    for j, v in enumerate(f.img):
+        children[v].append(j)
+    fiber = tuple(map(len, children))
+    return fiber, tuple(map(tuple, children)), f.src == f.dst and all(fiber), f.src, f.dst
+
+
+# The face-core positions of each pattern of bijective flags.
+_face_indices = lru_cache(maxsize=None)(core_face_indices)
+
+
 def path_cores(grid: GridDiagram) -> tuple[tuple[MapString, tuple[int | None, ...]], ...]:
-    """Restrict each shuffle path of the grid once, in shuffle order.
+    """The core of the restriction of each shuffle path, in shuffle order,
+    from one depth-first walk of the trie of the paths.
 
     Per path: the interned core of its restriction, and where the core of
     each face of the restriction sits (``core_face_indices``).
+
+    Every path starts at cell ``(0, 0)``; a step ``H`` adds
+    ``horiz[i][j]`` and a step ``V`` adds ``vert[i][j]``, and taking ``H``
+    before ``V`` reaches the paths in ``enumerate_shuffles`` order.  The walk
+    carries the state ``canonicalize`` carries along a string (the canonical
+    blocks so far and the frontier of the top level) together with the
+    bijective flags, so each prefix is canonicalized once for all the paths
+    that share it.  A non-bijective step resolves the frontier by its fiber
+    vector and appends the block.  A bijective step only moves the frontier
+    through ``_expand``: ``core`` merges the levels a bijection joins, and a
+    bijection maps the admissible orders of one level onto the next, so the
+    core gets no block for it.  No path is restricted, cored or
+    canonicalized.
     """
+    r, s = grid.r, grid.s
+    # moves[i][j]: the steps out of cell (i, j), H first, with the cell reached
+    moves = [
+        [
+            ([_move(grid.horiz[i][j]) + (i + 1, j)] if i < r else [])
+            + ([_move(grid.vert[i][j]) + (i, j + 1)] if j < s else [])
+            for j in range(s + 1)
+        ]
+        for i in range(r + 1)
+    ]
+    card0 = grid.card(0, 0)
+    blocks: list[FinMap] = []
+    by_vec: dict[tuple, FinMap] = {}
+    flags: list[bool] = []
     out = []
-    for p in _shuffle_paths(grid.r, grid.s):
-        y = restrict(grid, p)
-        out.append((interned_core(y), core_face_indices(y)))
+
+    def walk(i: int, j: int, frontier: list) -> None:
+        steps = moves[i][j]
+        if not steps:
+            z = _intern(_unchecked_string(card0, tuple(blocks)))
+            out.append((z, _face_indices(tuple(flags))))
+            return
+        for fiber, children, bijective, src, dst, i2, j2 in steps:
+            flags.append(bijective)
+            if bijective:
+                walk(i2, j2, _expand(frontier, children))
+            else:
+                vec, resolved = _resolve(frontier, fiber)
+                block = by_vec.get(vec)
+                if block is None:
+                    block = by_vec[vec] = _block(src, dst, vec)
+                blocks.append(block)
+                walk(i2, j2, _expand(resolved, children))
+                blocks.pop()
+            flags.pop()
+
+    # an empty level has no parts, so its frontier is empty
+    walk(0, 0, [tuple(range(card0))] if card0 else [])
     return tuple(out)
 
 

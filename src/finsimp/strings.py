@@ -38,9 +38,10 @@ Values are validated at the boundary.  ``MapString(...)`` checks that its
 maps compose, and ``string_from_json``, ``extension_table`` and the other
 public constructors keep doing so; a string derived from valid strings is
 valid by construction, so ``face``, ``canonicalize``,
-``canonical_extensions``, ``saturate`` and ``grids.restrict`` build theirs
-with ``_unchecked_string``, and ``canonicalize`` builds its blocks with
-``finmap._unchecked_map``.
+``canonical_extensions``, ``saturate``, ``grids.restrict`` and
+``grids.path_cores`` build theirs with ``_unchecked_string``, and
+``canonicalize`` and ``grids.path_cores`` build their blocks with
+``_block``, through ``finmap._unchecked_map``.
 
 The census carries what it already knows about each string: its defect,
 and its top runs ``(inj_run, surj_run, junction)``, the properly injective
@@ -260,6 +261,14 @@ def _expand(parts: list, children: list[list[int]]) -> list:
     return out
 
 
+def _block(src: int, dst: int, vec: tuple[int, ...]) -> FinMap:
+    """The sorted block ``0^c0 1^c1 ...`` of the fiber vector ``vec``."""
+    block: list[int] = []
+    for i, c in enumerate(vec):
+        block += [i] * c
+    return _unchecked_map(src, dst, tuple(block))
+
+
 def canonicalize(z: MapString) -> MapString:
     """Lexicographically minimal relabeling of ``z``.
 
@@ -290,10 +299,7 @@ def canonicalize(z: MapString) -> MapString:
         for j, v in enumerate(f.img):
             children[v].append(j)
         vec, frontier = _resolve(frontier, [len(ch) for ch in children])
-        block: list[int] = []
-        for i, c in enumerate(vec):
-            block += [i] * c
-        maps.append(_unchecked_map(f.src, f.dst, tuple(block)))
+        maps.append(_block(f.src, f.dst, vec))
         frontier = _expand(frontier, children)
     return _unchecked_string(z.card0, tuple(maps))
 
@@ -432,34 +438,41 @@ def interned_core(z: MapString) -> MapString:
 
 def face_cores(z: MapString) -> tuple[MapString, ...]:
     """The interned cores of the faces of the interned core ``z``, in face
-    order; computed once per class and shared by every caller."""
+    order; computed once per class and shared by every caller.
+
+    The top face of a canonical nondegenerate string is its prefix, which
+    is canonical by the prefix lemma and keeps no bijection, so it is its
+    own core and is interned without coring."""
     faces = _face_cores.get(z)
     if faces is None:
         faces = ()
-        if z.degree:
-            faces = tuple(_intern(core(face(z, i))[0]) for i in range(z.degree + 1))
+        t = z.degree
+        if t:
+            faces = tuple(_intern(core(face(z, i))[0]) for i in range(t))
+            faces += (_intern(face(z, t)),)
         _face_cores[z] = faces
     return faces
 
 
-def core_face_indices(z: MapString) -> tuple[int | None, ...]:
-    """Where the core of each face of ``z`` sits, per face index ``x``:
-    ``None`` when it is the core of ``z`` itself, else the index ``x'`` with
-    ``core(face(z, x))[0] == face_cores(interned_core(z))[x']``.
+def core_face_indices(bijective) -> tuple[int | None, ...]:
+    """Where the core of each face of a string sits, given whether each of
+    its maps is bijective (``bijective[k]`` for ``maps[k]``), per face index
+    ``x``: ``None`` when it is the core of the string itself, else the index
+    ``x'`` with ``core(face(z, x))[0] == face_cores(interned_core(z))[x']``.
 
     ``core`` merges each run of levels joined by bijective maps into one
     level.  Dropping a level that shares its run leaves a degeneracy of the
     same core (``d_j s_j = d_{j+1} s_j = id``); dropping a level alone in
     its run is the face at that run's index.
     """
-    bij = [f.is_bijective for f in z.maps]
+    t = len(bijective)
     out = []
     k = -1
-    for x in range(z.degree + 1):
-        below = x > 0 and bij[x - 1]
+    for x in range(t + 1):
+        below = x > 0 and bijective[x - 1]
         if not below:
             k += 1
-        out.append(None if below or (x < z.degree and bij[x]) else k)
+        out.append(None if below or (x < t and bijective[x]) else k)
     return tuple(out)
 
 

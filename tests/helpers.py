@@ -9,7 +9,8 @@ set-of-faces past and horn certificate kept as oracles for the bitmask
 versions in ``finsimp.shuffles``, the whole-complex replay kept as an
 oracle for the incremental replay of ``present``, the walk that restricts
 each excluded face kept as an oracle for the ``attach_walk`` that reads
-the excluded faces off the path cores, the
+the excluded faces off the path cores, the restricting ``path_cores`` kept
+as an oracle for the walk of the shuffle-path trie, the
 canonicalize-then-dedupe censuses kept as oracles for the orderly
 generation of ``enumerate_nondegenerate`` and ``_corner_strings``, the
 ``json.dumps`` body kept as an oracle for the hand-written ``serialize``,
@@ -20,6 +21,7 @@ kept as an oracle for ``excess_strings``."""
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +29,7 @@ from finsimp import FinMap, MapString, StringComplex, canonicalize, compose, cor
 from finsimp.errors import CertificateError, InputError
 from finsimp.finmap import all_maps
 from finsimp.grids import (
+    CornerData,
     GridDiagram,
     _boundary_positions,
     _corner_strings,
@@ -53,7 +56,14 @@ from finsimp.shuffles import (
     horn_certificate,
     is_inner_generalized_horn,
 )
-from finsimp.strings import enumerate_nondegenerate, face, face_closure, serialize
+from finsimp.strings import (
+    core_face_indices,
+    enumerate_nondegenerate,
+    face,
+    face_closure,
+    interned_core,
+    serialize,
+)
 
 
 def assert_rebuilds(z) -> None:
@@ -290,6 +300,80 @@ def oracle_chain_cores(grid) -> dict:
         maps = tuple(oracle_arrow(grid, b, a) for a, b in zip(ch, ch[1:]))
         out[ch] = core(MapString(grid.card(*ch[0]), maps))[0]
     return out
+
+
+def proper_grid(r, s):
+    """A grid of shape (r, s) whose every arrow is proper, so every shuffle
+    restricts to a nondegenerate string; needs corner cardinality r+s+1."""
+    c = r + s + 1
+    top = tuple(FinMap(c - 1 - k, c - k, tuple(range(c - 1 - k))) for k in range(r))
+    left = tuple(FinMap(c - k, c - k - 1, (0,) + tuple(range(c - k - 1))) for k in range(s))
+    return complete_from_corner(CornerData(c, top, left))
+
+
+def relabel_grid(grid, rng: random.Random) -> GridDiagram:
+    """The same grid with every cell relabelled by a random bijection, so
+    its bijective arrows are no longer identities; validated."""
+
+    def perm(n):
+        p = list(range(n))
+        rng.shuffle(p)
+        return p
+
+    perms = [[perm(grid.card(i, j)) for j in range(grid.s + 1)] for i in range(grid.r + 1)]
+
+    def moved(f, src, dst):
+        img = [0] * f.src
+        for x, y in enumerate(f.img):
+            img[src[x]] = dst[y]
+        return FinMap(f.src, f.dst, tuple(img))
+
+    horiz = tuple(
+        tuple(moved(f, perms[i + 1][j], perms[i][j]) for j, f in enumerate(col))
+        for i, col in enumerate(grid.horiz)
+    )
+    vert = tuple(
+        tuple(moved(f, perms[i][j + 1], perms[i][j]) for j, f in enumerate(col))
+        for i, col in enumerate(grid.vert)
+    )
+    out = GridDiagram(grid.r, grid.s, grid.cards, horiz, vert)
+    out.validate()
+    return out
+
+
+def oracle_path_cores(grid) -> tuple[tuple[MapString, tuple[int | None, ...]], ...]:
+    """``path_cores`` as it restricted each shuffle path once and cored the
+    restriction from scratch."""
+    out = []
+    for p in _shuffle_paths(grid.r, grid.s):
+        y = restrict(grid, p)
+        out.append((interned_core(y), core_face_indices([f.is_bijective for f in y.maps])))
+    return tuple(out)
+
+
+def compare_path_cores(grids) -> tuple[int, int, int, Counter]:
+    """Compare ``path_cores`` with ``oracle_path_cores`` on each grid, as
+    tuples in shuffle order and core by core as the same interned object.
+    Returns the number of grids, of paths and of grids that disagree, and
+    where the bijective steps of the paths of degree 3 or more sat:
+    ``bottom`` (the first map), ``top`` (the last) or ``middle``, and under
+    ``relabelling`` how many of all bijective steps were not identities."""
+    grids_seen = paths = bad = 0
+    bijective: Counter = Counter()
+    for grid in grids:
+        got, want = path_cores(grid), oracle_path_cores(grid)
+        grids_seen += 1
+        paths += len(want)
+        bad += got != want or any(a[0] is not b[0] for a, b in zip(got, want))
+        for p in _shuffle_paths(grid.r, grid.s):
+            t = len(p) - 1
+            for k, (a, b) in enumerate(zip(p, p[1:])):
+                f = grid.arrow(b, a)
+                if f.is_bijective:
+                    bijective["relabelling"] += f.img != tuple(range(f.src))
+                    if t >= 3:
+                        bijective["bottom" if k == 0 else "top" if k == t - 1 else "middle"] += 1
+    return grids_seen, paths, bad, bijective
 
 
 def oracle_boundary_facets(r: int, s: int) -> list[tuple[tuple[int, int], ...]]:

@@ -1,5 +1,7 @@
 import itertools
+import json
 import pathlib
+import random
 
 import pytest
 
@@ -40,6 +42,7 @@ from helpers import (
     are_isomorphic,
     assert_rebuilds,
     chain_in_boundary,
+    compare_path_cores,
     iter_chains,
     oracle_arrow,
     oracle_boundary_facets,
@@ -48,6 +51,8 @@ from helpers import (
     oracle_corner_grids,
     oracle_corner_strings,
     oracle_is_accessible,
+    proper_grid,
+    relabel_grid,
 )
 
 
@@ -558,6 +563,44 @@ def test_censuses_call_no_canonicalize(monkeypatch):
     assert enumerate_nondegenerate(3, 4, True)[-1]
     assert enumerate_nondegenerate(4, 8, max_defect=4)[4]
     assert _corner_strings(4, True)
+
+
+def test_path_cores_match_restricting_oracle():
+    # the walk of the shuffle-path trie gives the oracle's tuples, in
+    # shuffle order and as the same interned objects, on every corner grid
+    # with alpha <= 4, on the all-proper grids and on the attach fixtures;
+    # a completed grid's bijections are identities, so every corner grid
+    # is also checked with each cell relabelled at random
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    rng = random.Random(20)
+    census = [
+        g for alpha in range(5) for ae in (False, True) for *_, g in enumerate_corner_grids(alpha, ae)
+    ]
+    grids_in = census + [relabel_grid(g, rng) for g in census]
+    grids_in += [proper_grid(r, n - r) for n in range(7) for r in range(n + 1)]
+    grids_in += [
+        grid_from_json(json.loads(p.read_text())) for p in sorted(fixtures.glob("attach_grid_*.json"))
+    ]
+    checked, paths, bad, bijective = compare_path_cores(grids_in)
+    assert (checked, bad) == (len(grids_in), 0)
+    assert paths == 14125
+    # a bijective step moves only the frontier: the walk met one at the
+    # bottom, in the middle and at the top of a path, and bijections that
+    # permute their cells
+    assert bijective["bottom"] and bijective["middle"] and bijective["top"]
+    assert bijective["relabelling"]
+
+
+def test_path_cores_restrict_core_and_canonicalize_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"called on {args}")
+
+    for name in ("restrict", "core", "canonicalize"):
+        for mod in (strings, grids):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    walked = [path_cores(g) for *_, g in enumerate_corner_grids(3)]
+    assert len(walked) == 29 and all(walked)
 
 
 @pytest.mark.parametrize("alpha,allow_empty", [(3, False), (2, True)])

@@ -6,7 +6,6 @@ import sys
 import types
 from collections import Counter
 from contextlib import redirect_stdout
-from math import comb
 
 import pytest
 
@@ -41,6 +40,7 @@ from finsimp.grids import (
     enumerate_corner_grids,
     image_subset,
     is_saturated,
+    path_cores,
     restrict,
 )
 import finsimp.presentation as presentation_mod
@@ -174,7 +174,8 @@ def _count_grid_calls(monkeypatch, fns):
 
 def test_present_one_pass_per_grid(monkeypatch):
     counts = _count_grid_calls(
-        monkeypatch, [boundary_image, boundary_cores, image_subset, attachment_hypothesis, restrict]
+        monkeypatch,
+        [boundary_image, boundary_cores, image_subset, attachment_hypothesis, path_cores, restrict],
     )
     for alpha, allow_empty in ((3, False), (2, True)):
         for c in counts.values():
@@ -186,9 +187,11 @@ def test_present_one_pass_per_grid(monkeypatch):
         assert not counts["boundary_image"]
         assert not counts["image_subset"]
         assert not counts["attachment_hypothesis"]
-        # each shuffle path once; the excluded faces and the boundary
-        # facets are read off the path cores
-        assert counts["restrict"] == Counter({g: comb(g.r + g.s, g.s) for g in grids})
+        # one walk of the shuffle-path trie per grid, which restricts no
+        # path; the excluded faces and the boundary facets are read off the
+        # path cores
+        assert counts["path_cores"] == Counter({g: 1 for g in grids})
+        assert not counts["restrict"]
     for c in counts.values():
         c.clear()
     argv = [

@@ -38,6 +38,7 @@ from helpers import (
     oracle_excluded_faces,
     oracle_horn_certificate,
     prior_subcomplex,
+    proper_grid,
 )
 
 
@@ -293,15 +294,6 @@ def test_attach_wide_grid():
     assert all(rec.to_json()["checks"].get("iii_excluded_faces_distinct", True) for rec in attached)
 
 
-def _proper_grid(r, s):
-    """A grid of shape (r, s) whose every arrow is proper, so every shuffle
-    restricts to a nondegenerate string; needs corner cardinality r+s+1."""
-    c = r + s + 1
-    top = tuple(FinMap(c - 1 - k, c - k, tuple(range(c - 1 - k))) for k in range(r))
-    left = tuple(FinMap(c - k, c - k - 1, (0,) + tuple(range(c - k - 1))) for k in range(s))
-    return complete_from_corner(CornerData(c, top, left))
-
-
 def test_one_past_per_shuffle():
     # three views of the faces outside a shuffle's past must agree: what
     # attach_diagram certifies, what the materialized prior subcomplex
@@ -313,7 +305,7 @@ def test_one_past_per_shuffle():
         full = tuple(range(n + 1))
         for r in range(1, n):
             s = n - r
-            grid = _proper_grid(r, s)
+            grid = proper_grid(r, s)
             _, records = attach_diagram(boundary_image(grid), grid)
             assert [rec.status for rec in records] == ["attached"] * len(records)
             certified = {rec.sigma: set(rec.excluded) | {full} for rec in records}
@@ -341,7 +333,7 @@ def test_attach_walk_matches_restricting_oracle_on_proper_grids():
 
     for n in range(7):
         for r in range(n + 1):
-            grid = _proper_grid(r, n - r)
+            grid = proper_grid(r, n - r)
             shuffles = enumerate_shuffles(r, n - r)
             cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
             new, old = set(boundary_image(grid).members), set(boundary_image(grid).members)
@@ -466,7 +458,7 @@ def test_attach_diagram_checks_the_union_with_the_image(monkeypatch):
         current.add(outside)
         return records, added + [outside]
 
-    grid = _proper_grid(2, 1)
+    grid = proper_grid(2, 1)
     for walk in (fewer, more):
         monkeypatch.setattr(shuffles_mod, "attach_walk", walk)
         with pytest.raises(CertificateError) as info:
@@ -487,8 +479,8 @@ def test_second_round_cores_no_face(monkeypatch):
             super().__setitem__(z, faces)
 
     monkeypatch.setattr(strings_mod, "_face_cores", Recording())
-    C0 = boundary_image(_proper_grid(2, 1))
-    grid = _proper_grid(2, 1)  # an equal grid, built anew
+    C0 = boundary_image(proper_grid(2, 1))
+    grid = proper_grid(2, 1)  # an equal grid, built anew
 
     def one_round():
         image_subset(grid)
@@ -607,7 +599,7 @@ def test_every_certificate_check_can_fail(monkeypatch, word, past, message):
 def test_attach_refuses_simplex_in_own_past(monkeypatch):
     import finsimp.shuffles as shuffles_mod
 
-    grid = _proper_grid(1, 1)
+    grid = proper_grid(1, 1)
     monkeypatch.setattr(shuffles_mod, "_excluded_faces", lambda w: ((0, 1),))
     with pytest.raises(CertificateError) as info:
         attach_diagram(boundary_image(grid), grid)

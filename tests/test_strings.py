@@ -17,7 +17,7 @@ from finsimp import (
 )
 from finsimp.errors import InputError
 from finsimp.finmap import identity
-from finsimp.grids import _corner_strings
+from finsimp.grids import _corner_strings, defect_subcomplex
 from finsimp.presentation import _top_runs
 from finsimp.strings import (
     StringComplex,
@@ -392,11 +392,26 @@ def test_core_face_indices_locate_face_cores():
         if z.degree == 0:
             continue
         base = interned_core(z)
-        where = core_face_indices(z)
+        where = core_face_indices([f.is_bijective for f in z.maps])
         assert len(where) == z.degree + 1
         for x, i in enumerate(where):
             got = base if i is None else face_cores(base)[i]
             assert got == core(face(z, x))[0]
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_top_face_core_is_the_interned_prefix(allow_empty):
+    # by the prefix lemma the top face of a canonical nondegenerate string
+    # is its own core, so face_cores interns it without coring it
+    tops = 0
+    for z in defect_subcomplex(4, allow_empty).members:
+        if z.degree == 0:
+            continue
+        top = face(z, z.degree)
+        assert face_cores(z)[-1] is interned_core(top)
+        assert face_cores(z)[-1] == core(top)[0]
+        tops += 1
+    assert tops > 500
 
 
 def test_face_closure_stops_at_a_closed_set():
