@@ -24,7 +24,6 @@ from .grids import (
     complete_from_corner,
     complete_from_staircase,
     corner_from_string,
-    corner_of,
     defect_subcomplex,
     enumerate_corner_grids,
     image_subset,

@@ -30,10 +30,15 @@ grid, and ``arrow`` composes on demand.
 
 ``enumerate_corner_grids`` sorts the corner strings and completes each grid
 only when it is taken, so no grid outlives its use.  The shuffle paths and
-their boundary facet positions are cached per ``(r, s)``, what the path
-walk reads off a grid map is cached per map, and ``is_saturated`` looks up ``core(saturate(z))`` for every member in a memo
-keyed by the member; the replay of ``present`` looks up only the members
-added since its last check, in the same memo.
+their boundary facet positions are cached per ``(r, s)``, and what the
+path walk reads off a grid map is cached per map.  ``is_saturated`` looks
+up ``core(saturate(z))`` for every member in a memo keyed by the member,
+and the replay of ``present`` looks up only the members added since its
+last check, in the same memo.  ``defect_subcomplex`` and ``present`` first
+fill the face-core memo for every member of ``E^alpha``, and ``present``
+the saturation-core memo too, from one walk of the member trie
+(``strings._fill_core_memos``), so their grid loops core nothing; the
+direct census of ``check_against_enumeration`` stays its own.
 """
 
 from __future__ import annotations
@@ -49,19 +54,20 @@ from .strings import (
     StringComplex,
     _block,
     _expand,
+    _fill_core_memos,
     _intern,
+    _move,
     _resolve,
+    _saturation_core,
     _unchecked_string,
     canonical_extensions,
     canonicalize,  # unused here; perfbench's tracer test checks this binding
-    core,
     core_face_indices,
     defect,
     enumerate_nondegenerate,
     extension_table,
     face_closure,
     face_cores,
-    saturate,
     serialize,
 )
 
@@ -199,12 +205,6 @@ def corner_from_string(z: MapString, s: int, r: int) -> CornerData:
     return CornerData(z.cards()[s], top, left)
 
 
-def corner_of(grid: GridDiagram) -> CornerData:
-    top = tuple(grid.horiz_map(i, grid.s) for i in range(grid.r))
-    left = tuple(grid.vert_map(0, j) for j in range(grid.s - 1, -1, -1))
-    return CornerData(grid.card(0, grid.s), top, left)
-
-
 def complete_from_corner(c: CornerData) -> GridDiagram:
     """Fill the grid whose cell ``(i,j)`` is the image of ``(i,s)`` in ``(0,j)``.
 
@@ -298,18 +298,6 @@ def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
             if sum(v[0] == i for v in p) == 1 or sum(v[1] == j for v in p) == 1:
                 facets.setdefault(p[:x] + p[x + 1 :], (k, x))
     return tuple(kx for ch, kx in facets.items() if ch)
-
-
-@lru_cache(maxsize=None)
-def _move(f: FinMap) -> tuple:
-    """What the path walk needs of a grid map ``f``: its fiber vector, the
-    children of each element of its target, whether it is bijective, and
-    its cardinalities; built once per map."""
-    children = [[] for _ in range(f.dst)]
-    for j, v in enumerate(f.img):
-        children[v].append(j)
-    fiber = tuple(map(len, children))
-    return fiber, tuple(map(tuple, children)), f.src == f.dst and all(fiber), f.src, f.dst
 
 
 # The face-core positions of each pattern of bijective flags.
@@ -411,11 +399,6 @@ def boundary_image(grid: GridDiagram) -> StringComplex:
     it is a face of the facet that drops that cell; likewise for columns.
     """
     return StringComplex.closure(boundary_cores(grid, path_cores(grid)))
-
-
-@lru_cache(maxsize=None)
-def _saturation_core(z: MapString) -> MapString:
-    return core(saturate(z))[0]
 
 
 def is_saturated(C: StringComplex) -> bool:
@@ -529,6 +512,7 @@ def defect_subcomplex(alpha: int, allow_empty: bool = False) -> StringComplex:
     replay of the same union.
     """
     _check_alpha(alpha)
+    _fill_core_memos(alpha, allow_empty)
     union: set[MapString] = set()
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
         union |= face_closure((w for w, _ in path_cores(grid)), union)

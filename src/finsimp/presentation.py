@@ -9,8 +9,11 @@ its boundary facets, read off its path cores; its image is walked only
 where it is new; only the members added since the last check are checked
 for saturation; and the union with the image is checked on that new part
 and the added members.  ``verify_skeleton`` replays the generators through
-the same state.  The replayed complex is the grid-image half of the dual
-construction of ``E^alpha`` and is compared with the direct enumeration.
+the same state.  Both first fill the face cores and the saturation cores
+of every member of ``E^alpha`` from one walk of the member trie
+(``strings._fill_core_memos``), so the replay cores nothing.  The
+replayed complex is the grid-image half of the dual construction of
+``E^alpha`` and is compared with the direct enumeration.
 The excess strings (cardinalities bounded, defect above ``alpha``) carry a
 run-length profile that splits them into an upper and a lower class, with
 an inner-face matching between adjacent degrees and a precedence order
@@ -26,13 +29,15 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, HypothesisError, InputError, MatchingError, OrderAuditError
 from .finmap import MapClass, classify, epi_mono_factor
-from .grids import GridDiagram, _check_alpha, _saturation_core, boundary_cores
+from .grids import GridDiagram, _check_alpha, boundary_cores
 from .grids import check_against_enumeration, defect_subcomplex, enumerate_corner_grids, path_cores
 from .shuffles import AttachmentCertificate, attach_walk, enumerate_shuffles
 from .strings import (
     MapString,
     StringComplex,
     _census,
+    _fill_core_memos,
+    _saturation_core,
     canonicalize,
     core,
     defect,
@@ -164,6 +169,7 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     enumeration, and any discrepancy raises.
     """
     _check_alpha(alpha)
+    _fill_core_memos(alpha, allow_empty, saturations=True)
     replay = _Replay()
     gens = []
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
@@ -176,7 +182,12 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
 
 
 def verify_skeleton(skel: PresentationSkeleton) -> bool:
-    """Re-run every attachment and compare certificates field by field."""
+    """Re-run every attachment and compare certificates field by field.
+
+    The alpha of the skeleton is bounded as in ``present``, since the
+    member walk before the replay covers all of ``E^alpha``."""
+    _check_alpha(skel.alpha)
+    _fill_core_memos(skel.alpha, skel.allow_empty, saturations=True)
     replay = _Replay()
     for k, g in enumerate(skel.generators):
         fresh = replay.attach(g.corner, g.r, g.s, g.grid)

@@ -31,6 +31,22 @@ list), and no map's JSON is a prefix of another's, since each holds
 exactly one ``}``, at its end.  So children emitted in parent order, and
 in table order within a parent, come out sorted; only degree 0 is sorted.
 
+The members of ``E^alpha`` (the canonical nondegenerate strings of defect
+at most ``alpha``) form a trie by the prefix lemma, and
+``_fill_core_memos`` walks it once, depth first, carrying the state of
+``canonicalize`` (the canonical blocks so far and the top frontier) for
+each face of a member and for its saturation.  For a child ``w = z + (f,)``
+of degree ``t+1``, face ``i < t`` is face ``i`` of ``z`` extended by ``f``;
+face ``t`` is the prefix of ``z`` extended by the composite of the last two
+maps; face ``t+1`` is ``z``; and the saturation of ``w`` is that of ``z``
+extended by the ``mono`` and then the ``epi`` of ``f``.  Each is one step:
+a non-bijective map resolves the frontier and appends its block, and a
+bijective one only moves the frontier, since ``core`` merges the levels a
+bijection joins.  So each face core and each saturation core costs one
+step, not a ``core``.  The walk fills only the memos of ``face_cores`` and
+``_saturation_core``, which are functions of each string; a string it did
+not reach is cored as before.
+
 Identity is cheap: ``MapString`` caches its dataclass hash lazily, on the
 first ``hash`` call, and ``serialize`` writes the compact JSON by hand.
 
@@ -40,8 +56,8 @@ public constructors keep doing so; a string derived from valid strings is
 valid by construction, so ``face``, ``canonicalize``,
 ``canonical_extensions``, ``saturate``, ``grids.restrict`` and
 ``grids.path_cores`` build theirs with ``_unchecked_string``, and
-``canonicalize`` and ``grids.path_cores`` build their blocks with
-``_block``, through ``finmap._unchecked_map``.
+``canonicalize``, ``grids.path_cores`` and the member walk build their
+blocks with ``_block``, through ``finmap._unchecked_map``.
 
 The census carries what it already knows about each string: its defect,
 and its top runs ``(inj_run, surj_run, junction)``, the properly injective
@@ -56,6 +72,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -365,25 +382,6 @@ def canonical_extensions(z: MapString, frontier: list, table):
             yield _unchecked_string(card0, maps + (e.map,)), _expand(resolved, e.children), e
 
 
-def is_canonical(z: MapString) -> bool:
-    return canonicalize(z) == z
-
-
-def relabel(z: MapString, bijections) -> MapString:
-    """Apply one bijection per level; the tests relabel strings with it."""
-    bijections = [tuple(b) for b in bijections]
-    if len(bijections) != z.degree + 1:
-        raise InputError("need one bijection per level")
-    maps = []
-    for k, f in enumerate(z.maps):
-        phi_dst, phi_src = bijections[k], bijections[k + 1]
-        img = [0] * f.src
-        for j, v in enumerate(f.img):
-            img[phi_src[j]] = phi_dst[v]
-        maps.append(FinMap(f.src, f.dst, tuple(img)))
-    return MapString(z.card0, tuple(maps))
-
-
 def core(z: MapString) -> tuple[MapString, tuple[int, ...]]:
     """Strip bijective maps, yielding the nondegenerate base in canonical form.
 
@@ -419,10 +417,11 @@ def string_from_json(obj, where: str = "string") -> MapString:
         raise InputError(f"{where}: {exc}") from None
 
 
-# Each core met by a closure walk as one shared object, and the cores of
-# its faces in face order.
+# Each core met by a closure walk as one shared object, the cores of its
+# faces in face order, and the core of its saturation.
 _interned: dict[MapString, MapString] = {}
 _face_cores: dict[MapString, tuple[MapString, ...]] = {}
+_saturation_cores: dict[MapString, MapString] = {}
 
 
 def _intern(z: MapString) -> MapString:
@@ -452,6 +451,88 @@ def face_cores(z: MapString) -> tuple[MapString, ...]:
             faces += (_intern(face(z, t)),)
         _face_cores[z] = faces
     return faces
+
+
+def _saturation_core(z: MapString) -> MapString:
+    """``core(saturate(z))[0]`` for ``z`` of degree at least 1, computed
+    once per string."""
+    w = _saturation_cores.get(z)
+    if w is None:
+        w = _saturation_cores[z] = core(saturate(z))[0]
+    return w
+
+
+@lru_cache(maxsize=None)
+def _move(f: FinMap) -> tuple:
+    """What a walk carrying ``canonicalize``'s state needs of a map ``f``:
+    its fiber vector, the children of each element of its target, whether
+    it is bijective, and its cardinalities; built once per map."""
+    children = [[] for _ in range(f.dst)]
+    for j, v in enumerate(f.img):
+        children[v].append(j)
+    fiber = tuple(map(len, children))
+    return fiber, tuple(map(tuple, children)), f.src == f.dst and all(fiber), f.src, f.dst
+
+
+def _fill_core_memos(alpha: int, allow_empty: bool = False, saturations: bool = False) -> None:
+    """Fill ``face_cores``'s memo, and with ``saturations`` that of
+    ``_saturation_core``, for every member of ``E^alpha`` (the canonical
+    nondegenerate strings of defect at most ``alpha``), from one
+    depth-first walk of their trie.
+
+    The walk grows each member from its prefix as the census does and
+    carries ``canonicalize``'s state ``(card0, blocks, frontier)`` for each
+    face of the member and for its saturation; every state of a child is
+    one step from a state of its parent (see the module docstring).  A
+    string that no walk reached still gets its cores from ``core``.
+    """
+    table = _tables(0 if allow_empty else 1, alpha, alpha)
+    by_vec: dict[tuple, FinMap] = {}
+    # keyed by the ids of table entries, which live as long as ``table``
+    steps: dict[int, tuple] = {}
+    joins: dict[tuple[int, int], tuple] = {}
+
+    def step(state: tuple, move: tuple) -> tuple:
+        card0, blocks, frontier = state
+        fiber, children, bijective, src, dst = move
+        if bijective:
+            return card0, blocks, _expand(frontier, children)
+        vec, resolved = _resolve(frontier, fiber)
+        block = by_vec.get(vec)
+        if block is None:
+            block = by_vec[vec] = _block(src, dst, vec)
+        return card0, blocks + (block,), _expand(resolved, children)
+
+    def visit(z: MapString, frontier: list, d: int, faces: list, below: list, sat: tuple, top) -> None:
+        # ``faces``: the states of faces 0..t-1 of ``z``; ``below``: the top
+        # frontier of its prefix; ``top``: the table entry of its top map
+        last = z.maps[-1].src if z.maps else z.card0
+        for w, ahead, e in canonical_extensions(z, frontier, table(last, alpha - d)):
+            w = _intern(w)
+            moves = steps.get(id(e))
+            if moves is None:
+                epi, mono = epi_mono_factor(e.map)
+                moves = steps[id(e)] = (_move(e.map), _move(mono), _move(epi))
+            grown = [step(s, moves[0]) for s in faces]
+            if top is None:
+                grown.append((e.map.src, (), [tuple(range(e.map.src))]))
+            else:
+                joined = joins.get((id(top), id(e)))
+                if joined is None:
+                    joined = joins[id(top), id(e)] = _move(compose(top.map, e.map))
+                grown.append(step((z.card0, z.maps[:-1], below), joined))
+            _face_cores[w] = tuple([_intern(_unchecked_string(c, b)) for c, b, _ in grown]) + (z,)
+            saturated = None
+            if saturations:
+                saturated = step(step(sat, moves[1]), moves[2])
+                _saturation_cores[w] = _intern(_unchecked_string(z.card0, saturated[1]))
+            visit(w, ahead, d + e.inc, grown, frontier, saturated, e)
+
+    for c in range(0 if allow_empty else 1, alpha + 1):
+        z = _intern(MapString(c))
+        _face_cores[z] = ()
+        frontier = [tuple(range(c))]
+        visit(z, frontier, c, [], frontier, (c, (), frontier), None)
 
 
 def core_face_indices(bijective) -> tuple[int | None, ...]:
@@ -547,6 +628,29 @@ class StringComplex:
         return len(self.members)
 
 
+def _tables(lo: int, max_card: int, cap: float):
+    """``table(last, room)``: the ``extension_table`` of top cardinality
+    ``last`` and defect room ``room``, for strings of defect at most
+    ``cap``, built once per pair."""
+    tables: dict[tuple[int, float], list[Extension]] = {}
+
+    def table(last: int, room: float) -> list[Extension]:
+        # a string's defect is at least its top cardinality, so no string
+        # with top ``last`` has more room than ``cap - last``; the tables
+        # for less room keep the same entries
+        t = tables.get((last, room))
+        if t is None:
+            widest = cap - last
+            if room == widest:
+                t = extension_table(last, lo, max_card, room)
+            else:
+                t = [e for e in table(last, widest) if e.inc <= room]
+            tables[last, room] = t
+        return t
+
+    return table
+
+
 def _census(max_card: int, max_degree: int, allow_empty: bool = False, max_defect: int | None = None):
     """The census behind ``enumerate_nondegenerate``, one level per degree,
     each a list of ``(z, frontier, defect, runs)`` sorted by
@@ -567,22 +671,7 @@ def _census(max_card: int, max_degree: int, allow_empty: bool = False, max_defec
     """
     lo = 0 if allow_empty else 1
     cap = float("inf") if max_defect is None else max_defect
-    tables: dict[tuple[int, float], list[Extension]] = {}
-
-    def table(last: int, room: float) -> list[Extension]:
-        # a string's defect is at least its top cardinality, so no string
-        # with top ``last`` has more room than ``cap - last``; the tables
-        # for less room keep the same entries
-        t = tables.get((last, room))
-        if t is None:
-            widest = cap - last
-            if room == widest:
-                t = extension_table(last, lo, max_card, room)
-            else:
-                t = [e for e in table(last, widest) if e.inc <= room]
-            tables[last, room] = t
-        return t
-
+    table = _tables(lo, max_card, cap)
     injective, surjective = MapClass.PROPER_INJECTIVE, MapClass.PROPER_SURJECTIVE
     level = [(MapString(c), [tuple(range(c))], c, (0, 0, None)) for c in range(lo, max_card + 1) if c <= cap]
     level.sort(key=lambda e: serialize(e[0]))

@@ -10,13 +10,16 @@ versions in ``finsimp.shuffles``, the whole-complex replay kept as an
 oracle for the incremental replay of ``present``, the walk that restricts
 each excluded face kept as an oracle for the ``attach_walk`` that reads
 the excluded faces off the path cores, the restricting ``path_cores`` kept
-as an oracle for the walk of the shuffle-path trie, the
-canonicalize-then-dedupe censuses kept as oracles for the orderly
-generation of ``enumerate_nondegenerate`` and ``_corner_strings``, the
+as an oracle for the walk of the shuffle-path trie, the face cores and
+saturation cores cored from scratch kept as oracles for the memos the
+walk of the member trie fills, the canonicalize-then-dedupe censuses kept
+as oracles for the orderly generation of ``enumerate_nondegenerate`` and
+``_corner_strings``, the
 ``json.dumps`` body kept as an oracle for the hand-written ``serialize``,
 the every-inner-face loop kept as an oracle for the cards-first
 ``_matching_faces`` of ``match_excess``, and the ``in_excess`` filter
-kept as an oracle for ``excess_strings``."""
+kept as an oracle for ``excess_strings``.  It also keeps ``relabel``,
+``is_canonical`` and ``corner_of``, which only the tests use."""
 
 import itertools
 import json
@@ -56,12 +59,15 @@ from finsimp.shuffles import (
     horn_certificate,
     is_inner_generalized_horn,
 )
+from finsimp import strings
 from finsimp.strings import (
+    _fill_core_memos,
     core_face_indices,
     enumerate_nondegenerate,
     face,
     face_closure,
     interned_core,
+    saturate,
     serialize,
 )
 
@@ -128,8 +134,6 @@ def are_isomorphic_exhaustive(x: MapString, y: MapString) -> bool:
     """Ground-truth equivalence by trying every tuple of bijections."""
     if x.cards() != y.cards():
         return False
-    from finsimp.strings import relabel
-
     pools = [list(itertools.permutations(range(c))) for c in x.cards()]
     return any(relabel(x, phis) == y for phis in itertools.product(*pools))
 
@@ -195,6 +199,25 @@ def random_string(rng: random.Random, max_degree=5, max_card=4, allow_empty=Fals
             src = cards[k + 1] = 0
         maps.append(FinMap(src, dst, tuple(rng.randrange(dst) for _ in range(src))))
     return MapString(cards[0], tuple(maps))
+
+
+def is_canonical(z: MapString) -> bool:
+    return canonicalize(z) == z
+
+
+def relabel(z: MapString, bijections) -> MapString:
+    """Apply one bijection per level."""
+    bijections = [tuple(b) for b in bijections]
+    if len(bijections) != z.degree + 1:
+        raise InputError("need one bijection per level")
+    maps = []
+    for k, f in enumerate(z.maps):
+        phi_dst, phi_src = bijections[k], bijections[k + 1]
+        img = [0] * f.src
+        for j, v in enumerate(f.img):
+            img[phi_src[j]] = phi_dst[v]
+        maps.append(FinMap(f.src, f.dst, tuple(img)))
+    return MapString(z.card0, tuple(maps))
 
 
 def random_relabeling(rng: random.Random, z: MapString):
@@ -302,6 +325,13 @@ def oracle_chain_cores(grid) -> dict:
     return out
 
 
+def corner_of(grid: GridDiagram) -> CornerData:
+    """The top row and left column of ``grid``."""
+    top = tuple(grid.horiz_map(i, grid.s) for i in range(grid.r))
+    left = tuple(grid.vert_map(0, j) for j in range(grid.s - 1, -1, -1))
+    return CornerData(grid.card(0, grid.s), top, left)
+
+
 def proper_grid(r, s):
     """A grid of shape (r, s) whose every arrow is proper, so every shuffle
     restricts to a nondegenerate string; needs corner cardinality r+s+1."""
@@ -349,6 +379,58 @@ def oracle_path_cores(grid) -> tuple[tuple[MapString, tuple[int | None, ...]], .
         y = restrict(grid, p)
         out.append((interned_core(y), core_face_indices([f.is_bijective for f in y.maps])))
     return tuple(out)
+
+
+def oracle_face_cores(z: MapString) -> tuple[MapString, ...]:
+    """``face_cores`` as it cored every face but the top one from scratch,
+    with no memo and no interning."""
+    t = z.degree
+    if not t:
+        return ()
+    return tuple(core(face(z, i))[0] for i in range(t)) + (face(z, t),)
+
+
+def oracle_saturation_core(z: MapString) -> MapString:
+    """The saturation core of ``z`` as it was computed for every member."""
+    return core(saturate(z))[0]
+
+
+def cold_memos(monkeypatch) -> None:
+    """Give the test empty core memos and intern table; ``monkeypatch``
+    puts the shared ones back afterwards."""
+    for name in ("_interned", "_face_cores", "_saturation_cores"):
+        monkeypatch.setattr(strings, name, {})
+
+
+def compare_core_memos(alpha: int, allow_empty: bool = False) -> tuple[int, int, Counter]:
+    """Fill the face-core and saturation-core memos by the walk of the
+    member trie, which the caller has emptied, and compare them, member by
+    member, with ``oracle_face_cores`` and ``oracle_saturation_core`` on the
+    direct census of ``E^alpha``.
+
+    Returns the number of members, of members whose memo entries are
+    missing, unequal or not interned, and a Counter of the memo keys that
+    are no members (``extra``) and of the cores that lost a bijection:
+    ``face`` for the faces, ``saturation`` for the saturations."""
+    _fill_core_memos(alpha, allow_empty, saturations=True)
+    faces, saturations = strings._face_cores, strings._saturation_cores
+    levels = enumerate_nondegenerate(alpha, alpha * (alpha + 2), allow_empty, alpha)
+    members = {z for level in levels for z in level}
+    bad = 0
+    seen: Counter = Counter()
+    seen["extra"] = len(set(faces) - members) + len(set(saturations) - members)
+    for z in members:
+        got = faces.get(z)
+        want = oracle_face_cores(z)
+        ok = got == want and all(w is strings._interned.get(w) for w in got)
+        seen["face"] += sum(w.degree < z.degree - 1 for w in want)
+        if z.degree:
+            got = saturations.get(z)
+            want = oracle_saturation_core(z)
+            ok = ok and got == want and got is strings._interned.get(got)
+            seen["saturation"] += want.degree < 2 * z.degree
+        bad += not ok
+    return len(members), bad, seen
 
 
 def compare_path_cores(grids) -> tuple[int, int, int, Counter]:

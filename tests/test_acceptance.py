@@ -34,9 +34,9 @@ from finsimp import (
 )
 from finsimp.errors import CertificateError, StaircaseDefectError
 from finsimp.finmap import all_maps
-from finsimp.strings import enumerate_nondegenerate, relabel, serialize
+from finsimp.strings import enumerate_nondegenerate, serialize
 
-from helpers import are_isomorphic, random_relabeling, random_string, raw_strings
+from helpers import are_isomorphic, random_relabeling, random_string, raw_strings, relabel
 from test_presentation import _raw_corner_count
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

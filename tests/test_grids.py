@@ -31,7 +31,6 @@ from finsimp.grids import (
     boundary_cores,
     boundary_image,
     corner_from_string,
-    corner_of,
     enumerate_corner_grids,
     grid_from_json,
     path_cores,
@@ -43,6 +42,7 @@ from helpers import (
     assert_rebuilds,
     chain_in_boundary,
     compare_path_cores,
+    corner_of,
     iter_chains,
     oracle_arrow,
     oracle_boundary_facets,

@@ -54,8 +54,16 @@ from finsimp.presentation import (
     match_partner,
     profile_of,
 )
+import finsimp.grids as grids_mod
+import finsimp.strings as strings_mod
 from finsimp.strings import StringComplex, _census, serialize
-from helpers import compare_attach_walks, oracle_excess_strings, oracle_matching_faces, oracle_present
+from helpers import (
+    cold_memos,
+    compare_attach_walks,
+    oracle_excess_strings,
+    oracle_matching_faces,
+    oracle_present,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -245,6 +253,27 @@ def test_incremental_saturation_sees_earlier_members(monkeypatch):
         present(2)
 
 
+@pytest.mark.parametrize("run", ["present 3", "present 4", "e-alpha 4", "verify 3"])
+def test_replays_core_nothing_after_the_member_walk(monkeypatch, run):
+    # the member walk fills the face-core and saturation-core memos, so the
+    # grid half reads every core off them
+    name, alpha = run.split()
+    skel = present(int(alpha)) if name == "verify" else None
+    cold_memos(monkeypatch)
+    calls = []
+    real = strings_mod.core
+    for mod in (strings_mod, grids_mod, presentation_mod):
+        if hasattr(mod, "core"):
+            monkeypatch.setattr(mod, "core", lambda z: calls.append(z) or real(z))
+    if name == "present":
+        present(int(alpha))
+    elif name == "e-alpha":
+        defect_subcomplex(int(alpha))
+    else:
+        assert verify_skeleton(skel)
+    assert calls == []
+
+
 def test_present_grid_already_attached_is_no_generator(monkeypatch):
     import finsimp.presentation as presentation_mod
 
@@ -423,6 +452,17 @@ def test_verify_skeleton_detects_tampering():
     broken = dataclasses.replace(skel, generators=tuple(gens))
     with pytest.raises(CertificateError):
         verify_skeleton(broken)
+
+
+def test_verify_skeleton_refuses_an_alpha_present_refuses():
+    import dataclasses
+
+    from finsimp.errors import InputError
+
+    skel = present(1)
+    for alpha, bound in ((7, "alpha must be <= 6"), (0, "alpha must be >= 1")):
+        with pytest.raises(InputError, match=bound):
+            verify_skeleton(dataclasses.replace(skel, alpha=alpha))
 
 
 def test_excess_strings_rejects_bad_bounds():

@@ -23,7 +23,6 @@ from finsimp.grids import (
     boundary_image,
     complete_from_corner,
     corner_from_string,
-    corner_of,
     enumerate_corner_grids,
     path_cores,
 )
@@ -33,6 +32,7 @@ from finsimp.strings import StringComplex, face
 import helpers
 from helpers import (
     chain_in_boundary,
+    corner_of,
     iter_chains,
     oracle_attach_walk,
     oracle_excluded_faces,

@@ -19,16 +19,17 @@ from finsimp.errors import InputError
 from finsimp.finmap import identity
 from finsimp.grids import _corner_strings, defect_subcomplex
 from finsimp.presentation import _top_runs
+import finsimp.strings as strings_mod
 from finsimp.strings import (
     StringComplex,
     _census,
+    _fill_core_memos,
+    _saturation_core,
     core_face_indices,
     enumerate_nondegenerate,
     face_closure,
     face_cores,
     interned_core,
-    is_canonical,
-    relabel,
     serialize,
     string_from_json,
 )
@@ -37,12 +38,18 @@ from helpers import (
     are_isomorphic,
     assert_rebuilds,
     are_isomorphic_exhaustive,
+    cold_memos,
+    compare_core_memos,
+    is_canonical,
     oracle_canonicalize,
     oracle_enumerate_nondegenerate,
+    oracle_face_cores,
+    oracle_saturation_core,
     oracle_serialize,
     random_relabeling,
     random_string,
     raw_strings,
+    relabel,
 )
 
 
@@ -412,6 +419,39 @@ def test_top_face_core_is_the_interned_prefix(allow_empty):
         assert face_cores(z)[-1] == core(top)[0]
         tops += 1
     assert tops > 500
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_member_walk_fills_memos_like_the_oracles(monkeypatch, alpha, allow_empty):
+    # every member of E^alpha, and nothing else, gets the face cores and the
+    # saturation core of the oracles, as the interned objects
+    cold_memos(monkeypatch)
+    members, bad, seen = compare_core_memos(alpha, allow_empty)
+    assert members == len(strings_mod._face_cores) and bad == 0 and seen["extra"] == 0
+    if alpha >= 3:
+        # cores that lost a bijection, whose step only moved the frontier
+        assert seen["face"] and seen["saturation"]
+
+
+def test_strings_outside_the_member_walk_fall_back_to_core(monkeypatch):
+    cold_memos(monkeypatch)
+    _fill_core_memos(3, saturations=True)
+    calls = []
+    real = strings_mod.core
+    monkeypatch.setattr(strings_mod, "core", lambda z: calls.append(z) or real(z))
+    outside = [
+        z
+        for level in enumerate_nondegenerate(5, 3, max_defect=5)
+        for z in level
+        if z.degree >= 2 and z not in strings_mod._face_cores
+    ]
+    assert len(outside) > 1000
+    for z in outside:
+        assert face_cores(z) == oracle_face_cores(z)
+        assert _saturation_core(z) == oracle_saturation_core(z)
+    # the inner faces and the saturation, each cored once per string
+    assert len(calls) == sum(z.degree + 1 for z in outside)
 
 
 def test_face_closure_stops_at_a_closed_set():
