@@ -17,9 +17,10 @@ The image of a grid is the face closure of the cores of its
 shuffle path, so its restriction is an iterated face of a path
 restriction.  Every image is read off ``path_cores``, one depth-first walk
 of the trie of the shuffle paths that carries the state of
-``canonicalize`` along each prefix: a path is never restricted, cored or
-canonicalized, and a bijective step only moves the top frontier, since the
-core merges the levels a bijection joins.  The walk also reports where the
+``canonicalize`` along each prefix and takes its memoised step
+(``strings._step``): a path is never restricted, cored or canonicalized,
+and a bijective step only moves the top frontier, since the core merges
+the levels a bijection joins.  The walk also reports where the
 core of each face of a path's restriction sits, so ``boundary_cores`` reads
 the core of every boundary facet off the path cores without restricting
 the facet.  ``restrict`` stays for ``complete_from_staircase`` and the
@@ -30,11 +31,11 @@ grid, and ``arrow`` composes on demand.
 
 ``enumerate_corner_grids`` sorts the corner strings and completes each grid
 only when it is taken, so no grid outlives its use.  The shuffle paths and
-their boundary facet positions are cached per ``(r, s)``, and what the
-path walk reads off a grid map is cached per map.  ``is_saturated`` looks
-up ``core(saturate(z))`` for every member in a memo keyed by the member,
-and the replay of ``present`` looks up only the members added since its
-last check, in the same memo.  ``defect_subcomplex`` and ``present`` first
+their boundary facet positions are cached per ``(r, s)``, and each step of
+the path walk per frontier and map, in the memo ``canonicalize`` shares.
+``is_saturated`` looks up ``core(saturate(z))`` for every member in a memo
+keyed by the member, and the replay of ``present`` looks up only the
+members added since its last check, in the same memo.  ``defect_subcomplex`` and ``present`` first
 fill the face-core memo for every member of ``E^alpha``, and ``present``
 the saturation-core memo too, from one walk of the member trie
 (``strings._fill_core_memos``), so their grid loops core nothing; the
@@ -50,15 +51,14 @@ from .errors import CertificateError, DualConstructionError, InputError, Stairca
 from .finmap import FinMap, MapClass, _unchecked_map, classify, compose, identity
 from .finmap import from_json as finmap_from_json
 from .strings import (
+    ExtensionTable,
     MapString,
     StringComplex,
-    _block,
-    _expand,
     _fill_core_memos,
     _intern,
-    _move,
-    _resolve,
     _saturation_core,
+    _start_frontier,
+    _step,
     _unchecked_string,
     canonical_extensions,
     canonicalize,  # unused here; perfbench's tracer test checks this binding
@@ -317,51 +317,45 @@ def path_cores(grid: GridDiagram) -> tuple[tuple[MapString, tuple[int | None, ..
     carries the state ``canonicalize`` carries along a string (the canonical
     blocks so far and the frontier of the top level) together with the
     bijective flags, so each prefix is canonicalized once for all the paths
-    that share it.  A non-bijective step resolves the frontier by its fiber
-    vector and appends the block.  A bijective step only moves the frontier
-    through ``_expand``: ``core`` merges the levels a bijection joins, and a
-    bijection maps the admissible orders of one level onto the next, so the
-    core gets no block for it.  No path is restricted, cored or
-    canonicalized.
+    that share it, and each step is the memoised ``strings._step`` that
+    ``canonicalize`` takes.  A bijective step appends no block: ``core``
+    merges the levels a bijection joins, and a bijection maps the
+    admissible orders of one level onto the next, so its step only moves
+    the frontier.  No path is restricted, cored or canonicalized.
     """
     r, s = grid.r, grid.s
     # moves[i][j]: the steps out of cell (i, j), H first, with the cell reached
     moves = [
         [
-            ([_move(grid.horiz[i][j]) + (i + 1, j)] if i < r else [])
-            + ([_move(grid.vert[i][j]) + (i, j + 1)] if j < s else [])
+            ([(grid.horiz[i][j], i + 1, j)] if i < r else [])
+            + ([(grid.vert[i][j], i, j + 1)] if j < s else [])
             for j in range(s + 1)
         ]
         for i in range(r + 1)
     ]
     card0 = grid.card(0, 0)
     blocks: list[FinMap] = []
-    by_vec: dict[tuple, FinMap] = {}
     flags: list[bool] = []
     out = []
 
-    def walk(i: int, j: int, frontier: list) -> None:
+    def walk(i: int, j: int, frontier: tuple) -> None:
         steps = moves[i][j]
         if not steps:
             z = _intern(_unchecked_string(card0, tuple(blocks)))
             out.append((z, _face_indices(tuple(flags))))
             return
-        for fiber, children, bijective, src, dst, i2, j2 in steps:
+        for f, i2, j2 in steps:
+            block, ahead, bijective = _step(frontier, f)
             flags.append(bijective)
             if bijective:
-                walk(i2, j2, _expand(frontier, children))
+                walk(i2, j2, ahead)
             else:
-                vec, resolved = _resolve(frontier, fiber)
-                block = by_vec.get(vec)
-                if block is None:
-                    block = by_vec[vec] = _block(src, dst, vec)
                 blocks.append(block)
-                walk(i2, j2, _expand(resolved, children))
+                walk(i2, j2, ahead)
                 blocks.pop()
             flags.pop()
 
-    # an empty level has no parts, so its frontier is empty
-    walk(0, 0, [tuple(range(card0))] if card0 else [])
+    walk(0, 0, _start_frontier(card0))
     return tuple(out)
 
 
@@ -423,31 +417,31 @@ def _corner_strings(max_card: int, allow_empty: bool):
     """
     lo = 0 if allow_empty else 1
     out = []
-    tables: dict[int, tuple[list, list]] = {}
+    tables: dict[int, tuple[ExtensionTable, ExtensionTable]] = {}
 
-    def proper(last: int) -> tuple[list, list]:
+    def proper(last: int) -> tuple[ExtensionTable, ExtensionTable]:
         # the proper injections and the proper surjections onto ``last``;
         # the table holds no identity
         split = tables.get(last)
         if split is None:
             table = extension_table(last, lo, max_card, float("inf"))
-            injections = [e for e in table if e.inc == 0]
-            surjections = [e for e in table if e.map.src - e.inc == last]
+            injections = ExtensionTable(e for e in table if e.inc == 0)
+            surjections = ExtensionTable(e for e in table if e.map.src - e.inc == last)
             split = tables[last] = (injections, surjections)
         return split
 
-    def grow_top(z: MapString, frontier: list, s: int):
+    def grow_top(z: MapString, frontier: tuple, s: int):
         out.append((z, s))
         for w, top, _ in canonical_extensions(z, frontier, proper(z.cards()[-1])[0]):
             grow_top(w, top, s)
 
-    def grow_left(z: MapString, frontier: list):
+    def grow_left(z: MapString, frontier: tuple):
         grow_top(z, frontier, z.degree)
         for w, top, _ in canonical_extensions(z, frontier, proper(z.cards()[-1])[1]):
             grow_left(w, top)
 
     for c in range(lo, max_card + 1):
-        grow_left(MapString(c), [tuple(range(c))])
+        grow_left(MapString(c), _start_frontier(c))
     return out
 
 

@@ -10,26 +10,39 @@ output byte-stable.  It works level by level on the string read as a
 leveled rooted forest, from a frontier of nested tie-groups of
 equal-shaped subtrees, in polynomial time.
 
+Each level of ``canonicalize`` is one step: from the frontier of a level
+and the map onto it, the canonical block of the map and the frontier of
+its source.  Frontiers are hashable nested tuples, interned, and
+``_step`` computes each (frontier, map) pair once for the whole process,
+so, as in the AHU labelling of rooted trees, each distinct shape is
+handled once: a few hundred steps stand for the hundreds of thousands a
+census or a walk asks for.  ``canonicalize``, the censuses (through
+``canonical_extensions``), the walk of the member trie and
+``grids.path_cores`` all take this one step; a step is a pure function of
+its key, so every result is the one a fresh computation gives.
+
 Prefix lemma: block ``k`` of the canonical form depends on the first ``k``
 maps alone, and any relabeling of a prefix extends to the whole string, so
 the prefix of a canonical string is canonical and every canonical string
 of degree ``t+1`` has exactly one canonical parent, its degree-``t``
 prefix.  Written in the parent's labels, its top block is the sorted block
 of a fiber vector ``c``, and the child is canonical iff ``c`` is the
-largest fiber vector over the orders the parent's top frontier admits.
-``canonical_extensions`` applies this acceptance test, and the censuses
-(``enumerate_nondegenerate`` and the corner census of ``grids``) grow each
-canonical string once from its parent: no canonicalizing, no dedupe.
+largest fiber vector over the orders the parent's top frontier admits,
+that is iff the step gives the map back as its own block.
+``canonical_extensions`` applies this acceptance test once per frontier
+and table, and the censuses (``enumerate_nondegenerate`` and the corner
+census of ``grids``) grow each canonical string once from its parent: no
+canonicalizing, no dedupe.
 
 The candidate maps depend only on the parent's top cardinality, so each
 census call builds one ``extension_table`` per top cardinality: one shared
-``FinMap`` per candidate, with its fiber vector, its defect increment and
-the children of each top element, sorted once by the compact JSON of the
-one-map string.  Order lemma: a child's ``serialize`` is its parent's with
-the closing ``]}`` replaced by ``,<map json>]}`` (no comma after an empty
-list), and no map's JSON is a prefix of another's, since each holds
-exactly one ``}``, at its end.  So children emitted in parent order, and
-in table order within a parent, come out sorted; only degree 0 is sorted.
+``FinMap`` per candidate, with its defect increment and its class, sorted
+once by the compact JSON of the one-map string.  Order lemma: a child's
+``serialize`` is its parent's with the closing ``]}`` replaced by
+``,<map json>]}`` (no comma after an empty list), and no map's JSON is a
+prefix of another's, since each holds exactly one ``}``, at its end.  So
+children emitted in parent order, and in table order within a parent,
+come out sorted; only degree 0 is sorted.
 
 The members of ``E^alpha`` (the canonical nondegenerate strings of defect
 at most ``alpha``) form a trie by the prefix lemma, and
@@ -39,13 +52,13 @@ each face of a member and for its saturation.  For a child ``w = z + (f,)``
 of degree ``t+1``, face ``i < t`` is face ``i`` of ``z`` extended by ``f``;
 face ``t`` is the prefix of ``z`` extended by the composite of the last two
 maps; face ``t+1`` is ``z``; and the saturation of ``w`` is that of ``z``
-extended by the ``mono`` and then the ``epi`` of ``f``.  Each is one step:
-a non-bijective map resolves the frontier and appends its block, and a
-bijective one only moves the frontier, since ``core`` merges the levels a
-bijection joins.  So each face core and each saturation core costs one
-step, not a ``core``.  The walk fills only the memos of ``face_cores`` and
-``_saturation_core``, which are functions of each string; a string it did
-not reach is cored as before.
+extended by the ``mono`` and then the ``epi`` of ``f``.  Each is one
+``_step``.  A bijective map has an all-ones fiber, which resolves no part
+of the frontier, so its block is the identity, and the walk drops it,
+since ``core`` merges the levels a bijection joins.  So each face core and
+each saturation core costs one step, not a ``core``.  The walk fills only
+the memos of ``face_cores`` and ``_saturation_core``, which are functions
+of each string; a string it did not reach is cored as before.
 
 Identity is cheap: ``MapString`` caches its dataclass hash lazily, on the
 first ``hash`` call, and ``serialize`` writes the compact JSON by hand.
@@ -56,8 +69,8 @@ public constructors keep doing so; a string derived from valid strings is
 valid by construction, so ``face``, ``canonicalize``,
 ``canonical_extensions``, ``saturate``, ``grids.restrict`` and
 ``grids.path_cores`` build theirs with ``_unchecked_string``, and
-``canonicalize``, ``grids.path_cores`` and the member walk build their
-blocks with ``_block``, through ``finmap._unchecked_map``.
+``_step`` builds its blocks with ``_block``, through
+``finmap._unchecked_map``.
 
 The census carries what it already knows about each string: its defect,
 and its top runs ``(inj_run, surj_run, junction)``, the properly injective
@@ -72,7 +85,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -201,20 +213,33 @@ def saturate(z: MapString) -> MapString:
     return _unchecked_string(z.card0, tuple(out))
 
 
-# A frontier is the set of admissible orders of one level, stored as a list
-# of parts in fixed order.  A part is an element (int), a tuple of elements
-# that may be permuted freely, or a tie-group: a list of at least two
-# equal-shaped member frontiers that may be permuted only as wholes.
+# A frontier is the set of admissible orders of one level, stored as a
+# tuple of parts in fixed order.  A part is an element (int), a tuple of
+# elements that may be permuted freely, or a tie-group (``_Tie``): a tuple of
+# at least two equal-shaped member frontiers that may be permuted only as
+# wholes.  Frontiers are hashable and interned, so each state of
+# ``canonicalize`` is one object, and ``_step`` computes each (frontier, map)
+# pair once.
+
+
+class _Tie(tuple):
+    """A tie-group of a frontier; its own type, so that ``p.__class__ is
+    tuple`` still picks out the free parts."""
+
+    __slots__ = ()
+
 
 _vector = itemgetter(0)
 
 
-def _resolve(parts: list, fiber: list[int]) -> tuple[tuple[int, ...], list]:
+def _resolve(parts, fiber: list[int]) -> tuple[tuple[int, ...], list]:
     """Largest fiber vector over the orders ``parts`` admits, and the
-    frontier of the orders that reach it.
+    frontier of the orders that reach it, as a list that only ``_expand``
+    reads (its tie-groups are lists).
 
     Members of a group are sorted by vector, largest first; members with
     equal vectors stay one group, every other member is spliced in place.
+    An all-ones fiber leaves every part as it is.
     """
     vec: list[int] = []
     out: list = []
@@ -251,7 +276,7 @@ def _resolve(parts: list, fiber: list[int]) -> tuple[tuple[int, ...], list]:
     return tuple(vec), out
 
 
-def _expand(parts: list, children: list[list[int]]) -> list:
+def _expand(parts: list, children: list[tuple[int, ...]]) -> tuple:
     """Frontier of the next level after ``parts`` is resolved: the children
     of one element permute freely, and tied parts keep their children
     together.  Tied parts have equal fiber vectors, so their children have
@@ -263,19 +288,19 @@ def _expand(parts: list, children: list[list[int]]) -> list:
             if len(ch) == 1:
                 out.append(ch[0])
             elif ch:
-                out.append(tuple(ch))
+                out.append(ch)
             continue
         if p.__class__ is tuple:
             ch = children[p[0]]
             if len(ch) == 1:
-                out.append(tuple(children[e][0] for e in p))
+                out.append(tuple([children[e][0] for e in p]))
             elif ch:
-                out.append([[tuple(children[e])] for e in p])
+                out.append(_Tie([(children[e],) for e in p]))
             continue
         members = [_expand(m, children) for m in p]
         if members[0]:
-            out.append(members)
-    return out
+            out.append(_Tie(members))
+    return tuple(out)
 
 
 def _block(src: int, dst: int, vec: tuple[int, ...]) -> FinMap:
@@ -284,6 +309,44 @@ def _block(src: int, dst: int, vec: tuple[int, ...]) -> FinMap:
     for i, c in enumerate(vec):
         block += [i] * c
     return _unchecked_map(src, dst, tuple(block))
+
+
+# The interned frontiers, and the result of ``_step`` per (frontier, map).
+_frontiers: dict[tuple, tuple] = {}
+_steps: dict[tuple[tuple, FinMap], tuple[FinMap, tuple, bool]] = {}
+
+
+def _intern_frontier(frontier: tuple) -> tuple:
+    return _frontiers.setdefault(frontier, frontier)
+
+
+def _start_frontier(c: int) -> tuple:
+    """The frontier of a bottom level of cardinality ``c``, whose elements
+    permute freely, spelled as ``_expand`` spells a level: no part for an
+    empty level, an element alone, else one free tuple."""
+    return _intern_frontier(() if c == 0 else (0,) if c == 1 else (tuple(range(c)),))
+
+
+def _step(frontier: tuple, f: FinMap) -> tuple[FinMap, tuple, bool]:
+    """One level of ``canonicalize``: from the frontier of the level ``f``
+    maps onto, the canonical block of ``f``, the frontier of ``f``'s source
+    and whether ``f`` is bijective; computed once per (frontier, map).
+
+    A bijective map has an all-ones fiber, which resolves no part, so its
+    block is the identity and its step only moves the frontier; the walks
+    that carry the state of a core drop that block, as ``core`` merges the
+    levels a bijection joins.
+    """
+    key = (frontier, f)
+    out = _steps.get(key)
+    if out is None:
+        children: list[list[int]] = [[] for _ in range(f.dst)]
+        for j, v in enumerate(f.img):
+            children[v].append(j)
+        vec, resolved = _resolve(frontier, [len(ch) for ch in children])
+        ahead = _intern_frontier(_expand(resolved, [tuple(ch) for ch in children]))
+        out = _steps[key] = (_block(f.src, f.dst, vec), ahead, f.src == f.dst and 0 not in vec)
+    return out
 
 
 def canonicalize(z: MapString) -> MapString:
@@ -305,39 +368,44 @@ def canonicalize(z: MapString) -> MapString:
     subtrees swap together.  Each level resolves the frontier (sort the
     members of each group by fiber vector, split off the unequal ones) and
     expands it by the children of every element, in time polynomial in the
-    size of the string.
+    size of the string; ``_step`` does each level, once per distinct
+    (frontier, map) pair.
     """
     if z.degree == 0:
         return z
-    frontier: list = [tuple(range(z.card0))]
+    frontier = _start_frontier(z.card0)
     maps = []
     for f in z.maps:
-        children: list[list[int]] = [[] for _ in range(f.dst)]
-        for j, v in enumerate(f.img):
-            children[v].append(j)
-        vec, frontier = _resolve(frontier, [len(ch) for ch in children])
-        maps.append(_block(f.src, f.dst, vec))
-        frontier = _expand(frontier, children)
+        block, frontier, _ = _step(frontier, f)
+        maps.append(block)
     return _unchecked_string(z.card0, tuple(maps))
 
 
 class Extension(NamedTuple):
     """One entry of an extension table: a map onto the top level, shared by
-    every string it extends, with its fiber vector, its defect increment
-    ``src - |image|``, the labels of the children of each top element (the
-    image tuple is sorted, so each element's children are a run) and its
-    class.  No entry is a bijection: it is properly injective when
+    every string it extends, with its defect increment ``src - |image|``
+    and its class.  No entry is a bijection: it is properly injective when
     ``inc == 0``, properly surjective when ``inc > 0`` and every fiber is
     nonzero, and neither otherwise."""
 
     map: FinMap
-    fiber: tuple[int, ...]
     inc: int
-    children: tuple[tuple[int, ...], ...]
     cls: MapClass
 
 
-def extension_table(last: int, lo: int, max_card: int, room: float) -> list[Extension]:
+class ExtensionTable(list):
+    """Extension table entries in table order, with the entries
+    ``canonical_extensions`` accepted over each frontier it was asked
+    about, and the frontier each leads to."""
+
+    __slots__ = ("accepted",)
+
+    def __init__(self, entries=()):
+        super().__init__(entries)
+        self.accepted: dict[tuple, list[tuple[Extension, tuple]]] = {}
+
+
+def extension_table(last: int, lo: int, max_card: int, room: float) -> ExtensionTable:
     """The extensions of a string whose top cardinality is ``last`` by one
     non-identity map with a weakly increasing image tuple, a source of
     cardinality ``lo`` to ``max_card`` and a defect increment of at most
@@ -360,26 +428,30 @@ def extension_table(last: int, lo: int, max_card: int, room: float) -> list[Exte
             for support in itertools.combinations(range(last), k):
                 for repeats in itertools.combinations_with_replacement(support, inc):
                     img = tuple(sorted(support + repeats))
-                    fiber = tuple(map(img.count, range(last)))
-                    ends = itertools.accumulate(fiber)
-                    children = tuple(tuple(range(e - c, e)) for c, e in zip(fiber, ends))
-                    table.append(Extension(FinMap(k + inc, last, img), fiber, inc, children, cls))
+                    table.append(Extension(FinMap(k + inc, last, img), inc, cls))
     table.sort(key=lambda e: serialize(MapString(last, (e.map,))))
-    return table
+    return ExtensionTable(table)
 
 
-def canonical_extensions(z: MapString, frontier: list, table):
+def canonical_extensions(z: MapString, frontier: tuple, table: ExtensionTable):
     """Each canonical extension of the canonical string ``z`` by an entry of
     ``table`` (an ``extension_table`` of ``z``'s top cardinality, or a part
     of one), as ``(child, its top frontier, entry)``, in table order.
-    ``frontier`` is that of ``z``'s top level (``[tuple(range(n))]`` for
-    ``MapString(n)``); an extension of fiber vector ``c`` is kept iff
-    ``_resolve(frontier, c)[0] == c`` (the prefix lemma above)."""
+    ``frontier`` is that of ``z``'s top level (``_start_frontier(n)`` for
+    ``MapString(n)``).  An entry is kept iff ``_step`` gives it back as its
+    own block: its fiber vector is the largest the frontier admits (the
+    prefix lemma above).  The kept entries are found once per frontier and
+    table, and kept in ``table.accepted``."""
+    accepted = table.accepted.get(frontier)
+    if accepted is None:
+        accepted = table.accepted[frontier] = []
+        for e in table:
+            block, ahead, _ = _step(frontier, e.map)
+            if block == e.map:
+                accepted.append((e, ahead))
     card0, maps = z.card0, z.maps
-    for e in table:
-        vec, resolved = _resolve(frontier, e.fiber)
-        if vec == e.fiber:
-            yield _unchecked_string(card0, maps + (e.map,)), _expand(resolved, e.children), e
+    for e, ahead in accepted:
+        yield _unchecked_string(card0, maps + (e.map,)), ahead, e
 
 
 def core(z: MapString) -> tuple[MapString, tuple[int, ...]]:
@@ -462,18 +534,6 @@ def _saturation_core(z: MapString) -> MapString:
     return w
 
 
-@lru_cache(maxsize=None)
-def _move(f: FinMap) -> tuple:
-    """What a walk carrying ``canonicalize``'s state needs of a map ``f``:
-    its fiber vector, the children of each element of its target, whether
-    it is bijective, and its cardinalities; built once per map."""
-    children = [[] for _ in range(f.dst)]
-    for j, v in enumerate(f.img):
-        children[v].append(j)
-    fiber = tuple(map(len, children))
-    return fiber, tuple(map(tuple, children)), f.src == f.dst and all(fiber), f.src, f.dst
-
-
 def _fill_core_memos(alpha: int, allow_empty: bool = False, saturations: bool = False) -> None:
     """Fill ``face_cores``'s memo, and with ``saturations`` that of
     ``_saturation_core``, for every member of ``E^alpha`` (the canonical
@@ -483,55 +543,41 @@ def _fill_core_memos(alpha: int, allow_empty: bool = False, saturations: bool = 
     The walk grows each member from its prefix as the census does and
     carries ``canonicalize``'s state ``(card0, blocks, frontier)`` for each
     face of the member and for its saturation; every state of a child is
-    one step from a state of its parent (see the module docstring).  A
-    string that no walk reached still gets its cores from ``core``.
+    one ``_step`` from a state of its parent (see the module docstring),
+    whose block is dropped when the map is bijective.  A string that no
+    walk reached still gets its cores from ``core``.
     """
     table = _tables(0 if allow_empty else 1, alpha, alpha)
-    by_vec: dict[tuple, FinMap] = {}
-    # keyed by the ids of table entries, which live as long as ``table``
-    steps: dict[int, tuple] = {}
-    joins: dict[tuple[int, int], tuple] = {}
 
-    def step(state: tuple, move: tuple) -> tuple:
+    def step(state: tuple, f: FinMap) -> tuple:
         card0, blocks, frontier = state
-        fiber, children, bijective, src, dst = move
-        if bijective:
-            return card0, blocks, _expand(frontier, children)
-        vec, resolved = _resolve(frontier, fiber)
-        block = by_vec.get(vec)
-        if block is None:
-            block = by_vec[vec] = _block(src, dst, vec)
-        return card0, blocks + (block,), _expand(resolved, children)
+        block, ahead, bijective = _step(frontier, f)
+        return card0, blocks if bijective else blocks + (block,), ahead
 
-    def visit(z: MapString, frontier: list, d: int, faces: list, below: list, sat: tuple, top) -> None:
+    def visit(z: MapString, frontier: tuple, d: int, faces: list, below: tuple, sat: tuple, top) -> None:
         # ``faces``: the states of faces 0..t-1 of ``z``; ``below``: the top
-        # frontier of its prefix; ``top``: the table entry of its top map
+        # frontier of its prefix; ``top``: its top map
         last = z.maps[-1].src if z.maps else z.card0
         for w, ahead, e in canonical_extensions(z, frontier, table(last, alpha - d)):
             w = _intern(w)
-            moves = steps.get(id(e))
-            if moves is None:
-                epi, mono = epi_mono_factor(e.map)
-                moves = steps[id(e)] = (_move(e.map), _move(mono), _move(epi))
-            grown = [step(s, moves[0]) for s in faces]
+            f = e.map
+            grown = [step(s, f) for s in faces]
             if top is None:
-                grown.append((e.map.src, (), [tuple(range(e.map.src))]))
+                grown.append((f.src, (), _start_frontier(f.src)))
             else:
-                joined = joins.get((id(top), id(e)))
-                if joined is None:
-                    joined = joins[id(top), id(e)] = _move(compose(top.map, e.map))
-                grown.append(step((z.card0, z.maps[:-1], below), joined))
+                grown.append(step((z.card0, z.maps[:-1], below), compose(top, f)))
             _face_cores[w] = tuple([_intern(_unchecked_string(c, b)) for c, b, _ in grown]) + (z,)
             saturated = None
             if saturations:
-                saturated = step(step(sat, moves[1]), moves[2])
+                epi, mono = epi_mono_factor(f)
+                saturated = step(step(sat, mono), epi)
                 _saturation_cores[w] = _intern(_unchecked_string(z.card0, saturated[1]))
-            visit(w, ahead, d + e.inc, grown, frontier, saturated, e)
+            visit(w, ahead, d + e.inc, grown, frontier, saturated, f)
 
     for c in range(0 if allow_empty else 1, alpha + 1):
         z = _intern(MapString(c))
         _face_cores[z] = ()
-        frontier = [tuple(range(c))]
+        frontier = _start_frontier(c)
         visit(z, frontier, c, [], frontier, (c, (), frontier), None)
 
 
@@ -632,9 +678,9 @@ def _tables(lo: int, max_card: int, cap: float):
     """``table(last, room)``: the ``extension_table`` of top cardinality
     ``last`` and defect room ``room``, for strings of defect at most
     ``cap``, built once per pair."""
-    tables: dict[tuple[int, float], list[Extension]] = {}
+    tables: dict[tuple[int, float], ExtensionTable] = {}
 
-    def table(last: int, room: float) -> list[Extension]:
+    def table(last: int, room: float) -> ExtensionTable:
         # a string's defect is at least its top cardinality, so no string
         # with top ``last`` has more room than ``cap - last``; the tables
         # for less room keep the same entries
@@ -644,7 +690,7 @@ def _tables(lo: int, max_card: int, cap: float):
             if room == widest:
                 t = extension_table(last, lo, max_card, room)
             else:
-                t = [e for e in table(last, widest) if e.inc <= room]
+                t = ExtensionTable(e for e in table(last, widest) if e.inc <= room)
             tables[last, room] = t
         return t
 
@@ -673,7 +719,7 @@ def _census(max_card: int, max_degree: int, allow_empty: bool = False, max_defec
     cap = float("inf") if max_defect is None else max_defect
     table = _tables(lo, max_card, cap)
     injective, surjective = MapClass.PROPER_INJECTIVE, MapClass.PROPER_SURJECTIVE
-    level = [(MapString(c), [tuple(range(c))], c, (0, 0, None)) for c in range(lo, max_card + 1) if c <= cap]
+    level = [(MapString(c), _start_frontier(c), c, (0, 0, None)) for c in range(lo, max_card + 1) if c <= cap]
     level.sort(key=lambda e: serialize(e[0]))
     for degree in range(max_degree + 1):
         yield level

@@ -1,5 +1,7 @@
 """Shared test utilities: raw enumerations, an independent iso checker, the
 permutation-sweep canonicalizer kept as an oracle for the canonical form,
+the list-based frontier canonicalizer, which computes every step afresh,
+kept as an oracle for the memoised step on interned frontiers,
 the all-chains restriction table kept as an oracle for the grid images
 built from shuffle paths, the restricted boundary facets kept as an oracle
 for the boundary cores read off the path cores, the eager corner-grid
@@ -25,6 +27,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +62,7 @@ from finsimp.shuffles import (
     horn_certificate,
     is_inner_generalized_horn,
 )
+from finsimp import grids as grids_mod
 from finsimp import strings
 from finsimp.strings import (
     _fill_core_memos,
@@ -186,6 +190,89 @@ def oracle_canonicalize(z: MapString) -> MapString:
         FinMap(f.src, f.dst, blk) for f, blk in zip(z.maps, blocks)
     )
     return MapString(z.card0, maps)
+
+
+# The frontier canonicalizer as it was before its step was memoised: a
+# frontier is a list of parts, a part an element, a free tuple or a
+# tie-group (a list of member frontiers), and every step is computed afresh.
+
+
+def _list_resolve(parts: list, fiber: list[int]) -> tuple[tuple[int, ...], list]:
+    vec: list[int] = []
+    out: list = []
+    for p in parts:
+        if p.__class__ is int:
+            vec.append(fiber[p])
+            out.append(p)
+            continue
+        if p.__class__ is tuple:
+            els = sorted(p, key=fiber.__getitem__, reverse=True)
+            i, n = 0, len(els)
+            while i < n:
+                c = fiber[els[i]]
+                j = i + 1
+                while j < n and fiber[els[j]] == c:
+                    j += 1
+                out.append(els[i] if j - i == 1 else tuple(els[i:j]))
+                vec.extend([c] * (j - i))
+                i = j
+            continue
+        members = sorted([_list_resolve(m, fiber) for m in p], key=lambda m: m[0], reverse=True)
+        i, n = 0, len(members)
+        while i < n:
+            v = members[i][0]
+            j = i + 1
+            while j < n and members[j][0] == v:
+                j += 1
+            if j - i == 1:
+                out.extend(members[i][1])
+            else:
+                out.append([m[1] for m in members[i:j]])
+            vec.extend(v * (j - i))
+            i = j
+    return tuple(vec), out
+
+
+def _list_expand(parts: list, children: list[list[int]]) -> list:
+    out: list = []
+    for p in parts:
+        if p.__class__ is int:
+            ch = children[p]
+            if len(ch) == 1:
+                out.append(ch[0])
+            elif ch:
+                out.append(tuple(ch))
+            continue
+        if p.__class__ is tuple:
+            ch = children[p[0]]
+            if len(ch) == 1:
+                out.append(tuple(children[e][0] for e in p))
+            elif ch:
+                out.append([[tuple(children[e])] for e in p])
+            continue
+        members = [_list_expand(m, children) for m in p]
+        if members[0]:
+            out.append(members)
+    return out
+
+
+def list_canonicalize(z: MapString) -> MapString:
+    """``canonicalize`` with list frontiers and no memo."""
+    if z.degree == 0:
+        return z
+    frontier: list = [tuple(range(z.card0))]
+    maps = []
+    for f in z.maps:
+        children: list[list[int]] = [[] for _ in range(f.dst)]
+        for j, v in enumerate(f.img):
+            children[v].append(j)
+        vec, frontier = _list_resolve(frontier, [len(ch) for ch in children])
+        block: list[int] = []
+        for i, c in enumerate(vec):
+            block += [i] * c
+        maps.append(FinMap(f.src, f.dst, tuple(block)))
+        frontier = _list_expand(frontier, children)
+    return MapString(z.card0, tuple(maps))
 
 
 def random_string(rng: random.Random, max_degree=5, max_card=4, allow_empty=False) -> MapString:
@@ -395,11 +482,56 @@ def oracle_saturation_core(z: MapString) -> MapString:
     return core(saturate(z))[0]
 
 
+_MEMOS = ("_interned", "_face_cores", "_saturation_cores", "_frontiers", "_steps")
+
+
 def cold_memos(monkeypatch) -> None:
-    """Give the test empty core memos and intern table; ``monkeypatch``
-    puts the shared ones back afterwards."""
-    for name in ("_interned", "_face_cores", "_saturation_cores"):
+    """Give the test empty core memos, intern table, frontier table and step
+    memo; ``monkeypatch`` puts the shared ones back afterwards."""
+    for name in _MEMOS:
         monkeypatch.setattr(strings, name, {})
+
+
+@contextmanager
+def fresh_memos():
+    """``cold_memos`` for one block, where no ``monkeypatch`` fixture is at
+    hand (inside a Hypothesis example); ``clear_memos`` empties them again."""
+    saved = {name: getattr(strings, name) for name in _MEMOS}
+    try:
+        for name in _MEMOS:
+            setattr(strings, name, {})
+        yield
+    finally:
+        for name, memo in saved.items():
+            setattr(strings, name, memo)
+
+
+def clear_memos() -> None:
+    """Empty the memos in place; only for memos a test has made cold."""
+    for name in _MEMOS:
+        getattr(strings, name).clear()
+
+
+def count_steps(monkeypatch) -> Counter:
+    """Count the steps of ``canonicalize``'s state that callers ask for,
+    under ``steps``: each candidate ``canonical_extensions`` weighs, hit or
+    miss in its table's memo, and each ``_step`` call (so a candidate that
+    misses counts twice)."""
+    seen: Counter = Counter()
+    step, extensions = strings._step, strings.canonical_extensions
+
+    def counted_step(frontier, f):
+        seen["steps"] += 1
+        return step(frontier, f)
+
+    def counted_extensions(z, frontier, table):
+        seen["steps"] += len(table)
+        yield from extensions(z, frontier, table)
+
+    for module in (strings, grids_mod):
+        monkeypatch.setattr(module, "_step", counted_step)
+        monkeypatch.setattr(module, "canonical_extensions", counted_extensions)
+    return seen
 
 
 def compare_core_memos(alpha: int, allow_empty: bool = False) -> tuple[int, int, Counter]:

@@ -22,9 +22,12 @@ from finsimp.presentation import _top_runs
 import finsimp.strings as strings_mod
 from finsimp.strings import (
     StringComplex,
+    _Tie,
     _census,
     _fill_core_memos,
     _saturation_core,
+    _start_frontier,
+    _step,
     core_face_indices,
     enumerate_nondegenerate,
     face_closure,
@@ -38,8 +41,12 @@ from helpers import (
     are_isomorphic,
     assert_rebuilds,
     are_isomorphic_exhaustive,
+    clear_memos,
     cold_memos,
     compare_core_memos,
+    count_steps,
+    fresh_memos,
+    list_canonicalize,
     is_canonical,
     oracle_canonicalize,
     oracle_enumerate_nondegenerate,
@@ -600,3 +607,92 @@ def test_census_carries_defect_and_runs(args, allow_empty):
             assert runs == _top_runs(z), serialize(z)
             seen += 1
     assert seen == sum(map(len, enumerate_nondegenerate(*args, allow_empty)))
+
+
+# ``canonicalize`` and every census and walk take one memoised step per
+# (frontier, map); the list-based canonicalizer computes every step afresh.
+
+
+def test_canonicalize_matches_list_oracle_cold_and_prefilled(monkeypatch):
+    inputs = list(raw_strings(3, 3, allow_empty=True))
+    cold_memos(monkeypatch)
+    want = [list_canonicalize(z) for z in inputs]
+    for z, w in zip(inputs, want):
+        clear_memos()
+        assert canonicalize(z) == w, serialize(z)
+    clear_memos()
+    for z in reversed(inputs):
+        canonicalize(z)
+    assert [canonicalize(z) for z in inputs] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(map_strings(max_card=6, max_degree=8), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+@example([MapString(0, (FinMap(0, 0, ()), FinMap(0, 0, ())))], random.Random(0))
+@example(
+    [MapString(3, (FinMap(0, 3, ()), FinMap(0, 0, ()))), MapString(6, (identity(6),) * 8)],
+    random.Random(1),
+)
+def test_canonicalize_matches_list_oracle_on_relabellings(zs, rng):
+    inputs = zs + [relabel(z, random_relabeling(rng, z)) for z in zs]
+    want = [list_canonicalize(z) for z in zs] * 2
+    with fresh_memos():
+        for z, w in zip(inputs, want):
+            clear_memos()
+            assert canonicalize(z) == w, serialize(z)
+        clear_memos()
+        for z in reversed(inputs):
+            canonicalize(z)
+        assert [canonicalize(z) for z in inputs] == want
+
+
+def test_step_memo_hits(monkeypatch):
+    # keys that never repeat (say, the ids of fresh lists) would keep every
+    # output right and grow the memo by one entry per step
+    from finsimp.presentation import present
+
+    cold_memos(monkeypatch)
+    seen = count_steps(monkeypatch)
+    for _ in _census(3, 5):
+        pass
+    assert seen["steps"] > 20_000 and len(strings_mod._steps) <= 100
+    cold_memos(monkeypatch)
+    seen.clear()
+    present(4)
+    assert seen["steps"] > 10_000 and len(strings_mod._steps) <= 300
+
+
+def test_frontiers_are_interned_tuples(monkeypatch):
+    cold_memos(monkeypatch)
+    # two roots with two children each tie: a tie-group of free tuples
+    z = MapString(2, (FinMap(4, 2, (0, 0, 1, 1)), FinMap(4, 4, (0, 1, 2, 3))))
+    assert canonicalize(z) == list_canonicalize(z)
+    ties = 0
+    for (frontier, f), (_, ahead, bijective) in strings_mod._steps.items():
+        assert frontier is strings_mod._frontiers[frontier]
+        assert ahead is strings_mod._frontiers[ahead]
+        assert bijective == f.is_bijective
+        for p in ahead:
+            assert p.__class__ in (int, tuple, _Tie)
+            ties += p.__class__ is _Tie
+        hash(ahead)
+    assert ties
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_one_spelling_of_the_start_frontier(allow_empty):
+    # a root with c children leads to the frontier a bottom level of
+    # cardinality c starts at, as the same object
+    lo = 0 if allow_empty else 1
+    for c in range(lo, 6):
+        start = _start_frontier(c)
+        assert _step(_start_frontier(1), FinMap(c, 1, (0,) * c))[1] is start
+    assert _start_frontier(0) == () and _start_frontier(1) == (0,)
+    assert _start_frontier(3) == ((0, 1, 2),)
+    for z, frontier, *_ in next(_census(4, 0, allow_empty)):
+        assert frontier is _start_frontier(z.card0)
+    for z in raw_strings(2, 2, allow_empty):
+        assert canonicalize(z) == list_canonicalize(z)
