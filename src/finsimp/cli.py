@@ -5,11 +5,15 @@ sorted member lists, so identical invocations are byte-identical.  Exit
 codes: 0 success, 1 invalid input or unmet hypothesis, 2 a certified claim
 failed to verify.
 
-Output is streamed: JSON is written in pieces, with the bytes of
-``json.dumps(obj, sort_keys=True, indent=2)`` and a final newline, so no
-string of the whole document is built.  This holds for stdout, ``--output``
-and the exit-2 diagnostic on stderr.  An ``--output`` file that fails
-partway is removed.
+Output is streamed straight from the values: a command hands
+``_write_json`` its result objects (maps, strings, complexes, grids,
+certificates) inside a small JSON tree, and the writer writes the bytes of
+``json.dumps(obj, sort_keys=True, indent=2)`` of their ``to_json()`` trees,
+and a final newline, in pieces of about ``_FLUSH_SIZE`` characters.  Neither
+those trees nor a string of the whole document is built, and each distinct
+map and attachment record is encoded once per document.  This holds for
+stdout, ``--output`` and the exit-2 diagnostic on stderr.  An ``--output``
+file that fails partway is removed.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .errors import CertificateError, InputError
+from .finmap import FinMap
 from .grids import defect_subcomplex, grid_from_json, path_cores
 from .presentation import excess_strings, match_excess, order_excess, present, skeletal_dimension
 from .shuffles import (
+    AttachmentCertificate,
     _attach_diagram,
     _attachment_hypothesis,
     enumerate_shuffles,
@@ -57,8 +63,14 @@ def _check_output(path: str) -> None:
         os.remove(path)
 
 
-# ``_write_json`` joins and writes its pending chunks once this many pile up.
-_FLUSH_CHUNKS = 8192
+# ``_write_json`` hands its pending text to ``write`` once it holds this
+# many characters; it counts them every ``_COUNT_PIECES`` pieces.
+_FLUSH_SIZE = 1 << 16
+_COUNT_PIECES = 64
+
+# Values that repeat in a document, so their text is encoded once per call;
+# strings and grids are written once or twice and are never memoised.
+_MEMOISED = (FinMap, AttachmentCertificate)
 
 
 def _json_scalar(o) -> str:
@@ -84,37 +96,127 @@ def _json_scalar(o) -> str:
 
 
 def _write_json(obj, write) -> None:
-    """Write the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
+    """Write the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a
+    newline, where ``obj`` is a JSON tree that may hold value objects.
 
-    No string of the whole document is ever built: the chunks are joined
-    and handed to ``write`` every ``_FLUSH_CHUNKS`` chunks.  Dict keys must
-    be ``str``.
+    A value object (``FinMap``, ``MapString``, ``GridDiagram``, the
+    certificates and the other records) is written as its shallow
+    ``json_form()``, which is the tree its ``to_json()`` expands; an array
+    may also come as a ``map`` object, consumed as it is written.  So no
+    tree of the document is built.  Within one call the text of each
+    ``_MEMOISED`` value is encoded once, at depth 0, and indented to its
+    depth with ``str.replace("\\n", nl)`` once per depth, which is exact
+    since encoded JSON strings hold no raw newline.  The sorted key layout
+    of each dict shape and depth is built once per call too, and an array
+    of ints is joined in one step.  Nothing outlives the call.
+
+    No string of the whole document is built either: the pending text is
+    measured at array items, every ``_COUNT_PIECES`` pieces, and goes to
+    ``write`` once it reaches ``_FLUSH_SIZE`` characters.  Dict keys must be
+    ``str``.
     """
     chunks: list[str] = []
     append = chunks.append
+    memo: dict = {}
+    layouts: dict = {}
+    counted = size = capturing = 0
 
-    def emit(o, nl: str) -> None:
-        if isinstance(o, dict):
-            sep, inner = "{" + nl + "  ", nl + "  "
-            for key in sorted(o):
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                append(sep + encode_basestring_ascii(key) + ": ")
-                emit(o[key], inner)
-                sep = "," + inner
-            append(nl + "}" if o else "{}")
-        elif isinstance(o, (list, tuple)):
-            sep, inner = "[" + nl + "  ", nl + "  "
-            for item in o:
-                append(sep)
-                emit(item, inner)
-                sep = "," + inner
-            append(nl + "]" if o else "[]")
-        else:
-            append(_json_scalar(o))
-        if len(chunks) >= _FLUSH_CHUNKS:
+    def flush_if_full() -> None:
+        # counts the pieces appended since the last count; never splits the
+        # text of a value being memoised
+        nonlocal counted, size
+        if capturing:
+            return
+        size += sum(map(len, chunks[counted:]))
+        counted = len(chunks)
+        if size >= _FLUSH_SIZE:
             write("".join(chunks))
             chunks.clear()
+            counted = size = 0
+
+    def text_of(o, nl: str) -> str:
+        # a memoised value's text at the depth of ``nl``: its depth-0 text,
+        # encoded once, re-indented once per depth
+        nonlocal capturing
+        texts = memo.get(nl)
+        if texts is None:
+            texts = memo[nl] = {}
+        text = texts.get(o)
+        if text is None:
+            if nl == "\n":
+                mark = len(chunks)
+                capturing += 1
+                emit(o.json_form(), nl)
+                capturing -= 1
+                text = "".join(chunks[mark:])
+                del chunks[mark:]
+            else:
+                text = text_of(o, "\n").replace("\n", nl)
+            texts[o] = text
+        return text
+
+    def emit(o, nl: str) -> None:
+        cls = o.__class__
+        if cls is dict:
+            if not o:
+                append("{}")
+                return
+            keys = tuple(o)
+            layout = layouts.get((keys, nl))
+            if layout is None:
+                for key in keys:
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                inner = nl + "  "
+                layout = layouts[keys, nl] = [
+                    (key, ("{" if k == 0 else ",") + inner + encode_basestring_ascii(key) + ": ")
+                    for k, key in enumerate(sorted(keys))
+                ]
+            inner = nl + "  "
+            for key, head in layout:
+                value = o[key]
+                if value.__class__ is int:
+                    append(head + int.__repr__(value))
+                else:
+                    append(head)
+                    emit(value, inner)
+            append(nl + "}")
+        elif cls is list or cls is tuple or cls is map:
+            inner = nl + "  "
+            if cls is not map and o and o[0].__class__ is int and all([x.__class__ is int for x in o]):
+                append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+                return
+            sep, comma = "[" + inner, "," + inner
+            for item in o:
+                append(sep)
+                if item.__class__ in _MEMOISED:
+                    append(text_of(item, inner))
+                else:
+                    emit(item, inner)
+                sep = comma
+                if len(chunks) - counted >= _COUNT_PIECES:
+                    flush_if_full()
+            append("[]" if sep[0] == "[" else nl + "]")
+        elif cls in _MEMOISED:
+            append(text_of(o, nl))
+        elif cls is int:
+            append(int.__repr__(o))
+        elif cls is str:
+            append(encode_basestring_ascii(o))
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif o is None:
+            append("null")
+        elif hasattr(o, "json_form"):
+            emit(o.json_form(), nl)
+        elif isinstance(o, dict):
+            emit(dict(o), nl)
+        elif isinstance(o, (list, tuple)):
+            emit(list(o), nl)
+        else:
+            append(_json_scalar(o))
 
     emit(obj, "\n")
     append("\n")
@@ -191,7 +293,7 @@ def _cmd_f_enumerate(args) -> int:
             "degree_bound": args.degree_bound,
             "allow_empty": args.allow_empty,
             "count": len(members),
-            "simplices": [z.to_json(canonical=True) for z in members],
+            "simplices": [z.json_form(True) for z in members],
         },
     )
     return 0
@@ -211,7 +313,7 @@ def _cmd_e_alpha(args) -> int:
             "alpha": args.alpha,
             "allow_empty": args.allow_empty,
             "count": len(C),
-            "simplices": C.to_json(),
+            "simplices": C,
         },
     )
     return 0
@@ -239,7 +341,7 @@ def _cmd_shuffles(args) -> int:
 def _cmd_horns(args) -> int:
     if args.r < 1 or args.s < 1:
         raise InputError("horns needs --r >= 1 and --s >= 1")
-    certs = [horn_certificate(sh).to_json() for sh in enumerate_shuffles(args.r, args.s)]
+    certs = [horn_certificate(sh) for sh in enumerate_shuffles(args.r, args.s)]
     _emit(args, {"r": args.r, "s": args.s, "certificates": certs})
     return 0
 
@@ -257,8 +359,8 @@ def _cmd_attach(args) -> int:
         args,
         {
             "hypothesis": hypothesis,
-            "subset": result.to_json(),
-            "certificates": [rec.to_json() for rec in records],
+            "subset": result,
+            "certificates": records,
         },
     )
     return 0
@@ -266,7 +368,7 @@ def _cmd_attach(args) -> int:
 
 def _cmd_present(args) -> int:
     skel = present(args.alpha, args.allow_empty)
-    _emit(args, skel.to_json())
+    _emit(args, skel)
     return 0
 
 
@@ -280,10 +382,10 @@ def _cmd_t_match(args) -> int:
             "alpha": args.alpha,
             "degree_bound": args.degree_bound,
             "allow_empty": args.allow_empty,
-            "profiles": [p.to_json() for p in profiles],
-            "matching": matching.to_json(),
+            "profiles": profiles,
+            "matching": matching,
             "ordering": {
-                "order": [p.string.to_json(canonical=True) for p in ordered],
+                "order": [p.string.json_form(True) for p in ordered],
                 "report": report,
             },
         },

@@ -13,6 +13,12 @@ completion).  A map derived from valid maps is valid by construction, so
 unchecked constructor ``_unchecked_map``, which is ``tuple.__new__(FinMap,
 (src, dst, img))``; so do ``strings.canonicalize`` and
 ``grids.complete_from_corner``.
+
+The value classes of the package state their JSON once, as a shallow form
+``json_form()``: a dict whose children may be values themselves, tuples
+(written as arrays) or ``map`` objects over values.  ``to_json()`` is
+``_plain_json`` of that form, a tree of plain dicts and lists, and the
+CLI writer streams the form itself, so it builds no such tree.
 """
 
 from __future__ import annotations
@@ -68,8 +74,23 @@ class FinMap(namedtuple("FinMap", "src dst img")):
         """Image of the map as an increasing tuple."""
         return tuple(sorted(set(self.img)))
 
+    def json_form(self) -> dict:
+        return {"src": self.src, "dst": self.dst, "img": self.img}
+
     def to_json(self) -> dict:
-        return {"src": self.src, "dst": self.dst, "img": list(self.img)}
+        return _plain_json(self.json_form())
+
+
+def _plain_json(form):
+    """The plain JSON tree of a shallow form: every value replaced by the
+    tree of its ``json_form()``, every tuple or ``map`` by a list."""
+    cls = form.__class__
+    if cls is dict:
+        return {k: _plain_json(v) for k, v in form.items()}
+    if cls is list or cls is tuple or cls is map:
+        return [_plain_json(v) for v in form]
+    json_form = getattr(form, "json_form", None)
+    return form if json_form is None else _plain_json(json_form())
 
 
 def _unchecked_map(src: int, dst: int, img: tuple[int, ...]) -> FinMap:

@@ -44,11 +44,11 @@ direct census of ``check_against_enumeration`` stays its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
-from .finmap import FinMap, MapClass, _unchecked_map, classify, compose, identity
+from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, classify, compose, identity
 from .finmap import from_json as finmap_from_json
 from .strings import (
     ExtensionTable,
@@ -72,13 +72,12 @@ from .strings import (
 )
 
 
-@dataclass(frozen=True)
-class GridDiagram:
-    r: int
-    s: int
-    cards: tuple[tuple[int, ...], ...]   # cards[i][j]
-    horiz: tuple[tuple[FinMap, ...], ...]  # horiz[i][j]: (i+1,j) -> (i,j)
-    vert: tuple[tuple[FinMap, ...], ...]   # vert[i][j]: (i,j+1) -> (i,j)
+class GridDiagram(namedtuple("GridDiagram", "r s cards horiz vert")):
+    """An ``r x s`` grid: ``cards[i][j]`` is the cardinality of cell
+    ``(i, j)``, ``horiz[i][j]`` the map ``(i+1,j) -> (i,j)`` and
+    ``vert[i][j]`` the map ``(i,j+1) -> (i,j)``."""
+
+    __slots__ = ()
 
     def card(self, i: int, j: int) -> int:
         return self.cards[i][j]
@@ -139,27 +138,21 @@ class GridDiagram:
             f = compose(g, f)
         return f
 
+    def json_form(self) -> dict:
+        return {"r": self.r, "s": self.s, "cards": self.cards, "horiz": self.horiz, "vert": self.vert}
+
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "cards": [list(col) for col in self.cards],
-            "horiz": [[f.to_json() for f in col] for col in self.horiz],
-            "vert": [[f.to_json() for f in col] for col in self.vert],
-        }
+        return _plain_json(self.json_form())
 
 
-@dataclass(frozen=True)
-class CornerData:
+class CornerData(namedtuple("CornerData", "corner_card top left", defaults=((), ()))):
     """Top row and left column of a grid, sharing the corner set ``(0, s)``.
 
     ``top[k]`` is the injection ``(k+1, s) -> (k, s)``; ``left[k]`` is the
     surjection ``(0, s-k) -> (0, s-k-1)``, listed from the corner down.
     """
 
-    corner_card: int
-    top: tuple[FinMap, ...] = ()
-    left: tuple[FinMap, ...] = ()
+    __slots__ = ()
 
     @property
     def r(self) -> int:
@@ -281,9 +274,9 @@ def restrict(grid: GridDiagram, path) -> MapString:
 @lru_cache(maxsize=None)
 def _shuffle_paths(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The cell paths of the ``(r, s)``-shuffles, built once per shape."""
-    from .shuffles import enumerate_shuffles  # local import to avoid a cycle
+    from .shuffles import _shuffles  # local import to avoid a cycle
 
-    return tuple(sh.path() for sh in enumerate_shuffles(r, s))
+    return tuple(sh.path() for sh in _shuffles(r, s))
 
 
 @lru_cache(maxsize=None)

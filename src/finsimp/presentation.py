@@ -24,14 +24,13 @@ sorts strictly earlier.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 
 from .errors import CertificateError, HypothesisError, InputError, MatchingError, OrderAuditError
-from .finmap import MapClass, classify, epi_mono_factor
+from .finmap import MapClass, _plain_json, classify, epi_mono_factor
 from .grids import GridDiagram, _check_alpha, boundary_cores
 from .grids import check_against_enumeration, defect_subcomplex, enumerate_corner_grids, path_cores
-from .shuffles import AttachmentCertificate, attach_walk, enumerate_shuffles
+from .shuffles import AttachmentCertificate, _shuffles, attach_walk
 from .strings import (
     MapString,
     StringComplex,
@@ -47,26 +46,17 @@ from .strings import (
 )
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(namedtuple("Generator", "r s corner grid records")):
     """One attachment cell: a corner grid whose image was new when attached,
     with the records of its attachment."""
 
-    r: int
-    s: int
-    corner: MapString
-    grid: GridDiagram
-    records: tuple[AttachmentCertificate, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PresentationSkeleton:
+class PresentationSkeleton(namedtuple("PresentationSkeleton", "alpha allow_empty complex generators")):
     """The generators in attachment order and the complex they attach."""
 
-    alpha: int
-    allow_empty: bool
-    complex: StringComplex
-    generators: tuple[Generator, ...]
+    __slots__ = ()
 
     def counts(self) -> dict:
         by_rs = Counter((g.r, g.s) for g in self.generators)
@@ -76,23 +66,23 @@ class PresentationSkeleton:
             "total": len(self.generators),
         }
 
-    def to_json(self) -> dict:
+    def json_form(self) -> dict:
         return {
             "alpha": self.alpha,
             "allow_empty": self.allow_empty,
             "cells": [
-                {"r": g.r, "s": g.s, "corner": g.corner.to_json(canonical=True), "grid": g.grid.to_json()}
+                {"r": g.r, "s": g.s, "corner": g.corner.json_form(True), "grid": g.grid}
                 for g in self.generators
             ],
             "attachment_order": list(range(len(self.generators))),
-            "certificates": [
-                {"cell": k, "records": [rec.to_json() for rec in g.records]}
-                for k, g in enumerate(self.generators)
-            ],
+            "certificates": [{"cell": k, "records": g.records} for k, g in enumerate(self.generators)],
             "skeletal_dimension": self.complex.max_degree(),
             "counts": self.counts(),
-            "complex": self.complex.to_json(),
+            "complex": self.complex,
         }
+
+    def to_json(self) -> dict:
+        return _plain_json(self.json_form())
 
 
 class _Replay:
@@ -130,7 +120,7 @@ class _Replay:
                 "generator boundary not contained in earlier images",
                 witness={"corner": serialize(z), "r": r, "s": s},
             )
-        shuffles = enumerate_shuffles(r, s)
+        shuffles = _shuffles(r, s)
         cores = {sh.word: w for sh, (w, _) in zip(shuffles, paths)}
         # the members are face-closed: this is the image less the members
         image = face_closure(cores.values(), self.members)
@@ -205,21 +195,17 @@ def skeletal_dimension(alpha: int, allow_empty: bool = False) -> int:
     return defect_subcomplex(alpha, allow_empty).max_degree()
 
 
-@dataclass(frozen=True)
-class ExcessProfile:
+class ExcessProfile(namedtuple("ExcessProfile", "string excess_defect inj_run surj_run side")):
     """Run-length profile of a string with bounded cards but excess defect.
 
     ``inj_run`` counts the properly injective maps at the top of the
     string, ``surj_run`` the properly surjective maps directly below them.
     The junction map below both runs is properly injective exactly for the
-    upper class; it is neither injective nor surjective for the lower one.
+    upper class (``side`` is ``"upper"``); it is neither injective nor
+    surjective for the lower one (``"lower"``).
     """
 
-    string: MapString
-    excess_defect: int
-    inj_run: int
-    surj_run: int
-    side: str  # "upper" | "lower"
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -234,14 +220,17 @@ class ExcessProfile:
         """Lexicographic sort key (degree, inj_run, -surj_run)."""
         return (self.degree, self.inj_run, -self.surj_run)
 
-    def to_json(self) -> dict:
+    def json_form(self) -> dict:
         return {
-            "string": self.string.to_json(canonical=True),
+            "string": self.string.json_form(True),
             "defect": self.excess_defect,
             "inj_run": self.inj_run,
             "surj_run": self.surj_run,
             "side": self.side,
         }
+
+    def to_json(self) -> dict:
+        return _plain_json(self.json_form())
 
 
 def _top_runs(z: MapString) -> tuple[int, int, MapClass | None]:
@@ -325,27 +314,28 @@ def match_inverse(p: ExcessProfile) -> MapString:
     return canonicalize(MapString(p.string.card0, maps))
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Verified inner-face matching from the upper to the lower class."""
+class Matching(namedtuple("Matching", "alpha degree_bound pairs per_degree")):
+    """Verified inner-face matching from the upper to the lower class:
+    ``pairs`` holds ``(upper, lower, face)`` triples and ``per_degree``
+    ``(degree, upper count, lower count)`` triples."""
 
-    alpha: int
-    degree_bound: int
-    pairs: tuple[tuple[MapString, MapString, int], ...]
-    per_degree: tuple[tuple[int, int, int], ...]  # (degree, upper count, lower count)
+    __slots__ = ()
 
-    def to_json(self) -> dict:
+    def json_form(self) -> dict:
         return {
             "alpha": self.alpha,
             "degree_bound": self.degree_bound,
             "pairs": [
-                {"upper": u.to_json(canonical=True), "lower": l.to_json(canonical=True), "face": j}
+                {"upper": u.json_form(True), "lower": l.json_form(True), "face": j}
                 for u, l, j in self.pairs
             ],
             "per_degree": [
                 {"degree": d, "upper": nu, "lower": nl} for d, nu, nl in self.per_degree
             ],
         }
+
+    def to_json(self) -> dict:
+        return _plain_json(self.json_form())
 
 
 def _matching_faces(z: MapString, w: MapString, j: int) -> list[int]:

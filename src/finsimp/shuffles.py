@@ -39,24 +39,24 @@ and checks that the result is the union of the complex and the grid image.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import CertificateError, HypothesisError, InputError
-from .finmap import MapClass, classify
+from .finmap import MapClass, _plain_json, classify
 from .grids import GridDiagram, boundary_cores, is_saturated, path_cores
 from .strings import MapString, StringComplex, face_closure, face_cores
 
 
-@dataclass(frozen=True, slots=True)
-class Shuffle:
+class Shuffle(namedtuple("Shuffle", "word")):
     """A lattice path encoded by its move word, e.g. ``"HVH"``."""
 
-    word: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(ch not in "HV" for ch in self.word):
-            raise InputError(f"bad move word {self.word!r}")
+    def __new__(cls, word: str):
+        if any(ch not in "HV" for ch in word):
+            raise InputError(f"bad move word {word!r}")
+        return tuple.__new__(cls, (word,))
 
     @property
     def r(self) -> int:
@@ -101,10 +101,18 @@ def enumerate_shuffles(r: int, s: int) -> list[Shuffle]:
 
     Ascending lexicographic order on move words with ``H < V`` refines the
     poset: at the first differing position the poset-smaller word shows the
-    ``H``.  The minimal shuffle comes first, the maximal one last.
+    ``H``.  The minimal shuffle comes first, the maximal one last.  Each
+    call returns a fresh list of the shuffles ``_shuffles`` keeps.
     """
     if r < 0 or s < 0:
         raise InputError("r and s must be >= 0")
+    return list(_shuffles(r, s))
+
+
+@lru_cache(maxsize=None)
+def _shuffles(r: int, s: int) -> tuple[Shuffle, ...]:
+    """The shuffles of ``enumerate_shuffles(r, s)``, for ``r, s >= 0``,
+    built once per shape and shared by the grid walks and attachments."""
     words = []
     for v_positions in itertools.combinations(range(r + s), s):
         letters = ["H"] * (r + s)
@@ -112,7 +120,7 @@ def enumerate_shuffles(r: int, s: int) -> list[Shuffle]:
             letters[p] = "V"
         words.append("".join(letters))
     words.sort()
-    return [Shuffle(w) for w in words]
+    return tuple(Shuffle(w) for w in words)
 
 
 def hasse_edges(r: int, s: int) -> list[tuple[str, str]]:
@@ -150,28 +158,23 @@ def is_inner_generalized_horn(S, n: int) -> bool:
     return any(t not in S for t in range(lo, hi))
 
 
-@dataclass(frozen=True)
-class HornCertificate:
+class HornCertificate(namedtuple("HornCertificate", "sigma kind S facets")):
     """Checked shape of the overlap between a shuffle simplex and its past.
 
-    ``facets`` lists the maximal overlap faces as sorted position subsets.
-    For a non-maximal shuffle the overlap is a union of codimension-one
-    faces whose index set ``S`` is not an interval; for the maximal shuffle
-    it is the full boundary sphere.
+    ``kind`` is ``"inner"`` or ``"boundary"``.  ``facets`` lists the
+    maximal overlap faces as sorted position subsets.  For a non-maximal
+    shuffle the overlap is a union of codimension-one faces whose index set
+    ``S`` is not an interval; for the maximal shuffle it is the full
+    boundary sphere.
     """
 
-    sigma: str
-    kind: str  # "inner" | "boundary"
-    S: tuple[int, ...]
-    facets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+
+    def json_form(self) -> dict:
+        return {"sigma": self.sigma, "kind": self.kind, "S": self.S, "facets": self.facets}
 
     def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "kind": self.kind,
-            "S": list(self.S),
-            "facets": [list(t) for t in self.facets],
-        }
+        return _plain_json(self.json_form())
 
 
 def _positions(mask: int) -> tuple[int, ...]:
@@ -285,32 +288,34 @@ _ATTACHED_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class AttachmentCertificate:
+class AttachmentCertificate(
+    namedtuple("AttachmentCertificate", "sigma status kind S excluded", defaults=(None, (), ()))
+):
     """Per-shuffle record of the facts verified while attaching a grid image.
 
-    ``excluded`` lists the faces of the shuffle simplex missing from the
-    prior subcomplex (position subsets).  Each fact in ``_ATTACHED_CHECKS``
-    raises when it fails, so an attached record holds all of them; a record
-    is re-checkable from the grid, the shuffle and the complex as it stood
-    when the shuffle was processed.
+    ``status`` is ``"attached"`` or ``"already-present"``; ``kind`` is
+    ``"inner"`` or ``"boundary"``, or ``None`` when the shuffle was
+    skipped.  ``excluded`` lists the faces of the shuffle simplex missing
+    from the prior subcomplex (position subsets).  Each fact in
+    ``_ATTACHED_CHECKS`` raises when it fails, so an attached record holds
+    all of them; a record is re-checkable from the grid, the shuffle and
+    the complex as it stood when the shuffle was processed.
     """
 
-    sigma: str
-    status: str  # "attached" | "already-present"
-    kind: str | None = None  # "inner" | "boundary" | None when skipped
-    S: tuple[int, ...] = ()
-    excluded: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ()
 
-    def to_json(self) -> dict:
+    def json_form(self) -> dict:
         return {
             "sigma": self.sigma,
             "status": self.status,
             "kind": self.kind,
-            "S": list(self.S),
-            "excluded": [list(t) for t in self.excluded],
+            "S": self.S,
+            "excluded": self.excluded,
             "checks": dict.fromkeys(_ATTACHED_CHECKS, True) if self.status == "attached" else {},
         }
+
+    def to_json(self) -> dict:
+        return _plain_json(self.json_form())
 
 
 def _gap_pattern_checks(sigma: Shuffle, T: tuple[int, ...]) -> None:
@@ -393,7 +398,7 @@ def _attachment_hypothesis(C: StringComplex, grid: GridDiagram, paths) -> dict:
 def attach_walk(
     current: set[MapString],
     cores: dict[str, MapString],
-    order: list[Shuffle],
+    order: tuple[Shuffle, ...] | list[Shuffle],
     anomaly,
     stop: set[MapString],
 ) -> tuple[list[AttachmentCertificate], list[MapString]]:
@@ -512,7 +517,7 @@ def _attach_diagram(
     paths,
 ) -> tuple[StringComplex, list[AttachmentCertificate]]:
     """``attach_diagram`` with ``paths = path_cores(grid)`` given."""
-    shuffles = enumerate_shuffles(grid.r, grid.s)
+    shuffles = _shuffles(grid.r, grid.s)
     cores = {sh.word: z for sh, (z, _) in zip(shuffles, paths)}
     D = StringComplex.closure(cores.values())
     if D.issubset(C):

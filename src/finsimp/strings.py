@@ -60,8 +60,9 @@ each saturation core costs one step, not a ``core``.  The walk fills only
 the memos of ``face_cores`` and ``_saturation_core``, which are functions
 of each string; a string it did not reach is cored as before.
 
-Identity is cheap: ``MapString`` caches its dataclass hash lazily, on the
-first ``hash`` call, and ``serialize`` writes the compact JSON by hand.
+Identity is cheap: ``MapString`` is a slotted class that caches its hash
+``hash((card0, maps))`` lazily, on the first ``hash`` call, and
+``serialize`` writes the compact JSON by hand.
 
 Values are validated at the boundary.  ``MapString(...)`` checks that its
 maps compose, and ``string_from_json``, ``extension_table`` and the other
@@ -84,37 +85,57 @@ off them through ``_census``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InputError
-from .finmap import FinMap, MapClass, _unchecked_map, compose, epi_mono_factor, identity
+from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, compose, epi_mono_factor, identity
 from .finmap import from_json as finmap_from_json
 
 
-@dataclass(frozen=True, slots=True)
-class MapString:
+class _Frozen:
+    """Read-only attributes for a slotted value class: assigning or deleting
+    one raises ``AttributeError``; the constructors set their slots through
+    the slot descriptors."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MapString(_Frozen):
     """A string of composable maps; ``card0`` is the cardinality of ``S_0``.
 
-    ``_hash`` caches the dataclass hash ``hash((card0, maps))`` on the first
-    ``hash`` call; equality and ``repr`` ignore it.
+    Equal strings are those with equal ``(card0, maps)``, and the hash is
+    ``hash((card0, maps))``, cached in ``_hash`` on the first ``hash``
+    call; equality and ``repr`` ignore the cache.
     """
 
-    card0: int
-    maps: tuple[FinMap, ...] = ()
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("card0", "maps", "_hash")
+    __match_args__ = ("card0", "maps")
 
-    def __post_init__(self):
-        if self.card0 < 0:
-            raise InputError(f"negative card0: {self.card0}")
-        if not isinstance(self.maps, tuple):
-            object.__setattr__(self, "maps", tuple(self.maps))
-        prev = self.card0
-        for k, f in enumerate(self.maps):
+    def __init__(self, card0: int, maps: tuple[FinMap, ...] = ()):
+        if card0 < 0:
+            raise InputError(f"negative card0: {card0}")
+        if not isinstance(maps, tuple):
+            maps = tuple(maps)
+        prev = card0
+        for k, f in enumerate(maps):
             if f.dst != prev:
                 raise InputError(f"maps[{k}]: dst={f.dst} does not match previous cardinality {prev}")
             prev = f.src
+        _set_card0(self, card0)
+        _set_maps(self, maps)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is MapString:
+            return self.card0 == other.card0 and self.maps == other.maps
+        return NotImplemented
 
     def __hash__(self):
         h = self._hash
@@ -122,6 +143,9 @@ class MapString:
             h = hash((self.card0, self.maps))
             _set_hash(self, h)
         return h
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(card0={self.card0!r}, maps={self.maps!r})"
 
     @property
     def degree(self) -> int:
@@ -138,11 +162,14 @@ class MapString:
     def sort_key(self) -> tuple:
         return (self.degree, serialize(self))
 
-    def to_json(self, canonical: bool | None = None) -> dict:
-        obj = {"card0": self.card0, "maps": [f.to_json() for f in self.maps]}
+    def json_form(self, canonical: bool | None = None) -> dict:
+        form = {"card0": self.card0, "maps": self.maps}
         if canonical is not None:
-            obj["canonical"] = canonical
-        return obj
+            form["canonical"] = canonical
+        return form
+
+    def to_json(self, canonical: bool | None = None) -> dict:
+        return _plain_json(self.json_form(canonical))
 
 
 _set_card0 = MapString.card0.__set__
@@ -623,8 +650,7 @@ def face_closure(seed, stop=frozenset()) -> set[MapString]:
     return out
 
 
-@dataclass(frozen=True)
-class StringComplex:
+class StringComplex(_Frozen):
     """A face-closed set of canonical nondegenerate strings.
 
     Degenerate strings are never stored; membership of an arbitrary string
@@ -632,11 +658,22 @@ class StringComplex:
     would be infinite as raw simplex sets.
     """
 
-    members: frozenset[MapString] = field(default_factory=frozenset)
+    __slots__ = ("members",)
+    __match_args__ = ("members",)
 
-    def __post_init__(self):
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
+    def __init__(self, members: frozenset[MapString] = frozenset()):
+        _set_members(self, members if isinstance(members, frozenset) else frozenset(members))
+
+    def __eq__(self, other):
+        if other.__class__ is StringComplex:
+            return self.members == other.members
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.members,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(members={self.members!r})"
 
     @staticmethod
     def closure(seed) -> "StringComplex":
@@ -667,11 +704,20 @@ class StringComplex:
     def max_card(self) -> int:
         return max((max(z.cards()) for z in self.members), default=0)
 
+    def json_form(self) -> map:
+        """The members in ``sort_key`` order, each with ``canonical: true``,
+        formed one at a time as the array is consumed."""
+        members = sorted(self.members, key=MapString.sort_key)
+        return map(MapString.json_form, members, itertools.repeat(True))
+
     def to_json(self) -> list:
-        return [z.to_json(canonical=True) for z in sorted(self.members, key=MapString.sort_key)]
+        return _plain_json(self.json_form())
 
     def __len__(self):
         return len(self.members)
+
+
+_set_members = StringComplex.members.__set__
 
 
 def _tables(lo: int, max_card: int, cap: float):

@@ -19,8 +19,10 @@ as oracles for the orderly generation of ``enumerate_nondegenerate`` and
 ``_corner_strings``, the
 ``json.dumps`` body kept as an oracle for the hand-written ``serialize``,
 the every-inner-face loop kept as an oracle for the cards-first
-``_matching_faces`` of ``match_excess``, and the ``in_excess`` filter
-kept as an oracle for ``excess_strings``.  It also keeps ``relabel``,
+``_matching_faces`` of ``match_excess``, the ``in_excess`` filter
+kept as an oracle for ``excess_strings``, and the hand-written
+``to_json`` bodies kept as an oracle for the trees derived from the
+shallow ``json_form`` of each value class.  It also keeps ``relabel``,
 ``is_canonical`` and ``corner_of``, which only the tests use."""
 
 import itertools
@@ -48,7 +50,14 @@ from finsimp.grids import (
     path_cores,
     restrict,
 )
-from finsimp.presentation import Generator, PresentationSkeleton, in_excess, profile_of
+from finsimp.presentation import (
+    ExcessProfile,
+    Generator,
+    Matching,
+    PresentationSkeleton,
+    in_excess,
+    profile_of,
+)
 from finsimp.shuffles import (
     AttachmentCertificate,
     HornCertificate,
@@ -967,7 +976,7 @@ def oracle_corner_strings(max_card: int, allow_empty: bool):
 
 def oracle_serialize(z: MapString) -> str:
     """The compact JSON form through ``json.dumps``."""
-    return json.dumps(z.to_json(), sort_keys=True, separators=(",", ":"))
+    return json.dumps(oracle_to_json(z), sort_keys=True, separators=(",", ":"))
 
 
 def oracle_matching_faces(z: MapString, w: MapString) -> list[int]:
@@ -986,3 +995,91 @@ def oracle_excess_strings(alpha: int, degree_bound: int, allow_empty: bool = Fal
         raise InputError("degree_bound must be >= 2")
     by_degree = enumerate_nondegenerate(alpha, degree_bound, allow_empty)
     return [profile_of(z, defect(z)) for level in by_degree for z in level if in_excess(z, alpha)]
+
+
+_ORACLE_CHECKS = (
+    "c_nondegenerate", "a_endpoints_and_isolated_gaps", "b_gap_moves",
+    "d_excluded_faces_nondegenerate", "ii_excluded_faces_new", "iii_excluded_faces_distinct",
+)
+
+
+def oracle_to_json(v, canonical=None):
+    """The plain JSON tree of a value, by the ``to_json`` bodies each value
+    class wrote by hand before it stated its JSON once as a shallow form;
+    ``canonical`` is ``MapString.to_json``'s argument."""
+    if isinstance(v, FinMap):
+        return {"src": v.src, "dst": v.dst, "img": list(v.img)}
+    if isinstance(v, MapString):
+        obj = {"card0": v.card0, "maps": [oracle_to_json(f) for f in v.maps]}
+        if canonical is not None:
+            obj["canonical"] = canonical
+        return obj
+    if isinstance(v, StringComplex):
+        return [oracle_to_json(z, True) for z in sorted(v.members, key=MapString.sort_key)]
+    if isinstance(v, GridDiagram):
+        return {
+            "r": v.r,
+            "s": v.s,
+            "cards": [list(col) for col in v.cards],
+            "horiz": [[oracle_to_json(f) for f in col] for col in v.horiz],
+            "vert": [[oracle_to_json(f) for f in col] for col in v.vert],
+        }
+    if isinstance(v, HornCertificate):
+        return {"sigma": v.sigma, "kind": v.kind, "S": list(v.S), "facets": [list(t) for t in v.facets]}
+    if isinstance(v, AttachmentCertificate):
+        return {
+            "sigma": v.sigma,
+            "status": v.status,
+            "kind": v.kind,
+            "S": list(v.S),
+            "excluded": [list(t) for t in v.excluded],
+            "checks": dict.fromkeys(_ORACLE_CHECKS, True) if v.status == "attached" else {},
+        }
+    if isinstance(v, PresentationSkeleton):
+        return {
+            "alpha": v.alpha,
+            "allow_empty": v.allow_empty,
+            "cells": [
+                {"r": g.r, "s": g.s, "corner": oracle_to_json(g.corner, True), "grid": oracle_to_json(g.grid)}
+                for g in v.generators
+            ],
+            "attachment_order": list(range(len(v.generators))),
+            "certificates": [
+                {"cell": k, "records": [oracle_to_json(rec) for rec in g.records]}
+                for k, g in enumerate(v.generators)
+            ],
+            "skeletal_dimension": v.complex.max_degree(),
+            "counts": v.counts(),
+            "complex": oracle_to_json(v.complex),
+        }
+    if isinstance(v, ExcessProfile):
+        return {
+            "string": oracle_to_json(v.string, True),
+            "defect": v.excess_defect,
+            "inj_run": v.inj_run,
+            "surj_run": v.surj_run,
+            "side": v.side,
+        }
+    if isinstance(v, Matching):
+        return {
+            "alpha": v.alpha,
+            "degree_bound": v.degree_bound,
+            "pairs": [
+                {"upper": oracle_to_json(u, True), "lower": oracle_to_json(w, True), "face": j}
+                for u, w, j in v.pairs
+            ],
+            "per_degree": [{"degree": d, "upper": nu, "lower": nl} for d, nu, nl in v.per_degree],
+        }
+    raise TypeError(f"no oracle JSON for {type(v).__name__}")
+
+
+def expand_values(tree):
+    """``tree`` with every value object replaced by its ``oracle_to_json``
+    tree and every tuple by a list."""
+    if isinstance(tree, dict):
+        return {k: expand_values(v) for k, v in tree.items()}
+    if type(tree) in (list, tuple):
+        return [expand_values(v) for v in tree]
+    if hasattr(tree, "json_form"):
+        return oracle_to_json(tree)
+    return tree

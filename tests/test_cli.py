@@ -13,8 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finsimp.cli as cli_mod
-from finsimp.cli import _write_json, main
+from finsimp import FinMap, MapString
+from finsimp.cli import _complex_from_json, _write_json, main
+from finsimp.grids import defect_subcomplex, grid_from_json
 from finsimp.presentation import present
+from finsimp.shuffles import AttachmentCertificate, attach_diagram, attachment_hypothesis
+from finsimp.shuffles import enumerate_shuffles, horn_certificate
+from helpers import expand_values, oracle_to_json
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -97,19 +102,19 @@ def test_attach_large_star_names_unmet_hypothesis(tmp_path):
     assert "boundary image is not contained" in err
 
 
+# a subset that is not face-closed, for attach_grid_1_1.json
+_UNCLOSED_SUBSET = [
+    {"card0": 1, "maps": []},
+    {"card0": 1, "maps": [{"src": 2, "dst": 1, "img": [0, 0]}]},
+    {"card0": 2, "maps": [{"src": 1, "dst": 2, "img": [0]}]},
+]
+
+
 def test_attach_subset_not_face_closed(tmp_path):
     # the boundary image of the grid less its two-element vertex: the closure
     # of each attached simplex must not stop at members of this subset
     subset = tmp_path / "unclosed.json"
-    subset.write_text(
-        json.dumps(
-            [
-                {"card0": 1, "maps": []},
-                {"card0": 1, "maps": [{"src": 2, "dst": 1, "img": [0, 0]}]},
-                {"card0": 2, "maps": [{"src": 1, "dst": 2, "img": [0]}]},
-            ]
-        )
-    )
+    subset.write_text(json.dumps(_UNCLOSED_SUBSET))
     code, out, err = run_cli(
         ["attach", "--subset", str(subset), "--grid", str(FIXTURES / "attach_grid_1_1.json")]
     )
@@ -450,3 +455,129 @@ def test_cli_encodes_no_whole_document(monkeypatch):
 
     monkeypatch.setattr(cli_mod, "json", types.SimpleNamespace(**{**vars(json), "dumps": refuse}))
     assert [run_cli(argv) for argv in argvs] == usual
+
+
+# The oracle of the writer is ``json.dumps`` of the plain tree that the
+# hand-written ``to_json`` bodies built (``helpers.oracle_to_json``).
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_present_streams_the_oracle_bytes(alpha, allow_empty):
+    argv = ["present", "--alpha", str(alpha)] + ["--allow-empty"] * allow_empty
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    skel = present(alpha, allow_empty)
+    assert skel.to_json() == oracle_to_json(skel)
+    assert out == _dumps(oracle_to_json(skel))
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_e_alpha_streams_the_oracle_bytes(alpha):
+    code, out, err = run_cli(["e-alpha", "--alpha", str(alpha)])
+    assert code == 0, err
+    C = defect_subcomplex(alpha)
+    assert C.to_json() == oracle_to_json(C)
+    want = {"alpha": alpha, "allow_empty": False, "count": len(C), "simplices": oracle_to_json(C)}
+    assert out == _dumps(want)
+
+
+def test_horns_streams_the_oracle_bytes():
+    code, out, err = run_cli(["horns", "--r", "3", "--s", "3"])
+    assert code == 0, err
+    certs = [horn_certificate(sh) for sh in enumerate_shuffles(3, 3)]
+    assert [c.to_json() for c in certs] == [oracle_to_json(c) for c in certs]
+    assert out == _dumps({"r": 3, "s": 3, "certificates": [oracle_to_json(c) for c in certs]})
+
+
+@pytest.mark.parametrize("subset", ["attach_subset_e1.json", "unclosed"])
+def test_attach_streams_the_oracle_bytes(tmp_path, subset):
+    if subset == "unclosed":
+        subset_path = tmp_path / "unclosed.json"
+        subset_path.write_text(json.dumps(_UNCLOSED_SUBSET))
+    else:
+        subset_path = FIXTURES / subset
+    grid_path = FIXTURES / "attach_grid_1_1.json"
+    code, out, err = run_cli(["attach", "--subset", str(subset_path), "--grid", str(grid_path)])
+    assert code == 0, err
+    C = _complex_from_json(json.loads(subset_path.read_text()), "subset")
+    grid = grid_from_json(json.loads(grid_path.read_text()))
+    result, records = attach_diagram(C, grid)
+    assert records and grid.to_json() == oracle_to_json(grid)
+    want = {
+        "hypothesis": attachment_hypothesis(C, grid),
+        "subset": oracle_to_json(result),
+        "certificates": [oracle_to_json(rec) for rec in records],
+    }
+    assert out == _dumps(want)
+
+
+# A few maps that repeat, so the memo is hit at several depths, and maps
+# drawn afresh.
+_POOL = [FinMap(0, 2, ()), FinMap(1, 1, (0,)), FinMap(3, 2, (1, 0, 1)), FinMap(2, 3, (0, 2))]
+
+
+@st.composite
+def _maps(draw):
+    src = draw(st.integers(0, 4))
+    dst = draw(st.integers(1, 4))
+    return FinMap(src, dst, draw(st.lists(st.integers(0, dst - 1), min_size=src, max_size=src)))
+
+
+@st.composite
+def _strings(draw):
+    cards = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    maps = []
+    for dst, src in zip(cards, cards[1:]):
+        fresh = st.lists(st.integers(0, dst - 1), min_size=src, max_size=src).map(
+            lambda img, src=src, dst=dst: FinMap(src, dst, img)
+        )
+        pooled = [f for f in _POOL if (f.src, f.dst) == (src, dst)]
+        maps.append(draw(st.sampled_from(pooled) | fresh if pooled else fresh))
+    return MapString(cards[0], maps)
+
+
+# the scalars and keys are kept simple: test_writer_matches_json_dumps
+# covers them
+_VALUES = st.sampled_from(_POOL) | _maps() | _strings()
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | _VALUES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_writer_matches_json_dumps_on_trees_with_values(tree):
+    assert _write_to_string(tree) == _dumps(expand_values(tree))
+
+
+def _module_state():
+    return {
+        name: len(value)
+        for name, value in vars(cli_mod).items()
+        if isinstance(value, (dict, list, set)) and name != "__builtins__"
+    }
+
+
+def test_writer_keeps_no_memo_between_calls():
+    skel = present(3)
+    before = _module_state()
+    first = _write_to_string(skel)
+    assert _module_state() == before
+    assert _write_to_string(skel) == first == _dumps(oracle_to_json(skel))
+    assert _module_state() == before
+
+
+def test_writer_flushes_by_accumulated_size():
+    # one memoised record repeated is few pieces of much text, a long array
+    # of floats many pieces of little text; both go out in pieces of about
+    # _FLUSH_SIZE characters
+    rec = AttachmentCertificate("HVHV", "attached", "inner", (1, 3), ((0, 2, 4), (0, 1, 2, 4)))
+    for doc in ({"records": [rec] * 3000}, [0.5] * 60000):
+        pieces = []
+        _write_json(doc, pieces.append)
+        assert "".join(pieces) == _dumps(expand_values(doc))
+        assert len(pieces) > 2
+        assert all(len(p) >= cli_mod._FLUSH_SIZE for p in pieces[:-1])

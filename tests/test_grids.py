@@ -488,7 +488,7 @@ def test_cached_tables_are_invisible():
         boundary_image(g)
         g.arrow((g.r, g.s), (0, 0))
         fresh = complete_from_corner(corner_from_string(z, s, r))
-        assert fresh is not g and vars(fresh).keys() == vars(g).keys()
+        assert fresh is not g and not hasattr(g, "__dict__") and not hasattr(fresh, "__dict__")
         assert g == fresh and hash(g) == hash(fresh)
         assert g.to_json() == fresh.to_json()
         assert repr(g) == repr(fresh)

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import pathlib
@@ -442,27 +441,23 @@ def test_matching_error_has_witness_type():
 
 
 def test_verify_skeleton_detects_tampering():
-    import dataclasses
-
     skel = present(2)
     gens = list(skel.generators)
     recs = gens[-1].records
-    tampered = recs[:-1] + (dataclasses.replace(recs[-1], sigma="VH" if recs[-1].sigma != "VH" else "HV"),)
-    gens[-1] = dataclasses.replace(gens[-1], records=tampered)
-    broken = dataclasses.replace(skel, generators=tuple(gens))
+    tampered = recs[:-1] + (recs[-1]._replace(sigma="VH" if recs[-1].sigma != "VH" else "HV"),)
+    gens[-1] = gens[-1]._replace(records=tampered)
+    broken = skel._replace(generators=tuple(gens))
     with pytest.raises(CertificateError):
         verify_skeleton(broken)
 
 
 def test_verify_skeleton_refuses_an_alpha_present_refuses():
-    import dataclasses
-
     from finsimp.errors import InputError
 
     skel = present(1)
     for alpha, bound in ((7, "alpha must be <= 6"), (0, "alpha must be >= 1")):
         with pytest.raises(InputError, match=bound):
-            verify_skeleton(dataclasses.replace(skel, alpha=alpha))
+            verify_skeleton(skel._replace(alpha=alpha))
 
 
 def test_excess_strings_rejects_bad_bounds():
@@ -506,7 +501,7 @@ def _upper_and_lower(profiles):
 def test_match_excess_refuses_a_junction_that_is_not_inner():
     profiles = excess_strings(2, 4)
     p, _ = _upper_and_lower(profiles)
-    bad = dataclasses.replace(p, inj_run=p.degree - p.surj_run)
+    bad = p._replace(inj_run=p.degree - p.surj_run)
     assert bad.junction == 0
     with pytest.raises(MatchingError, match="not inner") as exc:
         match_excess([bad if q is p else q for q in profiles], 2, 4)
@@ -516,7 +511,7 @@ def test_match_excess_refuses_a_junction_that_is_not_inner():
 def test_match_excess_refuses_an_empty_surjective_run():
     profiles = excess_strings(2, 4)
     p, _ = _upper_and_lower(profiles)
-    bad = dataclasses.replace(p, inj_run=p.inj_run + p.surj_run, surj_run=0)
+    bad = p._replace(inj_run=p.inj_run + p.surj_run, surj_run=0)
     assert bad.junction == p.junction
     with pytest.raises(MatchingError, match="empty surjective run") as exc:
         match_excess([bad if q is p else q for q in profiles], 2, 4)
@@ -526,7 +521,7 @@ def test_match_excess_refuses_an_empty_surjective_run():
 def test_match_excess_refuses_a_face_that_changes_the_defect():
     profiles = excess_strings(2, 4)
     p, lower = _upper_and_lower(profiles)
-    bad = dataclasses.replace(p, excess_defect=p.excess_defect + 1)
+    bad = p._replace(excess_defect=p.excess_defect + 1)
     with pytest.raises(MatchingError, match="changes the defect") as exc:
         match_excess([bad if q is p else q for q in profiles], 2, 4)
     assert exc.value.witness == {"upper": serialize(p.string), "lower": serialize(lower.string)}
@@ -543,7 +538,7 @@ def test_match_excess_refuses_a_face_outside_the_lower_class():
 def test_match_excess_refuses_a_lower_face_of_the_wrong_profile():
     profiles = excess_strings(2, 4)
     p, lower = _upper_and_lower(profiles)
-    bad = dataclasses.replace(lower, surj_run=lower.surj_run + 1)
+    bad = lower._replace(surj_run=lower.surj_run + 1)
     with pytest.raises(MatchingError, match="wrong profile") as exc:
         match_excess([bad if q is lower else q for q in profiles], 2, 4)
     assert exc.value.witness == {"upper": serialize(p.string), "lower": serialize(lower.string)}

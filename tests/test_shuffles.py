@@ -26,7 +26,7 @@ from finsimp.grids import (
     enumerate_corner_grids,
     path_cores,
 )
-from finsimp.shuffles import _excluded_faces, _recover_gaps, attach_walk, hasse_edges, poset_dot
+from finsimp.shuffles import _excluded_faces, _recover_gaps, _shuffles, attach_walk, hasse_edges, poset_dot
 from finsimp.strings import StringComplex, face
 
 import helpers
@@ -50,6 +50,22 @@ def test_census_one_one():
 
 def test_census_two_two():
     assert len(enumerate_shuffles(2, 2)) == 6
+
+
+def test_shuffles_are_built_once_per_shape_and_handed_out_fresh():
+    # present(4) asks for the shuffles of its 16 shapes once per grid, 305
+    # times, and once per shape more for the cell paths, unless cached
+    from finsimp.presentation import present
+
+    _shuffles.cache_clear()
+    present(4)
+    info = _shuffles.cache_info()
+    assert info.misses == info.currsize == 16 and info.hits + info.misses >= 305
+    first = enumerate_shuffles(2, 2)
+    first.append(None)
+    second = enumerate_shuffles(2, 2)
+    assert second is not first and len(second) == 6
+    assert all(a is b for a, b in zip(second, _shuffles(2, 2)))
 
 
 def test_census_binomial():
