@@ -27,7 +27,6 @@ from .grids import (
     defect_subcomplex,
     enumerate_corner_grids,
     image_subset,
-    is_accessible,
     is_saturated,
     restrict,
 )

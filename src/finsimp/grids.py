@@ -24,22 +24,23 @@ the levels a bijection joins.  The walk also reports where the
 core of each face of a path's restriction sits, so ``boundary_cores`` reads
 the core of every boundary facet off the path cores without restricting
 the facet.  ``restrict`` stays for ``complete_from_staircase`` and the
-tests.  ``defect_subcomplex`` and
-``is_accessible`` grow one member set and walk only what each image adds
-to it, as the replay of ``present`` does.  No chain table is kept on a
-grid, and ``arrow`` composes on demand.
+tests.  ``defect_subcomplex`` grows one member set and walks only what
+each image adds to it, as the replay of ``present`` does.  No chain table
+is kept on a grid, and ``arrow`` composes on demand.
 
 ``enumerate_corner_grids`` sorts the corner strings and completes each grid
-only when it is taken, so no grid outlives its use.  The shuffle paths and
-their boundary facet positions are cached per ``(r, s)``, and each step of
+only when it is taken, so no grid outlives its use.  The shuffles (in
+``shuffles._shuffles``) and the boundary facet positions are cached per
+``(r, s)``, and each step of
 the path walk per frontier and map, in the memo ``canonicalize`` shares.
 ``is_saturated`` looks up ``core(saturate(z))`` for every member in a memo
 keyed by the member, and the replay of ``present`` looks up only the
-members added since its last check, in the same memo.  ``defect_subcomplex`` and ``present`` first
-fill the face-core memo for every member of ``E^alpha``, and ``present``
-the saturation-core memo too, from one walk of the member trie
-(``strings._fill_core_memos``), so their grid loops core nothing; the
-direct census of ``check_against_enumeration`` stays its own.
+members added since its last check, in the same memo.
+``defect_subcomplex`` and ``present`` enumerate ``E^alpha`` once, by one
+walk of the member trie (``strings.walk_members``).  The walk fills the
+face-core memo for every member, and for ``present`` the saturation-core
+memo too, so their grid loops core nothing; its lists of members are what
+``check_against_enumeration`` compares the union of the grid images with.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .strings import (
     ExtensionTable,
     MapString,
     StringComplex,
-    _fill_core_memos,
     _intern,
     _saturation_core,
     _start_frontier,
@@ -64,11 +64,12 @@ from .strings import (
     canonicalize,  # unused here; perfbench's tracer test checks this binding
     core_face_indices,
     defect,
-    enumerate_nondegenerate,
+    degree_cap,
     extension_table,
     face_closure,
     face_cores,
     serialize,
+    walk_members,
 )
 
 
@@ -272,21 +273,15 @@ def restrict(grid: GridDiagram, path) -> MapString:
 
 
 @lru_cache(maxsize=None)
-def _shuffle_paths(r: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The cell paths of the ``(r, s)``-shuffles, built once per shape."""
-    from .shuffles import _shuffles  # local import to avoid a cycle
-
-    return tuple(sh.path() for sh in _shuffles(r, s))
-
-
-@lru_cache(maxsize=None)
 def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
     """Each boundary facet as ``(k, x)``: shuffle path ``k`` less its
     position ``x``, which is alone in its row or its column.  Facets are
     nonempty and without repeats, each named by its first pair; built once
     per shape."""
+    from .shuffles import _shuffles  # local import to avoid a cycle
+
     facets: dict[tuple, tuple[int, int]] = {}
-    for k, p in enumerate(_shuffle_paths(r, s)):
+    for k, p in enumerate(sh.path() for sh in _shuffles(r, s)):
         for x, (i, j) in enumerate(p):
             if sum(v[0] == i for v in p) == 1 or sum(v[1] == j for v in p) == 1:
                 facets.setdefault(p[:x] + p[x + 1 :], (k, x))
@@ -466,59 +461,37 @@ def _check_alpha(alpha: int) -> None:
         raise InputError(f"alpha must be <= {MAX_ALPHA}: E^7 already has 42,128,037 members")
 
 
-def is_accessible(C: StringComplex) -> bool:
-    """True when C is the union of the grid images it contains.
-
-    Candidate grids are bounded by C itself: a grid with nondegenerate
-    corner data contains its corner string, a nondegenerate simplex of
-    degree r+s, so r+s is at most the top degree of C, and every
-    cardinality is at most the defect bound of C's members.  The images
-    found so far form a face-closed subset of C, so an image lies in C
-    exactly when the part of it outside that subset does.
-    """
-    if not C.members:
-        return True
-    allow_empty = any(0 in z.cards() for z in C.members)
-    max_degree = C.max_degree()
-    union: set[MapString] = set()
-    for z, s, r, grid in enumerate_corner_grids(C.max_card(), allow_empty):
-        if r + s > max_degree:
-            break  # the census is sorted by degree
-        new = face_closure((w for w, _ in path_cores(grid)), union)
-        if new <= C.members:
-            union |= new
-    return union == C.members
-
-
 def defect_subcomplex(alpha: int, allow_empty: bool = False) -> StringComplex:
     """All canonical nondegenerate strings of defect <= alpha.
 
-    Built two independent ways and compared: the union of the images of all
-    grids with cardinalities <= alpha is checked against the direct
-    enumeration by ``check_against_enumeration``, as ``present`` checks its
-    replay of the same union.
+    Built two ways and compared: the union of the images of all grids with
+    cardinalities <= alpha is checked by ``check_against_enumeration``
+    against the members the walk of the member trie (``walk_members``)
+    lists, as ``present`` checks its replay of the same union.  The walk
+    comes first, since it fills the face-core memo the grid loop reads.
     """
     _check_alpha(alpha)
-    _fill_core_memos(alpha, allow_empty)
+    members = walk_members(alpha, allow_empty)
     union: set[MapString] = set()
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
         union |= face_closure((w for w, _ in path_cores(grid)), union)
     C = StringComplex(frozenset(union))
-    check_against_enumeration(C, alpha, allow_empty)
+    check_against_enumeration(C, alpha, members)
     return C
 
 
-def check_against_enumeration(C: StringComplex, alpha: int, allow_empty: bool) -> None:
-    """Compare a union of grid images with the direct enumeration of the
-    strings of defect <= alpha by the defect formula.
+def check_against_enumeration(C: StringComplex, alpha: int, by_degree: list[list[MapString]]) -> None:
+    """Compare a union of grid images with ``by_degree``, the strings of
+    defect <= alpha grown by the defect formula, one list per degree as
+    ``walk_members(alpha, ...)`` returns them.
 
-    Disagreement raises, since it would falsify the equivalence the rest
-    of the pipeline relies on.
+    The union is built from the grids alone: it reads the face-core memo
+    the walk fills, never its lists, so a member the walk missed or added
+    shows up here.  Disagreement raises, since it would falsify the
+    equivalence the rest of the pipeline relies on, and so does a member
+    at ``degree_cap(alpha)``, where the walk stopped.
     """
-    # Degree self-terminates: proper injections strictly shrink cardinality,
-    # everything else strictly raises defect.  alpha*(alpha+2) is a safe cap.
-    cap = alpha * (alpha + 2) + 1
-    by_degree = enumerate_nondegenerate(alpha, cap, allow_empty, max_defect=alpha)
+    cap = degree_cap(alpha)
     if by_degree[-1] and len(by_degree) >= cap:
         raise CertificateError(
             "degree cap reached",

@@ -9,11 +9,11 @@ its boundary facets, read off its path cores; its image is walked only
 where it is new; only the members added since the last check are checked
 for saturation; and the union with the image is checked on that new part
 and the added members.  ``verify_skeleton`` replays the generators through
-the same state.  Both first fill the face cores and the saturation cores
-of every member of ``E^alpha`` from one walk of the member trie
-(``strings._fill_core_memos``), so the replay cores nothing.  The
-replayed complex is the grid-image half of the dual construction of
-``E^alpha`` and is compared with the direct enumeration.
+the same state.  Both first walk the member trie of ``E^alpha`` once
+(``strings.walk_members``), which fills the face cores and the saturation
+cores of every member, so the replay cores nothing.  The replayed complex
+is the grid-image half of the dual construction of ``E^alpha``, and
+``present`` compares it with the members that walk lists.
 The excess strings (cardinalities bounded, defect above ``alpha``) carry a
 run-length profile that splits them into an upper and a lower class, with
 an inner-face matching between adjacent degrees and a precedence order
@@ -35,7 +35,6 @@ from .strings import (
     MapString,
     StringComplex,
     _census,
-    _fill_core_memos,
     _saturation_core,
     canonicalize,
     core,
@@ -43,6 +42,7 @@ from .strings import (
     face,
     face_closure,
     serialize,
+    walk_members,
 )
 
 
@@ -155,11 +155,11 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     whose attachment adds a simplex becomes a generator; the others are
     images already present.  Each attachment certifies that it adds exactly
     the grid's image, so the final complex is the grid-image half of the
-    dual construction of ``E^alpha``; it is compared with the direct
-    enumeration, and any discrepancy raises.
+    dual construction of ``E^alpha``; it is compared with the members the
+    walk of the member trie lists, and any discrepancy raises.
     """
     _check_alpha(alpha)
-    _fill_core_memos(alpha, allow_empty, saturations=True)
+    members = walk_members(alpha, allow_empty, saturations=True)
     replay = _Replay()
     gens = []
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
@@ -167,7 +167,7 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
         if recs:
             gens.append(Generator(r, s, z, grid, tuple(recs)))
     C = replay.complex()
-    check_against_enumeration(C, alpha, allow_empty)
+    check_against_enumeration(C, alpha, members)
     return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))
 
 
@@ -177,7 +177,7 @@ def verify_skeleton(skel: PresentationSkeleton) -> bool:
     The alpha of the skeleton is bounded as in ``present``, since the
     member walk before the replay covers all of ``E^alpha``."""
     _check_alpha(skel.alpha)
-    _fill_core_memos(skel.alpha, skel.allow_empty, saturations=True)
+    walk_members(skel.alpha, skel.allow_empty, saturations=True)
     replay = _Replay()
     for k, g in enumerate(skel.generators):
         fresh = replay.attach(g.corner, g.r, g.s, g.grid)

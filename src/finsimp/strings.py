@@ -45,20 +45,23 @@ children emitted in parent order, and in table order within a parent,
 come out sorted; only degree 0 is sorted.
 
 The members of ``E^alpha`` (the canonical nondegenerate strings of defect
-at most ``alpha``) form a trie by the prefix lemma, and
-``_fill_core_memos`` walks it once, depth first, carrying the state of
-``canonicalize`` (the canonical blocks so far and the top frontier) for
-each face of a member and for its saturation.  For a child ``w = z + (f,)``
-of degree ``t+1``, face ``i < t`` is face ``i`` of ``z`` extended by ``f``;
-face ``t`` is the prefix of ``z`` extended by the composite of the last two
-maps; face ``t+1`` is ``z``; and the saturation of ``w`` is that of ``z``
-extended by the ``mono`` and then the ``epi`` of ``f``.  Each is one
-``_step``.  A bijective map has an all-ones fiber, which resolves no part
+at most ``alpha``) form a trie by the prefix lemma, and ``walk_members``
+walks it once, depth first.  It returns the members, one list per degree
+in ``sort_key`` order by the order lemma: the census of ``E^alpha`` that
+the union of the grid images is checked against.  It also carries the
+state of ``canonicalize`` (the canonical blocks so far and the top
+frontier) for each face of a member and for its saturation.  For a child
+``w = z + (f,)`` of degree ``t+1``, face ``i < t`` is face ``i`` of ``z``
+extended by ``f``; face ``t`` is the prefix of ``z`` extended by the
+composite of the last two maps; face ``t+1`` is ``z``; and the saturation
+of ``w`` is that of ``z`` extended by the ``mono`` and then the ``epi`` of
+``f``.  Each is one ``_step``.  A bijective map has an all-ones fiber, which resolves no part
 of the frontier, so its block is the identity, and the walk drops it,
 since ``core`` merges the levels a bijection joins.  So each face core and
 each saturation core costs one step, not a ``core``.  The walk fills only
 the memos of ``face_cores`` and ``_saturation_core``, which are functions
-of each string; a string it did not reach is cored as before.
+of each string; a string it did not reach is cored as before, so the grid
+images never depend on the walk's lists.
 
 Identity is cheap: ``MapString`` is a slotted class that caches its hash
 ``hash((card0, maps))`` lazily, on the first ``hash`` call, and
@@ -561,20 +564,35 @@ def _saturation_core(z: MapString) -> MapString:
     return w
 
 
-def _fill_core_memos(alpha: int, allow_empty: bool = False, saturations: bool = False) -> None:
-    """Fill ``face_cores``'s memo, and with ``saturations`` that of
-    ``_saturation_core``, for every member of ``E^alpha`` (the canonical
-    nondegenerate strings of defect at most ``alpha``), from one
-    depth-first walk of their trie.
+def degree_cap(alpha: int) -> int:
+    """The top degree ``walk_members`` reaches in ``E^alpha``: it grows no
+    member of this degree.  The degree ends on its own well below, since a
+    proper injection shrinks the top cardinality and every other map raises
+    the defect, so a member of this degree means the walk did not end."""
+    return alpha * (alpha + 2) + 1
 
-    The walk grows each member from its prefix as the census does and
-    carries ``canonicalize``'s state ``(card0, blocks, frontier)`` for each
-    face of the member and for its saturation; every state of a child is
-    one ``_step`` from a state of its parent (see the module docstring),
-    whose block is dropped when the map is bijective.  A string that no
-    walk reached still gets its cores from ``core``.
+
+def walk_members(alpha: int, allow_empty: bool = False, saturations: bool = False) -> list[list[MapString]]:
+    """The members of ``E^alpha`` (the canonical nondegenerate strings of
+    defect at most ``alpha``), from one depth-first walk of their trie: one
+    list per degree, as ``enumerate_nondegenerate(alpha, degree_cap(alpha),
+    allow_empty, max_defect=alpha)`` returns them: up to the first empty
+    degree, or to the cap.  Within a degree the walk meets the members in
+    parent order and then in table order, which is ``sort_key`` order by
+    the order lemma.
+
+    The walk also fills ``face_cores``'s memo, and with ``saturations``
+    that of ``_saturation_core``, for every member.  Each member carries
+    ``canonicalize``'s state ``(card0, blocks, frontier)`` for each of its
+    faces and for its saturation; every state of a child is one ``_step``
+    from a state of its parent (see the module docstring), whose block is
+    dropped when the map is bijective.  A string that no walk reached still
+    gets its cores from ``core``.
     """
-    table = _tables(0 if allow_empty else 1, alpha, alpha)
+    lo = 0 if allow_empty else 1
+    cap = degree_cap(alpha)
+    table = _tables(lo, alpha, alpha)
+    levels: list[list[MapString]] = [[]]
 
     def step(state: tuple, f: FinMap) -> tuple:
         card0, blocks, frontier = state
@@ -582,11 +600,17 @@ def _fill_core_memos(alpha: int, allow_empty: bool = False, saturations: bool = 
         return card0, blocks if bijective else blocks + (block,), ahead
 
     def visit(z: MapString, frontier: tuple, d: int, faces: list, below: tuple, sat: tuple, top) -> None:
-        # ``faces``: the states of faces 0..t-1 of ``z``; ``below``: the top
-        # frontier of its prefix; ``top``: its top map
+        # ``faces``: the states of the faces of ``z`` but its prefix;
+        # ``below``: the top frontier of its prefix; ``top``: its top map;
+        # ``t``: the degree of its children
+        t = len(z.maps) + 1
+        if t == len(levels):
+            levels.append([])
+        level = levels[t]
         last = z.maps[-1].src if z.maps else z.card0
         for w, ahead, e in canonical_extensions(z, frontier, table(last, alpha - d)):
             w = _intern(w)
+            level.append(w)
             f = e.map
             grown = [step(s, f) for s in faces]
             if top is None:
@@ -599,13 +623,17 @@ def _fill_core_memos(alpha: int, allow_empty: bool = False, saturations: bool = 
                 epi, mono = epi_mono_factor(f)
                 saturated = step(step(sat, mono), epi)
                 _saturation_cores[w] = _intern(_unchecked_string(z.card0, saturated[1]))
-            visit(w, ahead, d + e.inc, grown, frontier, saturated, f)
+            if t < cap:
+                visit(w, ahead, d + e.inc, grown, frontier, saturated, f)
 
-    for c in range(0 if allow_empty else 1, alpha + 1):
-        z = _intern(MapString(c))
+    for z in sorted(map(MapString, range(lo, alpha + 1)), key=serialize):
+        z = _intern(z)
+        c = z.card0
+        levels[0].append(z)
         _face_cores[z] = ()
         frontier = _start_frontier(c)
         visit(z, frontier, c, [], frontier, (c, (), frontier), None)
+    return levels
 
 
 def core_face_indices(bijective) -> tuple[int | None, ...]:
@@ -681,17 +709,6 @@ class StringComplex(_Frozen):
         ``face_closure``."""
         return StringComplex(frozenset(face_closure(seed)))
 
-    def contains(self, z: MapString) -> bool:
-        return core(z)[0] in self.members
-
-    def is_face_closed(self) -> bool:
-        return all(
-            core(face(z, i))[0] in self.members
-            for z in self.members
-            if z.degree >= 1
-            for i in range(z.degree + 1)
-        )
-
     def union(self, other: "StringComplex") -> "StringComplex":
         return StringComplex(self.members | other.members)
 
@@ -700,9 +717,6 @@ class StringComplex(_Frozen):
 
     def max_degree(self) -> int:
         return max((z.degree for z in self.members), default=-1)
-
-    def max_card(self) -> int:
-        return max((max(z.cards()) for z in self.members), default=0)
 
     def json_form(self) -> map:
         """The members in ``sort_key`` order, each with ``canonical: true``,

@@ -14,16 +14,19 @@ each excluded face kept as an oracle for the ``attach_walk`` that reads
 the excluded faces off the path cores, the restricting ``path_cores`` kept
 as an oracle for the walk of the shuffle-path trie, the face cores and
 saturation cores cored from scratch kept as oracles for the memos the
-walk of the member trie fills, the canonicalize-then-dedupe censuses kept
-as oracles for the orderly generation of ``enumerate_nondegenerate`` and
-``_corner_strings``, the
+walk of the member trie fills, the breadth-first census of
+``enumerate_nondegenerate`` kept as the oracle for the lists of members
+that walk returns and as the census ``oracle_present`` checks against, the
+canonicalize-then-dedupe censuses kept as oracles for the orderly
+generation of ``enumerate_nondegenerate`` and ``_corner_strings``, the
 ``json.dumps`` body kept as an oracle for the hand-written ``serialize``,
 the every-inner-face loop kept as an oracle for the cards-first
 ``_matching_faces`` of ``match_excess``, the ``in_excess`` filter
 kept as an oracle for ``excess_strings``, and the hand-written
 ``to_json`` bodies kept as an oracle for the trees derived from the
 shallow ``json_form`` of each value class.  It also keeps ``relabel``,
-``is_canonical`` and ``corner_of``, which only the tests use."""
+``is_canonical``, ``corner_of``, ``contains`` and ``is_face_closed``,
+which only the tests use."""
 
 import itertools
 import json
@@ -34,15 +37,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from finsimp import FinMap, MapString, StringComplex, canonicalize, compose, core, defect, identity
-from finsimp.errors import CertificateError, InputError
+from finsimp.errors import CertificateError, DualConstructionError, InputError
 from finsimp.finmap import all_maps
 from finsimp.grids import (
     CornerData,
     GridDiagram,
     _boundary_positions,
     _corner_strings,
-    _shuffle_paths,
-    check_against_enumeration,
     complete_from_corner,
     corner_from_string,
     enumerate_corner_grids,
@@ -65,6 +66,7 @@ from finsimp.shuffles import (
     _excluded_faces,
     _gap_pattern_checks,
     _recover_gaps,
+    _shuffles,
     attach_diagram,
     attach_walk,
     enumerate_shuffles,
@@ -74,7 +76,6 @@ from finsimp.shuffles import (
 from finsimp import grids as grids_mod
 from finsimp import strings
 from finsimp.strings import (
-    _fill_core_memos,
     core_face_indices,
     enumerate_nondegenerate,
     face,
@@ -82,6 +83,7 @@ from finsimp.strings import (
     interned_core,
     saturate,
     serialize,
+    walk_members,
 )
 
 
@@ -301,6 +303,21 @@ def is_canonical(z: MapString) -> bool:
     return canonicalize(z) == z
 
 
+def contains(C: StringComplex, z: MapString) -> bool:
+    """Whether the core of ``z`` is a member of ``C``."""
+    return core(z)[0] in C.members
+
+
+def is_face_closed(C: StringComplex) -> bool:
+    """Whether the core of every face of every member of ``C`` is a member."""
+    return all(
+        core(face(z, i))[0] in C.members
+        for z in C.members
+        if z.degree >= 1
+        for i in range(z.degree + 1)
+    )
+
+
 def relabel(z: MapString, bijections) -> MapString:
     """Apply one bijection per level."""
     bijections = [tuple(b) for b in bijections]
@@ -471,8 +488,8 @@ def oracle_path_cores(grid) -> tuple[tuple[MapString, tuple[int | None, ...]], .
     """``path_cores`` as it restricted each shuffle path once and cored the
     restriction from scratch."""
     out = []
-    for p in _shuffle_paths(grid.r, grid.s):
-        y = restrict(grid, p)
+    for sh in _shuffles(grid.r, grid.s):
+        y = restrict(grid, sh.path())
         out.append((interned_core(y), core_face_indices([f.is_bijective for f in y.maps])))
     return tuple(out)
 
@@ -543,19 +560,21 @@ def count_steps(monkeypatch) -> Counter:
     return seen
 
 
-def compare_core_memos(alpha: int, allow_empty: bool = False) -> tuple[int, int, Counter]:
-    """Fill the face-core and saturation-core memos by the walk of the
-    member trie, which the caller has emptied, and compare them, member by
-    member, with ``oracle_face_cores`` and ``oracle_saturation_core`` on the
-    direct census of ``E^alpha``.
+def compare_core_memos(alpha: int, allow_empty: bool = False) -> tuple[list, list, int, Counter]:
+    """Walk the member trie with the face-core and saturation-core memos,
+    which the caller has emptied, and compare what the walk returns and
+    fills with the breadth-first census of ``E^alpha`` and, member by
+    member, with ``oracle_face_cores`` and ``oracle_saturation_core``.
 
-    Returns the number of members, of members whose memo entries are
-    missing, unequal or not interned, and a Counter of the memo keys that
-    are no members (``extra``) and of the cores that lost a bijection:
-    ``face`` for the faces, ``saturation`` for the saturations."""
-    _fill_core_memos(alpha, allow_empty, saturations=True)
+    Returns the walk's lists per degree, the census's
+    (``enumerate_nondegenerate`` with the walk's degree cap), the number of
+    members whose memo entries are missing, unequal or not interned, and a
+    Counter of the memo keys that are no members (``extra``) and of the
+    cores that lost a bijection: ``face`` for the faces, ``saturation`` for
+    the saturations."""
+    walked = walk_members(alpha, allow_empty, saturations=True)
     faces, saturations = strings._face_cores, strings._saturation_cores
-    levels = enumerate_nondegenerate(alpha, alpha * (alpha + 2), allow_empty, alpha)
+    levels = enumerate_nondegenerate(alpha, alpha * (alpha + 2) + 1, allow_empty, alpha)
     members = {z for level in levels for z in level}
     bad = 0
     seen: Counter = Counter()
@@ -571,7 +590,7 @@ def compare_core_memos(alpha: int, allow_empty: bool = False) -> tuple[int, int,
             ok = ok and got == want and got is strings._interned.get(got)
             seen["saturation"] += want.degree < 2 * z.degree
         bad += not ok
-    return len(members), bad, seen
+    return walked, levels, bad, seen
 
 
 def compare_path_cores(grids) -> tuple[int, int, int, Counter]:
@@ -588,7 +607,7 @@ def compare_path_cores(grids) -> tuple[int, int, int, Counter]:
         grids_seen += 1
         paths += len(want)
         bad += got != want or any(a[0] is not b[0] for a, b in zip(got, want))
-        for p in _shuffle_paths(grid.r, grid.s):
+        for p in (sh.path() for sh in _shuffles(grid.r, grid.s)):
             t = len(p) - 1
             for k, (a, b) in enumerate(zip(p, p[1:])):
                 f = grid.arrow(b, a)
@@ -602,7 +621,7 @@ def compare_path_cores(grids) -> tuple[int, int, int, Counter]:
 def oracle_boundary_facets(r: int, s: int) -> list[tuple[tuple[int, int], ...]]:
     """The cell chains of the boundary facets, in ``_boundary_positions``
     order."""
-    paths = _shuffle_paths(r, s)
+    paths = [sh.path() for sh in _shuffles(r, s)]
     return [paths[k][:x] + paths[k][x + 1 :] for k, x in _boundary_positions(r, s)]
 
 
@@ -623,13 +642,20 @@ def oracle_corner_grids(max_card: int, allow_empty: bool) -> list:
 
 
 def oracle_is_accessible(C: StringComplex) -> bool:
-    """``is_accessible`` with every candidate image walked in full."""
+    """Whether ``C`` is the union of the grid images it contains, with
+    every candidate image walked in full.
+
+    Candidate grids are bounded by ``C`` itself: a grid with nondegenerate
+    corner data contains its corner string, a nondegenerate simplex of
+    degree r+s, so r+s is at most the top degree of ``C``, and every
+    cardinality is at most the largest one of ``C``'s members."""
     if not C.members:
         return True
     allow_empty = any(0 in z.cards() for z in C.members)
     max_degree = C.max_degree()
     union: set[MapString] = set()
-    for z, s, r, grid in oracle_corner_grids(C.max_card(), allow_empty):
+    max_card = max(max(z.cards()) for z in C.members)
+    for z, s, r, grid in oracle_corner_grids(max_card, allow_empty):
         if r + s > max_degree:
             continue
         img = image_subset(grid)
@@ -751,8 +777,31 @@ def oracle_present(alpha: int, allow_empty: bool = False) -> PresentationSkeleto
         C, recs = attach_diagram(C, grid)
         if recs:
             gens.append(Generator(r, s, z, grid, tuple(recs)))
-    check_against_enumeration(C, alpha, allow_empty)
+    oracle_check_against_enumeration(C, alpha, allow_empty)
     return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))
+
+
+def oracle_check_against_enumeration(C: StringComplex, alpha: int, allow_empty: bool) -> None:
+    """``check_against_enumeration`` as it enumerated ``E^alpha`` itself,
+    breadth first, with ``enumerate_nondegenerate``."""
+    cap = alpha * (alpha + 2) + 1
+    by_degree = enumerate_nondegenerate(alpha, cap, allow_empty, max_defect=alpha)
+    if by_degree[-1] and len(by_degree) >= cap:
+        raise CertificateError(
+            "degree cap reached",
+            witness={"alpha": alpha, "cap": cap, "top_degree_members": len(by_degree[-1])},
+        )
+    direct = {z for level in by_degree for z in level}
+    if direct != C.members:
+        only_direct = sorted(direct - C.members, key=MapString.sort_key)
+        only_union = sorted(C.members - direct, key=MapString.sort_key)
+        raise DualConstructionError(
+            "defect enumeration and grid-image union disagree",
+            witness={
+                "only_direct": [serialize(z) for z in only_direct[:5]],
+                "only_union": [serialize(z) for z in only_union[:5]],
+            },
+        )
 
 
 def oracle_attach_walk(

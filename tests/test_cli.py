@@ -210,10 +210,8 @@ def test_degree_cap_exits_two(monkeypatch):
     from finsimp import MapString
 
     # alpha 1 caps the degree at 4; a fourth level that is still nonempty
-    # means the enumeration did not terminate under the cap
-    monkeypatch.setattr(
-        grids_mod, "enumerate_nondegenerate", lambda *args, **kwargs: [[MapString(1)]] * 4
-    )
+    # means the walk of the member trie did not terminate under the cap
+    monkeypatch.setattr(grids_mod, "walk_members", lambda *args, **kwargs: [[MapString(1)]] * 4)
     code, out, err = run_cli(["e-alpha", "--alpha", "1"])
     assert code == 2 and out == ""
     report = json.loads(err)

@@ -17,7 +17,6 @@ from finsimp import (
     defect_subcomplex,
     face,
     image_subset,
-    is_accessible,
     is_saturated,
     restrict,
 )
@@ -27,7 +26,6 @@ from finsimp import grids, strings
 from finsimp.grids import (
     GridDiagram,
     _corner_strings,
-    _shuffle_paths,
     boundary_cores,
     boundary_image,
     corner_from_string,
@@ -35,6 +33,7 @@ from finsimp.grids import (
     grid_from_json,
     path_cores,
 )
+from finsimp.shuffles import _shuffles
 from finsimp.strings import StringComplex, enumerate_nondegenerate, interned_core
 
 from helpers import (
@@ -42,7 +41,9 @@ from helpers import (
     assert_rebuilds,
     chain_in_boundary,
     compare_path_cores,
+    contains,
     corner_of,
+    is_face_closed,
     iter_chains,
     oracle_arrow,
     oracle_boundary_facets,
@@ -199,8 +200,8 @@ def test_image_subset_trivial_grid():
 def test_image_subset_face_closed_exhaustive():
     for z, s, r, g in small_grids():
         img = image_subset(g)
-        assert img.is_face_closed()
-        assert img.contains(z)  # the corner string realizes the full grid
+        assert is_face_closed(img)
+        assert contains(img, z)  # the corner string realizes the full grid
 
 
 def test_accessible_implies_saturated_exhaustive():
@@ -212,19 +213,19 @@ def test_saturated_counterexample():
     edge = MapString(2, (FinMap(2, 2, (0, 0)),))
     C = StringComplex.closure([edge])
     assert not is_saturated(C)
-    assert not is_accessible(C)
+    assert not oracle_is_accessible(C)
 
 
 def test_saturated_trivial_cases():
     assert is_saturated(StringComplex(frozenset()))
     points = StringComplex(frozenset({MapString(1), MapString(3)}))
     assert is_saturated(points)
-    assert is_accessible(points)
+    assert oracle_is_accessible(points)
 
 
 def test_single_image_is_accessible():
     for z, s, r, g in itertools.islice(small_grids(), 8):
-        assert is_accessible(image_subset(g))
+        assert oracle_is_accessible(image_subset(g))
 
 
 def test_defect_subcomplex_alpha_one():
@@ -255,7 +256,7 @@ def test_defect_subcomplex_is_defect_level_set():
 def test_e_alpha_accessible():
     for alpha in (1, 2):
         for empty in (False, True):
-            assert is_accessible(defect_subcomplex(alpha, empty))
+            assert oracle_is_accessible(defect_subcomplex(alpha, empty))
 
 
 def test_boundary_image_is_saturated():
@@ -475,7 +476,7 @@ def test_boundary_cores_match_restricted_facets():
     for g in _oracle_grids():
         paths = path_cores(g)
         assert [z for z, _ in paths] == [
-            interned_core(restrict(g, p)) for p in _shuffle_paths(g.r, g.s)
+            interned_core(restrict(g, sh.path())) for sh in _shuffles(g.r, g.s)
         ]
         derived = boundary_cores(g, paths)
         assert derived == [interned_core(restrict(g, ch)) for ch in oracle_boundary_facets(g.r, g.s)]
@@ -524,22 +525,6 @@ def test_incremental_walk_is_the_union_of_images(alpha, allow_empty):
     for z, s, r, g in enumerate_corner_grids(alpha, allow_empty):
         union |= image_subset(g).members
     assert defect_subcomplex(alpha, allow_empty).members == union
-
-
-def test_is_accessible_matches_per_grid_oracle():
-    # E^3 less one maximal member is still face-closed; whether it is still
-    # a union of grid images depends on the member
-    E3 = defect_subcomplex(3)
-    faces = {core(face(z, i))[0] for z in E3.members for i in range(z.degree + 1) if z.degree}
-    maximal = sorted(E3.members - faces, key=MapString.sort_key)
-    assert len(maximal) == 4
-    verdicts = []
-    for top in maximal:
-        C = StringComplex(E3.members - {top})
-        assert C.is_face_closed()
-        verdicts.append(is_accessible(C))
-        assert verdicts[-1] == oracle_is_accessible(C)
-    assert sorted(verdicts) == [False, False, True, True]
 
 
 @pytest.mark.parametrize("allow_empty", [False, True])

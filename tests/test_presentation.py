@@ -59,6 +59,7 @@ from finsimp.strings import StringComplex, _census, serialize
 from helpers import (
     cold_memos,
     compare_attach_walks,
+    is_face_closed,
     oracle_excess_strings,
     oracle_matching_faces,
     oracle_present,
@@ -231,7 +232,7 @@ def test_replay_state_face_closed_and_saturated(alpha, allow_empty):
     for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
         replay.attach(z, r, s, grid)
         C = StringComplex(frozenset(replay.members))
-        assert C.is_face_closed()
+        assert is_face_closed(C)
         # the incremental verdict checks only the members added since the
         # last call; the whole-complex check sees every member
         assert replay.saturated() == is_saturated(C)
@@ -309,6 +310,41 @@ def test_present_compares_with_direct_enumeration(monkeypatch, alpha, allow_empt
         present(alpha, allow_empty)
     z = census[-1][0]
     assert exc.value.witness == {"only_direct": [serialize(z)], "only_union": []}
+
+
+@pytest.mark.parametrize("build", [present, defect_subcomplex])
+@pytest.mark.parametrize("alpha,allow_empty", [(2, False), (3, False), (2, True)])
+def test_union_member_missing_from_the_member_walk_raises(monkeypatch, build, alpha, allow_empty):
+    # the walk fills the memos for every member but lists one fewer; the
+    # union of the grid images never reads those lists and still holds it
+    dropped = []
+
+    def walk_less_one(*args, **kwargs):
+        levels = strings_mod.walk_members(*args, **kwargs)
+        dropped.append(levels[-2].pop())  # levels[-1] is the first empty degree
+        return levels
+
+    monkeypatch.setattr(grids_mod, "walk_members", walk_less_one)
+    monkeypatch.setattr(presentation_mod, "walk_members", walk_less_one)
+    with pytest.raises(DualConstructionError) as exc:
+        build(alpha, allow_empty)
+    assert exc.value.witness == {"only_direct": [], "only_union": [serialize(dropped[0])]}
+
+
+def test_present_and_defect_subcomplex_run_no_breadth_first_census(monkeypatch):
+    # the walk of the member trie is their one census of E^alpha
+    calls = Counter()
+    for name, module in list(sys.modules.items()):
+        if name != "finsimp" and not name.startswith("finsimp."):
+            continue
+        for attr in ("enumerate_nondegenerate", "_census"):
+            real = vars(module).get(attr)
+            if real is not None:
+                counted = lambda *a, real=real, attr=attr, **k: calls.update([attr]) or real(*a, **k)
+                monkeypatch.setattr(module, attr, counted)
+    present(4)
+    defect_subcomplex(4)
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from finsimp.strings import StringComplex, face
 import helpers
 from helpers import (
     chain_in_boundary,
+    contains,
     corner_of,
     iter_chains,
     oracle_attach_walk,
@@ -451,7 +452,7 @@ def test_corner_faces_are_read_off_the_maximal_path_core():
                     StringComplex(frozenset(image)),
                     StringComplex(frozenset(image[::2])),
                 ):
-                    want = [C.contains(face(y, i)) for i in range(y.degree + 1)] if y.degree else []
+                    want = [contains(C, face(y, i)) for i in range(y.degree + 1)] if y.degree else []
                     assert attachment_hypothesis(C, grid)["corner_faces_in_complex"] == want
                     checked += 1
     assert checked == 1032

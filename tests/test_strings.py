@@ -23,7 +23,6 @@ from finsimp.strings import (
     StringComplex,
     _Tie,
     _census,
-    _fill_core_memos,
     _saturation_core,
     _start_frontier,
     _step,
@@ -34,6 +33,7 @@ from finsimp.strings import (
     interned_core,
     serialize,
     string_from_json,
+    walk_members,
 )
 
 from helpers import (
@@ -43,8 +43,10 @@ from helpers import (
     clear_memos,
     cold_memos,
     compare_core_memos,
+    contains,
     count_steps,
     fresh_memos,
+    is_face_closed,
     list_canonicalize,
     is_canonical,
     oracle_canonicalize,
@@ -366,9 +368,9 @@ def test_string_complex_closure_and_contains():
     edge = MapString(2, (FinMap(2, 2, (0, 0)),))
     C = StringComplex.closure([edge])
     assert len(C) == 2
-    assert C.contains(degeneracy(edge, 0))
-    assert C.is_face_closed()
-    assert not C.contains(MapString(1))
+    assert contains(C, degeneracy(edge, 0))
+    assert is_face_closed(C)
+    assert not contains(C, MapString(1))
 
 
 def test_string_from_json_diagnostics():
@@ -430,11 +432,13 @@ def test_top_face_core_is_the_interned_prefix(allow_empty):
 @pytest.mark.parametrize("allow_empty", [False, True])
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
 def test_member_walk_fills_memos_like_the_oracles(monkeypatch, alpha, allow_empty):
-    # every member of E^alpha, and nothing else, gets the face cores and the
-    # saturation core of the oracles, as the interned objects
+    # the walk lists the breadth-first census of E^alpha list for list, in
+    # sort_key order; every member, and nothing else, gets the face cores
+    # and the saturation core of the oracles, as the interned objects
     cold_memos(monkeypatch)
-    members, bad, seen = compare_core_memos(alpha, allow_empty)
-    assert members == len(strings_mod._face_cores) and bad == 0 and seen["extra"] == 0
+    walked, census, bad, seen = compare_core_memos(alpha, allow_empty)
+    assert walked == census
+    assert sum(map(len, census)) == len(strings_mod._face_cores) and bad == 0 and seen["extra"] == 0
     if alpha >= 3:
         # cores that lost a bijection, whose step only moved the frontier
         assert seen["face"] and seen["saturation"]
@@ -442,7 +446,7 @@ def test_member_walk_fills_memos_like_the_oracles(monkeypatch, alpha, allow_empt
 
 def test_strings_outside_the_member_walk_fall_back_to_core(monkeypatch):
     cold_memos(monkeypatch)
-    _fill_core_memos(3, saturations=True)
+    walk_members(3, saturations=True)
     calls = []
     real = strings_mod.core
     monkeypatch.setattr(strings_mod, "core", lambda z: calls.append(z) or real(z))
@@ -463,7 +467,7 @@ def test_strings_outside_the_member_walk_fall_back_to_core(monkeypatch):
 def test_face_closure_stops_at_a_closed_set():
     z = canonicalize(MapString(3, (FinMap(2, 3, (0, 2)), FinMap(2, 2, (1, 1)))))
     whole = face_closure([z])
-    assert StringComplex(frozenset(whole)).is_face_closed()
+    assert is_face_closed(StringComplex(frozenset(whole)))
     low = face_closure([face(z, 0)])
     assert face_closure([z], low) == whole - low
 
