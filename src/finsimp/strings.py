@@ -575,11 +575,11 @@ def degree_cap(alpha: int) -> int:
 def walk_members(alpha: int, allow_empty: bool = False, saturations: bool = False) -> list[list[MapString]]:
     """The members of ``E^alpha`` (the canonical nondegenerate strings of
     defect at most ``alpha``), from one depth-first walk of their trie: one
-    list per degree, as ``enumerate_nondegenerate(alpha, degree_cap(alpha),
-    allow_empty, max_defect=alpha)`` returns them: up to the first empty
-    degree, or to the cap.  Within a degree the walk meets the members in
-    parent order and then in table order, which is ``sort_key`` order by
-    the order lemma.
+    list per degree up to the first empty one or to the cap, as
+    ``enumerate_nondegenerate(alpha, degree_cap(alpha), allow_empty,
+    max_defect=alpha)`` returns them.  Within a degree the walk meets the
+    members in parent order and then in table order, which is ``sort_key``
+    order by the order lemma.
 
     The walk also fills ``face_cores``'s memo, and with ``saturations``
     that of ``_saturation_core``, for every member.  Each member carries
