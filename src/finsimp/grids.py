@@ -9,15 +9,16 @@ paths turns grids into strings.
 
 A grid is checked once, where it enters: ``grid_from_json`` and
 ``complete_from_staircase`` validate the grid they build, while
-``complete_from_corner`` (and so the corner census) validates its
-``CornerData`` and builds a grid valid by construction, with unchecked maps.
+``complete_from_corner`` validates its ``CornerData`` and builds a grid
+valid by construction, with unchecked maps.  The corner census grows the
+same grids, unchecked too, from corner strings its tables build valid.
 
 The image of a grid is the face closure of the cores of its
 ``C(r+s, s)`` shuffle paths: every chain of the cell poset lies on some
 shuffle path, so its restriction is an iterated face of a path
-restriction.  Every image is read off ``path_cores``, one depth-first walk
-of the trie of the shuffle paths that carries the state of
-``canonicalize`` along each prefix and takes its memoised step
+restriction.  Every image is read off the path cores, from one walk of
+the trie of the shuffle paths, a column at a time, that carries the state
+of ``canonicalize`` along each prefix and takes its memoised step
 (``strings._step``): a path is never restricted, cored or canonicalized,
 and a bijective step only moves the top frontier, since the core merges
 the levels a bijection joins.  The walk also reports where the
@@ -28,11 +29,16 @@ tests.  ``defect_subcomplex`` grows one member set and walks only what
 each image adds to it, as the replay of ``present`` does.  No chain table
 is kept on a grid, and ``arrow`` composes on demand.
 
-``enumerate_corner_grids`` sorts the corner strings and completes each grid
-only when it is taken, so no grid outlives its use.  The shuffles (in
-``shuffles._shuffles``) and the boundary facet positions are cached per
-``(r, s)``, and each step of
-the path walk per frontier and map, in the memo ``canonicalize`` shares.
+``enumerate_corner_grids`` sorts the corner strings and grows each grid
+when it is taken from its parent in the corner trie, the grid less its
+last column: it shares the parent's columns, and its path cores continue
+the parent's walk up the new column, so ``present`` and
+``defect_subcomplex`` walk only parents whole, once each.  Only the grids
+of the degree below are held.  ``complete_from_corner`` and ``path_cores``
+serve grids from elsewhere and are the census's oracles.  The shuffles
+(in ``shuffles._shuffles``) and the boundary facet positions are cached
+per ``(r, s)``, and each step of the path walk per frontier and map, in
+the memo ``canonicalize`` shares.
 ``is_saturated`` looks up ``core(saturate(z))`` for every member in a memo
 keyed by the member, and the replay of ``present`` looks up only the
 members added since its last check, in the same memo.
@@ -292,59 +298,65 @@ def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
 _face_indices = lru_cache(maxsize=None)(core_face_indices)
 
 
+def _climb(states: list, up: tuple, across: tuple | None = None) -> list:
+    """The states ``(row, blocks, flags, frontier)`` of the shuffle-path
+    prefixes that end in one column, in depth-first order: each of
+    ``states`` steps ``H`` along ``across`` into the column (or, without
+    ``across``, already ends in it), then climbs it along ``up``."""
+    out = []
+    for j, blocks, flags, frontier in states:
+        steps = up[j:]
+        if across is None:
+            out.append((j, blocks, flags, frontier))
+            j += 1
+        else:
+            steps = (across[j],) + steps
+        for row, f in enumerate(steps, j):
+            block, frontier, bijective = _step(frontier, f)
+            flags += (bijective,)
+            if not bijective:
+                blocks += (block,)
+            out.append((row, blocks, flags, frontier))
+    return out
+
+
+def _last_column(grid: GridDiagram) -> list:
+    """The walk states of the prefixes that end in the last column."""
+    states = _climb([(0, (), (), _start_frontier(grid.card(0, 0)))], grid.vert[0])
+    for i in range(1, grid.r + 1):
+        states = _climb(states, grid.vert[i], grid.horiz[i - 1])
+    return states
+
+
+def _cores(states: list, card0: int, s: int) -> tuple:
+    """The path cores of the states that end in the top right cell."""
+    return tuple(
+        (_intern(_unchecked_string(card0, blocks)), _face_indices(flags))
+        for j, blocks, flags, _ in states
+        if j == s
+    )
+
+
 def path_cores(grid: GridDiagram) -> tuple[tuple[MapString, tuple[int | None, ...]], ...]:
     """The core of the restriction of each shuffle path, in shuffle order,
-    from one depth-first walk of the trie of the paths.
+    from one walk of the trie of the paths, a column at a time.
 
     Per path: the interned core of its restriction, and where the core of
     each face of the restriction sits (``core_face_indices``).
 
     Every path starts at cell ``(0, 0)``; a step ``H`` adds
-    ``horiz[i][j]`` and a step ``V`` adds ``vert[i][j]``, and taking ``H``
-    before ``V`` reaches the paths in ``enumerate_shuffles`` order.  The walk
-    carries the state ``canonicalize`` carries along a string (the canonical
-    blocks so far and the frontier of the top level) together with the
-    bijective flags, so each prefix is canonicalized once for all the paths
-    that share it, and each step is the memoised ``strings._step`` that
-    ``canonicalize`` takes.  A bijective step appends no block: ``core``
-    merges the levels a bijection joins, and a bijection maps the
-    admissible orders of one level onto the next, so its step only moves
-    the frontier.  No path is restricted, cored or canonicalized.
+    ``horiz[i][j]`` and a step ``V`` adds ``vert[i][j]``.  The prefixes
+    that end in each column come in the order of the depth-first walk that
+    takes ``H`` before ``V``, which reaches the paths in
+    ``enumerate_shuffles`` order.  Each prefix carries the state
+    ``canonicalize`` carries along a string (the canonical blocks so far
+    and the frontier of the top level) and the bijective flags, so each
+    prefix is canonicalized once for all the paths that share it, by the
+    memoised ``strings._step``.  A bijective step appends no block, since
+    ``core`` merges the levels a bijection joins, and only moves the
+    frontier.  No path is restricted, cored or canonicalized.
     """
-    r, s = grid.r, grid.s
-    # moves[i][j]: the steps out of cell (i, j), H first, with the cell reached
-    moves = [
-        [
-            ([(grid.horiz[i][j], i + 1, j)] if i < r else [])
-            + ([(grid.vert[i][j], i, j + 1)] if j < s else [])
-            for j in range(s + 1)
-        ]
-        for i in range(r + 1)
-    ]
-    card0 = grid.card(0, 0)
-    blocks: list[FinMap] = []
-    flags: list[bool] = []
-    out = []
-
-    def walk(i: int, j: int, frontier: tuple) -> None:
-        steps = moves[i][j]
-        if not steps:
-            z = _intern(_unchecked_string(card0, tuple(blocks)))
-            out.append((z, _face_indices(tuple(flags))))
-            return
-        for f, i2, j2 in steps:
-            block, ahead, bijective = _step(frontier, f)
-            flags.append(bijective)
-            if bijective:
-                walk(i2, j2, ahead)
-            else:
-                blocks.append(block)
-                walk(i2, j2, ahead)
-                blocks.pop()
-            flags.pop()
-
-    walk(0, 0, _start_frontier(card0))
-    return tuple(out)
+    return _cores(_last_column(grid), grid.card(0, 0), grid.s)
 
 
 def boundary_cores(grid: GridDiagram, paths) -> list[MapString]:
@@ -433,20 +445,83 @@ def _corner_strings(max_card: int, allow_empty: bool):
     return out
 
 
-def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
+def _add_column(parent: GridDiagram, lab, f: FinMap) -> tuple[GridDiagram, tuple[int, ...]]:
+    """The child of ``parent`` whose top row goes on by the injection
+    ``f``, and its ``lab``: ``lab[v]`` is the label that corner label ``v``
+    of the top right cell ``(i, s)`` became.  New cell ``(i+1, j)`` is the
+    image of ``(i+1, s)`` in ``(i, j)``, listed increasingly, as
+    ``complete_from_corner`` fills it."""
+    i, s = parent.r, parent.s
+    top = [lab[v] for v in f.img]
+    cells = [sorted(top)]
+    down = []
+    for g in reversed(parent.vert[i]):  # g: (i, j+1) -> (i, j), from the top
+        above = cells[-1]
+        below = sorted({g.img[v] for v in above})
+        pos = {v: k for k, v in enumerate(below)}
+        down.append(_unchecked_map(len(above), len(below), tuple(pos[g.img[v]] for v in above)))
+        cells.append(below)
+    cells.reverse()
+    down.reverse()
+    rank = {v: k for k, v in enumerate(cells[-1])}
+    grid = GridDiagram(
+        i + 1,
+        s,
+        parent.cards + (tuple(map(len, cells)),),
+        parent.horiz + (tuple(_unchecked_map(len(c), n, tuple(c)) for c, n in zip(cells, parent.cards[i])),),
+        parent.vert + (tuple(down),),
+    )
+    return grid, tuple(rank[v] for v in top)
+
+
+def enumerate_corner_grids(max_card: int, allow_empty: bool = False, cores: bool = False):
     """All grids with nondegenerate corner data and cardinalities <= max_card.
 
     Yields ``(corner_string, s, r, grid)`` tuples sorted by total degree
-    then serialization; one entry per isomorphism class.  The corner
-    strings are sorted up front and each grid is completed only when it is
-    taken, so every call builds its own grid objects.
+    then serialization; one entry per isomorphism class.  With ``cores``
+    each entry also carries ``path_cores(grid)`` last.
+
+    A grid of one column is its corner string; any other is its parent in
+    the corner trie (the corner string less its last injection) plus one
+    column, and its shuffle paths are the parent's prefixes that end in
+    the parent's last column, continued by ``H`` and up the new column.
+    A parent's children are contiguous, so its prefix states are walked at
+    its first child and dropped at the next parent; a child whose parent
+    is missing or dropped raises.  Every call builds its own grids.
     """
+    lo = 0 if allow_empty else 1
     corners = sorted(
         _corner_strings(max_card, allow_empty), key=lambda e: (e[0].degree, serialize(e[0]), e[1])
     )
+    # (grid, lab) by corner, of the degree below and of this one
+    below: dict[tuple, tuple] = {}
+    grown: dict[tuple, tuple] = {}
+    degree, key = 0, None
     for z, s in corners:
+        if z.degree > degree:
+            below, grown, degree = grown, {}, z.degree
         r = z.degree - s
-        yield z, s, r, complete_from_corner(corner_from_string(z, s, r))
+        if r == 0:
+            cards = z.cards()
+            grid, lab = GridDiagram(0, s, (cards,), (), (z.maps,)), range(cards[-1])
+        else:
+            if (z.card0, z.maps[:-1]) != key:
+                key = (z.card0, z.maps[:-1])
+                if key not in below:
+                    raise CertificateError(
+                        "corner grid without its parent: the census is out of order",
+                        witness={"corner": serialize(z), "s": s, "r": r},
+                    )
+                parent, parent_lab = below.pop(key)
+                states = _last_column(parent) if cores else None
+            grid, lab = _add_column(parent, parent_lab, z.maps[-1])
+        if len(lab) > lo:
+            grown[(z.card0, z.maps)] = grid, lab
+        if cores:
+            walked = _last_column(grid) if r == 0 else _climb(states, grid.vert[r], grid.horiz[r - 1])
+            yield z, s, r, grid, _cores(walked, z.card0, s)
+        else:
+            yield z, s, r, grid
 
 
 # The largest defect bound ``defect_subcomplex`` and ``present`` accept:
@@ -473,11 +548,23 @@ def defect_subcomplex(alpha: int, allow_empty: bool = False) -> StringComplex:
     _check_alpha(alpha)
     members = walk_members(alpha, allow_empty)
     union: set[MapString] = set()
-    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
-        union |= face_closure((w for w, _ in path_cores(grid)), union)
+    for *_, paths in enumerate_corner_grids(alpha, allow_empty, cores=True):
+        union |= face_closure((w for w, _ in paths), union)
     C = StringComplex(frozenset(union))
     check_against_enumeration(C, alpha, members)
     return C
+
+
+def _lists_exactly(by_degree: list[list[MapString]], members: frozenset) -> bool:
+    """Whether the lists hold each of ``members`` once, at its degree;
+    builds no set of all of them."""
+    if sum(map(len, by_degree)) != len(members):
+        return False
+    for t, level in enumerate(by_degree):
+        listed = set(level)
+        if len(listed) != len(level) or not listed <= members or any(len(z.maps) != t for z in listed):
+            return False
+    return True
 
 
 def check_against_enumeration(C: StringComplex, alpha: int, by_degree: list[list[MapString]]) -> None:
@@ -489,7 +576,8 @@ def check_against_enumeration(C: StringComplex, alpha: int, by_degree: list[list
     the walk fills, never its lists, so a member the walk missed or added
     shows up here.  Disagreement raises, since it would falsify the
     equivalence the rest of the pipeline relies on, and so does a member
-    at ``degree_cap(alpha)``, where the walk stopped.
+    at ``degree_cap(alpha)``, where the walk stopped.  The set of all
+    listed members is built only for the witnesses.
     """
     cap = degree_cap(alpha)
     if by_degree[-1] and len(by_degree) >= cap:
@@ -497,6 +585,8 @@ def check_against_enumeration(C: StringComplex, alpha: int, by_degree: list[list
             "degree cap reached",
             witness={"alpha": alpha, "cap": cap, "top_degree_members": len(by_degree[-1])},
         )
+    if _lists_exactly(by_degree, C.members):
+        return
     direct = {z for level in by_degree for z in level}
     if direct != C.members:
         only_direct = sorted(direct - C.members, key=MapString.sort_key)

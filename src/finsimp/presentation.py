@@ -4,16 +4,18 @@ The corner grids with cardinalities at most ``alpha`` are replayed in
 degree order through the certified attachment, in one pass; the grids
 whose image is new when attached are the generators.  The replay keeps one
 growing member set, face-closed by construction, so each grid costs work in
-proportion to its own size: its boundary is checked through the cores of
+proportion to its own size: its path cores come with it from the census,
+grown from its parent's; its boundary is checked through the cores of
 its boundary facets, read off its path cores; its image is walked only
 where it is new; only the members added since the last check are checked
 for saturation; and the union with the image is checked on that new part
 and the added members.  ``verify_skeleton`` replays the generators through
-the same state.  Both first walk the member trie of ``E^alpha`` once
-(``strings.walk_members``), which fills the face cores and the saturation
-cores of every member, so the replay cores nothing.  The replayed complex
-is the grid-image half of the dual construction of ``E^alpha``, and
-``present`` compares it with the members that walk lists.
+the same state, walking the path cores of each stored grid.  Both first
+walk the member trie of ``E^alpha`` once (``strings.walk_members``), which
+fills the face cores and the saturation cores of every member, so the
+replay cores nothing.  The replayed complex is the grid-image half of the
+dual construction of ``E^alpha``, and ``present`` compares it with the
+members that walk lists.
 The excess strings (cardinalities bounded, defect above ``alpha``) carry a
 run-length profile that splits them into an upper and a lower class, with
 an inner-face matching between adjacent degrees and a precedence order
@@ -109,10 +111,10 @@ class _Replay:
         self.unchecked = []
         return True
 
-    def attach(self, z: MapString, r: int, s: int, grid: GridDiagram) -> list[AttachmentCertificate]:
-        """Certify and attach one corner grid; returns its records, empty
-        when its image is already present."""
-        paths = path_cores(grid)
+    def attach(self, z: MapString, r: int, s: int, grid: GridDiagram, paths) -> list[AttachmentCertificate]:
+        """Certify and attach one corner grid, given ``paths =
+        path_cores(grid)``; returns its records, empty when its image is
+        already present."""
         # the members are face-closed, so the boundary image lies in them
         # exactly when the core of every boundary facet does
         if any(w not in self.members for w in boundary_cores(grid, paths)):
@@ -162,8 +164,8 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     members = walk_members(alpha, allow_empty, saturations=True)
     replay = _Replay()
     gens = []
-    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
-        recs = replay.attach(z, r, s, grid)
+    for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty, cores=True):
+        recs = replay.attach(z, r, s, grid, paths)
         if recs:
             gens.append(Generator(r, s, z, grid, tuple(recs)))
     C = replay.complex()
@@ -180,7 +182,7 @@ def verify_skeleton(skel: PresentationSkeleton) -> bool:
     walk_members(skel.alpha, skel.allow_empty, saturations=True)
     replay = _Replay()
     for k, g in enumerate(skel.generators):
-        fresh = replay.attach(g.corner, g.r, g.s, g.grid)
+        fresh = replay.attach(g.corner, g.r, g.s, g.grid, path_cores(g.grid))
         if tuple(fresh) != g.records:
             raise CertificateError(
                 "attachment records changed under replay", witness={"cell": k}

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import json
 import pathlib
@@ -20,7 +21,7 @@ from finsimp import (
     is_saturated,
     restrict,
 )
-from finsimp.errors import InputError, StaircaseDefectError
+from finsimp.errors import CertificateError, InputError, StaircaseDefectError
 from finsimp.finmap import all_maps
 from finsimp import grids, strings
 from finsimp.grids import (
@@ -34,7 +35,7 @@ from finsimp.grids import (
     path_cores,
 )
 from finsimp.shuffles import _shuffles
-from finsimp.strings import StringComplex, enumerate_nondegenerate, interned_core
+from finsimp.strings import StringComplex, enumerate_nondegenerate, interned_core, serialize
 
 from helpers import (
     are_isomorphic,
@@ -506,16 +507,83 @@ def test_streamed_census_matches_eager_oracle(max_card, allow_empty):
 
 
 def test_streamed_census_completes_grids_when_taken(monkeypatch):
-    completed = []
-    real = grids.complete_from_corner
-    monkeypatch.setattr(grids, "complete_from_corner", lambda c: completed.append(c) or real(c))
+    # nothing is listed or built before the first entry is taken
+    listed = []
+    real = grids._corner_strings
+    monkeypatch.setattr(grids, "_corner_strings", lambda *args: listed.append(args) or real(*args))
     census = enumerate_corner_grids(3)
-    assert completed == []
+    assert listed == []
     first = next(census)
-    assert len(completed) == 1
-    # a second call completes its own grid objects
-    again = next(enumerate_corner_grids(3))
-    assert again == first and again[3] is not first[3]
+    assert listed == [(3, False)]
+    # a second call builds its own grid objects, equal to the first call's
+    again = list(enumerate_corner_grids(3))
+    assert again[0] == first and again[0][3] is not first[3]
+    rest = list(census)
+    assert again[1:] == rest and all(a[3] is not b[3] for a, b in zip(again[1:], rest))
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("max_card", [0, 1, 2, 3, 4])
+def test_grown_census_matches_completion_and_path_cores(max_card, allow_empty):
+    # each grid grown from its parent is the grid completed from its corner,
+    # field by field, and its path cores continued from the parent's walk
+    # are those of a walk of the whole grid, face indices included
+    plain = list(enumerate_corner_grids(max_card, allow_empty))
+    grown = list(enumerate_corner_grids(max_card, allow_empty, cores=True))
+    assert [e[:4] for e in grown] == plain
+    for z, s, r, g, paths in grown:
+        want = complete_from_corner(corner_from_string(z, s, r))
+        for name in GridDiagram._fields:
+            assert getattr(g, name) == getattr(want, name), (serialize(z), name)
+        assert paths == path_cores(g), serialize(z)
+        assert all(w is interned_core(w) for w, _ in paths)
+
+
+def _reorder(monkeypatch, order):
+    """Make the census take its corner strings in ``order``: its one sort
+    with a key is that of the corner strings."""
+    monkeypatch.setattr(
+        grids, "sorted", lambda xs, key=None: order if key else builtins.sorted(xs), raising=False
+    )
+
+
+def _census_order(max_card):
+    return sorted(_corner_strings(max_card, False), key=lambda e: (e[0].degree, serialize(e[0]), e[1]))
+
+
+def _parent(z):
+    return MapString(z.card0, z.maps[:-1])
+
+
+@pytest.mark.parametrize("cores", [False, True])
+def test_census_without_the_parent_raises(monkeypatch, cores):
+    # the parent of a grid with two columns or more comes a degree before it
+    order = _census_order(3)
+    z, s = order[-1]
+    assert z.degree > s
+    _reorder(monkeypatch, [e for e in order if e[0] != _parent(z)])
+    first = next(w for w, _ in order if w.degree > s and _parent(w) == _parent(z))
+    with pytest.raises(CertificateError, match="without its parent") as exc:
+        list(enumerate_corner_grids(3, cores=cores))
+    assert exc.value.witness == {"corner": serialize(first), "s": s, "r": z.degree - s}
+
+
+@pytest.mark.parametrize("cores", [False, True])
+def test_census_after_the_parent_was_dropped_raises(monkeypatch, cores):
+    # a parent's children are contiguous: move the second child of a parent
+    # past the first child of the next, once the first parent is dropped
+    order = _census_order(3)
+    k = next(
+        k
+        for k, ((a, s), (b, t), (c, u)) in enumerate(zip(order, order[1:], order[2:]))
+        if a.degree > s and b.degree > t and c.degree > u
+        and _parent(a) == _parent(b) != _parent(c) and a.degree == c.degree
+    )
+    late, s = order[k + 1]
+    _reorder(monkeypatch, order[: k + 1] + [order[k + 2], order[k + 1]] + order[k + 3 :])
+    with pytest.raises(CertificateError, match="without its parent") as exc:
+        list(enumerate_corner_grids(3, cores=cores))
+    assert exc.value.witness == {"corner": serialize(late), "s": s, "r": late.degree - s}
 
 
 @pytest.mark.parametrize("allow_empty", [False, True])

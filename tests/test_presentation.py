@@ -36,6 +36,7 @@ from finsimp.cli import main
 from finsimp.grids import (
     boundary_cores,
     boundary_image,
+    check_against_enumeration,
     enumerate_corner_grids,
     image_subset,
     is_saturated,
@@ -189,16 +190,15 @@ def test_present_one_pass_per_grid(monkeypatch):
         for c in counts.values():
             c.clear()
         present(alpha, allow_empty)
-        grids = [grid for *_, grid in enumerate_corner_grids(alpha, allow_empty)]
         # the boundary facet cores are read off the shuffle path cores, and
         # the attachment images each grid from its own shuffle walk
         assert not counts["boundary_image"]
         assert not counts["image_subset"]
         assert not counts["attachment_hypothesis"]
-        # one walk of the shuffle-path trie per grid, which restricts no
-        # path; the excluded faces and the boundary facets are read off the
-        # path cores
-        assert counts["path_cores"] == Counter({g: 1 for g in grids})
+        # the census grows each grid's path cores from its parent's, and
+        # restricts no path; the excluded faces and the boundary facets are
+        # read off the path cores
+        assert not counts["path_cores"]
         assert not counts["restrict"]
     for c in counts.values():
         c.clear()
@@ -229,8 +229,8 @@ def test_present_matches_whole_complex_replay(alpha, allow_empty):
 @pytest.mark.parametrize("alpha", [2, 3])
 def test_replay_state_face_closed_and_saturated(alpha, allow_empty):
     replay = _Replay()
-    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
-        replay.attach(z, r, s, grid)
+    for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty, cores=True):
+        replay.attach(z, r, s, grid, paths)
         C = StringComplex(frozenset(replay.members))
         assert is_face_closed(C)
         # the incremental verdict checks only the members added since the
@@ -279,10 +279,10 @@ def test_present_grid_already_attached_is_no_generator(monkeypatch):
 
     # every corner grid is new in the real census; repeat one to reach the
     # branch where an attachment adds nothing
-    census = list(enumerate_corner_grids(2))
-    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census + census[:1])
+    census = list(enumerate_corner_grids(2, cores=True))
+    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args, **kw: census + census[:1])
     skel = present(2)
-    assert [g.grid for g in skel.generators] == [grid for *_, grid in census]
+    assert [g.grid for g in skel.generators] == [grid for _, _, _, grid, _ in census]
     doc = skel.to_json()
     assert doc["attachment_order"] == list(range(len(census)))
     assert [cert["cell"] for cert in doc["certificates"]] == list(range(len(census)))
@@ -291,11 +291,11 @@ def test_present_grid_already_attached_is_no_generator(monkeypatch):
 def test_present_checks_boundary_of_each_grid(monkeypatch):
     import finsimp.presentation as presentation_mod
 
-    census = list(enumerate_corner_grids(2))
-    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census[::-1])
+    census = list(enumerate_corner_grids(2, cores=True))
+    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args, **kw: census[::-1])
     with pytest.raises(CertificateError, match="generator boundary not contained") as exc:
         present(2)
-    z, s, r, _ = census[-1]
+    z, s, r, *_ = census[-1]
     assert exc.value.witness == {"corner": serialize(z), "r": r, "s": s}
 
 
@@ -304,8 +304,8 @@ def test_present_compares_with_direct_enumeration(monkeypatch, alpha, allow_empt
     import finsimp.presentation as presentation_mod
 
     # without the last grid its corner string is missing from the replay
-    census = list(enumerate_corner_grids(alpha, allow_empty))
-    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census[:-1])
+    census = list(enumerate_corner_grids(alpha, allow_empty, cores=True))
+    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args, **kw: census[:-1])
     with pytest.raises(DualConstructionError) as exc:
         present(alpha, allow_empty)
     z = census[-1][0]
@@ -329,6 +329,41 @@ def test_union_member_missing_from_the_member_walk_raises(monkeypatch, build, al
     with pytest.raises(DualConstructionError) as exc:
         build(alpha, allow_empty)
     assert exc.value.witness == {"only_direct": [], "only_union": [serialize(dropped[0])]}
+
+
+@pytest.mark.parametrize("build", [present, defect_subcomplex])
+@pytest.mark.parametrize("alpha,allow_empty", [(2, False), (3, False), (2, True)])
+def test_duplicate_in_place_of_a_union_member_raises(monkeypatch, build, alpha, allow_empty):
+    # the lists are as long as the union and list only its members, but
+    # one member is listed twice in place of another
+    replaced = []
+
+    def walk_with_duplicate(*args, **kwargs):
+        levels = strings_mod.walk_members(*args, **kwargs)
+        level = next(level for level in reversed(levels) if len(level) > 1)
+        replaced.append(level[-1])
+        level[-1] = level[0]
+        return levels
+
+    monkeypatch.setattr(grids_mod, "walk_members", walk_with_duplicate)
+    monkeypatch.setattr(presentation_mod, "walk_members", walk_with_duplicate)
+    with pytest.raises(DualConstructionError) as exc:
+        build(alpha, allow_empty)
+    assert exc.value.witness == {"only_direct": [], "only_union": [serialize(replaced[0])]}
+
+
+def test_member_listed_at_another_degree_raises():
+    # a member of degree 1 takes the place of one of degree 2: no level
+    # repeats a member and the lengths add up, but the degrees do not
+    C = defect_subcomplex(2)
+    levels = strings_mod.walk_members(2)
+    replaced = levels[2][-1]
+    levels[2][-1] = levels[1][0]
+    with pytest.raises(DualConstructionError) as exc:
+        check_against_enumeration(C, 2, levels)
+    assert exc.value.witness == {"only_direct": [], "only_union": [serialize(replaced)]}
+    levels[2][-1] = replaced
+    check_against_enumeration(C, 2, levels)
 
 
 def test_present_and_defect_subcomplex_run_no_breadth_first_census(monkeypatch):
