@@ -445,15 +445,16 @@ def _corner_strings(max_card: int, allow_empty: bool):
     return out
 
 
-def _add_column(parent: GridDiagram, lab, f: FinMap) -> tuple[GridDiagram, tuple[int, ...]]:
-    """The child of ``parent`` whose top row goes on by the injection
-    ``f``, and its ``lab``: ``lab[v]`` is the label that corner label ``v``
-    of the top right cell ``(i, s)`` became.  New cell ``(i+1, j)`` is the
-    image of ``(i+1, s)`` in ``(i, j)``, listed increasingly, as
-    ``complete_from_corner`` fills it."""
+def _add_column(parent: GridDiagram, f: FinMap) -> GridDiagram:
+    """The child of ``parent`` whose top row goes on by the injection ``f``.
+
+    New cell ``(i+1, j)`` is the image of ``(i+1, s)`` in ``(i, j)``,
+    listed increasingly, as ``complete_from_corner`` fills it.  The maps of
+    the extension tables have increasing image tuples, so ``f`` lists the
+    new top right cell increasingly and every cell keeps its corner labels.
+    """
     i, s = parent.r, parent.s
-    top = [lab[v] for v in f.img]
-    cells = [sorted(top)]
+    cells = [f.img]
     down = []
     for g in reversed(parent.vert[i]):  # g: (i, j+1) -> (i, j), from the top
         above = cells[-1]
@@ -463,15 +464,13 @@ def _add_column(parent: GridDiagram, lab, f: FinMap) -> tuple[GridDiagram, tuple
         cells.append(below)
     cells.reverse()
     down.reverse()
-    rank = {v: k for k, v in enumerate(cells[-1])}
-    grid = GridDiagram(
+    return GridDiagram(
         i + 1,
         s,
         parent.cards + (tuple(map(len, cells)),),
         parent.horiz + (tuple(_unchecked_map(len(c), n, tuple(c)) for c, n in zip(cells, parent.cards[i])),),
         parent.vert + (tuple(down),),
     )
-    return grid, tuple(rank[v] for v in top)
 
 
 def enumerate_corner_grids(max_card: int, allow_empty: bool = False, cores: bool = False):
@@ -493,17 +492,16 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False, cores: bool
     corners = sorted(
         _corner_strings(max_card, allow_empty), key=lambda e: (e[0].degree, serialize(e[0]), e[1])
     )
-    # (grid, lab) by corner, of the degree below and of this one
-    below: dict[tuple, tuple] = {}
-    grown: dict[tuple, tuple] = {}
+    # the grids by corner, of the degree below and of this one
+    below: dict[tuple, GridDiagram] = {}
+    grown: dict[tuple, GridDiagram] = {}
     degree, key = 0, None
     for z, s in corners:
         if z.degree > degree:
             below, grown, degree = grown, {}, z.degree
         r = z.degree - s
         if r == 0:
-            cards = z.cards()
-            grid, lab = GridDiagram(0, s, (cards,), (), (z.maps,)), range(cards[-1])
+            grid = GridDiagram(0, s, (z.cards(),), (), (z.maps,))
         else:
             if (z.card0, z.maps[:-1]) != key:
                 key = (z.card0, z.maps[:-1])
@@ -512,11 +510,11 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False, cores: bool
                         "corner grid without its parent: the census is out of order",
                         witness={"corner": serialize(z), "s": s, "r": r},
                     )
-                parent, parent_lab = below.pop(key)
+                parent = below.pop(key)
                 states = _last_column(parent) if cores else None
-            grid, lab = _add_column(parent, parent_lab, z.maps[-1])
-        if len(lab) > lo:
-            grown[(z.card0, z.maps)] = grid, lab
+            grid = _add_column(parent, z.maps[-1])
+        if grid.cards[r][s] > lo:  # else no proper injection goes on from it
+            grown[(z.card0, z.maps)] = grid
         if cores:
             walked = _last_column(grid) if r == 0 else _climb(states, grid.vert[r], grid.horiz[r - 1])
             yield z, s, r, grid, _cores(walked, z.card0, s)

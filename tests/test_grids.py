@@ -562,7 +562,7 @@ def test_census_without_the_parent_raises(monkeypatch, cores):
     z, s = order[-1]
     assert z.degree > s
     _reorder(monkeypatch, [e for e in order if e[0] != _parent(z)])
-    first = next(w for w, _ in order if w.degree > s and _parent(w) == _parent(z))
+    first = next(w for w, t in order if w.degree > t and _parent(w) == _parent(z))
     with pytest.raises(CertificateError, match="without its parent") as exc:
         list(enumerate_corner_grids(3, cores=cores))
     assert exc.value.witness == {"corner": serialize(first), "s": s, "r": z.degree - s}
