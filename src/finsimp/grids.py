@@ -29,11 +29,12 @@ tests.  ``defect_subcomplex`` grows one member set and walks only what
 each image adds to it, as the replay of ``present`` does.  No chain table
 is kept on a grid, and ``arrow`` composes on demand.
 
-``enumerate_corner_grids`` sorts the corner strings and grows each grid
-when it is taken from its parent in the corner trie, the grid less its
-last column: it shares the parent's columns, and its path cores continue
-the parent's walk up the new column, so ``present`` and
-``defect_subcomplex`` walk only parents whole, once each.  Only the grids
+``enumerate_corner_grids`` takes the corner strings in census order and
+grows each grid when it is taken from its parent in the corner trie, the
+grid less its last column: it shares the parent's columns, and the path
+cores it yields with the grid continue the parent's walk up the new
+column, so ``present`` and ``defect_subcomplex`` walk only parents whole,
+once each.  Only the grids
 of the degree below are held.  ``complete_from_corner`` and ``path_cores``
 serve grids from elsewhere and are the census's oracles.  The shuffles
 (in ``shuffles._shuffles``) and the boundary facet positions are cached
@@ -406,7 +407,8 @@ def is_saturated(C: StringComplex) -> bool:
 
 def _corner_strings(max_card: int, allow_empty: bool):
     """Canonical nondegenerate corner strings (surjections then injections),
-    as ``(z, s)`` with ``s`` the number of surjections.
+    as ``(z, s)`` with ``s`` the number of surjections, in census order:
+    by degree, then serialization, then ``s``.
 
     The prefix of a canonical corner string is one too, so each is grown
     once from its prefix through ``canonical_extensions``, by proper
@@ -442,6 +444,7 @@ def _corner_strings(max_card: int, allow_empty: bool):
 
     for c in range(lo, max_card + 1):
         grow_left(MapString(c), _start_frontier(c))
+    out.sort(key=lambda e: (e[0].degree, serialize(e[0]), e[1]))
     return out
 
 
@@ -473,12 +476,11 @@ def _add_column(parent: GridDiagram, f: FinMap) -> GridDiagram:
     )
 
 
-def enumerate_corner_grids(max_card: int, allow_empty: bool = False, cores: bool = False):
+def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
     """All grids with nondegenerate corner data and cardinalities <= max_card.
 
-    Yields ``(corner_string, s, r, grid)`` tuples sorted by total degree
-    then serialization; one entry per isomorphism class.  With ``cores``
-    each entry also carries ``path_cores(grid)`` last.
+    Yields ``(corner_string, s, r, grid, path_cores(grid))`` tuples sorted
+    by total degree then serialization; one entry per isomorphism class.
 
     A grid of one column is its corner string; any other is its parent in
     the corner trie (the corner string less its last injection) plus one
@@ -489,19 +491,17 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False, cores: bool
     is missing or dropped raises.  Every call builds its own grids.
     """
     lo = 0 if allow_empty else 1
-    corners = sorted(
-        _corner_strings(max_card, allow_empty), key=lambda e: (e[0].degree, serialize(e[0]), e[1])
-    )
     # the grids by corner, of the degree below and of this one
     below: dict[tuple, GridDiagram] = {}
     grown: dict[tuple, GridDiagram] = {}
     degree, key = 0, None
-    for z, s in corners:
+    for z, s in _corner_strings(max_card, allow_empty):
         if z.degree > degree:
             below, grown, degree = grown, {}, z.degree
         r = z.degree - s
         if r == 0:
             grid = GridDiagram(0, s, (z.cards(),), (), (z.maps,))
+            walked = _last_column(grid)
         else:
             if (z.card0, z.maps[:-1]) != key:
                 key = (z.card0, z.maps[:-1])
@@ -511,15 +511,12 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False, cores: bool
                         witness={"corner": serialize(z), "s": s, "r": r},
                     )
                 parent = below.pop(key)
-                states = _last_column(parent) if cores else None
+                states = _last_column(parent)
             grid = _add_column(parent, z.maps[-1])
+            walked = _climb(states, grid.vert[r], grid.horiz[r - 1])
         if grid.cards[r][s] > lo:  # else no proper injection goes on from it
             grown[(z.card0, z.maps)] = grid
-        if cores:
-            walked = _last_column(grid) if r == 0 else _climb(states, grid.vert[r], grid.horiz[r - 1])
-            yield z, s, r, grid, _cores(walked, z.card0, s)
-        else:
-            yield z, s, r, grid
+        yield z, s, r, grid, _cores(walked, z.card0, s)
 
 
 # The largest defect bound ``defect_subcomplex`` and ``present`` accept:
@@ -546,7 +543,7 @@ def defect_subcomplex(alpha: int, allow_empty: bool = False) -> StringComplex:
     _check_alpha(alpha)
     members = walk_members(alpha, allow_empty)
     union: set[MapString] = set()
-    for *_, paths in enumerate_corner_grids(alpha, allow_empty, cores=True):
+    for *_, paths in enumerate_corner_grids(alpha, allow_empty):
         union |= face_closure((w for w, _ in paths), union)
     C = StringComplex(frozenset(union))
     check_against_enumeration(C, alpha, members)

@@ -164,7 +164,7 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     members = walk_members(alpha, allow_empty, saturations=True)
     replay = _Replay()
     gens = []
-    for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty, cores=True):
+    for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty):
         recs = replay.attach(z, r, s, grid, paths)
         if recs:
             gens.append(Generator(r, s, z, grid, tuple(recs)))

@@ -768,7 +768,7 @@ def oracle_present(alpha: int, allow_empty: bool = False) -> PresentationSkeleto
     saturation of every member and the union with the image."""
     C = StringComplex(frozenset())
     gens = []
-    for z, s, r, grid in enumerate_corner_grids(alpha, allow_empty):
+    for z, s, r, grid, _ in enumerate_corner_grids(alpha, allow_empty):
         if not oracle_boundary_image(grid).issubset(C):
             raise CertificateError(
                 "generator boundary not contained in earlier images",

@@ -229,7 +229,7 @@ def test_present_matches_whole_complex_replay(alpha, allow_empty):
 @pytest.mark.parametrize("alpha", [2, 3])
 def test_replay_state_face_closed_and_saturated(alpha, allow_empty):
     replay = _Replay()
-    for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty, cores=True):
+    for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty):
         replay.attach(z, r, s, grid, paths)
         C = StringComplex(frozenset(replay.members))
         assert is_face_closed(C)
@@ -279,10 +279,10 @@ def test_present_grid_already_attached_is_no_generator(monkeypatch):
 
     # every corner grid is new in the real census; repeat one to reach the
     # branch where an attachment adds nothing
-    census = list(enumerate_corner_grids(2, cores=True))
-    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args, **kw: census + census[:1])
+    census = list(enumerate_corner_grids(2))
+    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census + census[:1])
     skel = present(2)
-    assert [g.grid for g in skel.generators] == [grid for _, _, _, grid, _ in census]
+    assert [g.grid for g in skel.generators] == [grid for *_, grid, _ in census]
     doc = skel.to_json()
     assert doc["attachment_order"] == list(range(len(census)))
     assert [cert["cell"] for cert in doc["certificates"]] == list(range(len(census)))
@@ -291,8 +291,8 @@ def test_present_grid_already_attached_is_no_generator(monkeypatch):
 def test_present_checks_boundary_of_each_grid(monkeypatch):
     import finsimp.presentation as presentation_mod
 
-    census = list(enumerate_corner_grids(2, cores=True))
-    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args, **kw: census[::-1])
+    census = list(enumerate_corner_grids(2))
+    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census[::-1])
     with pytest.raises(CertificateError, match="generator boundary not contained") as exc:
         present(2)
     z, s, r, *_ = census[-1]
@@ -304,8 +304,8 @@ def test_present_compares_with_direct_enumeration(monkeypatch, alpha, allow_empt
     import finsimp.presentation as presentation_mod
 
     # without the last grid its corner string is missing from the replay
-    census = list(enumerate_corner_grids(alpha, allow_empty, cores=True))
-    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args, **kw: census[:-1])
+    census = list(enumerate_corner_grids(alpha, allow_empty))
+    monkeypatch.setattr(presentation_mod, "enumerate_corner_grids", lambda *args: census[:-1])
     with pytest.raises(DualConstructionError) as exc:
         present(alpha, allow_empty)
     z = census[-1][0]
@@ -388,7 +388,7 @@ def test_present_and_defect_subcomplex_run_no_breadth_first_census(monkeypatch):
 def test_attach_walk_matches_restricting_oracle_on_census(alpha, allow_empty):
     # the census replayed through the walk that reads each excluded face
     # off the path cores and through the walk that restricts it once more
-    grids = [grid for *_, grid in enumerate_corner_grids(alpha, allow_empty)]
+    grids = [grid for *_, grid, _ in enumerate_corner_grids(alpha, allow_empty)]
     attached, bad = compare_attach_walks(grids)
     assert attached == len(present(alpha, allow_empty).generators)
     assert bad == 0

@@ -210,7 +210,7 @@ def test_attach_requires_saturated():
 
 def test_attach_sweep_from_boundary_closure():
     # every grid with r,s <= 2 and cards <= 3, attached over its own boundary
-    for z, s, r, grid in enumerate_corner_grids(3):
+    for z, s, r, grid, _ in enumerate_corner_grids(3):
         C0 = boundary_image(grid)
         result, records = attach_diagram(C0, grid)
         assert result == C0.union(image_subset(grid))
@@ -226,7 +226,7 @@ def test_attach_sweep_from_boundary_closure():
 
 
 def test_attach_independent_of_linear_extension():
-    for z, s, r, grid in enumerate_corner_grids(2):
+    for z, s, r, grid, _ in enumerate_corner_grids(2):
         if r == 0 or s == 0:
             continue
         C0 = boundary_image(grid)

@@ -667,9 +667,9 @@ def test_step_memo_hits(monkeypatch):
     cold_memos(monkeypatch)
     seen.clear()
     present(4)
-    # the census walks each grid's new column only (9,291 steps; over
-    # 10,000 when every grid was walked whole)
-    assert seen["steps"] > 9_000 and len(strings_mod._steps) <= 300
+    # most steps hit the memo (9,291 steps on 165 entries), whatever the
+    # number of steps the census takes
+    assert len(strings_mod._steps) <= 300 and seen["steps"] > 25 * len(strings_mod._steps)
 
 
 def test_frontiers_are_interned_tuples(monkeypatch):

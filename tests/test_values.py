@@ -36,7 +36,7 @@ def _samples():
     skel = present(2)
     gen = skel.generators[-1]
     profiles = excess_strings(2, 4)
-    z, s, r, grid = next(e for e in enumerate_corner_grids(2) if e[1] and e[2])
+    z, s, r, grid, _ = next(e for e in enumerate_corner_grids(2) if e[1] and e[2])
     return [
         gen.corner,
         MapString(1),
