@@ -29,17 +29,18 @@ tests.  ``defect_subcomplex`` grows one member set and walks only what
 each image adds to it, as the replay of ``present`` does.  No chain table
 is kept on a grid, and ``arrow`` composes on demand.
 
-``enumerate_corner_grids`` takes the corner strings in census order and
-grows each grid when it is taken from its parent in the corner trie, the
-grid less its last column: it shares the parent's columns, and the path
-cores it yields with the grid continue the parent's walk up the new
-column, so ``present`` and ``defect_subcomplex`` walk only parents whole,
-once each.  Only the grids
-of the degree below are held.  ``complete_from_corner`` and ``path_cores``
-serve grids from elsewhere and are the census's oracles.  The shuffles
-(in ``shuffles._shuffles``) and the boundary facet positions are cached
-per ``(r, s)``, and each step of the path walk per frontier and map, in
-the memo ``canonicalize`` shares.
+``enumerate_corner_grids`` grows the corner trie once, breadth first and
+in census order: each corner string comes from its parent, the string
+less its last map, and each grid of two columns or more from its
+parent's grid, the grid less its last column.  It shares the parent's
+columns, and the path cores it yields with the grid continue the
+parent's walk up the new column, so ``present`` and ``defect_subcomplex``
+walk only parents whole, once each.  Only the parents still to extend
+and the children grown so far are held.  ``complete_from_corner`` and
+``path_cores`` serve grids from elsewhere and are the census's oracles.
+The shuffles (in ``shuffles._shuffles``) and the boundary facet
+positions are cached per ``(r, s)``, and each step of the path walk per
+frontier and map, in the memo ``canonicalize`` shares.
 ``is_saturated`` looks up ``core(saturate(z))`` for every member in a memo
 keyed by the member, and the replay of ``present`` looks up only the
 members added since its last check, in the same memo.
@@ -52,7 +53,7 @@ memo too, so their grid loops core nothing; its lists of members are what
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import lru_cache
 
 from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
@@ -405,49 +406,6 @@ def is_saturated(C: StringComplex) -> bool:
     return all(_saturation_core(z) in C.members for z in C.members if z.degree >= 1)
 
 
-def _corner_strings(max_card: int, allow_empty: bool):
-    """Canonical nondegenerate corner strings (surjections then injections),
-    as ``(z, s)`` with ``s`` the number of surjections, in census order:
-    by degree, then serialization, then ``s``.
-
-    The prefix of a canonical corner string is one too, so each is grown
-    once from its prefix through ``canonical_extensions``, by proper
-    surjections and then proper injections, and none is canonicalized.
-    Both are read off one ``extension_table`` per top cardinality.
-    Cardinalities move strictly along proper maps, so both runs terminate
-    on their own below ``max_card``.
-    """
-    lo = 0 if allow_empty else 1
-    out = []
-    tables: dict[int, tuple[ExtensionTable, ExtensionTable]] = {}
-
-    def proper(last: int) -> tuple[ExtensionTable, ExtensionTable]:
-        # the proper injections and the proper surjections onto ``last``;
-        # the table holds no identity
-        split = tables.get(last)
-        if split is None:
-            table = extension_table(last, lo, max_card, float("inf"))
-            injections = ExtensionTable(e for e in table if e.inc == 0)
-            surjections = ExtensionTable(e for e in table if e.map.src - e.inc == last)
-            split = tables[last] = (injections, surjections)
-        return split
-
-    def grow_top(z: MapString, frontier: tuple, s: int):
-        out.append((z, s))
-        for w, top, _ in canonical_extensions(z, frontier, proper(z.cards()[-1])[0]):
-            grow_top(w, top, s)
-
-    def grow_left(z: MapString, frontier: tuple):
-        grow_top(z, frontier, z.degree)
-        for w, top, _ in canonical_extensions(z, frontier, proper(z.cards()[-1])[1]):
-            grow_left(w, top)
-
-    for c in range(lo, max_card + 1):
-        grow_left(MapString(c), _start_frontier(c))
-    out.sort(key=lambda e: (e[0].degree, serialize(e[0]), e[1]))
-    return out
-
-
 def _add_column(parent: GridDiagram, f: FinMap) -> GridDiagram:
     """The child of ``parent`` whose top row goes on by the injection ``f``.
 
@@ -482,41 +440,67 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
     Yields ``(corner_string, s, r, grid, path_cores(grid))`` tuples sorted
     by total degree then serialization; one entry per isomorphism class.
 
-    A grid of one column is its corner string; any other is its parent in
-    the corner trie (the corner string less its last injection) plus one
-    column, and its shuffle paths are the parent's prefixes that end in
-    the parent's last column, continued by ``H`` and up the new column.
-    A parent's children are contiguous, so its prefix states are walked at
-    its first child and dropped at the next parent; a child whose parent
-    is missing or dropped raises.  Every call builds its own grids.
+    One breadth-first growth of the corner trie.  The corner strings
+    (surjections then injections) are canonical, and so is each prefix, so
+    each is grown once from its parent, the string less its last map,
+    through ``canonical_extensions``, and none is canonicalized: by proper
+    injections, and while the parent has no injection by proper
+    surjections too, read off one ``extension_table`` per top cardinality.
+    Cardinalities move strictly along proper maps, so the growth ends on
+    its own.  Children come in parent order and table order, which by the
+    order lemma of ``strings`` is census order, so only degree 0 is sorted.
+
+    A surjection child is a grid of one column.  An injection child is its
+    parent plus one column, and its shuffle paths are the parent's prefixes
+    that end in the parent's last column, continued by ``H`` and up the new
+    column; those prefix states are walked at the parent's first injection
+    child.  Each parent is released once its children are grown, and only
+    the children that can have children are kept: one column, or a top
+    right cell above the least cardinality.  Every call builds its own
+    grids.
     """
     lo = 0 if allow_empty else 1
-    # the grids by corner, of the degree below and of this one
-    below: dict[tuple, GridDiagram] = {}
-    grown: dict[tuple, GridDiagram] = {}
-    degree, key = 0, None
-    for z, s in _corner_strings(max_card, allow_empty):
-        if z.degree > degree:
-            below, grown, degree = grown, {}, z.degree
-        r = z.degree - s
-        if r == 0:
-            grid = GridDiagram(0, s, (z.cards(),), (), (z.maps,))
-            walked = _last_column(grid)
-        else:
-            if (z.card0, z.maps[:-1]) != key:
-                key = (z.card0, z.maps[:-1])
-                if key not in below:
-                    raise CertificateError(
-                        "corner grid without its parent: the census is out of order",
-                        witness={"corner": serialize(z), "s": s, "r": r},
-                    )
-                parent = below.pop(key)
-                states = _last_column(parent)
-            grid = _add_column(parent, z.maps[-1])
-            walked = _climb(states, grid.vert[r], grid.horiz[r - 1])
-        if grid.cards[r][s] > lo:  # else no proper injection goes on from it
-            grown[(z.card0, z.maps)] = grid
-        yield z, s, r, grid, _cores(walked, z.card0, s)
+    tables: dict[int, tuple[ExtensionTable, ExtensionTable]] = {}
+
+    def extensions(last: int, r: int) -> ExtensionTable:
+        # the proper injections onto ``last``, with the proper surjections
+        # in table order while ``r == 0``; the table holds no identity
+        split = tables.get(last)
+        if split is None:
+            table = extension_table(last, lo, max_card, float("inf"))
+            split = tables[last] = (
+                ExtensionTable(e for e in table if e.cls is MapClass.PROPER_INJECTIVE),
+                ExtensionTable(e for e in table if e.cls is not MapClass.NEITHER),
+            )
+        return split[r == 0]
+
+    def column(z: MapString) -> GridDiagram:
+        return GridDiagram(0, z.degree, (z.cards(),), (), (z.maps,))
+
+    # each entry ``(z, frontier, grid)``: the remaining parents of one
+    # degree, then the children grown so far
+    queue = deque()
+    for c in sorted(range(lo, max_card + 1), key=lambda c: serialize(MapString(c))):
+        z = MapString(c)
+        grid = column(z)
+        yield z, 0, 0, grid, _cores(_last_column(grid), c, 0)
+        queue.append((z, _start_frontier(c), grid))
+    while queue:
+        z, frontier, parent = queue.popleft()
+        states = None
+        for w, top, e in canonical_extensions(z, frontier, extensions(z.cards()[-1], parent.r)):
+            if e.inc:
+                grid = column(w)
+                walked = _last_column(grid)
+            else:
+                if states is None:
+                    states = _last_column(parent)
+                grid = _add_column(parent, e.map)
+                walked = _climb(states, grid.vert[-1], grid.horiz[-1])
+            r, s = grid.r, grid.s
+            yield w, s, r, grid, _cores(walked, w.card0, s)
+            if r == 0 or grid.cards[r][s] > lo:  # else no proper injection goes on from it
+                queue.append((w, top, grid))
 
 
 # The largest defect bound ``defect_subcomplex`` and ``present`` accept:

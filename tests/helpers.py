@@ -18,7 +18,7 @@ walk of the member trie fills, the breadth-first census of
 ``enumerate_nondegenerate`` kept as the oracle for the lists of members
 that walk returns and as the census ``oracle_present`` checks against, the
 canonicalize-then-dedupe censuses kept as oracles for the orderly
-generation of ``enumerate_nondegenerate`` and ``_corner_strings``, the
+generation of ``enumerate_nondegenerate`` and of the corner census, the
 ``json.dumps`` body kept as an oracle for the hand-written ``serialize``,
 the every-inner-face loop kept as an oracle for the cards-first
 ``_matching_faces`` of ``match_excess``, the ``in_excess`` filter
@@ -43,7 +43,6 @@ from finsimp.grids import (
     CornerData,
     GridDiagram,
     _boundary_positions,
-    _corner_strings,
     complete_from_corner,
     corner_from_string,
     enumerate_corner_grids,
@@ -631,14 +630,24 @@ def oracle_boundary_image(grid) -> StringComplex:
 
 
 def oracle_corner_grids(max_card: int, allow_empty: bool) -> list:
-    """Every corner grid completed up front, then sorted."""
+    """Every corner grid completed up front from the canonicalize-then-dedupe
+    corner strings, then sorted."""
     entries = []
-    for z, s in _corner_strings(max_card, allow_empty):
+    for z, s in oracle_corner_strings(max_card, allow_empty):
         r = z.degree - s
         grid = complete_from_corner(corner_from_string(z, s, r))
         entries.append((z, s, r, grid))
     entries.sort(key=lambda e: (e[0].degree, serialize(e[0]), e[1]))
     return entries
+
+
+def census_corner_strings(max_card: int, allow_empty: bool) -> list:
+    """The ``(z, s)`` of each entry of ``enumerate_corner_grids``, which must
+    come in strictly increasing ``MapString.sort_key`` order."""
+    got = [(z, s) for z, s, *_ in enumerate_corner_grids(max_card, allow_empty)]
+    keys = [z.sort_key() for z, _ in got]
+    assert all(a < b for a, b in zip(keys, keys[1:])), "the corner census is out of order"
+    return got
 
 
 def oracle_is_accessible(C: StringComplex) -> bool:

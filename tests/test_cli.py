@@ -254,11 +254,14 @@ def test_bad_flag_values_exit_one():
 @pytest.mark.parametrize("command", ["e-alpha", "present", "skeleton-dim"])
 def test_alpha_above_the_bound_refused_before_the_census(monkeypatch, command):
     import finsimp.grids as grids_mod
+    import finsimp.presentation as presentation_mod
 
-    def never(*args):
-        raise AssertionError("the census ran")
+    def never(*args, **kwargs):
+        raise AssertionError("a census ran")
 
-    monkeypatch.setattr(grids_mod, "_corner_strings", never)
+    for mod in (grids_mod, presentation_mod):
+        monkeypatch.setattr(mod, "walk_members", never)
+        monkeypatch.setattr(mod, "enumerate_corner_grids", never)
     code, out, err = run_cli([command, "--alpha", str(grids_mod.MAX_ALPHA + 1)])
     _assert_clean_exit_one(code, out, err)
     assert f"alpha must be <= {grids_mod.MAX_ALPHA}" in err

@@ -20,12 +20,11 @@ from finsimp import (
     is_saturated,
     restrict,
 )
-from finsimp.errors import CertificateError, InputError, StaircaseDefectError
+from finsimp.errors import InputError, StaircaseDefectError
 from finsimp.finmap import all_maps
 from finsimp import grids, strings
 from finsimp.grids import (
     GridDiagram,
-    _corner_strings,
     boundary_cores,
     boundary_image,
     corner_from_string,
@@ -39,6 +38,7 @@ from finsimp.strings import StringComplex, enumerate_nondegenerate, interned_cor
 from helpers import (
     are_isomorphic,
     assert_rebuilds,
+    census_corner_strings,
     chain_in_boundary,
     compare_path_cores,
     contains,
@@ -505,19 +505,23 @@ def test_streamed_census_matches_eager_oracle(max_card, allow_empty):
 
 
 def test_streamed_census_completes_grids_when_taken(monkeypatch):
-    # nothing is listed or built before the first entry is taken
-    listed = []
-    real = grids._corner_strings
-    monkeypatch.setattr(grids, "_corner_strings", lambda *args: listed.append(args) or real(*args))
+    # nothing is grown before it is taken: the points need no extension
+    # table, and the first string of degree 1 only that of its parent
+    tables = []
+    real = grids.extension_table
+    monkeypatch.setattr(grids, "extension_table", lambda *args: tables.append(args) or real(*args))
     census = enumerate_corner_grids(3)
-    assert listed == []
-    first = next(census)
-    assert listed == [(3, False)]
+    assert tables == []
+    head = [next(census) for _ in range(3)]
+    assert [z.degree for z, *_ in head] == [0, 0, 0] and tables == []
+    head.append(next(census))
+    assert head[-1][0].degree == 1 and tables == [(1, 1, 3, float("inf"))]
     # a second call builds its own grid objects, equal to the first call's
     again = list(enumerate_corner_grids(3))
-    assert again[0] == first and again[0][3] is not first[3]
-    rest = list(census)
-    assert again[1:] == rest and all(a[3] is not b[3] for a, b in zip(again[1:], rest))
+    got = head + list(census)
+    assert again == got and all(a[3] is not b[3] for a, b in zip(again, got))
+    # one table per top cardinality and call
+    assert sorted(tables) == [(last, 1, 3, float("inf")) for last in (1, 1, 2, 2, 3, 3)]
 
 
 @pytest.mark.parametrize("allow_empty", [False, True])
@@ -534,44 +538,6 @@ def test_grown_census_matches_completion_and_path_cores(max_card, allow_empty):
         assert all(w is interned_core(w) for w, _ in paths)
 
 
-def _reorder(monkeypatch, order):
-    """Make the census take its corner strings in ``order``."""
-    monkeypatch.setattr(grids, "_corner_strings", lambda *args: order)
-
-
-def _parent(z):
-    return MapString(z.card0, z.maps[:-1])
-
-
-def test_census_without_the_parent_raises(monkeypatch):
-    # the parent of a grid with two columns or more comes a degree before it
-    order = _corner_strings(3, False)
-    z, s = order[-1]
-    assert z.degree > s
-    _reorder(monkeypatch, [e for e in order if e[0] != _parent(z)])
-    first = next(w for w, t in order if w.degree > t and _parent(w) == _parent(z))
-    with pytest.raises(CertificateError, match="without its parent") as exc:
-        list(enumerate_corner_grids(3))
-    assert exc.value.witness == {"corner": serialize(first), "s": s, "r": z.degree - s}
-
-
-def test_census_after_the_parent_was_dropped_raises(monkeypatch):
-    # a parent's children are contiguous: move the second child of a parent
-    # past the first child of the next, once the first parent is dropped
-    order = _corner_strings(3, False)
-    k = next(
-        k
-        for k, ((a, s), (b, t), (c, u)) in enumerate(zip(order, order[1:], order[2:]))
-        if a.degree > s and b.degree > t and c.degree > u
-        and _parent(a) == _parent(b) != _parent(c) and a.degree == c.degree
-    )
-    late, s = order[k + 1]
-    _reorder(monkeypatch, order[: k + 1] + [order[k + 2], order[k + 1]] + order[k + 3 :])
-    with pytest.raises(CertificateError, match="without its parent") as exc:
-        list(enumerate_corner_grids(3))
-    assert exc.value.witness == {"corner": serialize(late), "s": s, "r": late.degree - s}
-
-
 @pytest.mark.parametrize("allow_empty", [False, True])
 @pytest.mark.parametrize("alpha", [1, 2, 3])
 def test_incremental_walk_is_the_union_of_images(alpha, allow_empty):
@@ -584,13 +550,12 @@ def test_incremental_walk_is_the_union_of_images(alpha, allow_empty):
 @pytest.mark.parametrize("allow_empty", [False, True])
 @pytest.mark.parametrize("max_card", [0, 1, 2, 3, 4])
 def test_corner_strings_match_oracle(max_card, allow_empty):
-    got = _corner_strings(max_card, allow_empty)
-    assert len(got) == len(set(got))
+    got = census_corner_strings(max_card, allow_empty)
     assert set(got) == set(oracle_corner_strings(max_card, allow_empty))
 
 
 def test_corner_strings_alpha_five_count():
-    assert len(_corner_strings(5, False)) == 5609
+    assert len(census_corner_strings(5, False)) == 5609
 
 
 def test_censuses_call_no_canonicalize(monkeypatch):
@@ -601,7 +566,7 @@ def test_censuses_call_no_canonicalize(monkeypatch):
     monkeypatch.setattr(grids, "canonicalize", refuse)
     assert enumerate_nondegenerate(3, 4, True)[-1]
     assert enumerate_nondegenerate(4, 8, max_defect=4)[4]
-    assert _corner_strings(4, True)
+    assert census_corner_strings(4, True)
 
 
 def test_path_cores_match_restricting_oracle():

@@ -16,7 +16,7 @@ from finsimp import (
 )
 from finsimp.errors import InputError
 from finsimp.finmap import identity
-from finsimp.grids import _corner_strings, defect_subcomplex
+from finsimp.grids import defect_subcomplex
 from finsimp.presentation import _top_runs
 import finsimp.strings as strings_mod
 from finsimp.strings import (
@@ -40,6 +40,7 @@ from helpers import (
     are_isomorphic,
     assert_rebuilds,
     are_isomorphic_exhaustive,
+    census_corner_strings,
     clear_memos,
     cold_memos,
     compare_core_memos,
@@ -329,7 +330,7 @@ def test_census_shares_equal_top_maps():
     censuses = [
         [z for level in enumerate_nondegenerate(3, 4, True) for z in level],
         [z for level in enumerate_nondegenerate(4, 8, max_defect=4) for z in level],
-        [z for z, _ in _corner_strings(4, True)],
+        [z for z, _ in census_corner_strings(4, True)],
     ]
     for census in censuses:
         tops: dict[FinMap, FinMap] = {}
@@ -594,7 +595,7 @@ def test_census_strings_rebuild(allow_empty):
     for level in _census(3, 5, allow_empty):
         for z, *_ in level:
             assert_rebuilds(z)
-    for z, _ in _corner_strings(3, allow_empty):
+    for z, _ in census_corner_strings(3, allow_empty):
         assert_rebuilds(z)
 
 
