@@ -23,12 +23,9 @@ from .grids import (
     boundary_image,
     complete_from_corner,
     complete_from_staircase,
-    corner_from_string,
     defect_subcomplex,
     enumerate_corner_grids,
-    image_subset,
     is_saturated,
-    restrict,
 )
 from .presentation import (
     ExcessProfile,

@@ -24,10 +24,15 @@ and a bijective step only moves the top frontier, since the core merges
 the levels a bijection joins.  The walk also reports where the
 core of each face of a path's restriction sits, so ``boundary_cores`` reads
 the core of every boundary facet off the path cores without restricting
-the facet.  ``restrict`` stays for ``complete_from_staircase`` and the
-tests.  ``defect_subcomplex`` grows one member set and walks only what
-each image adds to it, as the replay of ``present`` does.  No chain table
-is kept on a grid, and ``arrow`` composes on demand.
+the facet.  ``complete_from_staircase`` reads the defect of each shuffle
+pullback off the path cores too.  ``defect_subcomplex`` grows one member
+set and walks only what each image adds to it, as the replay of
+``present`` does.  No chain table is kept on a grid; the restriction
+along a path and the whole image of one grid are test oracles.
+``boundary_image`` stays public although the library does not call it,
+since the benchmark's input generator builds its attach subsets with it,
+and ``canonicalize`` is imported here unused, since the benchmark's
+tracer test checks that binding.
 
 ``enumerate_corner_grids`` grows the corner trie once, breadth first and
 in census order: each corner string comes from its parent, the string
@@ -88,17 +93,6 @@ class GridDiagram(namedtuple("GridDiagram", "r s cards horiz vert")):
 
     __slots__ = ()
 
-    def card(self, i: int, j: int) -> int:
-        return self.cards[i][j]
-
-    def horiz_map(self, i: int, j: int) -> FinMap:
-        """The map ``(i+1,j) -> (i,j)``."""
-        return self.horiz[i][j]
-
-    def vert_map(self, i: int, j: int) -> FinMap:
-        """The map ``(i,j+1) -> (i,j)``."""
-        return self.vert[i][j]
-
     def validate(self) -> None:
         if self.r < 0 or self.s < 0:
             raise InputError("negative grid size")
@@ -110,42 +104,24 @@ class GridDiagram(namedtuple("GridDiagram", "r s cards horiz vert")):
             raise InputError("vert must be an (r+1) x s array")
         for i in range(self.r):
             for j in range(self.s + 1):
-                f = self.horiz_map(i, j)
-                if (f.src, f.dst) != (self.card(i + 1, j), self.card(i, j)):
+                f = self.horiz[i][j]
+                if (f.src, f.dst) != (self.cards[i + 1][j], self.cards[i][j]):
                     raise InputError(f"horiz[{i}][{j}] has wrong endpoints")
                 if not f.is_injective:
                     raise InputError(f"horiz[{i}][{j}] is not injective")
         for i in range(self.r + 1):
             for j in range(self.s):
-                f = self.vert_map(i, j)
-                if (f.src, f.dst) != (self.card(i, j + 1), self.card(i, j)):
+                f = self.vert[i][j]
+                if (f.src, f.dst) != (self.cards[i][j + 1], self.cards[i][j]):
                     raise InputError(f"vert[{i}][{j}] has wrong endpoints")
                 if not f.is_surjective:
                     raise InputError(f"vert[{i}][{j}] is not surjective")
         for i in range(self.r):
             for j in range(self.s):
-                left_then_down = compose(self.vert_map(i, j), self.horiz_map(i, j + 1))
-                down_then_left = compose(self.horiz_map(i, j), self.vert_map(i + 1, j))
+                left_then_down = compose(self.vert[i][j], self.horiz[i][j + 1])
+                down_then_left = compose(self.horiz[i][j], self.vert[i + 1][j])
                 if left_then_down != down_then_left:
                     raise InputError(f"square at ({i},{j}) does not commute")
-
-    def arrow(self, src: tuple[int, int], dst: tuple[int, int]) -> FinMap:
-        """Composite map from cell ``src`` down-left to cell ``dst``.
-
-        Folds the row of ``src`` leftwards, then the column of ``dst``
-        downwards; a single step is the grid's own map.
-        """
-        (i2, j2), (i1, j1) = src, dst
-        if not (i1 <= i2 and j1 <= j2):
-            raise InputError(f"no arrow from {src} to {dst}")
-        steps = [self.horiz_map(i, j2) for i in range(i2 - 1, i1 - 1, -1)]
-        steps += [self.vert_map(i1, j) for j in range(j2 - 1, j1 - 1, -1)]
-        if not steps:
-            return identity(self.card(i1, j1))
-        f = steps[0]
-        for g in steps[1:]:
-            f = compose(g, f)
-        return f
 
     def json_form(self) -> dict:
         return {"r": self.r, "s": self.s, "cards": self.cards, "horiz": self.horiz, "vert": self.vert}
@@ -195,16 +171,6 @@ class CornerData(namedtuple("CornerData", "corner_card top left", defaults=((), 
         maps = tuple(reversed(self.left)) + self.top
         card0 = self.left[-1].dst if self.left else self.corner_card
         return MapString(card0, maps)
-
-
-def corner_from_string(z: MapString, s: int, r: int) -> CornerData:
-    """Inverse of :meth:`CornerData.to_string` for an explicit (s, r) split;
-    only the degree is checked, as ``complete_from_corner`` validates corners."""
-    if z.degree != r + s:
-        raise InputError(f"degree {z.degree} does not match r+s={r + s}")
-    left = tuple(reversed(z.maps[:s]))
-    top = z.maps[s:]
-    return CornerData(z.cards()[s], top, left)
 
 
 def complete_from_corner(c: CornerData) -> GridDiagram:
@@ -262,24 +228,6 @@ def complete_from_corner(c: CornerData) -> GridDiagram:
     return GridDiagram(r, s, cards, horiz, vert)
 
 
-def restrict(grid: GridDiagram, path) -> MapString:
-    """The string of composites along a weakly monotone path of cells.
-
-    The grid's maps compose (a grid is checked where it enters), so the
-    string is built without checks."""
-    path = [tuple(v) for v in path]
-    if not path:
-        raise InputError("empty path")
-    for (i1, j1), (i2, j2) in zip(path, path[1:]):
-        if not (i1 <= i2 and j1 <= j2):
-            raise InputError(f"path step {(i1, j1)} -> {(i2, j2)} is not monotone")
-    for (i, j) in path:
-        if not (0 <= i <= grid.r and 0 <= j <= grid.s):
-            raise InputError(f"path cell {(i, j)} outside the grid")
-    maps = tuple(grid.arrow(b, a) for a, b in zip(path, path[1:]))
-    return _unchecked_string(grid.card(*path[0]), maps)
-
-
 @lru_cache(maxsize=None)
 def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
     """Each boundary facet as ``(k, x)``: shuffle path ``k`` less its
@@ -324,7 +272,7 @@ def _climb(states: list, up: tuple, across: tuple | None = None) -> list:
 
 def _last_column(grid: GridDiagram) -> list:
     """The walk states of the prefixes that end in the last column."""
-    states = _climb([(0, (), (), _start_frontier(grid.card(0, 0)))], grid.vert[0])
+    states = _climb([(0, (), (), _start_frontier(grid.cards[0][0]))], grid.vert[0])
     for i in range(1, grid.r + 1):
         states = _climb(states, grid.vert[i], grid.horiz[i - 1])
     return states
@@ -358,7 +306,7 @@ def path_cores(grid: GridDiagram) -> tuple[tuple[MapString, tuple[int | None, ..
     ``core`` merges the levels a bijection joins, and only moves the
     frontier.  No path is restricted, cored or canonicalized.
     """
-    return _cores(_last_column(grid), grid.card(0, 0), grid.s)
+    return _cores(_last_column(grid), grid.cards[0][0], grid.s)
 
 
 def boundary_cores(grid: GridDiagram, paths) -> list[MapString]:
@@ -375,16 +323,6 @@ def boundary_cores(grid: GridDiagram, paths) -> list[MapString]:
         i = where[x]
         out.append(z if i is None else face_cores(z)[i])
     return out
-
-
-def image_subset(grid: GridDiagram) -> StringComplex:
-    """Face closure of the cores of the grid's shuffle paths.
-
-    Every chain of the cell poset lies on some shuffle path (the shuffle
-    triangulation of the prism), so its restriction is an iterated face of
-    a path restriction and its core lies in this closure.
-    """
-    return StringComplex.closure(z for z, _ in path_cores(grid))
 
 
 def boundary_image(grid: GridDiagram) -> StringComplex:
@@ -649,19 +587,19 @@ def complete_from_staircase(st: MapString) -> GridDiagram:
         tuple(tuple(vert[(i, j)] for j in range(T)) for i in range(T + 1)),
     )
     grid.validate()
-    stair_path = [(0, 0)]
-    for k in range(T):
-        stair_path.append((k + 1, k))
-        stair_path.append((k + 1, k + 1))
-    if restrict(grid, stair_path) != st:
+    # the staircase path reads the diagonal maps, from cell (0, 0) up
+    diagonal = [f for k in range(T) for f in (grid.horiz[k][k], grid.vert[k + 1][k])]
+    if MapString(grid.cards[0][0], tuple(diagonal)) != st:
         raise DualConstructionError("staircase restriction does not reproduce the input")
 
-    from .shuffles import enumerate_shuffles  # local import to avoid a cycle
+    from .shuffles import _shuffles  # local import to avoid a cycle
 
+    # a core drops only bijective levels, which keeps the defect, so each
+    # pullback's defect is that of its path core
     want = defect(st)
     violations = []
-    for sh in enumerate_shuffles(T, T):
-        got = defect(restrict(grid, sh.path()))
+    for sh, (z, _) in zip(_shuffles(T, T), path_cores(grid)):
+        got = defect(z)
         if got != want:
             violations.append({"shuffle": sh.word, "defect": got, "expected": want})
     if violations:

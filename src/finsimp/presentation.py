@@ -29,7 +29,7 @@ import itertools
 from collections import Counter, defaultdict, namedtuple
 
 from .errors import CertificateError, HypothesisError, InputError, MatchingError, OrderAuditError
-from .finmap import MapClass, _plain_json, classify, epi_mono_factor
+from .finmap import MapClass, _plain_json, epi_mono_factor
 from .grids import GridDiagram, _check_alpha, boundary_cores
 from .grids import check_against_enumeration, defect_subcomplex, enumerate_corner_grids, path_cores
 from .shuffles import AttachmentCertificate, _shuffles, attach_walk
@@ -39,7 +39,6 @@ from .strings import (
     _census,
     _saturation_core,
     canonicalize,
-    core,
     defect,
     face,
     face_closure,
@@ -235,21 +234,6 @@ class ExcessProfile(namedtuple("ExcessProfile", "string excess_defect inj_run su
         return _plain_json(self.json_form())
 
 
-def _top_runs(z: MapString) -> tuple[int, int, MapClass | None]:
-    """``(inj_run, surj_run, junction)`` of ``z``, classified map by map:
-    the properly injective maps at the top, the properly surjective maps
-    directly below them, and the class of the map below both runs (``None``
-    when the runs reach the bottom).  The census carries the same runs."""
-    t = z.degree
-    r = 0
-    while r < t and classify(z.maps[t - 1 - r]) is MapClass.PROPER_INJECTIVE:
-        r += 1
-    s = 0
-    while r + s < t and classify(z.maps[t - 1 - r - s]) is MapClass.PROPER_SURJECTIVE:
-        s += 1
-    return r, s, classify(z.maps[t - 1 - r - s]) if r + s < t else None
-
-
 def _profile(z: MapString, d: int, runs: tuple[int, int, MapClass | None]) -> ExcessProfile:
     """The profile of ``z``, of defect ``d`` and top runs ``runs``;
     requires the runs to stop inside."""
@@ -262,12 +246,6 @@ def _profile(z: MapString, d: int, runs: tuple[int, int, MapClass | None]) -> Ex
         )
     side = "upper" if junction is MapClass.PROPER_INJECTIVE else "lower"
     return ExcessProfile(z, d, r, s, side)
-
-
-def profile_of(z: MapString, d: int) -> ExcessProfile:
-    """Compute the run-length profile of ``z``, whose defect is ``d``;
-    requires the runs to stop inside."""
-    return _profile(z, d, _top_runs(z))
 
 
 def in_excess(z: MapString, alpha: int) -> bool:
@@ -439,6 +417,18 @@ def order_excess(profiles: list[ExcessProfile], alpha: int):
     violation raises with the witnessing string and face index.
     """
     by_string = {p.string: p for p in profiles}
+
+    def census_profile(z: MapString, i: int, w: MapString) -> ExcessProfile:
+        # the census holds every excess string of degree at most z's, so a
+        # miss means the profiles handed in are not a whole census
+        wp = by_string.get(w)
+        if wp is None:
+            raise OrderAuditError(
+                "excess string missing from the census profiles",
+                witness={"string": serialize(z), "face": i, "missing": serialize(w)},
+            )
+        return wp
+
     uppers = sorted((p for p in profiles if p.side == "upper"), key=ExcessProfile.weight)
     report = {
         "cases": Counter(),
@@ -452,14 +442,8 @@ def order_excess(profiles: list[ExcessProfile], alpha: int):
             w = canonicalize(face(z, i))
             if not in_excess(w, alpha):
                 report["cases"]["c_leaves_family"] += 1
-                base = core(w)[0]
-                if in_excess(base, alpha) and base.degree >= n:
-                    raise OrderAuditError(
-                        "degenerate face has a core of full degree",
-                        witness={"string": serialize(z), "face": i},
-                    )
                 continue
-            wp = by_string.get(w) or profile_of(w, defect(w))
+            wp = census_profile(z, i, w)
             if wp.side == "upper":
                 report["cases"]["b_upper_degree_drop"] += 1
                 if not (wp.weight(), w.sort_key()) < (p.weight(), z.sort_key()):
@@ -470,7 +454,7 @@ def order_excess(profiles: list[ExcessProfile], alpha: int):
                 continue
             # lower face: must sit at one of the two junction-adjacent indices
             partner = match_inverse(wp)
-            pp = profile_of(partner, defect(partner))
+            pp = census_profile(z, i, partner)
             if match_partner(pp) != w:
                 raise OrderAuditError(
                     "inverse matching failed to recover the face",

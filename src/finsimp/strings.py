@@ -71,10 +71,9 @@ Values are validated at the boundary.  ``MapString(...)`` checks that its
 maps compose, and ``string_from_json``, ``extension_table`` and the other
 public constructors keep doing so; a string derived from valid strings is
 valid by construction, so ``face``, ``canonicalize``,
-``canonical_extensions``, ``saturate``, ``grids.restrict`` and
-``grids.path_cores`` build theirs with ``_unchecked_string``, and
-``_step`` builds its blocks with ``_block``, through
-``finmap._unchecked_map``.
+``canonical_extensions``, ``saturate`` and ``grids.path_cores`` build
+theirs with ``_unchecked_string``, and ``_step`` builds its blocks with
+``_block``, through ``finmap._unchecked_map``.
 
 The census carries what it already knows about each string: its defect,
 and its top runs ``(inj_run, surj_run, junction)``, the properly injective

@@ -24,9 +24,14 @@ the every-inner-face loop kept as an oracle for the cards-first
 ``_matching_faces`` of ``match_excess``, the ``in_excess`` filter
 kept as an oracle for ``excess_strings``, and the hand-written
 ``to_json`` bodies kept as an oracle for the trees derived from the
-shallow ``json_form`` of each value class.  It also keeps ``relabel``,
-``is_canonical``, ``corner_of``, ``contains`` and ``is_face_closed``,
-which only the tests use."""
+shallow ``json_form`` of each value class, the map-by-map ``_top_runs``
+and ``profile_of`` kept as oracles for the runs the census carries, and
+the staircase completion that restricts every shuffle path kept as an
+oracle for ``complete_from_staircase``, which reads the defects off the
+path cores.  It also keeps ``restrict``, ``image_subset`` and
+``corner_from_string``, which the library no longer needs, and
+``relabel``, ``is_canonical``, ``corner_of``, ``contains`` and
+``is_face_closed``, which only the tests use."""
 
 import itertools
 import json
@@ -37,26 +42,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from finsimp import FinMap, MapString, StringComplex, canonicalize, compose, core, defect, identity
-from finsimp.errors import CertificateError, DualConstructionError, InputError
-from finsimp.finmap import all_maps
+from finsimp.errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
+from finsimp.finmap import MapClass, all_maps, classify
 from finsimp.grids import (
     CornerData,
     GridDiagram,
     _boundary_positions,
     complete_from_corner,
-    corner_from_string,
     enumerate_corner_grids,
-    image_subset,
     path_cores,
-    restrict,
 )
 from finsimp.presentation import (
     ExcessProfile,
     Generator,
     Matching,
     PresentationSkeleton,
+    _profile,
     in_excess,
-    profile_of,
 )
 from finsimp.shuffles import (
     AttachmentCertificate,
@@ -75,6 +77,7 @@ from finsimp.shuffles import (
 from finsimp import grids as grids_mod
 from finsimp import strings
 from finsimp.strings import (
+    _unchecked_string,
     core_face_indices,
     enumerate_nondegenerate,
     face,
@@ -345,12 +348,51 @@ def oracle_arrow(grid, src, dst) -> FinMap:
     """Composite folded from ``identity``: along the row of ``src``, then
     down the column of ``dst``."""
     (i2, j2), (i1, j1) = src, dst
-    f = identity(grid.card(i2, j2))
+    f = identity(grid.cards[i2][j2])
     for i in range(i2 - 1, i1 - 1, -1):
-        f = compose(grid.horiz_map(i, j2), f)
+        f = compose(grid.horiz[i][j2], f)
     for j in range(j2 - 1, j1 - 1, -1):
-        f = compose(grid.vert_map(i1, j), f)
+        f = compose(grid.vert[i1][j], f)
     return f
+
+
+def restrict(grid: GridDiagram, path) -> MapString:
+    """The string of composites along a weakly monotone path of cells.
+
+    The grid's maps compose (a grid is checked where it enters), so the
+    string is built without checks."""
+    path = [tuple(v) for v in path]
+    if not path:
+        raise InputError("empty path")
+    for (i1, j1), (i2, j2) in zip(path, path[1:]):
+        if not (i1 <= i2 and j1 <= j2):
+            raise InputError(f"path step {(i1, j1)} -> {(i2, j2)} is not monotone")
+    for (i, j) in path:
+        if not (0 <= i <= grid.r and 0 <= j <= grid.s):
+            raise InputError(f"path cell {(i, j)} outside the grid")
+    maps = tuple(oracle_arrow(grid, b, a) for a, b in zip(path, path[1:]))
+    i, j = path[0]
+    return _unchecked_string(grid.cards[i][j], maps)
+
+
+def image_subset(grid: GridDiagram) -> StringComplex:
+    """Face closure of the cores of the grid's shuffle paths.
+
+    Every chain of the cell poset lies on some shuffle path (the shuffle
+    triangulation of the prism), so its restriction is an iterated face of
+    a path restriction and its core lies in this closure.
+    """
+    return StringComplex.closure(z for z, _ in path_cores(grid))
+
+
+def corner_from_string(z: MapString, s: int, r: int) -> CornerData:
+    """Inverse of :meth:`CornerData.to_string` for an explicit (s, r) split;
+    only the degree is checked, as ``complete_from_corner`` validates corners."""
+    if z.degree != r + s:
+        raise InputError(f"degree {z.degree} does not match r+s={r + s}")
+    left = tuple(reversed(z.maps[:s]))
+    top = z.maps[s:]
+    return CornerData(z.cards()[s], top, left)
 
 
 def oracle_chains(r, s):
@@ -433,15 +475,16 @@ def oracle_chain_cores(grid) -> dict:
     out = {}
     for ch in oracle_chains(grid.r, grid.s):
         maps = tuple(oracle_arrow(grid, b, a) for a, b in zip(ch, ch[1:]))
-        out[ch] = core(MapString(grid.card(*ch[0]), maps))[0]
+        i, j = ch[0]
+        out[ch] = core(MapString(grid.cards[i][j], maps))[0]
     return out
 
 
 def corner_of(grid: GridDiagram) -> CornerData:
     """The top row and left column of ``grid``."""
-    top = tuple(grid.horiz_map(i, grid.s) for i in range(grid.r))
-    left = tuple(grid.vert_map(0, j) for j in range(grid.s - 1, -1, -1))
-    return CornerData(grid.card(0, grid.s), top, left)
+    top = tuple(grid.horiz[i][grid.s] for i in range(grid.r))
+    left = tuple(grid.vert[0][j] for j in range(grid.s - 1, -1, -1))
+    return CornerData(grid.cards[0][grid.s], top, left)
 
 
 def proper_grid(r, s):
@@ -462,7 +505,7 @@ def relabel_grid(grid, rng: random.Random) -> GridDiagram:
         rng.shuffle(p)
         return p
 
-    perms = [[perm(grid.card(i, j)) for j in range(grid.s + 1)] for i in range(grid.r + 1)]
+    perms = [[perm(n) for n in col] for col in grid.cards]
 
     def moved(f, src, dst):
         img = [0] * f.src
@@ -609,7 +652,7 @@ def compare_path_cores(grids) -> tuple[int, int, int, Counter]:
         for p in (sh.path() for sh in _shuffles(grid.r, grid.s)):
             t = len(p) - 1
             for k, (a, b) in enumerate(zip(p, p[1:])):
-                f = grid.arrow(b, a)
+                f = oracle_arrow(grid, b, a)
                 if f.is_bijective:
                     bijective["relabelling"] += f.img != tuple(range(f.src))
                     if t >= 3:
@@ -627,6 +670,86 @@ def oracle_boundary_facets(r: int, s: int) -> list[tuple[tuple[int, int], ...]]:
 def oracle_boundary_image(grid) -> StringComplex:
     """The face closure of the restricted boundary facets."""
     return StringComplex.closure(restrict(grid, ch) for ch in oracle_boundary_facets(grid.r, grid.s))
+
+
+def oracle_complete_from_staircase(st: MapString) -> GridDiagram:
+    """``complete_from_staircase`` as it restricted the staircase path and
+    each shuffle path of the completed grid."""
+    if st.degree % 2 != 0:
+        raise InputError("staircase degree must be even")
+    T = st.degree // 2
+    for k, f in enumerate(st.maps):
+        want = MapClass.PROPER_INJECTIVE if k % 2 == 0 else MapClass.PROPER_SURJECTIVE
+        if classify(f) is not want:
+            raise InputError(f"maps[{k}] must be {want.value}")
+    cards: dict[tuple[int, int], int] = {}
+    horiz: dict[tuple[int, int], FinMap] = {}  # keyed by target cell (i,j): (i+1,j)->(i,j)
+    vert: dict[tuple[int, int], FinMap] = {}   # keyed by target cell (i,j): (i,j+1)->(i,j)
+    seq = st.cards()
+    for k in range(T + 1):
+        cards[(k, k)] = seq[2 * k]
+    for k in range(T):
+        cards[(k + 1, k)] = seq[2 * k + 1]
+        horiz[(k, k)] = st.maps[2 * k]
+        vert[(k + 1, k)] = st.maps[2 * k + 1]
+
+    # Right of the staircase: (i,j) with i - j >= 2, by increasing distance.
+    # The new cell is the image of the composite through the cell above it.
+    for d in range(2, T + 1):
+        for j in range(0, T - d + 1):
+            i = j + d
+            # composite (i, j+1) -> (i-1, j+1) -> (i-1, j)
+            g = compose(vert[(i - 1, j)], horiz[(i - 1, j + 1)])
+            image = tuple(sorted(set(g.img)))
+            rank = {v: k for k, v in enumerate(image)}
+            cards[(i, j)] = len(image)
+            vert[(i, j)] = FinMap(g.src, len(image), tuple(rank[v] for v in g.img))
+            horiz[(i - 1, j)] = FinMap(len(image), cards[(i - 1, j)], image)
+
+    # Left of the staircase: (i,j) with j - i >= 1, by increasing distance.
+    # The new cell extends the square below-right of it, adjoining the part
+    # of (i,j-1) missed by (i+1,j-1); the finished square is then a strict
+    # pullback of its vertical map along its bottom inclusion.
+    for d in range(1, T + 1):
+        for i in range(0, T - d + 1):
+            j = i + d
+            tr = cards[(i + 1, j)]
+            bl = cards[(i, j - 1)]
+            br_incl = horiz[(i, j - 1)]          # (i+1,j-1) -> (i,j-1)
+            tr_down = vert[(i + 1, j - 1)]       # (i+1,j) -> (i+1,j-1)
+            missing = [v for v in range(bl) if v not in set(br_incl.img)]
+            cards[(i, j)] = tr + len(missing)
+            horiz[(i, j)] = FinMap(tr, cards[(i, j)], tuple(range(tr)))
+            down = [br_incl.img[tr_down.img[k]] for k in range(tr)] + missing
+            vert[(i, j - 1)] = FinMap(cards[(i, j)], bl, tuple(down))
+
+    grid = GridDiagram(
+        T,
+        T,
+        tuple(tuple(cards[(i, j)] for j in range(T + 1)) for i in range(T + 1)),
+        tuple(tuple(horiz[(i, j)] for j in range(T + 1)) for i in range(T)),
+        tuple(tuple(vert[(i, j)] for j in range(T)) for i in range(T + 1)),
+    )
+    grid.validate()
+    stair_path = [(0, 0)]
+    for k in range(T):
+        stair_path.append((k + 1, k))
+        stair_path.append((k + 1, k + 1))
+    if restrict(grid, stair_path) != st:
+        raise DualConstructionError("staircase restriction does not reproduce the input")
+
+    want = defect(st)
+    violations = []
+    for sh in enumerate_shuffles(T, T):
+        got = defect(restrict(grid, sh.path()))
+        if got != want:
+            violations.append({"shuffle": sh.word, "defect": got, "expected": want})
+    if violations:
+        raise StaircaseDefectError(
+            "shuffle pullbacks do not all share the staircase defect",
+            witness={"staircase": serialize(st), "violations": violations},
+        )
+    return grid
 
 
 def oracle_corner_grids(max_card: int, allow_empty: bool) -> list:
@@ -1041,6 +1164,28 @@ def oracle_matching_faces(z: MapString, w: MapString) -> list[int]:
     """The inner face indices of ``z`` whose canonical face is ``w``, found
     by canonicalizing every inner face."""
     return [i for i in range(1, z.degree) if canonicalize(face(z, i)) == w]
+
+
+def _top_runs(z: MapString) -> tuple[int, int, MapClass | None]:
+    """``(inj_run, surj_run, junction)`` of ``z``, classified map by map:
+    the properly injective maps at the top, the properly surjective maps
+    directly below them, and the class of the map below both runs (``None``
+    when the runs reach the bottom); the oracle for the runs the census
+    carries."""
+    t = z.degree
+    r = 0
+    while r < t and classify(z.maps[t - 1 - r]) is MapClass.PROPER_INJECTIVE:
+        r += 1
+    s = 0
+    while r + s < t and classify(z.maps[t - 1 - r - s]) is MapClass.PROPER_SURJECTIVE:
+        s += 1
+    return r, s, classify(z.maps[t - 1 - r - s]) if r + s < t else None
+
+
+def profile_of(z: MapString, d: int) -> ExcessProfile:
+    """The run-length profile of ``z``, whose defect is ``d``, from runs
+    classified map by map; requires the runs to stop inside."""
+    return _profile(z, d, _top_runs(z))
 
 
 def oracle_excess_strings(alpha: int, degree_bound: int, allow_empty: bool = False):

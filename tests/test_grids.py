@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,18 +17,15 @@ from finsimp import (
     defect,
     defect_subcomplex,
     face,
-    image_subset,
     is_saturated,
-    restrict,
 )
-from finsimp.errors import InputError, StaircaseDefectError
+from finsimp.errors import CertificateError, InputError, StaircaseDefectError
 from finsimp.finmap import all_maps
 from finsimp import grids, strings
 from finsimp.grids import (
     GridDiagram,
     boundary_cores,
     boundary_image,
-    corner_from_string,
     enumerate_corner_grids,
     grid_from_json,
     path_cores,
@@ -42,18 +40,21 @@ from helpers import (
     chain_in_boundary,
     compare_path_cores,
     contains,
+    corner_from_string,
     corner_of,
+    image_subset,
     is_face_closed,
     iter_chains,
-    oracle_arrow,
     oracle_boundary_facets,
     oracle_boundary_image,
     oracle_chain_cores,
+    oracle_complete_from_staircase,
     oracle_corner_grids,
     oracle_corner_strings,
     oracle_is_accessible,
     proper_grid,
     relabel_grid,
+    restrict,
 )
 
 
@@ -65,14 +66,14 @@ def small_grids(max_card=3, rs_bound=2, allow_empty=False):
 
 def test_complete_trivial_corner():
     g = complete_from_corner(CornerData(2))
-    assert (g.r, g.s) == (0, 0) and g.card(0, 0) == 2
+    assert (g.r, g.s) == (0, 0) and g.cards[0][0] == 2
 
 
 def test_complete_one_by_one():
     c = CornerData(2, top=(FinMap(1, 2, (0,)),), left=(FinMap(2, 1, (0, 0)),))
     g = complete_from_corner(c)
     g.validate()
-    assert g.card(1, 0) == 1
+    assert g.cards[1][0] == 1
     assert corner_of(g).to_string() == c.to_string()
 
 
@@ -273,7 +274,7 @@ def test_staircase_feasible_example():
     st = MapString(2, (FinMap(1, 2, (0,)), FinMap(2, 1, (0, 0))))
     g = complete_from_staircase(st)
     g.validate()
-    assert g.card(0, 1) == defect(st)
+    assert g.cards[0][1] == defect(st)
     assert restrict(g, [(0, 0), (1, 0), (1, 1)]) == st
 
 
@@ -377,7 +378,7 @@ def test_corner_string_has_maximal_defect_among_shuffles():
 
     for z, s, r, g in small_grids():
         corner_defect = defect(z)
-        assert corner_defect == g.card(0, g.s)
+        assert corner_defect == g.cards[0][g.s]
         for sh in enumerate_shuffles(r, s):
             assert defect(restrict(g, sh.path())) <= corner_defect
 
@@ -407,7 +408,7 @@ def test_staircase_depth_three_feasible():
     st = MapString(4, tuple(maps))
     g = complete_from_staircase(st)
     g.validate()
-    assert g.card(0, 3) == defect(st) == 4 + 3
+    assert g.cards[0][3] == defect(st) == 4 + 3
     path = [(0, 0)]
     for k in range(3):
         path += [(k + 1, k), (k + 1, k + 1)]
@@ -434,6 +435,46 @@ def test_staircase_depth_three_sweep_never_miscompletes():
     assert outcomes["obstructed"] == 65 and outcomes["ok"] == 0
 
 
+def _staircase_outcome(complete, st):
+    try:
+        return "grid", complete(st)
+    except (InputError, CertificateError) as exc:
+        return type(exc), exc.args, getattr(exc, "witness", None)
+
+
+def test_staircase_sweep_over_path_cores_matches_restricting_oracle():
+    # the sweep reads each shuffle pullback's defect off the path cores and
+    # the staircase off the diagonal maps; the oracle restricts every path.
+    # Inputs: the 25 staircases of criterion 5, the degree-6 sweep above
+    # and the inputs of the other staircase tests
+    import sys
+
+    sys.path.insert(0, str(pathlib.Path(__file__).parent))
+    from test_acceptance import _staircases
+
+    stairs = _staircases(3, 6)
+    criterion_5 = [st for st in stairs if st.degree <= 4]
+    assert criterion_5 == _staircases(3, 4) and len(criterion_5) == 25
+    assert sum(st.degree == 6 for st in stairs) == 65
+    collapses = []
+    for _ in range(3):
+        collapses += [_initial(3, 4), _collapse(3)]
+    stairs += [
+        MapString(3),
+        MapString(2, (FinMap(1, 2, (0,)), FinMap(2, 1, (0, 0)))),
+        MapString(2, (FinMap(1, 2, (0,)), FinMap(2, 1, (0, 0))) * 2),
+        MapString(4, tuple(collapses)),
+        MapString(2, (FinMap(1, 2, (0,)),)),
+        MapString(1, (FinMap(2, 1, (0, 0)), FinMap(1, 2, (0,)))),
+    ]
+    seen = Counter()
+    for st in stairs:
+        got = _staircase_outcome(complete_from_staircase, st)
+        assert got == _staircase_outcome(oracle_complete_from_staircase, st), serialize(st)
+        seen[got[0] if got[0] == "grid" else got[0].__name__] += 1
+    assert seen == {"grid": 12, "StaircaseDefectError": 82, "InputError": 2}
+
+
 def test_defect_subcomplex_alpha_four():
     C = defect_subcomplex(4)
     assert len(C) == 561 and C.max_degree() == 6
@@ -448,10 +489,6 @@ def _oracle_grids():
             yield g
 
 
-def _cells(g):
-    return [(i, j) for i in range(g.r + 1) for j in range(g.s + 1)]
-
-
 def test_chain_table_matches_uncached_oracle():
     # the images built from shuffle paths and face closure equal the cores
     # of every restricted chain, and of every chain missing a row or column
@@ -463,10 +500,6 @@ def test_chain_table_matches_uncached_oracle():
         assert boundary_image(g).members == frozenset(
             v for ch, v in want.items() if chain_in_boundary(ch, g.r, g.s)
         )
-        for src in _cells(g):
-            for dst in _cells(g):
-                if dst[0] <= src[0] and dst[1] <= src[1]:
-                    assert g.arrow(src, dst) == oracle_arrow(g, src, dst)
     assert {(0, 0), (0, 2), (2, 0), (3, 1), (3, 3)} <= shapes
 
 
@@ -487,7 +520,6 @@ def test_cached_tables_are_invisible():
     for z, s, r, g, _ in enumerate_corner_grids(3):
         image_subset(g)
         boundary_image(g)
-        g.arrow((g.r, g.s), (0, 0))
         fresh = complete_from_corner(corner_from_string(z, s, r))
         assert fresh is not g and not hasattr(g, "__dict__") and not hasattr(fresh, "__dict__")
         assert g == fresh and hash(g) == hash(fresh)
@@ -599,7 +631,7 @@ def test_path_cores_restrict_core_and_canonicalize_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"called on {args}")
 
-    for name in ("restrict", "core", "canonicalize"):
+    for name in ("core", "canonicalize"):
         for mod in (strings, grids):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)

@@ -38,32 +38,31 @@ from finsimp.grids import (
     boundary_image,
     check_against_enumeration,
     enumerate_corner_grids,
-    image_subset,
     is_saturated,
     path_cores,
-    restrict,
 )
 import finsimp.presentation as presentation_mod
 from finsimp.presentation import (
     ExcessProfile,
     _matching_faces,
     _Replay,
-    _top_runs,
     in_excess,
     match_inverse,
     match_partner,
-    profile_of,
 )
 import finsimp.grids as grids_mod
 import finsimp.strings as strings_mod
 from finsimp.strings import StringComplex, _census, serialize
 from helpers import (
+    _top_runs,
     cold_memos,
     compare_attach_walks,
+    image_subset,
     is_face_closed,
     oracle_excess_strings,
     oracle_matching_faces,
     oracle_present,
+    profile_of,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -184,7 +183,7 @@ def _count_grid_calls(monkeypatch, fns):
 def test_present_one_pass_per_grid(monkeypatch):
     counts = _count_grid_calls(
         monkeypatch,
-        [boundary_image, boundary_cores, image_subset, attachment_hypothesis, path_cores, restrict],
+        [boundary_image, boundary_cores, attachment_hypothesis, path_cores],
     )
     for alpha, allow_empty in ((3, False), (2, True)):
         for c in counts.values():
@@ -193,13 +192,10 @@ def test_present_one_pass_per_grid(monkeypatch):
         # the boundary facet cores are read off the shuffle path cores, and
         # the attachment images each grid from its own shuffle walk
         assert not counts["boundary_image"]
-        assert not counts["image_subset"]
         assert not counts["attachment_hypothesis"]
-        # the census grows each grid's path cores from its parent's, and
-        # restricts no path; the excluded faces and the boundary facets are
-        # read off the path cores
+        # the census grows each grid's path cores from its parent's; the
+        # excluded faces and the boundary facets are read off the path cores
         assert not counts["path_cores"]
-        assert not counts["restrict"]
     for c in counts.values():
         c.clear()
     argv = [
@@ -504,6 +500,31 @@ def test_order_violation_is_caught_with_witness():
     bad = MapString(2, (FinMap(2, 2, (0, 0)), FinMap(1, 2, (0,)), FinMap(2, 1, (0, 0))))
     assert w["string"] == serialize(canonicalize(bad))
     assert w["face"] == 3
+
+
+def test_order_audit_fails_loudly_on_a_census_gap():
+    # the audit reads the profile of each face and of each partner off the
+    # profiles it is handed; with one left out it names the host, the face
+    # and the missing string, where a profile computed on the side let the
+    # audit run on to "lower face at an unexpected index"
+    profiles = excess_strings(2, 3)
+    host = canonicalize(MapString(2, (FinMap(2, 2, (0, 0)), FinMap(1, 2, (0,)), FinMap(2, 1, (0, 0)))))
+    lower = canonicalize(face(host, 3))
+    assert [p.side for p in profiles if p.string == lower] == ["lower"]
+    with pytest.raises(OrderAuditError, match="missing from the census profiles") as exc:
+        order_excess([p for p in profiles if p.string != lower], 2)
+    assert exc.value.witness == {"string": serialize(host), "face": 3, "missing": serialize(lower)}
+    # dropping any one profile either raises the gap for the dropped string
+    # (a face, or a partner of a face) or leaves the known violation
+    gaps = []
+    for p in profiles:
+        outcome = _audit_outcome([q for q in profiles if q is not p], 2)
+        if outcome[0] == "raised" and "missing" in outcome[2]:
+            assert outcome[2]["missing"] == serialize(p.string)
+            gaps.append(p.side)
+        else:
+            assert outcome[0] == "ordered" or outcome[1] == ("lower face at an unexpected index",)
+    assert gaps == ["lower", "upper", "upper"]
 
 
 def test_matching_error_has_witness_type():

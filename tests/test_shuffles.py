@@ -12,7 +12,6 @@ from finsimp import (
     defect_subcomplex,
     enumerate_shuffles,
     horn_certificate,
-    image_subset,
     is_inner_generalized_horn,
     is_saturated,
 )
@@ -22,7 +21,6 @@ from finsimp.grids import (
     CornerData,
     boundary_image,
     complete_from_corner,
-    corner_from_string,
     enumerate_corner_grids,
     path_cores,
 )
@@ -33,7 +31,9 @@ import helpers
 from helpers import (
     chain_in_boundary,
     contains,
+    corner_from_string,
     corner_of,
+    image_subset,
     iter_chains,
     oracle_attach_walk,
     oracle_excluded_faces,

@@ -17,7 +17,6 @@ from finsimp import (
 from finsimp.errors import InputError
 from finsimp.finmap import identity
 from finsimp.grids import defect_subcomplex
-from finsimp.presentation import _top_runs
 import finsimp.strings as strings_mod
 from finsimp.strings import (
     StringComplex,
@@ -37,6 +36,7 @@ from finsimp.strings import (
 )
 
 from helpers import (
+    _top_runs,
     are_isomorphic,
     assert_rebuilds,
     are_isomorphic_exhaustive,
@@ -599,8 +599,8 @@ def test_census_strings_rebuild(allow_empty):
         assert_rebuilds(z)
 
 
-# The census carries each string's defect and top runs; ``_top_runs``, which
-# ``profile_of`` uses, classifies the maps again.
+# The census carries each string's defect and top runs; the oracle
+# ``_top_runs`` classifies the maps again.
 
 
 @pytest.mark.parametrize("args", [(2, 6), (3, 5)])
