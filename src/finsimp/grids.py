@@ -344,30 +344,35 @@ def is_saturated(C: StringComplex) -> bool:
     return all(_saturation_core(z) in C.members for z in C.members if z.degree >= 1)
 
 
-def _add_column(parent: GridDiagram, f: FinMap) -> GridDiagram:
+def _add_column(parent: GridDiagram, f: FinMap, maps: dict[FinMap, FinMap]) -> GridDiagram:
     """The child of ``parent`` whose top row goes on by the injection ``f``.
 
     New cell ``(i+1, j)`` is the image of ``(i+1, s)`` in ``(i, j)``,
     listed increasingly, as ``complete_from_corner`` fills it.  The maps of
     the extension tables have increasing image tuples, so ``f`` lists the
     new top right cell increasingly and every cell keeps its corner labels.
+    Each map of the new column is interned in ``maps``, a dict the census
+    call owns, so grids share every map they have in common.
     """
     i, s = parent.r, parent.s
+    intern = maps.setdefault
     cells = [f.img]
     down = []
     for g in reversed(parent.vert[i]):  # g: (i, j+1) -> (i, j), from the top
         above = cells[-1]
         below = sorted({g.img[v] for v in above})
         pos = {v: k for k, v in enumerate(below)}
-        down.append(_unchecked_map(len(above), len(below), tuple(pos[g.img[v]] for v in above)))
+        d = _unchecked_map(len(above), len(below), tuple(pos[g.img[v]] for v in above))
+        down.append(intern(d, d))
         cells.append(below)
     cells.reverse()
     down.reverse()
+    across = (_unchecked_map(len(c), n, tuple(c)) for c, n in zip(cells, parent.cards[i]))
     return GridDiagram(
         i + 1,
         s,
         parent.cards + (tuple(map(len, cells)),),
-        parent.horiz + (tuple(_unchecked_map(len(c), n, tuple(c)) for c, n in zip(cells, parent.cards[i])),),
+        parent.horiz + (tuple(intern(h, h) for h in across),),
         parent.vert + (tuple(down),),
     )
 
@@ -395,10 +400,12 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
     child.  Each parent is released once its children are grown, and only
     the children that can have children are kept: one column, or a top
     right cell above the least cardinality.  Every call builds its own
-    grids.
+    grids, and interns the maps of their added columns in one dict of its
+    own.
     """
     lo = 0 if allow_empty else 1
     tables: dict[int, tuple[ExtensionTable, ExtensionTable]] = {}
+    maps: dict[FinMap, FinMap] = {}
 
     def extensions(last: int, r: int) -> ExtensionTable:
         # the proper injections onto ``last``, with the proper surjections
@@ -433,7 +440,7 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
             else:
                 if states is None:
                     states = _last_column(parent)
-                grid = _add_column(parent, e.map)
+                grid = _add_column(parent, e.map, maps)
                 walked = _climb(states, grid.vert[-1], grid.horiz[-1])
             r, s = grid.r, grid.s
             yield w, s, r, grid, _cores(walked, w.card0, s)

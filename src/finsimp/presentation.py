@@ -9,7 +9,12 @@ grown from its parent's; its boundary is checked through the cores of
 its boundary facets, read off its path cores; its image is walked only
 where it is new; only the members added since the last check are checked
 for saturation; and the union with the image is checked on that new part
-and the added members.  ``verify_skeleton`` replays the generators through
+and the added members.  What the attachment certifies about a shuffle word
+alone (its past, the gap patterns of its excluded faces, its horn
+certificate and its two records) is certified once per word and replay,
+in a plan the replay owns, so per grid only the work on its strings is
+left: the excluded faces read off the face cores and checked, and the
+closures walked.  ``verify_skeleton`` replays the generators through
 the same state, walking the path cores of each stored grid.  Both first
 walk the member trie of ``E^alpha`` once (``strings.walk_members``), which
 fills the face cores and the saturation cores of every member, so the
@@ -95,12 +100,15 @@ class _Replay:
     proportion to the grid: membership of a few cores decides its boundary,
     the walk of its image stops at the members, so it visits only the new
     part that the attachment must add, and only the members added since
-    the last saturation check are checked.
+    the last saturation check are checked.  The plans of the shuffle
+    words (``shuffles.attach_walk``) live as long as the replay, so each
+    word is certified once and its records are shared by every grid.
     """
 
     def __init__(self):
         self.members: set[MapString] = set()
         self.unchecked: list[MapString] = []
+        self.plans: dict = {}
 
     def saturated(self) -> bool:
         """``is_saturated`` of the members: the saturations of the members
@@ -134,7 +142,7 @@ class _Replay:
             # the boundary lies in the complex, so these are forced facts
             raise CertificateError(message, witness)
 
-        records, added = attach_walk(self.members, cores, shuffles, anomaly, self.members)
+        records, added = attach_walk(self.members, cores, shuffles, anomaly, self.members, self.plans)
         # with the members grown by exactly ``added``, this is the check
         # that the result is the union of the complex before and the image
         if set(added) != image:
@@ -341,9 +349,19 @@ def match_excess(profiles: list[ExcessProfile], alpha: int, degree_bound: int) -
     and unique, the face preserves defect, lands in the lower class with
     the surjective run shortened by one, and the assignment is a bijection
     from upper strings of each degree to lower strings one degree down.
+    A lower string of degree ``degree_bound`` or more is the face of no
+    upper string within the bound, so it is only counted.
     """
     uppers = [p for p in profiles if p.side == "upper"]
-    lowers = {p.string: p for p in profiles if p.side == "lower"}
+    lowers = {}
+    unmatched: Counter = Counter()
+    for p in profiles:
+        if p.side == "lower":
+            deg = len(p.string.maps)  # p.degree, less two property calls
+            if deg < degree_bound:
+                lowers[p.string] = p
+            else:
+                unmatched[deg] += 1
     pairs = []
     image_by_degree: dict[int, set[MapString]] = defaultdict(set)
     for p in uppers:
@@ -389,7 +407,7 @@ def match_excess(profiles: list[ExcessProfile], alpha: int, degree_bound: int) -
     lower_by_degree: dict[int, set[MapString]] = defaultdict(set)
     for z in lowers:
         lower_by_degree[z.degree].add(z)
-    lower_count = {m: len(zs) for m, zs in lower_by_degree.items()}
+    lower_count = {m: len(zs) for m, zs in lower_by_degree.items()} | unmatched
     for m in range(1, degree_bound):
         want = lower_by_degree[m]
         got = image_by_degree[m + 1]

@@ -30,10 +30,14 @@ walk certifies each excluded face.
 each new path core to a member set the caller owns, reads the core of each
 excluded face off the face cores, and returns the records and the members
 it added, so a caller that replays many grids pays for each grid, not for
-the complex.  ``attach_diagram`` wraps it for one grid and an arbitrary
-complex: it checks the saturation of every member, lets each closure stop
-only at faces it has visited itself (the complex need not be face-closed),
-and checks that the result is the union of the complex and the grid image.
+the complex.  What depends on the move word alone, the checks of its past
+and its horn and its two records, sits in a per-word plan in a dict the
+caller also owns, so a replay certifies each word once and every grid
+shares its records.  ``attach_diagram`` wraps it for one grid and an
+arbitrary complex, with plans of its own: it checks the saturation of
+every member, lets each closure stop only at faces it has visited itself
+(the complex need not be face-closed), and checks that the result is the
+union of the complex and the grid image.
 """
 
 from __future__ import annotations
@@ -395,72 +399,116 @@ def _attachment_hypothesis(C: StringComplex, grid: GridDiagram, paths) -> dict:
     }
 
 
+class _Plan(namedtuple("_Plan", "present attached proper reads")):
+    """What attaching one shuffle word certifies for every grid.
+
+    ``present`` is the word's ``"already-present"`` record.  ``attached``
+    is its ``"attached"`` record, ``proper`` its proper excluded faces in
+    ``_excluded_faces`` order and ``reads`` their read order, as
+    ``(T, T + {x}, x)`` triples with face ``x`` of the core read for
+    ``T + {x}`` giving the core of ``T``; all three are ``None`` until the
+    word's simplex is first new, since only then is the word certified.
+    """
+
+    __slots__ = ()
+
+
+def _certify_word(sigma: Shuffle) -> tuple[AttachmentCertificate, tuple, tuple]:
+    """The checks of ``attach_walk`` that read the word alone: the simplex
+    lies outside its own past, checks ``a`` and ``b`` on each proper
+    excluded face, and the horn certificate, or the sphere of a
+    single-row/column grid.  Returns the ``attached``, ``proper`` and
+    ``reads`` fields of the word's plan."""
+    n = len(sigma.word)
+    full = tuple(range(n + 1))
+    excluded = _excluded_faces(sigma.word)
+    if full not in excluded:
+        raise CertificateError(
+            "new shuffle simplex lies in its own past",
+            witness={"sigma": sigma.word, "excluded": [list(T) for T in excluded]},
+        )
+    proper = tuple(idx for idx in excluded if idx != full)
+    for T in proper:
+        _gap_pattern_checks(sigma, T)
+    if sigma.r and sigma.s:
+        cert = horn_certificate(sigma)
+        kind, S = cert.kind, cert.S
+    else:
+        # a single-row/column grid: sphere attachment
+        if proper:
+            raise CertificateError(
+                "maximal shuffle has excluded proper faces",
+                witness={"sigma": sigma.word},
+            )
+        kind, S = "boundary", full if n else ()
+    # with x the first position missing from T, the larger superset
+    # T + {x} of S is excluded and read first; x is also its index there
+    reads = []
+    for T in reversed(proper):
+        x = next(k for k, t in enumerate(T) if k != t)
+        reads.append((T, T[:x] + (x,) + T[x:], x))
+    record = AttachmentCertificate(sigma.word, "attached", kind, S, tuple(sorted(proper)))
+    return record, proper, tuple(reads)
+
+
 def attach_walk(
     current: set[MapString],
     cores: dict[str, MapString],
     order: tuple[Shuffle, ...] | list[Shuffle],
     anomaly,
     stop: set[MapString],
+    plans: dict[str, _Plan],
 ) -> tuple[list[AttachmentCertificate], list[MapString]]:
     """Attach the shuffle simplices of a grid to the member set ``current``
     in place, in ``order``, certifying every one that is new.
 
     ``cores`` maps each move word to the interned core of its path's
     restriction.  ``anomaly(message, witness)`` raises for a condition
-    that the attachment hypotheses force.  The excluded faces are read
-    off the face cores top-down, a nondegenerate string having the faces
-    of its core up to relabeling.  The face closure of each new path core
-    stops at the members of ``stop``, a face-closed set that grows with
-    each closure; ``stop`` is ``current`` itself when ``current`` is
-    face-closed.  Returns the records and the members added.
+    that the attachment hypotheses force.  The face closure of each new
+    path core stops at the members of ``stop``, a face-closed set that
+    grows with each closure; ``stop`` is ``current`` itself when
+    ``current`` is face-closed.  Returns the records and the members added.
+
+    What depends on the word alone is done once per word in ``plans``, a
+    dict the caller owns for one call and shares across its grids: the
+    past, the gap patterns and the horn certificate are checked by
+    ``_certify_word`` when the word's simplex is first new, and each
+    word's two records are built once and shared by every grid.  Per
+    grid, only what depends on its strings is left: the excluded faces
+    are read off the face cores top-down in the plan's read order (a
+    nondegenerate string has the faces of its core up to relabeling) and
+    checked nondegenerate, new and distinguishable, and the closures are
+    walked.
     """
     records = []
     added: list[MapString] = []
     for sigma in order:
-        n = len(sigma.word)
-        full = tuple(range(n + 1))
+        plan = plans.get(sigma.word)
+        if plan is None:
+            present = AttachmentCertificate(sigma.word, "already-present")
+            plan = plans[sigma.word] = _Plan(present, None, None, None)
         z = cores[sigma.word]
         if z in current:
-            records.append(AttachmentCertificate(sigma.word, "already-present"))
+            records.append(plan.present)
             continue
+        n = len(sigma.word)
         # a string is nondegenerate exactly when its core keeps its degree
         if z.degree != n:
             anomaly(
                 "new shuffle simplex is degenerate but its core is missing",
                 {"sigma": sigma.word},
             )
-        excluded = _excluded_faces(sigma.word)
-        if full not in excluded:
-            raise CertificateError(
-                "new shuffle simplex lies in its own past",
-                witness={"sigma": sigma.word, "excluded": [list(T) for T in excluded]},
-            )
-        proper_excluded = [idx for idx in excluded if idx != full]
-        for T in proper_excluded:
-            _gap_pattern_checks(sigma, T)
-        if sigma.r and sigma.s:
-            cert = horn_certificate(sigma)
-            kind, S = cert.kind, cert.S
-        else:
-            # a single-row/column grid: sphere attachment
-            if proper_excluded:
-                raise CertificateError(
-                    "maximal shuffle has excluded proper faces",
-                    witness={"sigma": sigma.word},
-                )
-            kind, S = "boundary", full if n else ()
-        # with x the first position missing from T, the larger superset
-        # T + {x} of S is excluded and read; x is also its index there
-        read = {full: z}
-        for T in reversed(proper_excluded):
-            x = next(k for k, t in enumerate(T) if k != t)
-            w = read[T] = face_cores(read[T[:x] + (x,) + T[x:]])[x]
+        if plan.attached is None:
+            plan = plans[sigma.word] = _Plan(plan.present, *_certify_word(sigma))
+        read = {tuple(range(n + 1)): z}
+        for T, above, x in plan.reads:
+            w = read[T] = face_cores(read[above])[x]
             if w.degree != len(T) - 1:
                 raise CertificateError(
                     "excluded proper face is degenerate",
                     witness={"sigma": sigma.word, "T": list(T)},
                 )
-        for T in proper_excluded:
+        for T in plan.proper:
             if read[T] in current:
                 anomaly(
                     "excluded face already lies in the complex",
@@ -468,22 +516,14 @@ def attach_walk(
                 )
         # map classes survive relabeling, so the canonical core of a
         # nondegenerate face string carries the same class pattern
-        for T in proper_excluded:
+        for T in plan.proper:
             _recover_gaps(sigma, read[T], T)
         closure = face_closure([z], stop)
         fresh = [w for w in closure if w not in current]
         stop |= closure
         current.update(fresh)
         added += fresh
-        records.append(
-            AttachmentCertificate(
-                sigma.word,
-                "attached",
-                kind,
-                S,
-                tuple(sorted(proper_excluded)),
-            )
-        )
+        records.append(plan.attached)
     return records, added
 
 
@@ -545,7 +585,7 @@ def _attach_diagram(
         if sorted(sh.word for sh in seen) != [sh.word for sh in shuffles]:
             raise InputError("order must list every shuffle exactly once")
     current = set(C.members)
-    records, _ = attach_walk(current, cores, order, anomaly, set())
+    records, _ = attach_walk(current, cores, order, anomaly, set(), {})
     result = StringComplex(frozenset(current))
     if result != C.union(D):
         raise CertificateError("attachment result is not the union with the image")

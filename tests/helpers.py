@@ -21,7 +21,9 @@ canonicalize-then-dedupe censuses kept as oracles for the orderly
 generation of ``enumerate_nondegenerate`` and of the corner census, the
 ``json.dumps`` body kept as an oracle for the hand-written ``serialize``,
 the every-inner-face loop kept as an oracle for the cards-first
-``_matching_faces`` of ``match_excess``, the ``in_excess`` filter
+``_matching_faces`` of ``match_excess``, the ``match_excess`` that keyed
+every lower string kept as an oracle for the one that keys only those an
+upper string can match, the ``in_excess`` filter
 kept as an oracle for ``excess_strings``, and the hand-written
 ``to_json`` bodies kept as an oracle for the trees derived from the
 shallow ``json_form`` of each value class, the map-by-map ``_top_runs``
@@ -36,13 +38,19 @@ path cores.  It also keeps ``restrict``, ``image_subset`` and
 import itertools
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 from finsimp import FinMap, MapString, StringComplex, canonicalize, compose, core, defect, identity
-from finsimp.errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
+from finsimp.errors import (
+    CertificateError,
+    DualConstructionError,
+    InputError,
+    MatchingError,
+    StaircaseDefectError,
+)
 from finsimp.finmap import MapClass, all_maps, classify
 from finsimp.grids import (
     CornerData,
@@ -57,8 +65,10 @@ from finsimp.presentation import (
     Generator,
     Matching,
     PresentationSkeleton,
+    _matching_faces,
     _profile,
     in_excess,
+    match_partner,
 )
 from finsimp.shuffles import (
     AttachmentCertificate,
@@ -1046,6 +1056,7 @@ def compare_attach_walks(grids) -> tuple[int, int]:
     resulting member sets differ."""
     new: set[MapString] = set()
     old: set[MapString] = set()
+    plans: dict = {}
     attached = bad = 0
 
     def anomaly(message, witness):
@@ -1056,7 +1067,7 @@ def compare_attach_walks(grids) -> tuple[int, int]:
         cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
         if not face_closure(cores.values(), new):
             continue
-        got = attach_walk(new, cores, shuffles, anomaly, new)
+        got = attach_walk(new, cores, shuffles, anomaly, new, plans)
         want = oracle_attach_walk(old, grid, cores, shuffles, anomaly, old)
         attached += 1
         bad += (
@@ -1164,6 +1175,80 @@ def oracle_matching_faces(z: MapString, w: MapString) -> list[int]:
     """The inner face indices of ``z`` whose canonical face is ``w``, found
     by canonicalizing every inner face."""
     return [i for i in range(1, z.degree) if canonicalize(face(z, i)) == w]
+
+
+def oracle_match_excess(profiles: list[ExcessProfile], alpha: int, degree_bound: int) -> Matching:
+    """``match_excess`` as it keyed every lower string, those of degree
+    ``degree_bound`` too, which no upper string within the bound can match:
+    verify the matching invariants over the enumerated range.
+
+    ``profiles`` arrive in ``excess_strings`` order, by degree and then by
+    serialization, and the pairs keep the order of their upper strings.
+    For every upper string the distinguished face index is strictly inner
+    and unique, the face preserves defect, lands in the lower class with
+    the surjective run shortened by one, and the assignment is a bijection
+    from upper strings of each degree to lower strings one degree down.
+    """
+    uppers = [p for p in profiles if p.side == "upper"]
+    lowers = {p.string: p for p in profiles if p.side == "lower"}
+    pairs = []
+    image_by_degree: dict[int, set[MapString]] = defaultdict(set)
+    for p in uppers:
+        n, j = p.degree, p.junction
+        if not 0 < j < n:
+            raise MatchingError(
+                "distinguished face index is not inner", witness=serialize(p.string)
+            )
+        if p.surj_run < 1:
+            raise MatchingError(
+                "upper string with empty surjective run", witness=serialize(p.string)
+            )
+        w = match_partner(p)
+        if defect(w) != p.excess_defect:
+            raise MatchingError(
+                "matched face changes the defect",
+                witness={"upper": serialize(p.string), "lower": serialize(w)},
+            )
+        if w not in lowers:
+            raise MatchingError(
+                "matched face is not an enumerated lower string",
+                witness={"upper": serialize(p.string), "lower": serialize(w)},
+            )
+        wp = lowers[w]
+        if (wp.inj_run, wp.surj_run) != (p.inj_run, p.surj_run - 1):
+            raise MatchingError(
+                "matched face has the wrong profile",
+                witness={"upper": serialize(p.string), "lower": serialize(w)},
+            )
+        hits = _matching_faces(p.string, w, j)
+        if hits != [j]:
+            raise MatchingError(
+                "distinguished face index is not unique",
+                witness={"upper": serialize(p.string), "indices": hits},
+            )
+        if w in image_by_degree[n]:
+            raise MatchingError(
+                "two upper strings share a matched face", witness=serialize(w)
+            )
+        image_by_degree[n].add(w)
+        pairs.append((p.string, w, j))
+    upper_count = Counter(p.degree for p in uppers)
+    lower_by_degree: dict[int, set[MapString]] = defaultdict(set)
+    for z in lowers:
+        lower_by_degree[z.degree].add(z)
+    lower_count = {m: len(zs) for m, zs in lower_by_degree.items()}
+    for m in range(1, degree_bound):
+        want = lower_by_degree[m]
+        got = image_by_degree[m + 1]
+        if want != got:
+            missing = sorted(want - got, key=MapString.sort_key)
+            raise MatchingError(
+                "matching is not onto the lower class",
+                witness={"degree": m, "missing": [serialize(z) for z in missing[:5]]},
+            )
+    degrees = sorted(set(upper_count) | set(lower_count))
+    per_degree = tuple((d, upper_count.get(d, 0), lower_count.get(d, 0)) for d in degrees)
+    return Matching(alpha, degree_bound, tuple(pairs), per_degree)
 
 
 def _top_runs(z: MapString) -> tuple[int, int, MapClass | None]:

@@ -529,6 +529,21 @@ def test_cached_tables_are_invisible():
         assert boundary_image(fresh) == boundary_image(g)
 
 
+@pytest.mark.parametrize("max_card,allow_empty", [(4, False), (3, True)])
+def test_census_interns_the_maps_of_added_columns(max_card, allow_empty):
+    # one dict per census call: within a call equal maps of the columns
+    # grown from a parent are one object, and a second call builds its own
+    def added_maps():
+        for *_, g, _ in enumerate_corner_grids(max_card, allow_empty):
+            if g.r:
+                yield from g.horiz[-1] + g.vert[-1]
+
+    first: dict = {}
+    for f in added_maps():
+        assert first.setdefault(f, f) is f
+    assert all(first[f] is not f for f in added_maps())
+
+
 @pytest.mark.parametrize("allow_empty", [False, True])
 @pytest.mark.parametrize("max_card", [0, 1, 2, 3, 4])
 def test_streamed_census_matches_eager_oracle(max_card, allow_empty):

@@ -60,6 +60,7 @@ from helpers import (
     image_subset,
     is_face_closed,
     oracle_excess_strings,
+    oracle_match_excess,
     oracle_matching_faces,
     oracle_present,
     profile_of,
@@ -412,6 +413,30 @@ def test_present_checks_the_union_with_the_image(monkeypatch):
         assert str(info.value) == "attachment result is not the union with the image"
 
 
+@pytest.mark.parametrize("alpha,allow_empty", [(3, False), (2, True)])
+def test_equal_attachment_records_are_one_object(alpha, allow_empty):
+    # each word's two records are built once per replay and shared by
+    # every grid that attaches the word or finds it present
+    shared = {}
+    for g in present(alpha, allow_empty).generators:
+        for rec in g.records:
+            assert shared.setdefault(rec, rec) is rec
+    assert {rec.status for rec in shared} == {"attached", "already-present"}
+
+
+def test_a_word_plan_does_not_outlive_its_replay(monkeypatch):
+    # a past doctored after one replay is read by the next one, which
+    # certifies each word afresh
+    import finsimp.shuffles as shuffles_mod
+
+    present(2)
+    monkeypatch.setattr(shuffles_mod, "_excluded_faces", lambda w: ())
+    with pytest.raises(CertificateError) as info:
+        present(2)
+    assert str(info.value) == "new shuffle simplex lies in its own past"
+    assert info.value.witness == {"sigma": "", "excluded": []}
+
+
 def test_present_json_deterministic():
     a = json.dumps(present(2).to_json(), sort_keys=True)
     b = json.dumps(present(2).to_json(), sort_keys=True)
@@ -666,6 +691,20 @@ def test_match_excess_refuses_a_matching_that_is_not_onto():
     with pytest.raises(MatchingError, match="not onto") as exc:
         match_excess([q for q in profiles if q is not p], 2, 4)
     assert exc.value.witness == {"degree": lower.degree, "missing": [serialize(lower.string)]}
+
+
+@pytest.mark.parametrize(
+    "alpha,degree_bound,allow_empty", [(2, 6, False), (3, 5, False), (2, 6, True)]
+)
+def test_match_excess_matches_the_oracle_that_keys_every_lower(alpha, degree_bound, allow_empty):
+    # the lower strings of the top degree are only counted, since no upper
+    # string within the bound has them as a face
+    profiles = excess_strings(alpha, degree_bound, allow_empty)
+    got = match_excess(profiles, alpha, degree_bound)
+    assert got == oracle_match_excess(profiles, alpha, degree_bound)
+    top = sum(p.side == "lower" and p.degree == degree_bound for p in profiles)
+    degree, _, lower = got.per_degree[-1]
+    assert (degree, lower) == (degree_bound, top) and top
 
 
 def test_excess_profiles_are_read_off_the_census():

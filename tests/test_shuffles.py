@@ -354,7 +354,7 @@ def test_attach_walk_matches_restricting_oracle_on_proper_grids():
             shuffles = enumerate_shuffles(r, n - r)
             cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
             new, old = set(boundary_image(grid).members), set(boundary_image(grid).members)
-            got = attach_walk(new, cores, shuffles, anomaly, set())
+            got = attach_walk(new, cores, shuffles, anomaly, set(), {})
             want = oracle_attach_walk(old, grid, cores, shuffles, anomaly, set())
             assert got[0] == want[0]
             assert [rec.status for rec in got[0]] == ["attached"] * len(shuffles)
@@ -614,9 +614,11 @@ def test_every_certificate_check_can_fail(monkeypatch, word, past, message):
 
 
 def test_attach_refuses_simplex_in_own_past(monkeypatch):
+    # after a clean attachment of the same grid: its word plans died with it
     import finsimp.shuffles as shuffles_mod
 
     grid = proper_grid(1, 1)
+    attach_diagram(boundary_image(grid), grid)
     monkeypatch.setattr(shuffles_mod, "_excluded_faces", lambda w: ((0, 1),))
     with pytest.raises(CertificateError) as info:
         attach_diagram(boundary_image(grid), grid)
