@@ -6,6 +6,8 @@ operations are pure integer bookkeeping.
 
 ``FinMap`` is a named tuple ``(src, dst, img)``: hashing, equality and
 field access run in C, and ``hash(FinMap(s, d, i)) == hash((s, d, i))``.
+``strings.MapString`` is the named tuple ``(card0, maps)`` built the same
+way, with ``strings._unchecked_string`` as its unchecked constructor.
 Calling ``FinMap`` validates its arguments; that is the boundary for every
 map that comes from outside (``from_json``, ``all_maps``, the staircase
 completion).  A map derived from valid maps is valid by construction, so

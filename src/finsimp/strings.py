@@ -16,8 +16,8 @@ its source.  Frontiers are hashable nested tuples, interned, and
 ``_step`` computes each (frontier, map) pair once for the whole process,
 so, as in the AHU labelling of rooted trees, each distinct shape is
 handled once: a few hundred steps stand for the hundreds of thousands a
-census or a walk asks for.  ``canonicalize``, the censuses (through
-``canonical_extensions``), the walk of the member trie and
+census or a walk asks for.  ``canonicalize``, ``core``, the censuses
+(through ``canonical_extensions``), the walk of the member trie and
 ``grids.path_cores`` all take this one step; a step is a pure function of
 its key, so every result is the one a fresh computation gives.
 
@@ -55,24 +55,25 @@ frontier) for each face of a member and for its saturation.  For a child
 extended by ``f``; face ``t`` is the prefix of ``z`` extended by the
 composite of the last two maps; face ``t+1`` is ``z``; and the saturation
 of ``w`` is that of ``z`` extended by the ``mono`` and then the ``epi`` of
-``f``.  Each is one ``_step``.  A bijective map has an all-ones fiber, which resolves no part
-of the frontier, so its block is the identity, and the walk drops it,
-since ``core`` merges the levels a bijection joins.  So each face core and
-each saturation core costs one step, not a ``core``.  The walk fills only
+``f``.  Each is one ``_step``.  A bijective map has an all-ones fiber,
+which resolves no part of the frontier, so its block is the identity, and
+the walk drops it, as ``core`` does.  So each face core and each
+saturation core costs one step, not a ``core``.  The walk fills only
 the memos of ``face_cores`` and ``_saturation_core``, which are functions
 of each string; a string it did not reach is cored as before, so the grid
 images never depend on the walk's lists.
 
-Identity is cheap: ``MapString`` is a slotted class that caches its hash
-``hash((card0, maps))`` lazily, on the first ``hash`` call, and
-``serialize`` writes the compact JSON by hand.
+Identity is cheap: ``MapString`` is a named tuple ``(card0, maps)``, as
+``FinMap`` is, so its hash, ``hash((card0, maps))``, and its equality run
+in C, and ``serialize`` writes the compact JSON by hand.
 
 Values are validated at the boundary.  ``MapString(...)`` checks that its
 maps compose, and ``string_from_json``, ``extension_table`` and the other
 public constructors keep doing so; a string derived from valid strings is
-valid by construction, so ``face``, ``canonicalize``,
+valid by construction, so ``face``, ``canonicalize``, ``core``,
 ``canonical_extensions``, ``saturate`` and ``grids.path_cores`` build
-theirs with ``_unchecked_string``, and ``_step`` builds its blocks with
+theirs with ``_unchecked_string``, which is ``tuple.__new__(MapString,
+(card0, maps))``, and ``_step`` builds its blocks with
 ``_block``, through ``finmap._unchecked_map``.
 
 The census carries what it already knows about each string: its defect,
@@ -87,6 +88,7 @@ off them through ``_census``.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -95,32 +97,12 @@ from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, compose, epi_
 from .finmap import from_json as finmap_from_json
 
 
-class _Frozen:
-    """Read-only attributes for a slotted value class: assigning or deleting
-    one raises ``AttributeError``; the constructors set their slots through
-    the slot descriptors."""
+class MapString(namedtuple("MapString", "card0 maps")):
+    """A string of composable maps; ``card0`` is the cardinality of ``S_0``."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class MapString(_Frozen):
-    """A string of composable maps; ``card0`` is the cardinality of ``S_0``.
-
-    Equal strings are those with equal ``(card0, maps)``, and the hash is
-    ``hash((card0, maps))``, cached in ``_hash`` on the first ``hash``
-    call; equality and ``repr`` ignore the cache.
-    """
-
-    __slots__ = ("card0", "maps", "_hash")
-    __match_args__ = ("card0", "maps")
-
-    def __init__(self, card0: int, maps: tuple[FinMap, ...] = ()):
+    def __new__(cls, card0: int, maps: tuple[FinMap, ...] = ()):
         if card0 < 0:
             raise InputError(f"negative card0: {card0}")
         if not isinstance(maps, tuple):
@@ -130,24 +112,7 @@ class MapString(_Frozen):
             if f.dst != prev:
                 raise InputError(f"maps[{k}]: dst={f.dst} does not match previous cardinality {prev}")
             prev = f.src
-        _set_card0(self, card0)
-        _set_maps(self, maps)
-        _set_hash(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is MapString:
-            return self.card0 == other.card0 and self.maps == other.maps
-        return NotImplemented
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.card0, self.maps))
-            _set_hash(self, h)
-        return h
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(card0={self.card0!r}, maps={self.maps!r})"
+        return tuple.__new__(cls, (card0, maps))
 
     @property
     def degree(self) -> int:
@@ -174,19 +139,10 @@ class MapString(_Frozen):
         return _plain_json(self.json_form(canonical))
 
 
-_set_card0 = MapString.card0.__set__
-_set_maps = MapString.maps.__set__
-_set_hash = MapString._hash.__set__
-
-
 def _unchecked_string(card0: int, maps: tuple[FinMap, ...]) -> MapString:
     """A MapString built without validation, for strings derived from valid
     ones; ``maps`` must be a tuple of composable maps."""
-    z = object.__new__(MapString)
-    _set_card0(z, card0)
-    _set_maps(z, maps)
-    _set_hash(z, None)
-    return z
+    return tuple.__new__(MapString, (card0, maps))
 
 
 def serialize(z: MapString) -> str:
@@ -488,16 +444,21 @@ def core(z: MapString) -> tuple[MapString, tuple[int, ...]]:
 
     Returns ``(base, indices)`` where applying ``degeneracy(.., i)`` for
     ``i`` in reversed ``indices`` rebuilds a string equivalent to ``z``.
+    This is ``canonicalize``'s step loop with the block of each bijective
+    step dropped, since a bijection merges the two levels it joins: a
+    bijection at position ``k`` is degeneracy ``k`` less the number of
+    bijections before it.
     """
-    w = z
+    frontier = _start_frontier(z.card0)
+    blocks = []
     indices = []
-    while True:
-        pos = next((k for k, f in enumerate(w.maps) if f.is_bijective), None)
-        if pos is None:
-            break
-        indices.append(pos)
-        w = face(w, pos + 1)
-    return canonicalize(w), tuple(indices)
+    for k, f in enumerate(z.maps):
+        block, frontier, bijective = _step(frontier, f)
+        if bijective:
+            indices.append(k - len(indices))
+        else:
+            blocks.append(block)
+    return _unchecked_string(z.card0, tuple(blocks)), tuple(indices)
 
 
 def string_from_json(obj, where: str = "string") -> MapString:
@@ -564,10 +525,12 @@ def _saturation_core(z: MapString) -> MapString:
 
 
 def degree_cap(alpha: int) -> int:
-    """The top degree ``walk_members`` reaches in ``E^alpha``: it grows no
-    member of this degree.  The degree ends on its own well below, since a
-    proper injection shrinks the top cardinality and every other map raises
-    the defect, so a member of this degree means the walk did not end."""
+    """The top degree ``walk_members`` reaches in ``E^alpha``: it lists the
+    members of this degree but extends none of them.  The degree ends on
+    its own well below, since a proper injection shrinks the top
+    cardinality and every other map raises the defect, so a member of this
+    degree means the walk did not end, and ``check_against_enumeration``
+    raises on it."""
     return alpha * (alpha + 2) + 1
 
 
@@ -677,19 +640,29 @@ def face_closure(seed, stop=frozenset()) -> set[MapString]:
     return out
 
 
-class StringComplex(_Frozen):
+class StringComplex:
     """A face-closed set of canonical nondegenerate strings.
 
     Degenerate strings are never stored; membership of an arbitrary string
     is decided through its core.  This keeps finite data for objects that
     would be infinite as raw simplex sets.
+
+    A slotted class with a read-only field, not a named tuple: a tuple's
+    ``in``, ``len`` and iteration would silently mean something else for
+    a complex.
     """
 
     __slots__ = ("members",)
     __match_args__ = ("members",)
 
     def __init__(self, members: frozenset[MapString] = frozenset()):
-        _set_members(self, members if isinstance(members, frozenset) else frozenset(members))
+        object.__setattr__(self, "members", members if isinstance(members, frozenset) else frozenset(members))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is StringComplex:
@@ -728,9 +701,6 @@ class StringComplex(_Frozen):
 
     def __len__(self):
         return len(self.members)
-
-
-_set_members = StringComplex.members.__set__
 
 
 def _tables(lo: int, max_card: int, cap: float):
