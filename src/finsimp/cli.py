@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -73,28 +72,6 @@ _COUNT_PIECES = 64
 _MEMOISED = (FinMap, AttachmentCertificate)
 
 
-def _json_scalar(o) -> str:
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _write_json(obj, write) -> None:
     """Write the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a
     newline, where ``obj`` is a JSON tree that may hold value objects.
@@ -113,7 +90,9 @@ def _write_json(obj, write) -> None:
     No string of the whole document is built either: the pending text is
     measured at array items, every ``_COUNT_PIECES`` pieces, and goes to
     ``write`` once it reaches ``_FLUSH_SIZE`` characters.  Dict keys must be
-    ``str``.
+    ``str``, and every other node an exact ``dict``, ``list``, ``tuple``,
+    ``str`` or ``int``, a ``bool``, ``None`` or a value with ``json_form``:
+    anything else, a float included, raises ``TypeError``.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -211,12 +190,8 @@ def _write_json(obj, write) -> None:
             append("null")
         elif hasattr(o, "json_form"):
             emit(o.json_form(), nl)
-        elif isinstance(o, dict):
-            emit(dict(o), nl)
-        elif isinstance(o, (list, tuple)):
-            emit(list(o), nl)
         else:
-            append(_json_scalar(o))
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     emit(obj, "\n")
     append("\n")
@@ -277,7 +252,7 @@ def _complex_from_json(obj, where: str) -> StringComplex:
     for k, item in enumerate(obj):
         z = string_from_json(item, f"{where}[{k}]")
         members.append(core(z)[0])
-    return StringComplex(frozenset(members))
+    return StringComplex(members)
 
 
 def _cmd_f_enumerate(args) -> int:

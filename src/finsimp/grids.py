@@ -341,7 +341,7 @@ def is_saturated(C: StringComplex) -> bool:
     Degenerate members need no separate check: saturating a degeneracy gives
     a degeneracy of the saturation of its core.
     """
-    return all(_saturation_core(z) in C.members for z in C.members if z.degree >= 1)
+    return all(_saturation_core(z) in C for z in C if z.degree >= 1)
 
 
 def _add_column(parent: GridDiagram, f: FinMap, maps: dict[FinMap, FinMap]) -> GridDiagram:
@@ -474,7 +474,7 @@ def defect_subcomplex(alpha: int, allow_empty: bool = False) -> StringComplex:
     union: set[MapString] = set()
     for *_, paths in enumerate_corner_grids(alpha, allow_empty):
         union |= face_closure((w for w, _ in paths), union)
-    C = StringComplex(frozenset(union))
+    C = StringComplex(union)
     check_against_enumeration(C, alpha, members)
     return C
 
@@ -509,12 +509,12 @@ def check_against_enumeration(C: StringComplex, alpha: int, by_degree: list[list
             "degree cap reached",
             witness={"alpha": alpha, "cap": cap, "top_degree_members": len(by_degree[-1])},
         )
-    if _lists_exactly(by_degree, C.members):
+    if _lists_exactly(by_degree, C):
         return
     direct = {z for level in by_degree for z in level}
-    if direct != C.members:
-        only_direct = sorted(direct - C.members, key=MapString.sort_key)
-        only_union = sorted(C.members - direct, key=MapString.sort_key)
+    if direct != C:
+        only_direct = sorted(direct - C, key=MapString.sort_key)
+        only_union = sorted(C - direct, key=MapString.sort_key)
         raise DualConstructionError(
             "defect enumeration and grid-image union disagree",
             witness={

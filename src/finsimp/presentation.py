@@ -151,7 +151,7 @@ class _Replay:
         return records
 
     def complex(self) -> StringComplex:
-        return StringComplex(frozenset(self.members))
+        return StringComplex(self.members)
 
 
 def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:

@@ -391,10 +391,10 @@ def _attachment_hypothesis(C: StringComplex, grid: GridDiagram, paths) -> dict:
     z, where = paths[-1]
     faces = []
     if grid.r + grid.s >= 1:
-        faces = [(z if i is None else face_cores(z)[i]) in C.members for i in where]
+        faces = [(z if i is None else face_cores(z)[i]) in C for i in where]
     return {
         "saturated": is_saturated(C),
-        "boundary_contained": StringComplex.closure(boundary_cores(grid, paths)).issubset(C),
+        "boundary_contained": StringComplex.closure(boundary_cores(grid, paths)) <= C,
         "corner_faces_in_complex": faces,
     }
 
@@ -560,7 +560,7 @@ def _attach_diagram(
     shuffles = _shuffles(grid.r, grid.s)
     cores = {sh.word: z for sh, (z, _) in zip(shuffles, paths)}
     D = StringComplex.closure(cores.values())
-    if D.issubset(C):
+    if D <= C:
         return C, []
     if not is_saturated(C):
         raise HypothesisError("complex is not saturated")
@@ -568,7 +568,7 @@ def _attach_diagram(
     def anomaly(message, witness):
         # with the boundary inside C these conditions are forced facts;
         # without it they just witness the unmet hypothesis
-        if StringComplex.closure(boundary_cores(grid, paths)).issubset(C):
+        if StringComplex.closure(boundary_cores(grid, paths)) <= C:
             raise CertificateError(message, witness)
         raise HypothesisError(
             f"{message} (the grid boundary image is not contained in the complex)"
@@ -584,9 +584,9 @@ def _attach_diagram(
             seen.append(sh)
         if sorted(sh.word for sh in seen) != [sh.word for sh in shuffles]:
             raise InputError("order must list every shuffle exactly once")
-    current = set(C.members)
+    current = set(C)
     records, _ = attach_walk(current, cores, order, anomaly, set(), {})
-    result = StringComplex(frozenset(current))
-    if result != C.union(D):
+    result = StringComplex(current)
+    if result != C | D:
         raise CertificateError("attachment result is not the union with the image")
     return result, records

@@ -90,7 +90,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import InputError
 from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, compose, epi_mono_factor, identity
@@ -366,16 +365,14 @@ def canonicalize(z: MapString) -> MapString:
     return _unchecked_string(z.card0, tuple(maps))
 
 
-class Extension(NamedTuple):
+class Extension(namedtuple("Extension", "map inc cls")):
     """One entry of an extension table: a map onto the top level, shared by
     every string it extends, with its defect increment ``src - |image|``
     and its class.  No entry is a bijection: it is properly injective when
     ``inc == 0``, properly surjective when ``inc > 0`` and every fiber is
     nonzero, and neither otherwise."""
 
-    map: FinMap
-    inc: int
-    cls: MapClass
+    __slots__ = ()
 
 
 class ExtensionTable(list):
@@ -640,67 +637,37 @@ def face_closure(seed, stop=frozenset()) -> set[MapString]:
     return out
 
 
-class StringComplex:
+class StringComplex(frozenset):
     """A face-closed set of canonical nondegenerate strings.
 
     Degenerate strings are never stored; membership of an arbitrary string
     is decided through its core.  This keeps finite data for objects that
     would be infinite as raw simplex sets.
 
-    A slotted class with a read-only field, not a named tuple: a tuple's
-    ``in``, ``len`` and iteration would silently mean something else for
-    a complex.
+    A ``frozenset`` of the cores: ``in``, ``len``, iteration, equality,
+    hashing and the set operations are the frozenset's own, and mean what
+    they mean for a complex; ``C | D`` and ``C - D`` are plain frozensets.
     """
 
-    __slots__ = ("members",)
-    __match_args__ = ("members",)
-
-    def __init__(self, members: frozenset[MapString] = frozenset()):
-        object.__setattr__(self, "members", members if isinstance(members, frozenset) else frozenset(members))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is StringComplex:
-            return self.members == other.members
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.members,))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(members={self.members!r})"
+    __slots__ = ()
 
     @staticmethod
-    def closure(seed) -> "StringComplex":
+    def closure(seed) -> StringComplex:
         """Face-closure of arbitrary strings (canonicalized via cores); see
         ``face_closure``."""
-        return StringComplex(frozenset(face_closure(seed)))
-
-    def union(self, other: "StringComplex") -> "StringComplex":
-        return StringComplex(self.members | other.members)
-
-    def issubset(self, other: "StringComplex") -> bool:
-        return self.members <= other.members
+        return StringComplex(face_closure(seed))
 
     def max_degree(self) -> int:
-        return max((z.degree for z in self.members), default=-1)
+        return max((z.degree for z in self), default=-1)
 
     def json_form(self) -> map:
         """The members in ``sort_key`` order, each with ``canonical: true``,
         formed one at a time as the array is consumed."""
-        members = sorted(self.members, key=MapString.sort_key)
+        members = sorted(self, key=MapString.sort_key)
         return map(MapString.json_form, members, itertools.repeat(True))
 
     def to_json(self) -> list:
         return _plain_json(self.json_form())
-
-    def __len__(self):
-        return len(self.members)
 
 
 def _tables(lo: int, max_card: int, cap: float):

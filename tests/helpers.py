@@ -318,14 +318,14 @@ def is_canonical(z: MapString) -> bool:
 
 def contains(C: StringComplex, z: MapString) -> bool:
     """Whether the core of ``z`` is a member of ``C``."""
-    return core(z)[0] in C.members
+    return core(z)[0] in C
 
 
 def is_face_closed(C: StringComplex) -> bool:
     """Whether the core of every face of every member of ``C`` is a member."""
     return all(
-        core(face(z, i))[0] in C.members
-        for z in C.members
+        core(face(z, i))[0] in C
+        for z in C
         if z.degree >= 1
         for i in range(z.degree + 1)
     )
@@ -806,19 +806,19 @@ def oracle_is_accessible(C: StringComplex) -> bool:
     corner data contains its corner string, a nondegenerate simplex of
     degree r+s, so r+s is at most the top degree of ``C``, and every
     cardinality is at most the largest one of ``C``'s members."""
-    if not C.members:
+    if not C:
         return True
-    allow_empty = any(0 in z.cards() for z in C.members)
+    allow_empty = any(0 in z.cards() for z in C)
     max_degree = C.max_degree()
     union: set[MapString] = set()
-    max_card = max(max(z.cards()) for z in C.members)
+    max_card = max(max(z.cards()) for z in C)
     for z, s, r, grid in oracle_corner_grids(max_card, allow_empty):
         if r + s > max_degree:
             continue
         img = image_subset(grid)
-        if img.issubset(C):
-            union |= img.members
-    return union == C.members
+        if img <= C:
+            union |= img
+    return union == C
 
 
 @lru_cache(maxsize=None)
@@ -923,10 +923,10 @@ def oracle_present(alpha: int, allow_empty: bool = False) -> PresentationSkeleto
     image is tested against the complex so far and the public
     ``attach_diagram`` attaches the grid to all of it, re-checking the
     saturation of every member and the union with the image."""
-    C = StringComplex(frozenset())
+    C = StringComplex()
     gens = []
     for z, s, r, grid, _ in enumerate_corner_grids(alpha, allow_empty):
-        if not oracle_boundary_image(grid).issubset(C):
+        if not oracle_boundary_image(grid) <= C:
             raise CertificateError(
                 "generator boundary not contained in earlier images",
                 witness={"corner": serialize(z), "r": r, "s": s},
@@ -949,9 +949,9 @@ def oracle_check_against_enumeration(C: StringComplex, alpha: int, allow_empty: 
             witness={"alpha": alpha, "cap": cap, "top_degree_members": len(by_degree[-1])},
         )
     direct = {z for level in by_degree for z in level}
-    if direct != C.members:
-        only_direct = sorted(direct - C.members, key=MapString.sort_key)
-        only_union = sorted(C.members - direct, key=MapString.sort_key)
+    if direct != C:
+        only_direct = sorted(direct - C, key=MapString.sort_key)
+        only_union = sorted(C - direct, key=MapString.sort_key)
         raise DualConstructionError(
             "defect enumeration and grid-image union disagree",
             witness={
@@ -1318,7 +1318,7 @@ def oracle_to_json(v, canonical=None):
             obj["canonical"] = canonical
         return obj
     if isinstance(v, StringComplex):
-        return [oracle_to_json(z, True) for z in sorted(v.members, key=MapString.sort_key)]
+        return [oracle_to_json(z, True) for z in sorted(v, key=MapString.sort_key)]
     if isinstance(v, GridDiagram):
         return {
             "r": v.r,

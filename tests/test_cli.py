@@ -407,8 +407,6 @@ _JSON_SCALARS = (
     | st.integers()
     | st.integers(2**64, 2**200)
     | st.integers(-(2**200), -(2**64))
-    | st.floats()
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
     | _TEXT
 )
 _JSON_VALUES = st.recursive(
@@ -437,6 +435,11 @@ def test_writer_refuses_non_json_keys_and_values():
         _write_to_string({1: "one"})
     with pytest.raises(TypeError):
         _write_to_string([object()])
+    # a float is no value a command writes, so it is refused like any
+    # other non-JSON object
+    for x in (0.5, math.nan, math.inf):
+        with pytest.raises(TypeError):
+            _write_to_string([x])
 
 
 def test_cli_encodes_no_whole_document(monkeypatch):
@@ -541,7 +544,7 @@ def _strings(draw):
 # covers them
 _VALUES = st.sampled_from(_POOL) | _maps() | _strings()
 _TREES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | _VALUES,
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3) | _VALUES,
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(max_size=3), inner),
     max_leaves=20,
 )
@@ -572,10 +575,10 @@ def test_writer_keeps_no_memo_between_calls():
 
 def test_writer_flushes_by_accumulated_size():
     # one memoised record repeated is few pieces of much text, a long array
-    # of floats many pieces of little text; both go out in pieces of about
-    # _FLUSH_SIZE characters
+    # of short strings many pieces of little text; both go out in pieces of
+    # about _FLUSH_SIZE characters
     rec = AttachmentCertificate("HVHV", "attached", "inner", (1, 3), ((0, 2, 4), (0, 1, 2, 4)))
-    for doc in ({"records": [rec] * 3000}, [0.5] * 60000):
+    for doc in ({"records": [rec] * 3000}, ["ab"] * 60000):
         pieces = []
         _write_json(doc, pieces.append)
         assert "".join(pieces) == _dumps(expand_values(doc))

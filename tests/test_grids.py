@@ -195,7 +195,7 @@ def test_restrict_commutes_with_face():
 def test_image_subset_trivial_grid():
     g = complete_from_corner(CornerData(1))
     img = image_subset(g)
-    assert img.members == frozenset({MapString(1)})
+    assert img == frozenset({MapString(1)})
 
 
 def test_image_subset_face_closed_exhaustive():
@@ -218,8 +218,8 @@ def test_saturated_counterexample():
 
 
 def test_saturated_trivial_cases():
-    assert is_saturated(StringComplex(frozenset()))
-    points = StringComplex(frozenset({MapString(1), MapString(3)}))
+    assert is_saturated(StringComplex())
+    points = StringComplex({MapString(1), MapString(3)})
     assert is_saturated(points)
     assert oracle_is_accessible(points)
 
@@ -231,16 +231,16 @@ def test_single_image_is_accessible():
 
 def test_defect_subcomplex_alpha_one():
     C = defect_subcomplex(1)
-    assert C.members == frozenset({MapString(1)})
+    assert C == frozenset({MapString(1)})
     Ce = defect_subcomplex(1, allow_empty=True)
     edge = canonicalize(MapString(1, (FinMap(0, 1, ()),)))
-    assert Ce.members == frozenset({MapString(0), MapString(1), edge})
+    assert Ce == frozenset({MapString(0), MapString(1), edge})
 
 
 def test_defect_subcomplex_members_bounded():
     for alpha in (1, 2, 3):
         C = defect_subcomplex(alpha)
-        for z in C.members:
+        for z in C:
             assert defect(z) <= alpha
             assert max(z.cards()) <= alpha
             assert z.degree <= alpha * (alpha + 2)
@@ -251,7 +251,7 @@ def test_defect_subcomplex_is_defect_level_set():
     C = defect_subcomplex(2)
     for level in enumerate_nondegenerate(2, 12):
         for z in level:
-            assert (z in C.members) == (defect(z) <= 2)
+            assert (z in C) == (defect(z) <= 2)
 
 
 def test_e_alpha_accessible():
@@ -496,8 +496,8 @@ def test_chain_table_matches_uncached_oracle():
     for g in _oracle_grids():
         shapes.add((g.r, g.s))
         want = oracle_chain_cores(g)
-        assert image_subset(g).members == frozenset(want.values())
-        assert boundary_image(g).members == frozenset(
+        assert image_subset(g) == frozenset(want.values())
+        assert boundary_image(g) == frozenset(
             v for ch, v in want.items() if chain_in_boundary(ch, g.r, g.s)
         )
     assert {(0, 0), (0, 2), (2, 0), (3, 1), (3, 3)} <= shapes
@@ -590,8 +590,8 @@ def test_grown_census_matches_completion_and_path_cores(max_card, allow_empty):
 def test_incremental_walk_is_the_union_of_images(alpha, allow_empty):
     union = set()
     for z, s, r, g, _ in enumerate_corner_grids(alpha, allow_empty):
-        union |= image_subset(g).members
-    assert defect_subcomplex(alpha, allow_empty).members == union
+        union |= image_subset(g)
+    assert defect_subcomplex(alpha, allow_empty) == union
 
 
 @pytest.mark.parametrize("allow_empty", [False, True])

@@ -88,10 +88,10 @@ def test_generator_flags_audited():
         union = set()
         for g in gens:
             img = image_subset(g.grid)
-            assert not img.members <= union
-            assert boundary_image(g.grid).members <= union
-            union |= img.members
-        assert union == defect_subcomplex(alpha).members
+            assert not img <= union
+            assert boundary_image(g.grid) <= union
+            union |= img
+        assert union == defect_subcomplex(alpha)
 
 
 def _raw_corner_count(alpha, allow_empty=False):
@@ -228,7 +228,7 @@ def test_replay_state_face_closed_and_saturated(alpha, allow_empty):
     replay = _Replay()
     for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty):
         replay.attach(z, r, s, grid, paths)
-        C = StringComplex(frozenset(replay.members))
+        C = StringComplex(replay.members)
         assert is_face_closed(C)
         # the incremental verdict checks only the members added since the
         # last call; the whole-complex check sees every member

@@ -194,7 +194,7 @@ def test_attach_exiting_grid_to_e1():
     hyp = attachment_hypothesis(E1, grid)
     assert hyp["saturated"] and not hyp["boundary_contained"]
     result, records = attach_diagram(E1, grid)
-    assert result == E1.union(image_subset(grid))
+    assert result == E1 | image_subset(grid)
     assert [rec.status for rec in records] == ["already-present", "attached"]
     assert records[1].kind == "boundary"
 
@@ -213,7 +213,7 @@ def test_attach_sweep_from_boundary_closure():
     for z, s, r, grid, _ in enumerate_corner_grids(3):
         C0 = boundary_image(grid)
         result, records = attach_diagram(C0, grid)
-        assert result == C0.union(image_subset(grid))
+        assert result == C0 | image_subset(grid)
         assert any(rec.status == "attached" for rec in records)
         assert is_saturated(result)
         for rec in records:
@@ -286,7 +286,7 @@ def test_attach_without_boundary_reports_hypothesis():
     # unmet boundary hypothesis rather than a falsified certificate
     z = MapString(1, (FinMap(2, 1, (0, 0)), FinMap(1, 2, (0,))))
     grid = _grid_from_corner_string(z, 1, 1)
-    empty = StringComplex(frozenset())
+    empty = StringComplex()
     with pytest.raises(HypothesisError):
         attach_diagram(empty, grid)
 
@@ -305,7 +305,7 @@ def test_attach_wide_grid():
     grid = _grid_from_corner_string(z, 1, 3)
     C0 = boundary_image(grid)
     result, records = attach_diagram(C0, grid)
-    assert result == C0.union(image_subset(grid))
+    assert result == C0 | image_subset(grid)
     attached = [rec for rec in records if rec.status == "attached"]
     assert attached and attached[-1].kind == "boundary"
     assert all(rec.to_json()["checks"].get("iii_excluded_faces_distinct", True) for rec in attached)
@@ -353,7 +353,7 @@ def test_attach_walk_matches_restricting_oracle_on_proper_grids():
             grid = proper_grid(r, n - r)
             shuffles = enumerate_shuffles(r, n - r)
             cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
-            new, old = set(boundary_image(grid).members), set(boundary_image(grid).members)
+            new, old = set(boundary_image(grid)), set(boundary_image(grid))
             got = attach_walk(new, cores, shuffles, anomaly, set(), {})
             want = oracle_attach_walk(old, grid, cores, shuffles, anomaly, set())
             assert got[0] == want[0]
@@ -445,12 +445,12 @@ def test_corner_faces_are_read_off_the_maximal_path_core():
             for left in _corner_chains(c, s, False):
                 grid = complete_from_corner(CornerData(c, top, left))
                 y = corner_of(grid).to_string()
-                image = sorted(image_subset(grid).members, key=MapString.sort_key)
+                image = sorted(image_subset(grid), key=MapString.sort_key)
                 for C in (
-                    StringComplex(frozenset()),
+                    StringComplex(),
                     boundary_image(grid),
-                    StringComplex(frozenset(image)),
-                    StringComplex(frozenset(image[::2])),
+                    StringComplex(image),
+                    StringComplex(image[::2]),
                 ):
                     want = [contains(C, face(y, i)) for i in range(y.degree + 1)] if y.degree else []
                     assert attachment_hypothesis(C, grid)["corner_faces_in_complex"] == want

@@ -432,7 +432,7 @@ def test_top_face_core_is_the_interned_prefix(allow_empty):
     # by the prefix lemma the top face of a canonical nondegenerate string
     # is its own core, so face_cores interns it without coring it
     tops = 0
-    for z in defect_subcomplex(4, allow_empty).members:
+    for z in defect_subcomplex(4, allow_empty):
         if z.degree == 0:
             continue
         top = face(z, z.degree)
@@ -480,7 +480,7 @@ def test_strings_outside_the_member_walk_fall_back_to_core(monkeypatch):
 def test_face_closure_stops_at_a_closed_set():
     z = canonicalize(MapString(3, (FinMap(2, 3, (0, 2)), FinMap(2, 2, (1, 1)))))
     whole = face_closure([z])
-    assert is_face_closed(StringComplex(frozenset(whole)))
+    assert is_face_closed(StringComplex(whole))
     low = face_closure([face(z, 0)])
     assert face_closure([z], low) == whole - low
 

@@ -1,6 +1,7 @@
 """The value classes keep the equality, hash, repr and read-only fields they
-had as frozen dataclasses, and the package imports neither ``dataclasses``
-nor ``inspect``."""
+had as frozen dataclasses, ``StringComplex`` is a plain frozenset of its
+members, and the package imports none of ``dataclasses``, ``inspect`` and
+``typing``."""
 
 import os
 import subprocess
@@ -19,7 +20,6 @@ from finsimp.shuffles import AttachmentCertificate, HornCertificate, Shuffle, ho
 # Each former dataclass with the fields it had, in order.
 FIELDS = {
     MapString: ("card0", "maps"),
-    StringComplex: ("members",),
     GridDiagram: ("r", "s", "cards", "horiz", "vert"),
     CornerData: ("corner_card", "top", "left"),
     Shuffle: ("word",),
@@ -40,8 +40,6 @@ def _samples():
     return [
         gen.corner,
         MapString(1),
-        skel.complex,
-        StringComplex(),
         grid,
         CornerData(2, (FinMap(1, 2, (1,)),), (FinMap(2, 1, (0, 0)),)),
         CornerData(1),
@@ -98,7 +96,6 @@ def test_repr_examples():
     assert repr(MapString(2, (FinMap(1, 2, (1,)),))) == (
         "MapString(card0=2, maps=(FinMap(src=1, dst=2, img=(1,)),))"
     )
-    assert repr(StringComplex()) == "StringComplex(members=frozenset())"
     assert repr(CornerData(1)) == "CornerData(corner_card=1, top=(), left=())"
 
 
@@ -127,8 +124,7 @@ def test_constructors_keep_their_checks_and_conversions():
         MapString(1, [FinMap(1, 2, (0,))])
     z = MapString(2, [FinMap(1, 2, (1,))])
     assert type(z.maps) is tuple and z == MapString(2, (FinMap(1, 2, (1,)),))
-    C = StringComplex({z})
-    assert type(C.members) is frozenset and C == StringComplex(frozenset({z}))
+    assert StringComplex({z}) == StringComplex([z])
     assert AttachmentCertificate("HV", "attached") == AttachmentCertificate("HV", "attached", None, (), ())
 
 
@@ -136,9 +132,20 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     src = Path(finsimp.__file__).resolve().parent.parent
     code = (
         "import sys; before = set(sys.modules); import finsimp.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    # -S: a .pth file that site runs may import typing before the check
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_string_complex_is_a_frozenset():
+    C = present(2).complex
+    assert isinstance(C, frozenset) and C
+    assert StringComplex.__slots__ == () and not hasattr(C, "__dict__")
+    assert C == frozenset(C) and hash(C) == hash(frozenset(C))
+    closed = StringComplex.closure([max(C, key=MapString.sort_key)])
+    assert type(closed) is StringComplex and closed <= C
+    assert repr(StringComplex()) == "StringComplex()"
