@@ -42,7 +42,6 @@ from .presentation import (
 from .shuffles import (
     AttachmentCertificate,
     HornCertificate,
-    Shuffle,
     attach_diagram,
     attachment_hypothesis,
     enumerate_shuffles,

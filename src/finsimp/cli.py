@@ -298,16 +298,16 @@ def _cmd_shuffles(args) -> int:
     if args.dot:
         _emit(args, poset_dot(args.r, args.s))
         return 0
-    shs = enumerate_shuffles(args.r, args.s)
+    words = enumerate_shuffles(args.r, args.s)
     _emit(
         args,
         {
             "r": args.r,
             "s": args.s,
-            "count": len(shs),
-            "shuffles": [sh.word for sh in shs],
-            "minimal": shs[0].word,
-            "maximal": shs[-1].word,
+            "count": len(words),
+            "shuffles": words,
+            "minimal": words[0],
+            "maximal": words[-1],
         },
     )
     return 0
@@ -316,7 +316,7 @@ def _cmd_shuffles(args) -> int:
 def _cmd_horns(args) -> int:
     if args.r < 1 or args.s < 1:
         raise InputError("horns needs --r >= 1 and --s >= 1")
-    certs = [horn_certificate(sh) for sh in enumerate_shuffles(args.r, args.s)]
+    certs = [horn_certificate(w) for w in enumerate_shuffles(args.r, args.s)]
     _emit(args, {"r": args.r, "s": args.s, "certificates": certs})
     return 0
 

@@ -234,10 +234,10 @@ def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
     position ``x``, which is alone in its row or its column.  Facets are
     nonempty and without repeats, each named by its first pair; built once
     per shape."""
-    from .shuffles import _shuffles  # local import to avoid a cycle
+    from .shuffles import _path, _shuffles  # local import to avoid a cycle
 
     facets: dict[tuple, tuple[int, int]] = {}
-    for k, p in enumerate(sh.path() for sh in _shuffles(r, s)):
+    for k, p in enumerate(map(_path, _shuffles(r, s))):
         for x, (i, j) in enumerate(p):
             if sum(v[0] == i for v in p) == 1 or sum(v[1] == j for v in p) == 1:
                 facets.setdefault(p[:x] + p[x + 1 :], (k, x))
@@ -605,10 +605,10 @@ def complete_from_staircase(st: MapString) -> GridDiagram:
     # pullback's defect is that of its path core
     want = defect(st)
     violations = []
-    for sh, (z, _) in zip(_shuffles(T, T), path_cores(grid)):
+    for w, (z, _) in zip(_shuffles(T, T), path_cores(grid)):
         got = defect(z)
         if got != want:
-            violations.append({"shuffle": sh.word, "defect": got, "expected": want})
+            violations.append({"shuffle": w, "defect": got, "expected": want})
     if violations:
         raise StaircaseDefectError(
             "shuffle pullbacks do not all share the staircase defect",

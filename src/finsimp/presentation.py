@@ -118,7 +118,7 @@ class _Replay:
         self.unchecked = []
         return True
 
-    def attach(self, z: MapString, r: int, s: int, grid: GridDiagram, paths) -> list[AttachmentCertificate]:
+    def attach(self, z: MapString, grid: GridDiagram, paths) -> list[AttachmentCertificate]:
         """Certify and attach one corner grid, given ``paths =
         path_cores(grid)``; returns its records, empty when its image is
         already present."""
@@ -127,10 +127,10 @@ class _Replay:
         if any(w not in self.members for w in boundary_cores(grid, paths)):
             raise CertificateError(
                 "generator boundary not contained in earlier images",
-                witness={"corner": serialize(z), "r": r, "s": s},
+                witness={"corner": serialize(z), "r": grid.r, "s": grid.s},
             )
-        shuffles = _shuffles(r, s)
-        cores = {sh.word: w for sh, (w, _) in zip(shuffles, paths)}
+        shuffles = _shuffles(grid.r, grid.s)
+        cores = {word: w for word, (w, _) in zip(shuffles, paths)}
         # the members are face-closed: this is the image less the members
         image = face_closure(cores.values(), self.members)
         if not image:
@@ -172,7 +172,7 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     replay = _Replay()
     gens = []
     for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty):
-        recs = replay.attach(z, r, s, grid, paths)
+        recs = replay.attach(z, grid, paths)
         if recs:
             gens.append(Generator(r, s, z, grid, tuple(recs)))
     C = replay.complex()
@@ -181,7 +181,8 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
 
 
 def verify_skeleton(skel: PresentationSkeleton) -> bool:
-    """Re-run every attachment and compare certificates field by field.
+    """Re-run every attachment and compare certificates field by field,
+    and each generator's ``r`` and ``s`` with its grid's.
 
     The alpha of the skeleton is bounded as in ``present``, since the
     member walk before the replay covers all of ``E^alpha``."""
@@ -189,8 +190,8 @@ def verify_skeleton(skel: PresentationSkeleton) -> bool:
     walk_members(skel.alpha, skel.allow_empty, saturations=True)
     replay = _Replay()
     for k, g in enumerate(skel.generators):
-        fresh = replay.attach(g.corner, g.r, g.s, g.grid, path_cores(g.grid))
-        if tuple(fresh) != g.records:
+        fresh = replay.attach(g.corner, g.grid, path_cores(g.grid))
+        if tuple(fresh) != g.records or (g.r, g.s) != (g.grid.r, g.grid.s):
             raise CertificateError(
                 "attachment records changed under replay", witness={"cell": k}
             )

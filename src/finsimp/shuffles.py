@@ -1,13 +1,14 @@
 """Shuffles of a cell prism, horn certificates, and diagram attachment.
 
 An ``(r,s)``-shuffle is a monotone lattice path from ``(0,0)`` to ``(r,s)``,
-stored as a move word over ``H`` (step right) and ``V`` (step up); these
+and a shuffle is its move word, a ``str`` over ``H`` (step right) and ``V``
+(step up), with ``r`` and ``s`` the counts of the two letters; the words
 index the top-dimensional simplices of the prism of two standard simplices.
-The poset order compares the running count of ``V`` moves prefix by prefix.
-Attaching a grid image to a string complex walks the shuffles in a linear
-extension of this order and certifies, for each one, that the fresh part
-glues along an inner generalized horn (or a boundary sphere for the last
-shuffle).
+The poset order is read off its covers (``hasse_edges``): a cover swaps one
+``HV`` to ``VH``.  Attaching a grid image to a string complex walks the
+shuffles in a linear extension of this order and certifies, for each one,
+that the fresh part glues along an inner generalized horn (or a boundary
+sphere for the last shuffle).
 
 The past of a shuffle (the faces of its simplex that lie in the prism
 boundary or under a smaller shuffle) depends only on the move word.  A face
@@ -52,61 +53,19 @@ from .grids import GridDiagram, boundary_cores, is_saturated, path_cores
 from .strings import MapString, StringComplex, face_closure, face_cores
 
 
-class Shuffle(namedtuple("Shuffle", "word")):
-    """A lattice path encoded by its move word, e.g. ``"HVH"``."""
-
-    __slots__ = ()
-
-    def __new__(cls, word: str):
-        if any(ch not in "HV" for ch in word):
-            raise InputError(f"bad move word {word!r}")
-        return tuple.__new__(cls, (word,))
-
-    @property
-    def r(self) -> int:
-        return self.word.count("H")
-
-    @property
-    def s(self) -> int:
-        return self.word.count("V")
-
-    def path(self) -> tuple[tuple[int, int], ...]:
-        out = [(0, 0)]
-        i = j = 0
-        for ch in self.word:
-            if ch == "H":
-                i += 1
-            else:
-                j += 1
-            out.append((i, j))
-        return tuple(out)
-
-    def heights(self) -> tuple[int, ...]:
-        """Running V-count per prefix; the coordinates of the poset order."""
-        out = [0]
-        for ch in self.word:
-            out.append(out[-1] + (ch == "V"))
-        return tuple(out)
-
-    def le(self, other: "Shuffle") -> bool:
-        if (self.r, self.s) != (other.r, other.s):
-            raise InputError("shuffles of different shapes are incomparable")
-        return all(a <= b for a, b in zip(self.heights(), other.heights()))
-
-    def is_minimal(self) -> bool:
-        return self.word == "H" * self.r + "V" * self.s
-
-    def is_maximal(self) -> bool:
-        return self.word == "V" * self.s + "H" * self.r
+def _path(word: str) -> tuple[tuple[int, int], ...]:
+    """The cells of a move word's lattice path: position ``x`` is the cell
+    of the counts of ``H`` and ``V`` in the first ``x`` moves."""
+    return tuple((word.count("H", 0, x), word.count("V", 0, x)) for x in range(len(word) + 1))
 
 
-def enumerate_shuffles(r: int, s: int) -> list[Shuffle]:
+def enumerate_shuffles(r: int, s: int) -> list[str]:
     """All C(r+s, s) shuffles in a linear extension of the poset order.
 
     Ascending lexicographic order on move words with ``H < V`` refines the
     poset: at the first differing position the poset-smaller word shows the
     ``H``.  The minimal shuffle comes first, the maximal one last.  Each
-    call returns a fresh list of the shuffles ``_shuffles`` keeps.
+    call returns a fresh list of the words ``_shuffles`` keeps.
     """
     if r < 0 or s < 0:
         raise InputError("r and s must be >= 0")
@@ -114,7 +73,7 @@ def enumerate_shuffles(r: int, s: int) -> list[Shuffle]:
 
 
 @lru_cache(maxsize=None)
-def _shuffles(r: int, s: int) -> tuple[Shuffle, ...]:
+def _shuffles(r: int, s: int) -> tuple[str, ...]:
     """The shuffles of ``enumerate_shuffles(r, s)``, for ``r, s >= 0``,
     built once per shape and shared by the grid walks and attachments."""
     words = []
@@ -124,14 +83,13 @@ def _shuffles(r: int, s: int) -> tuple[Shuffle, ...]:
             letters[p] = "V"
         words.append("".join(letters))
     words.sort()
-    return tuple(Shuffle(w) for w in words)
+    return tuple(words)
 
 
 def hasse_edges(r: int, s: int) -> list[tuple[str, str]]:
     """Covering pairs of the shuffle poset (one ``HV`` swapped to ``VH``)."""
     out = []
-    for sh in enumerate_shuffles(r, s):
-        w = sh.word
+    for w in enumerate_shuffles(r, s):
         for k in range(len(w) - 1):
             if w[k] == "H" and w[k + 1] == "V":
                 out.append((w, w[:k] + "VH" + w[k + 2 :]))
@@ -141,8 +99,8 @@ def hasse_edges(r: int, s: int) -> list[tuple[str, str]]:
 def poset_dot(r: int, s: int) -> str:
     """DOT rendering of the shuffle poset's Hasse diagram."""
     lines = ["digraph shuffles {"]
-    for sh in enumerate_shuffles(r, s):
-        lines.append(f'  "{sh.word}";')
+    for w in enumerate_shuffles(r, s):
+        lines.append(f'  "{w}";')
     for a, b in hasse_edges(r, s):
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
@@ -188,18 +146,19 @@ def _positions(mask: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
-    """The faces of a shuffle simplex outside its past, by size then
-    lexicographically.
+    """The faces of the simplex of the shuffle ``sigma = word`` outside its
+    past, by size then lexicographically.
 
     A face is a nonempty set of positions ``0..n`` on the path, handled as a
     bitmask.  It lies in the past when its chain lies in the prism boundary,
     that is when it misses every position of some row value or column
     value, or when it lies on the path of a strictly smaller shuffle ``tau``.
     Both paths have one cell per antidiagonal, so they share the cell at
-    position ``x`` exactly when their heights agree there, and the face lies
-    on ``tau``'s path exactly when it avoids every other position.  An
-    excluded face therefore hits each of these masks: the row masks, the
-    column masks and, per ``tau``, the positions off ``tau``'s path.
+    position ``x`` exactly when their heights (the counts of ``V`` in the
+    first ``x`` moves) agree there, and the face lies on ``tau``'s path
+    exactly when it avoids every other position.  An excluded face
+    therefore hits each of these masks: the row masks, the column masks
+    and, per ``tau``, the positions off ``tau``'s path.
 
     Only the lower covers of ``sigma`` need a mask.  A cover swaps a ``VH``
     at moves ``k, k+1`` to ``HV``, which lowers the height at position
@@ -211,11 +170,10 @@ def _excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
     the supersets of the forced positions are tested against the other
     masks; the list is exact.
     """
-    sigma = Shuffle(word)
-    r, s = sigma.r, sigma.s
+    r, s = word.count("H"), word.count("V")
     n = r + s
     full = (1 << (n + 1)) - 1
-    path = sigma.path()
+    path = _path(word)
     hit = {sum(1 << x for x in range(n + 1) if path[x][0] == i) for i in range(r + 1)}
     hit |= {sum(1 << x for x in range(n + 1) if path[x][1] == j) for j in range(s + 1)}
     hit |= {1 << (k + 1) for k in range(n - 1) if word[k] == "V" and word[k + 1] == "H"}
@@ -238,8 +196,8 @@ def _excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
     return tuple(excluded)
 
 
-def horn_certificate(sigma: Shuffle) -> HornCertificate:
-    """Certify the attachment shape of one shuffle simplex.
+def horn_certificate(word: str) -> HornCertificate:
+    """Certify the attachment shape of the simplex of one move word.
 
     Works on the excluded family ``E`` from ``_excluded_faces`` as bitmasks;
     every face outside ``E`` lies in the overlap with the past, and ``S``
@@ -251,20 +209,23 @@ def horn_certificate(sigma: Shuffle) -> HornCertificate:
     missing some position of ``S``, so its facets are ``full - {i}`` for
     ``i`` in ``S``, listed without a search.  The cost is about ``|E| * n``
     per shuffle.  Any failure raises, since each of these facts is forced.
+    A letter other than ``H`` or ``V`` raises :class:`InputError`.
     """
-    r, s = sigma.r, sigma.s
+    if set(word) - {"H", "V"}:
+        raise InputError(f"bad move word {word!r}")
+    r, s = word.count("H"), word.count("V")
     if r < 1 or s < 1:
         raise InputError("horn certificates need r >= 1 and s >= 1")
     n = r + s
     full = (1 << (n + 1)) - 1
-    excluded = {sum(1 << x for x in idx) for idx in _excluded_faces(sigma.word)}
+    excluded = {sum(1 << x for x in idx) for idx in _excluded_faces(word)}
     if full not in excluded:
-        raise CertificateError("shuffle simplex lies in its own past", witness=sigma.word)
+        raise CertificateError("shuffle simplex lies in its own past", witness=word)
     S = tuple(i for i in range(n + 1) if full & ~(1 << i) not in excluded)
-    if sigma.is_maximal():
+    if word == "V" * s + "H" * r:
         if excluded != {full}:
             raise CertificateError(
-                "maximal shuffle overlap is not the boundary sphere", witness=sigma.word
+                "maximal shuffle overlap is not the boundary sphere", witness=word
             )
         kind = "boundary"
     else:
@@ -272,16 +233,16 @@ def horn_certificate(sigma: Shuffle) -> HornCertificate:
         supersets = (1 << (n + 1 - len(S))) - (0 if S else 1)
         if len(excluded) != supersets or any(e & S_mask != S_mask for e in excluded):
             raise CertificateError(
-                "overlap is not the union of its codimension-one faces", witness=sigma.word
+                "overlap is not the union of its codimension-one faces", witness=word
             )
         if not is_inner_generalized_horn(set(S), n):
             raise CertificateError(
-                "facet index set is an interval", witness={"sigma": sigma.word, "S": sorted(S)}
+                "facet index set is an interval", witness={"sigma": word, "S": sorted(S)}
             )
         kind = "inner"
     # ascending tuple order drops the positions of S in descending order
     facets = tuple(tuple(x for x in range(n + 1) if x != i) for i in reversed(S))
-    return HornCertificate(sigma.word, kind, S, facets)
+    return HornCertificate(word, kind, S, facets)
 
 
 # The facts ``attach_diagram`` verifies for each shuffle it attaches;
@@ -322,10 +283,9 @@ class AttachmentCertificate(
         return _plain_json(self.json_form())
 
 
-def _gap_pattern_checks(sigma: Shuffle, T: tuple[int, ...]) -> None:
+def _gap_pattern_checks(word: str, T: tuple[int, ...]) -> None:
     """Endpoint and gap-move conditions (checks ``a`` and ``b``) on T."""
-    n = sigma.r + sigma.s
-    word = sigma.word
+    n = len(word)
     ts = set(T)
     if 0 not in ts or n not in ts:
         raise CertificateError(
@@ -348,7 +308,7 @@ def _gap_pattern_checks(sigma: Shuffle, T: tuple[int, ...]) -> None:
             )
 
 
-def _recover_gaps(sigma: Shuffle, face_string: MapString, T: tuple[int, ...]) -> None:
+def _recover_gaps(word: str, face_string: MapString, T: tuple[int, ...]) -> None:
     """Check that the map classes of the face string determine T.
 
     Along an excluded face, single moves stay properly injective (H) or
@@ -358,7 +318,6 @@ def _recover_gaps(sigma: Shuffle, face_string: MapString, T: tuple[int, ...]) ->
     degree), so a class check per step covers every position of T, and,
     with 0 in T, two excluded faces of one size never share a core.
     """
-    word = sigma.word
     for k, f in enumerate(face_string.maps):
         cls = classify(f)
         step = T[k + 1] - T[k]
@@ -413,32 +372,32 @@ class _Plan(namedtuple("_Plan", "present attached proper reads")):
     __slots__ = ()
 
 
-def _certify_word(sigma: Shuffle) -> tuple[AttachmentCertificate, tuple, tuple]:
+def _certify_word(word: str) -> tuple[AttachmentCertificate, tuple, tuple]:
     """The checks of ``attach_walk`` that read the word alone: the simplex
     lies outside its own past, checks ``a`` and ``b`` on each proper
     excluded face, and the horn certificate, or the sphere of a
     single-row/column grid.  Returns the ``attached``, ``proper`` and
     ``reads`` fields of the word's plan."""
-    n = len(sigma.word)
+    n = len(word)
     full = tuple(range(n + 1))
-    excluded = _excluded_faces(sigma.word)
+    excluded = _excluded_faces(word)
     if full not in excluded:
         raise CertificateError(
             "new shuffle simplex lies in its own past",
-            witness={"sigma": sigma.word, "excluded": [list(T) for T in excluded]},
+            witness={"sigma": word, "excluded": [list(T) for T in excluded]},
         )
     proper = tuple(idx for idx in excluded if idx != full)
     for T in proper:
-        _gap_pattern_checks(sigma, T)
-    if sigma.r and sigma.s:
-        cert = horn_certificate(sigma)
+        _gap_pattern_checks(word, T)
+    if word.count("H") and word.count("V"):
+        cert = horn_certificate(word)
         kind, S = cert.kind, cert.S
     else:
         # a single-row/column grid: sphere attachment
         if proper:
             raise CertificateError(
                 "maximal shuffle has excluded proper faces",
-                witness={"sigma": sigma.word},
+                witness={"sigma": word},
             )
         kind, S = "boundary", full if n else ()
     # with x the first position missing from T, the larger superset
@@ -447,14 +406,14 @@ def _certify_word(sigma: Shuffle) -> tuple[AttachmentCertificate, tuple, tuple]:
     for T in reversed(proper):
         x = next(k for k, t in enumerate(T) if k != t)
         reads.append((T, T[:x] + (x,) + T[x:], x))
-    record = AttachmentCertificate(sigma.word, "attached", kind, S, tuple(sorted(proper)))
+    record = AttachmentCertificate(word, "attached", kind, S, tuple(sorted(proper)))
     return record, proper, tuple(reads)
 
 
 def attach_walk(
     current: set[MapString],
     cores: dict[str, MapString],
-    order: tuple[Shuffle, ...] | list[Shuffle],
+    order: tuple[str, ...] | list[str],
     anomaly,
     stop: set[MapString],
     plans: dict[str, _Plan],
@@ -482,42 +441,42 @@ def attach_walk(
     """
     records = []
     added: list[MapString] = []
-    for sigma in order:
-        plan = plans.get(sigma.word)
+    for word in order:
+        plan = plans.get(word)
         if plan is None:
-            present = AttachmentCertificate(sigma.word, "already-present")
-            plan = plans[sigma.word] = _Plan(present, None, None, None)
-        z = cores[sigma.word]
+            present = AttachmentCertificate(word, "already-present")
+            plan = plans[word] = _Plan(present, None, None, None)
+        z = cores[word]
         if z in current:
             records.append(plan.present)
             continue
-        n = len(sigma.word)
+        n = len(word)
         # a string is nondegenerate exactly when its core keeps its degree
         if z.degree != n:
             anomaly(
                 "new shuffle simplex is degenerate but its core is missing",
-                {"sigma": sigma.word},
+                {"sigma": word},
             )
         if plan.attached is None:
-            plan = plans[sigma.word] = _Plan(plan.present, *_certify_word(sigma))
+            plan = plans[word] = _Plan(plan.present, *_certify_word(word))
         read = {tuple(range(n + 1)): z}
         for T, above, x in plan.reads:
             w = read[T] = face_cores(read[above])[x]
             if w.degree != len(T) - 1:
                 raise CertificateError(
                     "excluded proper face is degenerate",
-                    witness={"sigma": sigma.word, "T": list(T)},
+                    witness={"sigma": word, "T": list(T)},
                 )
         for T in plan.proper:
             if read[T] in current:
                 anomaly(
                     "excluded face already lies in the complex",
-                    {"sigma": sigma.word, "T": list(T)},
+                    {"sigma": word, "T": list(T)},
                 )
         # map classes survive relabeling, so the canonical core of a
         # nondegenerate face string carries the same class pattern
         for T in plan.proper:
-            _recover_gaps(sigma, read[T], T)
+            _recover_gaps(word, read[T], T)
         closure = face_closure([z], stop)
         fresh = [w for w in closure if w not in current]
         stop |= closure
@@ -530,14 +489,16 @@ def attach_walk(
 def attach_diagram(
     C: StringComplex,
     grid: GridDiagram,
-    order: list[Shuffle] | None = None,
+    order: list[str] | None = None,
 ) -> tuple[StringComplex, list[AttachmentCertificate]]:
     """Attach the image of a grid to a complex, certifying every shuffle step.
 
     Requires ``C`` saturated (raises :class:`HypothesisError` otherwise).
     When the image is already contained in ``C`` the complex is returned
     unchanged with no certificates.  Otherwise shuffles are processed in a
-    linear extension of the poset order; for each shuffle whose simplex is
+    linear extension of the poset order, ``order`` when given: an iterable
+    of move words, read once, that lists every shuffle and keeps every
+    cover of ``hasse_edges``.  For each shuffle whose simplex is
     new, the certificate records that the excluded faces are endpoint-
     containing with isolated horizontal-vertical gaps, nondegenerate, not
     yet present, and pairwise distinguishable by class fingerprints, hence
@@ -553,12 +514,12 @@ def attach_diagram(
 def _attach_diagram(
     C: StringComplex,
     grid: GridDiagram,
-    order: list[Shuffle] | None,
+    order: list[str] | None,
     paths,
 ) -> tuple[StringComplex, list[AttachmentCertificate]]:
     """``attach_diagram`` with ``paths = path_cores(grid)`` given."""
     shuffles = _shuffles(grid.r, grid.s)
-    cores = {sh.word: z for sh, (z, _) in zip(shuffles, paths)}
+    cores = {w: z for w, (z, _) in zip(shuffles, paths)}
     D = StringComplex.closure(cores.values())
     if D <= C:
         return C, []
@@ -577,13 +538,13 @@ def _attach_diagram(
     if order is None:
         order = shuffles
     else:
-        seen: list[Shuffle] = []
-        for sh in order:
-            if any(sh.le(prev) and sh != prev for prev in seen):
-                raise InputError("order is not a linear extension of the shuffle poset")
-            seen.append(sh)
-        if sorted(sh.word for sh in seen) != [sh.word for sh in shuffles]:
+        order = tuple(order)
+        if sorted(order) != list(shuffles):
             raise InputError("order must list every shuffle exactly once")
+        # a permutation that keeps every cover keeps the whole order
+        rank = {w: k for k, w in enumerate(order)}
+        if any(rank[a] > rank[b] for a, b in hasse_edges(grid.r, grid.s)):
+            raise InputError("order is not a linear extension of the shuffle poset")
     current = set(C)
     records, _ = attach_walk(current, cores, order, anomaly, set(), {})
     result = StringComplex(current)

@@ -75,9 +75,9 @@ from finsimp.presentation import (
 from finsimp.shuffles import (
     AttachmentCertificate,
     HornCertificate,
-    Shuffle,
     _excluded_faces,
     _gap_pattern_checks,
+    _path,
     _recover_gaps,
     _shuffles,
     attach_diagram,
@@ -468,13 +468,35 @@ def _subchains(path):
             yield tuple(path[x] for x in idx)
 
 
-def prior_subcomplex(sigma: Shuffle) -> ProductSubset:
+def heights(word: str) -> tuple[int, ...]:
+    """The running count of ``V`` moves, prefix by prefix: the coordinates
+    of the shuffle poset order as the paper defines it."""
+    out = [0]
+    for ch in word:
+        out.append(out[-1] + (ch == "V"))
+    return tuple(out)
+
+
+def le(a: str, b: str) -> bool:
+    """``a <= b`` in the shuffle poset, compared height by height; the
+    library reads the same order off its covers (``hasse_edges``)."""
+    if (a.count("H"), a.count("V")) != (b.count("H"), b.count("V")):
+        raise InputError("shuffles of different shapes are incomparable")
+    return all(x <= y for x, y in zip(heights(a), heights(b)))
+
+
+def is_maximal(word: str) -> bool:
+    """True for the top shuffle, all ``V`` moves before all ``H`` moves."""
+    return word == "V" * word.count("V") + "H" * word.count("H")
+
+
+def prior_subcomplex(sigma: str) -> ProductSubset:
     """Boundary of the prism plus all shuffle simplices strictly below sigma."""
-    r, s = sigma.r, sigma.s
+    r, s = sigma.count("H"), sigma.count("V")
     chains = set()
     for sh in enumerate_shuffles(r, s):
-        if sh != sigma and sh.le(sigma):
-            chains.update(_subchains(sh.path()))
+        if sh != sigma and le(sh, sigma):
+            chains.update(_subchains(_path(sh)))
     for ch in iter_chains(r, s):
         if chain_in_boundary(ch, r, s):
             chains.add(ch)
@@ -556,7 +578,7 @@ def oracle_path_cores(grid) -> tuple[tuple[MapString, tuple[int | None, ...]], .
     restriction from scratch."""
     out = []
     for sh in _shuffles(grid.r, grid.s):
-        y = restrict(grid, sh.path())
+        y = restrict(grid, _path(sh))
         out.append((interned_core(y), core_face_indices([f.is_bijective for f in y.maps])))
     return tuple(out)
 
@@ -674,7 +696,7 @@ def compare_path_cores(grids) -> tuple[int, int, int, Counter]:
         grids_seen += 1
         paths += len(want)
         bad += got != want or any(a[0] is not b[0] for a, b in zip(got, want))
-        for p in (sh.path() for sh in _shuffles(grid.r, grid.s)):
+        for p in map(_path, _shuffles(grid.r, grid.s)):
             t = len(p) - 1
             for k, (a, b) in enumerate(zip(p, p[1:])):
                 f = oracle_arrow(grid, b, a)
@@ -688,7 +710,7 @@ def compare_path_cores(grids) -> tuple[int, int, int, Counter]:
 def oracle_boundary_facets(r: int, s: int) -> list[tuple[tuple[int, int], ...]]:
     """The cell chains of the boundary facets, in ``_boundary_positions``
     order."""
-    paths = [sh.path() for sh in _shuffles(r, s)]
+    paths = [_path(sh) for sh in _shuffles(r, s)]
     return [paths[k][:x] + paths[k][x + 1 :] for k, x in _boundary_positions(r, s)]
 
 
@@ -766,9 +788,9 @@ def oracle_complete_from_staircase(st: MapString) -> GridDiagram:
     want = defect(st)
     violations = []
     for sh in enumerate_shuffles(T, T):
-        got = defect(restrict(grid, sh.path()))
+        got = defect(restrict(grid, _path(sh)))
         if got != want:
-            violations.append({"shuffle": sh.word, "defect": got, "expected": want})
+            violations.append({"shuffle": sh, "defect": got, "expected": want})
     if violations:
         raise StaircaseDefectError(
             "shuffle pullbacks do not all share the staircase defect",
@@ -838,14 +860,9 @@ def oracle_excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
     in the past; only the excluded side is kept, since it stays small while
     the number of faces doubles with each move.
     """
-    sigma = Shuffle(word)
-    r, s = sigma.r, sigma.s
-    path = sigma.path()
-    smaller = [
-        frozenset(sh.path())
-        for sh in enumerate_shuffles(r, s)
-        if sh != sigma and sh.le(sigma)
-    ]
+    r, s = word.count("H"), word.count("V")
+    path = _path(word)
+    smaller = [frozenset(_path(sh)) for sh in enumerate_shuffles(r, s) if sh != word and le(sh, word)]
     excluded = []
     for idx in _faces(r + s):
         chain = tuple(path[x] for x in idx)
@@ -857,7 +874,7 @@ def oracle_excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
     return tuple(excluded)
 
 
-def oracle_horn_certificate(sigma: Shuffle) -> HornCertificate:
+def oracle_horn_certificate(sigma: str) -> HornCertificate:
     """Certify the attachment shape of one shuffle simplex.
 
     Verifies, by direct computation of the overlap: every maximal overlap
@@ -866,16 +883,16 @@ def oracle_horn_certificate(sigma: Shuffle) -> HornCertificate:
     the maximal shuffle the overlap is the entire boundary.  Any failure
     raises, since each of these facts is forced.
     """
-    r, s = sigma.r, sigma.s
+    r, s = sigma.count("H"), sigma.count("V")
     if r < 1 or s < 1:
         raise InputError("horn certificates need r >= 1 and s >= 1")
     n = r + s
-    excluded = set(oracle_excluded_faces(sigma.word))
+    excluded = set(oracle_excluded_faces(sigma))
     inside = [idx for idx in _faces(n) if idx not in excluded]
     inside_set = set(inside)
     full = tuple(range(n + 1))
     if full in inside_set:
-        raise CertificateError("shuffle simplex lies in its own past", witness=sigma.word)
+        raise CertificateError("shuffle simplex lies in its own past", witness=sigma)
     # The overlap is subchain-closed, so maximality is detected by
     # one-element extensions.
     facets = [
@@ -888,17 +905,17 @@ def oracle_horn_certificate(sigma: Shuffle) -> HornCertificate:
         )
     ]
     S = tuple(sorted(i for i in range(n + 1) if tuple(x for x in full if x != i) in inside_set))
-    if sigma.is_maximal():
+    if is_maximal(sigma):
         expected = {idx for k in range(1, n + 1) for idx in itertools.combinations(range(n + 1), k)}
         if inside_set != expected:
             raise CertificateError(
-                "maximal shuffle overlap is not the boundary sphere", witness=sigma.word
+                "maximal shuffle overlap is not the boundary sphere", witness=sigma
             )
-        return HornCertificate(sigma.word, "boundary", S, tuple(sorted(facets)))
+        return HornCertificate(sigma, "boundary", S, tuple(sorted(facets)))
     if any(len(idx) != n for idx in facets):
         raise CertificateError(
             "overlap has a maximal face of codimension > 1",
-            witness={"sigma": sigma.word, "facets": sorted(facets)},
+            witness={"sigma": sigma, "facets": sorted(facets)},
         )
     union = set()
     for i in S:
@@ -909,13 +926,13 @@ def oracle_horn_certificate(sigma: Shuffle) -> HornCertificate:
             union.add(sub)
     if union != inside_set:
         raise CertificateError(
-            "overlap is not the union of its codimension-one faces", witness=sigma.word
+            "overlap is not the union of its codimension-one faces", witness=sigma
         )
     if not is_inner_generalized_horn(set(S), n):
         raise CertificateError(
-            "facet index set is an interval", witness={"sigma": sigma.word, "S": sorted(S)}
+            "facet index set is an interval", witness={"sigma": sigma, "S": sorted(S)}
         )
-    return HornCertificate(sigma.word, "inner", S, tuple(sorted(facets)))
+    return HornCertificate(sigma, "inner", S, tuple(sorted(facets)))
 
 
 def oracle_present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
@@ -965,7 +982,7 @@ def oracle_attach_walk(
     current: set[MapString],
     grid: GridDiagram,
     cores: dict[str, MapString],
-    order: list[Shuffle],
+    order: list[str],
     anomaly,
     stop: set[MapString],
 ) -> tuple[list[AttachmentCertificate], list[MapString]]:
@@ -987,26 +1004,26 @@ def oracle_attach_walk(
     records = []
     added: list[MapString] = []
     for sigma in order:
-        z = cores[sigma.word]
+        z = cores[sigma]
         if z in current:
-            records.append(AttachmentCertificate(sigma.word, "already-present"))
+            records.append(AttachmentCertificate(sigma, "already-present"))
             continue
         # a string is nondegenerate exactly when its core keeps its degree
         if z.degree != n:
             anomaly(
                 "new shuffle simplex is degenerate but its core is missing",
-                {"sigma": sigma.word},
+                {"sigma": sigma},
             )
-        excluded = _excluded_faces(sigma.word)
+        excluded = _excluded_faces(sigma)
         if full not in excluded:
             raise CertificateError(
                 "new shuffle simplex lies in its own past",
-                witness={"sigma": sigma.word, "excluded": [list(T) for T in excluded]},
+                witness={"sigma": sigma, "excluded": [list(T) for T in excluded]},
             )
         proper_excluded = [idx for idx in excluded if idx != full]
         for T in proper_excluded:
             _gap_pattern_checks(sigma, T)
-        path = sigma.path()
+        path = _path(sigma)
         face_cores = {}
         for T in proper_excluded:
             w = core(restrict(grid, [path[x] for x in T]))[0]
@@ -1014,12 +1031,12 @@ def oracle_attach_walk(
             if w.degree != len(T) - 1:
                 raise CertificateError(
                     "excluded proper face is degenerate",
-                    witness={"sigma": sigma.word, "T": list(T)},
+                    witness={"sigma": sigma, "T": list(T)},
                 )
             if w in current:
                 anomaly(
                     "excluded face already lies in the complex",
-                    {"sigma": sigma.word, "T": list(T)},
+                    {"sigma": sigma, "T": list(T)},
                 )
         # map classes survive relabeling, so the canonical core of a
         # nondegenerate face string carries the same class pattern
@@ -1033,9 +1050,9 @@ def oracle_attach_walk(
             if len(forms) != count:
                 raise CertificateError(
                     "two excluded faces share a canonical form",
-                    witness={"sigma": sigma.word, "dimension": k - 1},
+                    witness={"sigma": sigma, "dimension": k - 1},
                 )
-        if r >= 1 and s >= 1 and not sigma.is_maximal():
+        if r >= 1 and s >= 1 and not is_maximal(sigma):
             cert = horn_certificate(sigma)
             kind, S = cert.kind, cert.S
         else:
@@ -1043,7 +1060,7 @@ def oracle_attach_walk(
             if proper_excluded:
                 raise CertificateError(
                     "maximal shuffle has excluded proper faces",
-                    witness={"sigma": sigma.word},
+                    witness={"sigma": sigma},
                 )
             kind, S = "boundary", tuple(range(n + 1)) if n else ()
         closure = face_closure([z], stop)
@@ -1053,7 +1070,7 @@ def oracle_attach_walk(
         added += fresh
         records.append(
             AttachmentCertificate(
-                sigma.word,
+                sigma,
                 "attached",
                 kind,
                 tuple(S),
@@ -1079,7 +1096,7 @@ def compare_attach_walks(grids) -> tuple[int, int]:
 
     for grid in grids:
         shuffles = enumerate_shuffles(grid.r, grid.s)
-        cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
+        cores = {sh: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
         if not face_closure(cores.values(), new):
             continue
         got = attach_walk(new, cores, shuffles, anomaly, new, plans)

@@ -30,7 +30,7 @@ from finsimp.grids import (
     grid_from_json,
     path_cores,
 )
-from finsimp.shuffles import _shuffles
+from finsimp.shuffles import _path, _shuffles
 from finsimp.strings import StringComplex, enumerate_nondegenerate, interned_core, serialize
 
 from helpers import (
@@ -380,7 +380,7 @@ def test_corner_string_has_maximal_defect_among_shuffles():
         corner_defect = defect(z)
         assert corner_defect == g.cards[0][g.s]
         for sh in enumerate_shuffles(r, s):
-            assert defect(restrict(g, sh.path())) <= corner_defect
+            assert defect(restrict(g, _path(sh))) <= corner_defect
 
 
 def test_defect_subcomplex_rejects_bad_alpha():
@@ -509,7 +509,7 @@ def test_boundary_cores_match_restricted_facets():
     for g in _oracle_grids():
         paths = path_cores(g)
         assert [z for z, _ in paths] == [
-            interned_core(restrict(g, sh.path())) for sh in _shuffles(g.r, g.s)
+            interned_core(restrict(g, _path(sh))) for sh in _shuffles(g.r, g.s)
         ]
         derived = boundary_cores(g, paths)
         assert derived == [interned_core(restrict(g, ch)) for ch in oracle_boundary_facets(g.r, g.s)]

@@ -227,7 +227,7 @@ def test_present_matches_whole_complex_replay(alpha, allow_empty):
 def test_replay_state_face_closed_and_saturated(alpha, allow_empty):
     replay = _Replay()
     for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty):
-        replay.attach(z, r, s, grid, paths)
+        replay.attach(z, grid, paths)
         C = StringComplex(replay.members)
         assert is_face_closed(C)
         # the incremental verdict checks only the members added since the
@@ -566,6 +566,12 @@ def test_verify_skeleton_detects_tampering():
     broken = skel._replace(generators=tuple(gens))
     with pytest.raises(CertificateError):
         verify_skeleton(broken)
+    # a generator whose shape fields disagree with its grid
+    gens = list(skel.generators)
+    k = next(k for k, g in enumerate(gens) if g.r != g.s)
+    gens[k] = gens[k]._replace(r=gens[k].s, s=gens[k].r)
+    with pytest.raises(CertificateError):
+        verify_skeleton(skel._replace(generators=tuple(gens)))
 
 
 def test_verify_skeleton_refuses_an_alpha_present_refuses():

@@ -6,7 +6,6 @@ import pytest
 from finsimp import (
     FinMap,
     MapString,
-    Shuffle,
     attach_diagram,
     attachment_hypothesis,
     defect_subcomplex,
@@ -24,7 +23,15 @@ from finsimp.grids import (
     enumerate_corner_grids,
     path_cores,
 )
-from finsimp.shuffles import _excluded_faces, _recover_gaps, _shuffles, attach_walk, hasse_edges, poset_dot
+from finsimp.shuffles import (
+    _excluded_faces,
+    _path,
+    _recover_gaps,
+    _shuffles,
+    attach_walk,
+    hasse_edges,
+    poset_dot,
+)
 from finsimp.strings import StringComplex, face
 
 import helpers
@@ -33,8 +40,11 @@ from helpers import (
     contains,
     corner_from_string,
     corner_of,
+    heights,
     image_subset,
+    is_maximal,
     iter_chains,
+    le,
     oracle_attach_walk,
     oracle_excluded_faces,
     oracle_horn_certificate,
@@ -45,8 +55,8 @@ from helpers import (
 
 def test_census_one_one():
     shs = enumerate_shuffles(1, 1)
-    assert [sh.word for sh in shs] == ["HV", "VH"]
-    assert shs[0].is_minimal() and shs[-1].is_maximal()
+    assert shs == ["HV", "VH"]
+    assert is_maximal(shs[-1]) and not is_maximal(shs[0])
 
 
 def test_census_two_two():
@@ -81,15 +91,15 @@ def test_order_is_linear_extension():
         shs = enumerate_shuffles(r, s)
         for i, a in enumerate(shs):
             for j, b in enumerate(shs):
-                if a != b and a.le(b):
+                if a != b and le(a, b):
                     assert i < j
 
 
 def test_unique_min_max():
     for r, s in [(1, 1), (2, 3), (4, 2)]:
         shs = enumerate_shuffles(r, s)
-        mins = [a for a in shs if all(a.le(b) for b in shs)]
-        maxs = [a for a in shs if all(b.le(a) for b in shs)]
+        mins = [a for a in shs if all(le(a, b) for b in shs)]
+        maxs = [a for a in shs if all(le(b, a) for b in shs)]
         assert mins == [shs[0]] and maxs == [shs[-1]]
 
 
@@ -102,7 +112,7 @@ def test_prior_of_minimal_is_boundary():
 
 
 def test_prior_of_maximal_one_one():
-    A = prior_subcomplex(Shuffle("VH"))
+    A = prior_subcomplex("VH")
     diag = ((0, 0), (1, 1))
     assert diag in A  # the lower path contributes its diagonal edge
     assert ((0, 0), (0, 1), (1, 1)) not in A
@@ -112,11 +122,11 @@ def test_prior_monotone():
     for r in range(1, 4):
         for s in range(1, 7 - r):
             shs = enumerate_shuffles(r, s)
-            subs = {sh.word: prior_subcomplex(sh) for sh in shs}
+            subs = {sh: prior_subcomplex(sh) for sh in shs}
             for a in shs:
                 for b in shs:
-                    if a.le(b):
-                        assert subs[a.word].issubset(subs[b.word])
+                    if le(a, b):
+                        assert subs[a].issubset(subs[b])
 
 
 @pytest.mark.parametrize(
@@ -139,16 +149,16 @@ def test_inner_generalized_horn_rejects_full():
 
 
 def test_horn_certificate_one_one():
-    lo = horn_certificate(Shuffle("HV"))
+    lo = horn_certificate("HV")
     assert lo.kind == "inner" and lo.S == (0, 2)
-    hi = horn_certificate(Shuffle("VH"))
+    hi = horn_certificate("VH")
     assert hi.kind == "boundary"
     assert hi.facets == ((0, 1), (0, 2), (1, 2))
 
 
 def test_horn_certificate_requires_positive_sides():
     with pytest.raises(InputError):
-        horn_certificate(Shuffle("HH"))
+        horn_certificate("HH")
 
 
 def test_horn_sweep_small():
@@ -156,7 +166,7 @@ def test_horn_sweep_small():
         for s in range(1, 6 - r):
             for sh in enumerate_shuffles(r, s):
                 cert = horn_certificate(sh)
-                assert (cert.kind == "boundary") == sh.is_maximal()
+                assert (cert.kind == "boundary") == is_maximal(sh)
                 if cert.kind == "inner":
                     assert is_inner_generalized_horn(set(cert.S), r + s)
                     assert 0 in cert.S and r + s in cert.S
@@ -232,7 +242,7 @@ def test_attach_independent_of_linear_extension():
         C0 = boundary_image(grid)
         default_order = enumerate_shuffles(r, s)
         # a second extension: stable sort by total height, then reversed word
-        alt = sorted(default_order, key=lambda sh: (sum(sh.heights()), sh.word[::-1]))
+        alt = sorted(default_order, key=lambda sh: (sum(heights(sh)), sh[::-1]))
         res1, recs1 = attach_diagram(C0, grid)
         res2, recs2 = attach_diagram(C0, grid, order=alt)
         assert res1 == res2
@@ -243,10 +253,56 @@ def test_attach_rejects_bad_order():
     z = MapString(1, (FinMap(2, 1, (0, 0)), FinMap(1, 2, (0,))))
     grid = _grid_from_corner_string(z, 1, 1)
     C0 = boundary_image(grid)
-    with pytest.raises(InputError):
-        attach_diagram(C0, grid, order=[Shuffle("VH"), Shuffle("HV")])
-    with pytest.raises(InputError):
-        attach_diagram(C0, grid, order=[Shuffle("HV")])
+    # an order that is no permutation of the shuffles gets that message first
+    for order, message in (
+        (["VH", "HV"], "order is not a linear extension of the shuffle poset"),
+        (["HV"], "order must list every shuffle exactly once"),
+        (["VH", "HV", "HV"], "order must list every shuffle exactly once"),
+        (["HV", "HVH"], "order must list every shuffle exactly once"),
+    ):
+        with pytest.raises(InputError) as info:
+            attach_diagram(C0, grid, order=order)
+        assert str(info.value) == message
+
+
+def test_attach_reads_an_iterator_order_once():
+    # the order checks and the walk share one reading of the order
+    for z, s, r, grid, _ in enumerate_corner_grids(2):
+        if r and s:
+            break
+    C0 = boundary_image(grid)
+    want = attach_diagram(C0, grid)
+    assert len(want[1]) == 2
+    assert attach_diagram(C0, grid, order=iter(enumerate_shuffles(r, s))) == want
+
+
+def test_attach_accepts_exactly_the_linear_extensions():
+    # the cover check against the heights order, over every permutation
+    for r, s in [(1, 2), (2, 1), (2, 2)]:
+        grid = proper_grid(r, s)
+        C0 = boundary_image(grid)
+        want = attach_diagram(C0, grid)
+        accepted = 0
+        for order in itertools.permutations(enumerate_shuffles(r, s)):
+            extension = all(not le(b, a) for a, b in itertools.combinations(order, 2))
+            if extension:
+                accepted += 1
+                result, records = attach_diagram(C0, grid, order=order)
+                assert result == want[0]
+                assert set(records) == set(want[1])
+            else:
+                with pytest.raises(InputError) as info:
+                    attach_diagram(C0, grid, order=order)
+                assert str(info.value) == "order is not a linear extension of the shuffle poset"
+        assert accepted == {(2, 2): 2}.get((r, s), 1)
+
+
+def test_path_reads_heights():
+    # position x of a path is the cell (x - height, height)
+    for n in range(9):
+        for r in range(n + 1):
+            for w in enumerate_shuffles(r, n - r):
+                assert _path(w) == tuple((x - h, h) for x, h in enumerate(heights(w)))
 
 
 def test_horn_overlap_matches_materialized_prior():
@@ -259,7 +315,7 @@ def test_horn_overlap_matches_materialized_prior():
             for sh in enumerate_shuffles(r, s):
                 cert = horn_certificate(sh)
                 prior = prior_subcomplex(sh)
-                path = sh.path()
+                path = _path(sh)
                 n = r + s
                 inside = {
                     idx
@@ -275,10 +331,16 @@ def test_horn_overlap_matches_materialized_prior():
 
 
 def test_shuffle_rejects_bad_word():
-    with pytest.raises(InputError):
-        Shuffle("HX")
+    with pytest.raises(InputError, match="bad move word 'HX'"):
+        horn_certificate("HX")
     with pytest.raises(InputError):
         enumerate_shuffles(-1, 2)
+
+
+def test_horn_certificate_checks_every_letter():
+    # "HVX" has one H and one V, so only the letter check catches it
+    with pytest.raises(InputError, match="bad move word 'HVX'"):
+        horn_certificate("HVX")
 
 
 def test_attach_without_boundary_reports_hypothesis():
@@ -327,7 +389,7 @@ def test_one_past_per_shuffle():
             assert [rec.status for rec in records] == ["attached"] * len(records)
             certified = {rec.sigma: set(rec.excluded) | {full} for rec in records}
             for sh in enumerate_shuffles(r, s):
-                path = sh.path()
+                path = _path(sh)
                 prior = prior_subcomplex(sh)
                 missing = {idx for idx in faces if tuple(path[x] for x in idx) not in prior}
                 cert = horn_certificate(sh)
@@ -337,8 +399,8 @@ def test_one_past_per_shuffle():
                     for k in range(1, len(facet) + 1):
                         overlap.update(itertools.combinations(facet, k))
                 assert faces - overlap == missing
-                assert set(_excluded_faces(sh.word)) == missing
-                assert certified[sh.word] == missing
+                assert set(_excluded_faces(sh)) == missing
+                assert certified[sh] == missing
 
 
 def test_attach_walk_matches_restricting_oracle_on_proper_grids():
@@ -352,7 +414,7 @@ def test_attach_walk_matches_restricting_oracle_on_proper_grids():
         for r in range(n + 1):
             grid = proper_grid(r, n - r)
             shuffles = enumerate_shuffles(r, n - r)
-            cores = {sh.word: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
+            cores = {sh: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
             new, old = set(boundary_image(grid)), set(boundary_image(grid))
             got = attach_walk(new, cores, shuffles, anomaly, set(), {})
             want = oracle_attach_walk(old, grid, cores, shuffles, anomaly, set())
@@ -400,12 +462,12 @@ def test_excluded_faces_of_one_size_have_distinct_class_patterns():
         for r in range(1, n):
             for sh in enumerate_shuffles(r, n - r):
                 full = tuple(range(n + 1))
-                proper = [T for T in _excluded_faces(sh.word) if T != full]
+                proper = [T for T in _excluded_faces(sh) if T != full]
                 by_size = {}
                 for T in proper:
                     by_size.setdefault(len(T), []).append(T)
                 for faces in by_size.values():
-                    patterns = [_class_pattern(sh.word, T) for T in faces]
+                    patterns = [_class_pattern(sh, T) for T in faces]
                     assert len(set(patterns)) == len(faces)
                     for T1, pattern in zip(faces, patterns):
                         w = _string_of_pattern(pattern)
@@ -517,11 +579,11 @@ def test_bitmask_past_matches_set_oracle():
     for n in range(2, 8):
         for r in range(1, n):
             for sh in enumerate_shuffles(r, n - r):
-                assert _excluded_faces(sh.word) == oracle_excluded_faces(sh.word)
+                assert _excluded_faces(sh) == oracle_excluded_faces(sh)
                 assert horn_certificate(sh) == oracle_horn_certificate(sh)
     for certify in (horn_certificate, oracle_horn_certificate):
         with pytest.raises(InputError):
-            certify(Shuffle("HH"))
+            certify("HH")
 
 
 def test_past_closed_form_at_hv_corners():
@@ -533,8 +595,7 @@ def test_past_closed_form_at_hv_corners():
         full = set(range(n + 1))
         for r in range(n + 1):
             s = n - r
-            for sh in enumerate_shuffles(r, s):
-                w = sh.word
+            for w in enumerate_shuffles(r, s):
                 corners = [x for x in range(1, n) if w[x - 1] == "H" and w[x] == "V"]
                 expected = {
                     tuple(sorted(full - set(drop)))
@@ -543,10 +604,10 @@ def test_past_closed_form_at_hv_corners():
                 }
                 assert set(_excluded_faces(w)) == expected
                 assert set(oracle_excluded_faces(w)) == expected
-                if r >= 1 and s >= 1 and not sh.is_maximal():
+                if r >= 1 and s >= 1 and not is_maximal(w):
                     S = tuple(sorted(full - set(corners)))
-                    assert horn_certificate(sh).S == S
-                    assert oracle_horn_certificate(sh).S == S
+                    assert horn_certificate(w).S == S
+                    assert oracle_horn_certificate(w).S == S
 
 
 def test_lower_covers_bound_every_smaller_past():
@@ -555,25 +616,24 @@ def test_lower_covers_bound_every_smaller_past():
     # shuffle lies at or below a cover, and it leaves sigma's path wherever
     # each cover above it does
     def off_path(tau, sigma):
-        return {x for x, (a, b) in enumerate(zip(tau.heights(), sigma.heights())) if a != b}
+        return {x for x, (a, b) in enumerate(zip(heights(tau), heights(sigma))) if a != b}
 
     for n in range(1, 9):
         for r in range(n + 1):
             shs = enumerate_shuffles(r, n - r)
-            for sigma in shs:
-                w = sigma.word
+            for w in shs:
                 covers = {}
                 for k in range(n - 1):
                     if w[k : k + 2] == "VH":
-                        tau = Shuffle(w[:k] + "HV" + w[k + 2 :])
-                        assert tau.le(sigma) and off_path(tau, sigma) == {k + 1}
+                        tau = w[:k] + "HV" + w[k + 2 :]
+                        assert le(tau, w) and off_path(tau, w) == {k + 1}
                         covers[k + 1] = tau
                 for low in shs:
-                    if low == sigma or not low.le(sigma):
+                    if low == w or not le(low, w):
                         continue
-                    above = {x for x, tau in covers.items() if low.le(tau)}
-                    assert above, (low.word, w)
-                    assert above <= off_path(low, sigma)
+                    above = {x for x, tau in covers.items() if le(low, tau)}
+                    assert above, (low, w)
+                    assert above <= off_path(low, w)
 
 
 @pytest.mark.parametrize(
@@ -609,7 +669,7 @@ def test_every_certificate_check_can_fail(monkeypatch, word, past, message):
         (oracle_horn_certificate, message),
     ):
         with pytest.raises(CertificateError) as info:
-            certify(Shuffle(word))
+            certify(word)
         assert str(info.value) == want
 
 

@@ -15,14 +15,13 @@ from finsimp import FinMap, MapString, StringComplex
 from finsimp.grids import CornerData, GridDiagram, enumerate_corner_grids
 from finsimp.presentation import ExcessProfile, Generator, Matching, PresentationSkeleton
 from finsimp.presentation import excess_strings, match_excess, present
-from finsimp.shuffles import AttachmentCertificate, HornCertificate, Shuffle, horn_certificate
+from finsimp.shuffles import AttachmentCertificate, HornCertificate, _shuffles, horn_certificate
 
 # Each former dataclass with the fields it had, in order.
 FIELDS = {
     MapString: ("card0", "maps"),
     GridDiagram: ("r", "s", "cards", "horiz", "vert"),
     CornerData: ("corner_card", "top", "left"),
-    Shuffle: ("word",),
     HornCertificate: ("sigma", "kind", "S", "facets"),
     AttachmentCertificate: ("sigma", "status", "kind", "S", "excluded"),
     Generator: ("r", "s", "corner", "grid", "records"),
@@ -43,8 +42,7 @@ def _samples():
         grid,
         CornerData(2, (FinMap(1, 2, (1,)),), (FinMap(2, 1, (0, 0)),)),
         CornerData(1),
-        Shuffle("HVH"),
-        horn_certificate(Shuffle("HVHV")),
+        horn_certificate("HVHV"),
         gen.records[0],
         AttachmentCertificate("HV", "already-present"),
         gen,
@@ -65,6 +63,9 @@ def test_every_former_dataclass_is_sampled():
     assert {type(v) for v in SAMPLES} == set(FIELDS)
     for cls, names in FIELDS.items():
         assert cls.__match_args__ == names
+    # a shuffle is its move word, with no value class of its own
+    words = _shuffles(2, 2)
+    assert type(words) is tuple and all(type(w) is str for w in words)
 
 
 @pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
@@ -89,7 +90,6 @@ def test_repr_is_the_dataclass_repr(v):
 
 
 def test_repr_examples():
-    assert repr(Shuffle("HV")) == "Shuffle(word='HV')"
     assert repr(AttachmentCertificate("HV", "already-present")) == (
         "AttachmentCertificate(sigma='HV', status='already-present', kind=None, S=(), excluded=())"
     )
@@ -117,7 +117,7 @@ def test_constructors_keep_their_checks_and_conversions():
     from finsimp.errors import InputError
 
     with pytest.raises(InputError, match="bad move word 'HX'"):
-        Shuffle("HX")
+        horn_certificate("HX")
     with pytest.raises(InputError, match="negative card0: -1"):
         MapString(-1)
     with pytest.raises(InputError, match=r"maps\[0\]: dst=2 does not match previous cardinality 1"):
