@@ -40,10 +40,10 @@ from .presentation import (
     verify_skeleton,
 )
 from .shuffles import (
+    Attachment,
     AttachmentCertificate,
     HornCertificate,
     attach_diagram,
-    attachment_hypothesis,
     enumerate_shuffles,
     horn_certificate,
     is_inner_generalized_horn,

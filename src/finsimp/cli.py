@@ -7,35 +7,33 @@ failed to verify.
 
 Output is streamed straight from the values: a command hands
 ``_write_json`` its result objects (maps, strings, complexes, grids,
-certificates) inside a small JSON tree, and the writer writes the bytes of
+certificates, the ``Attachment`` that ``attach`` writes whole) inside a
+small JSON tree, and the writer writes the bytes of
 ``json.dumps(obj, sort_keys=True, indent=2)`` of their ``to_json()`` trees,
 and a final newline, in pieces of about ``_FLUSH_SIZE`` characters.  Neither
 those trees nor a string of the whole document is built, and each distinct
 map and attachment record is encoded once per document.  This holds for
-stdout, ``--output`` and the exit-2 diagnostic on stderr.  An ``--output``
-file that fails partway is removed.
+stdout, ``--output`` and the exit-2 diagnostic on stderr.  The DOT text
+of ``shuffles --dot`` is written from the lines ``poset_dot`` yields, a few
+thousand lines per write.  An ``--output`` file that fails partway is
+removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from .errors import CertificateError, InputError
 from .finmap import FinMap
-from .grids import defect_subcomplex, grid_from_json, path_cores
+from .grids import defect_subcomplex, grid_from_json
 from .presentation import excess_strings, match_excess, order_excess, present, skeletal_dimension
-from .shuffles import (
-    AttachmentCertificate,
-    _attach_diagram,
-    _attachment_hypothesis,
-    enumerate_shuffles,
-    horn_certificate,
-    poset_dot,
-)
+from .shuffles import AttachmentCertificate, attach_diagram, enumerate_shuffles, horn_certificate, poset_dot
 from .strings import StringComplex, core, defect, enumerate_nondegenerate, string_from_json
 
 
@@ -66,6 +64,9 @@ def _check_output(path: str) -> None:
 # many characters; it counts them every ``_COUNT_PIECES`` pieces.
 _FLUSH_SIZE = 1 << 16
 _COUNT_PIECES = 64
+
+# ``_write`` joins this many lines of a line generator into one write.
+_LINES_PER_WRITE = 4096
 
 # Values that repeat in a document, so their text is encoded once per call;
 # strings and grids are written once or twice and are never memoised.
@@ -199,9 +200,11 @@ def _write_json(obj, write) -> None:
 
 
 def _write(payload, write) -> None:
-    """Write ``payload``: a ``str`` (DOT text) as is, anything else as JSON."""
-    if isinstance(payload, str):
-        write(payload)
+    """Write ``payload``: a generator of text lines (DOT) in batches of
+    ``_LINES_PER_WRITE`` lines, anything else as JSON."""
+    if isinstance(payload, GeneratorType):
+        while batch := "".join(itertools.islice(payload, _LINES_PER_WRITE)):
+            write(batch)
     else:
         _write_json(payload, write)
 
@@ -326,18 +329,7 @@ def _cmd_attach(args) -> int:
         raise InputError("--subset and --grid cannot both read stdin ('-')")
     C = _complex_from_json(_read_json(args.subset, "subset"), "subset")
     grid = grid_from_json(_read_json(args.grid, "grid"), "grid")
-    # one walk of the shuffle-path trie serves both the report and the attachment
-    paths = path_cores(grid)
-    hypothesis = _attachment_hypothesis(C, grid, paths)
-    result, records = _attach_diagram(C, grid, None, paths)
-    _emit(
-        args,
-        {
-            "hypothesis": hypothesis,
-            "subset": result,
-            "certificates": records,
-        },
-    )
+    _emit(args, attach_diagram(C, grid))
     return 0
 
 

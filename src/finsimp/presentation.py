@@ -37,7 +37,7 @@ from .errors import CertificateError, HypothesisError, InputError, MatchingError
 from .finmap import MapClass, _plain_json, epi_mono_factor
 from .grids import GridDiagram, _check_alpha, boundary_cores
 from .grids import check_against_enumeration, defect_subcomplex, enumerate_corner_grids, path_cores
-from .shuffles import AttachmentCertificate, _shuffles, attach_walk
+from .shuffles import AttachmentCertificate, attach_walk
 from .strings import (
     MapString,
     StringComplex,
@@ -52,11 +52,14 @@ from .strings import (
 )
 
 
-class Generator(namedtuple("Generator", "r s corner grid records")):
+class Generator(namedtuple("Generator", "corner grid records")):
     """One attachment cell: a corner grid whose image was new when attached,
-    with the records of its attachment."""
+    with the records of its attachment; its ``r`` and ``s`` are the grid's."""
 
     __slots__ = ()
+
+    r = property(lambda self: self.grid.r)
+    s = property(lambda self: self.grid.s)
 
 
 class PresentationSkeleton(namedtuple("PresentationSkeleton", "alpha allow_empty complex generators")):
@@ -129,10 +132,8 @@ class _Replay:
                 "generator boundary not contained in earlier images",
                 witness={"corner": serialize(z), "r": grid.r, "s": grid.s},
             )
-        shuffles = _shuffles(grid.r, grid.s)
-        cores = {word: w for word, (w, _) in zip(shuffles, paths)}
         # the members are face-closed: this is the image less the members
-        image = face_closure(cores.values(), self.members)
+        image = face_closure((w for w, _ in paths), self.members)
         if not image:
             return []
         if not self.saturated():
@@ -142,7 +143,7 @@ class _Replay:
             # the boundary lies in the complex, so these are forced facts
             raise CertificateError(message, witness)
 
-        records, added = attach_walk(self.members, cores, shuffles, anomaly, self.members, self.plans)
+        records, added = attach_walk(self.members, grid, paths, anomaly, self.members, self.plans)
         # with the members grown by exactly ``added``, this is the check
         # that the result is the union of the complex before and the image
         if set(added) != image:
@@ -171,18 +172,17 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     members = walk_members(alpha, allow_empty, saturations=True)
     replay = _Replay()
     gens = []
-    for z, s, r, grid, paths in enumerate_corner_grids(alpha, allow_empty):
+    for z, _, _, grid, paths in enumerate_corner_grids(alpha, allow_empty):
         recs = replay.attach(z, grid, paths)
         if recs:
-            gens.append(Generator(r, s, z, grid, tuple(recs)))
+            gens.append(Generator(z, grid, tuple(recs)))
     C = replay.complex()
     check_against_enumeration(C, alpha, members)
     return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))
 
 
 def verify_skeleton(skel: PresentationSkeleton) -> bool:
-    """Re-run every attachment and compare certificates field by field,
-    and each generator's ``r`` and ``s`` with its grid's.
+    """Re-run every attachment and compare certificates field by field.
 
     The alpha of the skeleton is bounded as in ``present``, since the
     member walk before the replay covers all of ``E^alpha``."""
@@ -191,7 +191,7 @@ def verify_skeleton(skel: PresentationSkeleton) -> bool:
     replay = _Replay()
     for k, g in enumerate(skel.generators):
         fresh = replay.attach(g.corner, g.grid, path_cores(g.grid))
-        if tuple(fresh) != g.records or (g.r, g.s) != (g.grid.r, g.grid.s):
+        if tuple(fresh) != g.records:
             raise CertificateError(
                 "attachment records changed under replay", witness={"cell": k}
             )

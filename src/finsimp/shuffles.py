@@ -6,9 +6,10 @@ and a shuffle is its move word, a ``str`` over ``H`` (step right) and ``V``
 index the top-dimensional simplices of the prism of two standard simplices.
 The poset order is read off its covers (``hasse_edges``): a cover swaps one
 ``HV`` to ``VH``.  Attaching a grid image to a string complex walks the
-shuffles in a linear extension of this order and certifies, for each one,
-that the fresh part glues along an inner generalized horn (or a boundary
-sphere for the last shuffle).
+shuffles in the one linear extension of this order that
+``enumerate_shuffles`` lists and certifies, for each one, that the fresh
+part glues along an inner generalized horn (or a boundary sphere for the
+last shuffle).
 
 The past of a shuffle (the faces of its simplex that lie in the prism
 boundary or under a smaller shuffle) depends only on the move word.  A face
@@ -27,18 +28,19 @@ The excluded family stays small while the faces double with each move, so
 ``horn_certificate`` checks the horn shape on it alone, and the attachment
 walk certifies each excluded face.
 
-``attach_walk`` is the attachment of one grid: it adds the face closure of
-each new path core to a member set the caller owns, reads the core of each
-excluded face off the face cores, and returns the records and the members
-it added, so a caller that replays many grids pays for each grid, not for
-the complex.  What depends on the move word alone, the checks of its past
-and its horn and its two records, sits in a per-word plan in a dict the
-caller also owns, so a replay certifies each word once and every grid
-shares its records.  ``attach_diagram`` wraps it for one grid and an
-arbitrary complex, with plans of its own: it checks the saturation of
-every member, lets each closure stop only at faces it has visited itself
-(the complex need not be face-closed), and checks that the result is the
-union of the complex and the grid image.
+``attach_walk`` walks the path cores of one grid: it adds the face closure
+of each new path core to a member set the caller owns, reads the core of
+each excluded face off the face cores, and returns the records and the
+members it added, so a caller that replays many grids pays for each grid,
+not for the complex.  What depends on the move word alone, the checks of
+its past and its horn and its two records, sits in a per-word plan in a
+dict the caller also owns, so a replay certifies each word once and every
+grid shares its records.  ``attach_diagram`` is the attachment of one grid
+to an arbitrary complex, with plans of its own.  It returns an
+``Attachment``: the hypothesis report, computed once, which refuses an
+unsaturated complex and tells a falsified certificate from an unmet
+boundary hypothesis, with the resulting complex, checked to be the union
+of the complex and the grid image, and the records.
 """
 
 from __future__ import annotations
@@ -96,15 +98,20 @@ def hasse_edges(r: int, s: int) -> list[tuple[str, str]]:
     return sorted(out)
 
 
-def poset_dot(r: int, s: int) -> str:
-    """DOT rendering of the shuffle poset's Hasse diagram."""
-    lines = ["digraph shuffles {"]
-    for w in enumerate_shuffles(r, s):
-        lines.append(f'  "{w}";')
-    for a, b in hasse_edges(r, s):
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def poset_dot(r: int, s: int):
+    """DOT rendering of the shuffle poset's Hasse diagram, yielded one line
+    at a time: the words, then the covers in ``hasse_edges`` order.  The
+    covers of one word come by the swapped position in descending order,
+    which is that order, so no cover pair is held or sorted."""
+    words = enumerate_shuffles(r, s)
+    yield "digraph shuffles {\n"
+    for w in words:
+        yield f'  "{w}";\n'
+    for w in words:
+        for k in range(len(w) - 2, -1, -1):
+            if w[k] == "H" and w[k + 1] == "V":
+                yield f'  "{w}" -> "{w[:k]}VH{w[k + 2:]}";\n'
+    yield "}\n"
 
 
 def is_inner_generalized_horn(S, n: int) -> bool:
@@ -333,19 +340,15 @@ def _recover_gaps(word: str, face_string: MapString, T: tuple[int, ...]) -> None
             )
 
 
-def attachment_hypothesis(C: StringComplex, grid: GridDiagram) -> dict:
-    """Report how far C satisfies the attachment hypotheses for a grid.
+def _attachment_hypothesis(C: StringComplex, grid: GridDiagram, paths) -> dict:
+    """Report how far C satisfies the attachment hypotheses for a grid,
+    given ``paths = path_cores(grid)``.
 
     ``corner_faces_in_complex`` records membership for every proper face of
     the grid's corner string; faces that are missing get added while the
     shuffles are walked, so the report, not a hard failure, is the honest
     answer when only some of them are present.
     """
-    return _attachment_hypothesis(C, grid, path_cores(grid))
-
-
-def _attachment_hypothesis(C: StringComplex, grid: GridDiagram, paths) -> dict:
-    """``attachment_hypothesis`` with ``paths = path_cores(grid)`` given."""
     # the corner string is the restriction of the maximal shuffle path
     z, where = paths[-1]
     faces = []
@@ -411,21 +414,17 @@ def _certify_word(word: str) -> tuple[AttachmentCertificate, tuple, tuple]:
 
 
 def attach_walk(
-    current: set[MapString],
-    cores: dict[str, MapString],
-    order: tuple[str, ...] | list[str],
-    anomaly,
-    stop: set[MapString],
-    plans: dict[str, _Plan],
+    current: set[MapString], grid: GridDiagram, paths, anomaly, stop: set[MapString], plans: dict[str, _Plan]
 ) -> tuple[list[AttachmentCertificate], list[MapString]]:
     """Attach the shuffle simplices of a grid to the member set ``current``
-    in place, in ``order``, certifying every one that is new.
+    in place, in ``enumerate_shuffles`` order, certifying every one that is
+    new.
 
-    ``cores`` maps each move word to the interned core of its path's
-    restriction.  ``anomaly(message, witness)`` raises for a condition
-    that the attachment hypotheses force.  The face closure of each new
-    path core stops at the members of ``stop``, a face-closed set that
-    grows with each closure; ``stop`` is ``current`` itself when
+    ``paths = path_cores(grid)`` holds the interned core of each path's
+    restriction in that order.  ``anomaly(message, witness)`` raises for a
+    condition that the attachment hypotheses force.  The face closure of
+    each new path core stops at the members of ``stop``, a face-closed set
+    that grows with each closure; ``stop`` is ``current`` itself when
     ``current`` is face-closed.  Returns the records and the members added.
 
     What depends on the word alone is done once per word in ``plans``, a
@@ -441,12 +440,11 @@ def attach_walk(
     """
     records = []
     added: list[MapString] = []
-    for word in order:
+    for word, (z, _) in zip(_shuffles(grid.r, grid.s), paths):
         plan = plans.get(word)
         if plan is None:
             present = AttachmentCertificate(word, "already-present")
             plan = plans[word] = _Plan(present, None, None, None)
-        z = cores[word]
         if z in current:
             records.append(plan.present)
             continue
@@ -486,68 +484,56 @@ def attach_walk(
     return records, added
 
 
-def attach_diagram(
-    C: StringComplex,
-    grid: GridDiagram,
-    order: list[str] | None = None,
-) -> tuple[StringComplex, list[AttachmentCertificate]]:
+class Attachment(namedtuple("Attachment", "hypothesis subset certificates")):
+    """The attachment of one grid image: the hypothesis report of
+    ``_attachment_hypothesis``, the resulting complex and the per-shuffle
+    records.  The report is a dict, so an attachment is not hashable."""
+
+    __slots__ = ()
+
+    def json_form(self) -> dict:
+        return {"hypothesis": self.hypothesis, "subset": self.subset, "certificates": self.certificates}
+
+    def to_json(self) -> dict:
+        return _plain_json(self.json_form())
+
+
+def attach_diagram(C: StringComplex, grid: GridDiagram) -> Attachment:
     """Attach the image of a grid to a complex, certifying every shuffle step.
 
-    Requires ``C`` saturated (raises :class:`HypothesisError` otherwise).
-    When the image is already contained in ``C`` the complex is returned
-    unchanged with no certificates.  Otherwise shuffles are processed in a
-    linear extension of the poset order, ``order`` when given: an iterable
-    of move words, read once, that lists every shuffle and keeps every
-    cover of ``hasse_edges``.  For each shuffle whose simplex is
-    new, the certificate records that the excluded faces are endpoint-
-    containing with isolated horizontal-vertical gaps, nondegenerate, not
-    yet present, and pairwise distinguishable by class fingerprints, hence
-    by canonical forms.  The result is exactly ``C`` united with the grid
-    image, independent of the chosen linear extension.  Each shuffle path
-    is restricted and cored once; the excluded faces are read off the face
-    cores of those cores and the image is their face closure.  ``C`` need
-    not be face-closed, so the closure walks stop only at faces they visit.
+    Returns the hypothesis report with the result.  When the image is
+    already contained in ``C`` the complex is returned unchanged with no
+    certificates.  Otherwise ``C`` must be saturated (raises
+    :class:`HypothesisError` otherwise), and the shuffles are processed in
+    ``enumerate_shuffles`` order, a linear extension of the poset order.
+    For each shuffle whose simplex is new, the certificate records that the
+    excluded faces are endpoint-containing with isolated horizontal-vertical
+    gaps, nondegenerate, not yet present, and pairwise distinguishable by
+    class fingerprints, hence by canonical forms.  The result is exactly
+    ``C`` united with the grid image.  One ``path_cores`` walk serves the
+    report and the attachment; the excluded faces are read off the face
+    cores of the path cores and the image is their face closure.  ``C``
+    need not be face-closed, so the closure walks stop only at faces they
+    visit.
     """
-    return _attach_diagram(C, grid, order, path_cores(grid))
-
-
-def _attach_diagram(
-    C: StringComplex,
-    grid: GridDiagram,
-    order: list[str] | None,
-    paths,
-) -> tuple[StringComplex, list[AttachmentCertificate]]:
-    """``attach_diagram`` with ``paths = path_cores(grid)`` given."""
-    shuffles = _shuffles(grid.r, grid.s)
-    cores = {w: z for w, (z, _) in zip(shuffles, paths)}
-    D = StringComplex.closure(cores.values())
+    paths = path_cores(grid)
+    hypothesis = _attachment_hypothesis(C, grid, paths)
+    D = StringComplex.closure(z for z, _ in paths)
     if D <= C:
-        return C, []
-    if not is_saturated(C):
+        return Attachment(hypothesis, C, ())
+    if not hypothesis["saturated"]:
         raise HypothesisError("complex is not saturated")
 
     def anomaly(message, witness):
         # with the boundary inside C these conditions are forced facts;
         # without it they just witness the unmet hypothesis
-        if StringComplex.closure(boundary_cores(grid, paths)) <= C:
+        if hypothesis["boundary_contained"]:
             raise CertificateError(message, witness)
-        raise HypothesisError(
-            f"{message} (the grid boundary image is not contained in the complex)"
-        )
+        raise HypothesisError(f"{message} (the grid boundary image is not contained in the complex)")
 
-    if order is None:
-        order = shuffles
-    else:
-        order = tuple(order)
-        if sorted(order) != list(shuffles):
-            raise InputError("order must list every shuffle exactly once")
-        # a permutation that keeps every cover keeps the whole order
-        rank = {w: k for k, w in enumerate(order)}
-        if any(rank[a] > rank[b] for a, b in hasse_edges(grid.r, grid.s)):
-            raise InputError("order is not a linear extension of the shuffle poset")
     current = set(C)
-    records, _ = attach_walk(current, cores, order, anomaly, set(), {})
+    records, _ = attach_walk(current, grid, paths, anomaly, set(), {})
     result = StringComplex(current)
     if result != C | D:
         raise CertificateError("attachment result is not the union with the image")
-    return result, records
+    return Attachment(hypothesis, result, tuple(records))

@@ -948,9 +948,9 @@ def oracle_present(alpha: int, allow_empty: bool = False) -> PresentationSkeleto
                 "generator boundary not contained in earlier images",
                 witness={"corner": serialize(z), "r": r, "s": s},
             )
-        C, recs = attach_diagram(C, grid)
+        _, C, recs = attach_diagram(C, grid)
         if recs:
-            gens.append(Generator(r, s, z, grid, tuple(recs)))
+            gens.append(Generator(z, grid, recs))
     oracle_check_against_enumeration(C, alpha, allow_empty)
     return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))
 
@@ -989,7 +989,9 @@ def oracle_attach_walk(
     """``attach_walk`` as it restricted the grid once more per excluded
     face and cored the result: attach the shuffle simplices of a grid to
     the member set ``current`` in place, in ``order``, certifying every
-    one that is new.
+    one that is new.  ``order`` may be any linear extension of the shuffle
+    poset, so the tests check against it that the attachment does not
+    depend on the one order ``attach_walk`` walks.
 
     ``cores`` maps each move word to the interned core of its path's
     restriction.  ``anomaly(message, witness)`` raises for a condition
@@ -1096,10 +1098,11 @@ def compare_attach_walks(grids) -> tuple[int, int]:
 
     for grid in grids:
         shuffles = enumerate_shuffles(grid.r, grid.s)
-        cores = {sh: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
-        if not face_closure(cores.values(), new):
+        paths = path_cores(grid)
+        if not face_closure((z for z, _ in paths), new):
             continue
-        got = attach_walk(new, cores, shuffles, anomaly, new, plans)
+        got = attach_walk(new, grid, paths, anomaly, new, plans)
+        cores = {sh: z for sh, (z, _) in zip(shuffles, paths)}
         want = oracle_attach_walk(old, grid, cores, shuffles, anomaly, old)
         attached += 1
         bad += (

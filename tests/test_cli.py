@@ -17,7 +17,7 @@ from finsimp import FinMap, MapString
 from finsimp.cli import _complex_from_json, _write_json, main
 from finsimp.grids import defect_subcomplex, grid_from_json
 from finsimp.presentation import present
-from finsimp.shuffles import AttachmentCertificate, attach_diagram, attachment_hypothesis
+from finsimp.shuffles import AttachmentCertificate, attach_diagram
 from finsimp.shuffles import enumerate_shuffles, horn_certificate
 from helpers import expand_values, oracle_to_json
 
@@ -140,14 +140,14 @@ def test_attach_oversized_identity_grid(tmp_path):
     assert code == 0, err
 
 
-def test_attach_restricts_each_path_once(monkeypatch, tmp_path):
-    # the hypothesis report and the attachment share one path_cores(grid),
-    # also when an unmet hypothesis sends the walk to the boundary image,
-    # and the excluded faces are read off it; path_cores walks the trie of
-    # the shuffle paths, so no path is restricted at all
+def _count_attach_calls(monkeypatch, tmp_path, fn_names):
+    """Run ``attach`` on the fixture subset and on a star subset whose
+    unmet boundary hypothesis reaches ``anomaly``, with every module binding
+    of the ``grids`` functions ``fn_names`` counted; yields the counts of
+    each run."""
     import finsimp.grids as grids_mod
 
-    calls = {"path_cores": []}
+    calls = {fn_name: [] for fn_name in fn_names}
     for fn_name in calls:
         real = getattr(grids_mod, fn_name)
 
@@ -166,8 +166,24 @@ def test_attach_restricts_each_path_once(monkeypatch, tmp_path):
             c.clear()
         code, out, err = run_cli(["attach", "--subset", subset, "--grid", grid])
         assert code == want, err
-        assert len(calls["path_cores"]) == 1
-    assert "boundary image is not contained" in err
+        assert want == 0 or "boundary image is not contained" in err
+        yield {fn_name: len(c) for fn_name, c in calls.items()}
+
+
+def test_attach_restricts_each_path_once(monkeypatch, tmp_path):
+    # the hypothesis report and the attachment share one path_cores(grid),
+    # also when an unmet hypothesis sends the walk to the boundary image,
+    # and the excluded faces are read off it; path_cores walks the trie of
+    # the shuffle paths, so no path is restricted at all
+    for counts in _count_attach_calls(monkeypatch, tmp_path, ["path_cores"]):
+        assert counts == {"path_cores": 1}
+
+
+def test_attach_computes_its_hypothesis_once(monkeypatch, tmp_path):
+    # the attachment reads saturation and the boundary off its own report,
+    # also when an unmet boundary hypothesis reaches the anomaly check
+    for counts in _count_attach_calls(monkeypatch, tmp_path, ["is_saturated", "boundary_cores"]):
+        assert counts == {"is_saturated": 1, "boundary_cores": 1}
 
 
 def test_attach_refuses_stdin_for_both_inputs():
@@ -505,10 +521,10 @@ def test_attach_streams_the_oracle_bytes(tmp_path, subset):
     assert code == 0, err
     C = _complex_from_json(json.loads(subset_path.read_text()), "subset")
     grid = grid_from_json(json.loads(grid_path.read_text()))
-    result, records = attach_diagram(C, grid)
+    hypothesis, result, records = attach_diagram(C, grid)
     assert records and grid.to_json() == oracle_to_json(grid)
     want = {
-        "hypothesis": attachment_hypothesis(C, grid),
+        "hypothesis": hypothesis,
         "subset": oracle_to_json(result),
         "certificates": [oracle_to_json(rec) for rec in records],
     }

@@ -7,7 +7,6 @@ from finsimp import (
     FinMap,
     MapString,
     attach_diagram,
-    attachment_hypothesis,
     defect_subcomplex,
     enumerate_shuffles,
     horn_certificate,
@@ -24,6 +23,7 @@ from finsimp.grids import (
     path_cores,
 )
 from finsimp.shuffles import (
+    _attachment_hypothesis,
     _excluded_faces,
     _path,
     _recover_gaps,
@@ -181,8 +181,19 @@ def test_hasse_edges_are_single_swaps():
 
 
 def test_poset_dot_shape():
-    dot = poset_dot(1, 1)
+    dot = "".join(poset_dot(1, 1))
     assert dot.startswith("digraph") and '"HV" -> "VH"' in dot
+
+
+def test_poset_dot_streams_the_hasse_edges_in_order():
+    # the covers of each word come without a sort, in hasse_edges order
+    for r in range(5):
+        for s in range(5):
+            lines = ["digraph shuffles {"]
+            lines += [f'  "{w}";' for w in enumerate_shuffles(r, s)]
+            lines += [f'  "{a}" -> "{b}";' for a, b in hasse_edges(r, s)]
+            lines.append("}")
+            assert "".join(poset_dot(r, s)) == "\n".join(lines) + "\n"
 
 
 def _grid_from_corner_string(z, s, r):
@@ -193,18 +204,18 @@ def test_attach_noop_when_contained():
     z = MapString(1, (FinMap(2, 1, (0, 0)), FinMap(1, 2, (0,))))
     grid = _grid_from_corner_string(z, 1, 1)
     E2 = defect_subcomplex(2)
-    result, records = attach_diagram(E2, grid)
-    assert result == E2 and records == []
+    attachment = attach_diagram(E2, grid)
+    assert attachment.subset == E2 and attachment.certificates == ()
 
 
 def test_attach_exiting_grid_to_e1():
     z = MapString(1, (FinMap(2, 1, (0, 0)), FinMap(1, 2, (0,))))
     grid = _grid_from_corner_string(z, 1, 1)
     E1 = defect_subcomplex(1)
-    hyp = attachment_hypothesis(E1, grid)
+    attachment = attach_diagram(E1, grid)
+    hyp, records = attachment.hypothesis, attachment.certificates
     assert hyp["saturated"] and not hyp["boundary_contained"]
-    result, records = attach_diagram(E1, grid)
-    assert result == E1 | image_subset(grid)
+    assert attachment.subset == E1 | image_subset(grid)
     assert [rec.status for rec in records] == ["already-present", "attached"]
     assert records[1].kind == "boundary"
 
@@ -222,7 +233,8 @@ def test_attach_sweep_from_boundary_closure():
     # every grid with r,s <= 2 and cards <= 3, attached over its own boundary
     for z, s, r, grid, _ in enumerate_corner_grids(3):
         C0 = boundary_image(grid)
-        result, records = attach_diagram(C0, grid)
+        attachment = attach_diagram(C0, grid)
+        result, records = attachment.subset, attachment.certificates
         assert result == C0 | image_subset(grid)
         assert any(rec.status == "attached" for rec in records)
         assert is_saturated(result)
@@ -235,66 +247,42 @@ def test_attach_sweep_from_boundary_closure():
                 assert is_inner_generalized_horn(set(rec.S), r + s)
 
 
+def _oracle_attach(C0, grid, order):
+    """The oracle walk from ``C0`` in ``order``: the resulting complex and
+    the set of its records."""
+
+    def anomaly(message, witness):
+        raise CertificateError(message, witness)
+
+    current = set(C0)
+    cores = {sh: z for sh, (z, _) in zip(enumerate_shuffles(grid.r, grid.s), path_cores(grid))}
+    records, _ = oracle_attach_walk(current, grid, cores, order, anomaly, set())
+    return StringComplex(current), set(records)
+
+
 def test_attach_independent_of_linear_extension():
     for z, s, r, grid, _ in enumerate_corner_grids(2):
         if r == 0 or s == 0:
             continue
         C0 = boundary_image(grid)
-        default_order = enumerate_shuffles(r, s)
         # a second extension: stable sort by total height, then reversed word
-        alt = sorted(default_order, key=lambda sh: (sum(heights(sh)), sh[::-1]))
-        res1, recs1 = attach_diagram(C0, grid)
-        res2, recs2 = attach_diagram(C0, grid, order=alt)
-        assert res1 == res2
-        assert {rec.sigma for rec in recs1} == {rec.sigma for rec in recs2}
+        alt = sorted(enumerate_shuffles(r, s), key=lambda sh: (sum(heights(sh)), sh[::-1]))
+        want = attach_diagram(C0, grid)
+        assert _oracle_attach(C0, grid, alt) == (want.subset, set(want.certificates))
 
 
-def test_attach_rejects_bad_order():
-    z = MapString(1, (FinMap(2, 1, (0, 0)), FinMap(1, 2, (0,))))
-    grid = _grid_from_corner_string(z, 1, 1)
-    C0 = boundary_image(grid)
-    # an order that is no permutation of the shuffles gets that message first
-    for order, message in (
-        (["VH", "HV"], "order is not a linear extension of the shuffle poset"),
-        (["HV"], "order must list every shuffle exactly once"),
-        (["VH", "HV", "HV"], "order must list every shuffle exactly once"),
-        (["HV", "HVH"], "order must list every shuffle exactly once"),
-    ):
-        with pytest.raises(InputError) as info:
-            attach_diagram(C0, grid, order=order)
-        assert str(info.value) == message
-
-
-def test_attach_reads_an_iterator_order_once():
-    # the order checks and the walk share one reading of the order
-    for z, s, r, grid, _ in enumerate_corner_grids(2):
-        if r and s:
-            break
-    C0 = boundary_image(grid)
-    want = attach_diagram(C0, grid)
-    assert len(want[1]) == 2
-    assert attach_diagram(C0, grid, order=iter(enumerate_shuffles(r, s))) == want
-
-
-def test_attach_accepts_exactly_the_linear_extensions():
-    # the cover check against the heights order, over every permutation
+def test_oracle_walk_agrees_on_every_linear_extension():
+    # every linear extension of the heights order, over every permutation
     for r, s in [(1, 2), (2, 1), (2, 2)]:
         grid = proper_grid(r, s)
         C0 = boundary_image(grid)
         want = attach_diagram(C0, grid)
-        accepted = 0
+        extensions = 0
         for order in itertools.permutations(enumerate_shuffles(r, s)):
-            extension = all(not le(b, a) for a, b in itertools.combinations(order, 2))
-            if extension:
-                accepted += 1
-                result, records = attach_diagram(C0, grid, order=order)
-                assert result == want[0]
-                assert set(records) == set(want[1])
-            else:
-                with pytest.raises(InputError) as info:
-                    attach_diagram(C0, grid, order=order)
-                assert str(info.value) == "order is not a linear extension of the shuffle poset"
-        assert accepted == {(2, 2): 2}.get((r, s), 1)
+            if all(not le(b, a) for a, b in itertools.combinations(order, 2)):
+                extensions += 1
+                assert _oracle_attach(C0, grid, order) == (want.subset, set(want.certificates))
+        assert extensions == {(2, 2): 2}.get((r, s), 1)
 
 
 def test_path_reads_heights():
@@ -366,9 +354,9 @@ def test_attach_wide_grid():
     )
     grid = _grid_from_corner_string(z, 1, 3)
     C0 = boundary_image(grid)
-    result, records = attach_diagram(C0, grid)
-    assert result == C0 | image_subset(grid)
-    attached = [rec for rec in records if rec.status == "attached"]
+    attachment = attach_diagram(C0, grid)
+    assert attachment.subset == C0 | image_subset(grid)
+    attached = [rec for rec in attachment.certificates if rec.status == "attached"]
     assert attached and attached[-1].kind == "boundary"
     assert all(rec.to_json()["checks"].get("iii_excluded_faces_distinct", True) for rec in attached)
 
@@ -385,7 +373,7 @@ def test_one_past_per_shuffle():
         for r in range(1, n):
             s = n - r
             grid = proper_grid(r, s)
-            _, records = attach_diagram(boundary_image(grid), grid)
+            records = attach_diagram(boundary_image(grid), grid).certificates
             assert [rec.status for rec in records] == ["attached"] * len(records)
             certified = {rec.sigma: set(rec.excluded) | {full} for rec in records}
             for sh in enumerate_shuffles(r, s):
@@ -414,9 +402,10 @@ def test_attach_walk_matches_restricting_oracle_on_proper_grids():
         for r in range(n + 1):
             grid = proper_grid(r, n - r)
             shuffles = enumerate_shuffles(r, n - r)
-            cores = {sh: z for sh, (z, _) in zip(shuffles, path_cores(grid))}
+            paths = path_cores(grid)
+            cores = {sh: z for sh, (z, _) in zip(shuffles, paths)}
             new, old = set(boundary_image(grid)), set(boundary_image(grid))
-            got = attach_walk(new, cores, shuffles, anomaly, set(), {})
+            got = attach_walk(new, grid, paths, anomaly, set(), {})
             want = oracle_attach_walk(old, grid, cores, shuffles, anomaly, set())
             assert got[0] == want[0]
             assert [rec.status for rec in got[0]] == ["attached"] * len(shuffles)
@@ -515,7 +504,8 @@ def test_corner_faces_are_read_off_the_maximal_path_core():
                     StringComplex(image[::2]),
                 ):
                     want = [contains(C, face(y, i)) for i in range(y.degree + 1)] if y.degree else []
-                    assert attachment_hypothesis(C, grid)["corner_faces_in_complex"] == want
+                    hypothesis = _attachment_hypothesis(C, grid, path_cores(grid))
+                    assert hypothesis["corner_faces_in_complex"] == want
                     checked += 1
     assert checked == 1032
 
@@ -564,7 +554,6 @@ def test_second_round_cores_no_face(monkeypatch):
     def one_round():
         image_subset(grid)
         boundary_image(grid)
-        attachment_hypothesis(C0, grid)
         return attach_diagram(C0, grid)
 
     first = one_round()

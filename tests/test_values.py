@@ -1,7 +1,8 @@
 """The value classes keep the equality, hash, repr and read-only fields they
-had as frozen dataclasses, ``StringComplex`` is a plain frozenset of its
-members, and the package imports none of ``dataclasses``, ``inspect`` and
-``typing``."""
+had as frozen dataclasses, and the later ``Attachment`` has them too (it is
+unhashable, as the tuple of its fields is), ``StringComplex`` is a plain
+frozenset of its members, and the package imports none of ``dataclasses``,
+``inspect`` and ``typing``."""
 
 import os
 import subprocess
@@ -12,22 +13,25 @@ import pytest
 
 import finsimp
 from finsimp import FinMap, MapString, StringComplex
-from finsimp.grids import CornerData, GridDiagram, enumerate_corner_grids
+from finsimp.grids import CornerData, GridDiagram, boundary_image, enumerate_corner_grids
 from finsimp.presentation import ExcessProfile, Generator, Matching, PresentationSkeleton
 from finsimp.presentation import excess_strings, match_excess, present
-from finsimp.shuffles import AttachmentCertificate, HornCertificate, _shuffles, horn_certificate
+from finsimp.shuffles import Attachment, AttachmentCertificate, HornCertificate, _shuffles
+from finsimp.shuffles import attach_diagram, horn_certificate
 
-# Each former dataclass with the fields it had, in order.
+# Each former dataclass with its fields, in order, and the Attachment that
+# attach_diagram returns.  A Generator reads its r and s off its grid.
 FIELDS = {
     MapString: ("card0", "maps"),
     GridDiagram: ("r", "s", "cards", "horiz", "vert"),
     CornerData: ("corner_card", "top", "left"),
     HornCertificate: ("sigma", "kind", "S", "facets"),
     AttachmentCertificate: ("sigma", "status", "kind", "S", "excluded"),
-    Generator: ("r", "s", "corner", "grid", "records"),
+    Generator: ("corner", "grid", "records"),
     PresentationSkeleton: ("alpha", "allow_empty", "complex", "generators"),
     ExcessProfile: ("string", "excess_defect", "inj_run", "surj_run", "side"),
     Matching: ("alpha", "degree_bound", "pairs", "per_degree"),
+    Attachment: ("hypothesis", "subset", "certificates"),
 }
 
 
@@ -49,6 +53,7 @@ def _samples():
         skel,
         profiles[0],
         match_excess(profiles, 2, 4),
+        attach_diagram(boundary_image(grid), grid),
     ]
 
 
@@ -59,6 +64,15 @@ def _fields(v) -> tuple:
     return tuple(getattr(v, name) for name in FIELDS[type(v)])
 
 
+def _hash(v):
+    """``hash(v)``, or the message of the ``TypeError`` it raises: an
+    ``Attachment`` holds its hypothesis report as a dict."""
+    try:
+        return hash(v)
+    except TypeError as exc:
+        return str(exc)
+
+
 def test_every_former_dataclass_is_sampled():
     assert {type(v) for v in SAMPLES} == set(FIELDS)
     for cls, names in FIELDS.items():
@@ -66,19 +80,23 @@ def test_every_former_dataclass_is_sampled():
     # a shuffle is its move word, with no value class of its own
     words = _shuffles(2, 2)
     assert type(words) is tuple and all(type(w) is str for w in words)
+    # a generator's shape is its grid's, not a field of its own
+    gen = next(v for v in SAMPLES if type(v) is Generator)
+    assert (gen.r, gen.s) == (gen.grid.r, gen.grid.s)
+    assert _hash(next(v for v in SAMPLES if type(v) is Attachment)) == "unhashable type: 'dict'"
 
 
 @pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
 def test_hash_is_the_hash_of_the_field_tuple(v):
     # the generated dataclass hash, so set and dict orders cannot move
-    assert hash(v) == hash(_fields(v))
+    assert _hash(v) == _hash(_fields(v))
 
 
 @pytest.mark.parametrize("v", SAMPLES, ids=lambda v: type(v).__name__)
 def test_equality_compares_the_fields(v):
     cls = type(v)
     twin = cls(*_fields(v))
-    assert twin is not v and twin == v and not twin != v and hash(twin) == hash(v)
+    assert twin is not v and twin == v and not twin != v and _hash(twin) == _hash(v)
     assert v != object() and v != None  # noqa: E711
 
 
