@@ -26,8 +26,8 @@ import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
-from types import GeneratorType
 
 from .errors import CertificateError, InputError
 from .finmap import FinMap
@@ -200,9 +200,9 @@ def _write_json(obj, write) -> None:
 
 
 def _write(payload, write) -> None:
-    """Write ``payload``: a generator of text lines (DOT) in batches of
+    """Write ``payload``: an iterator of text lines (DOT) in batches of
     ``_LINES_PER_WRITE`` lines, anything else as JSON."""
-    if isinstance(payload, GeneratorType):
+    if isinstance(payload, Iterator):
         while batch := "".join(itertools.islice(payload, _LINES_PER_WRITE)):
             write(batch)
     else:

@@ -88,30 +88,28 @@ def _shuffles(r: int, s: int) -> tuple[str, ...]:
     return tuple(words)
 
 
-def hasse_edges(r: int, s: int) -> list[tuple[str, str]]:
-    """Covering pairs of the shuffle poset (one ``HV`` swapped to ``VH``)."""
-    out = []
-    for w in enumerate_shuffles(r, s):
-        for k in range(len(w) - 1):
-            if w[k] == "H" and w[k + 1] == "V":
-                out.append((w, w[:k] + "VH" + w[k + 2 :]))
-    return sorted(out)
-
-
-def poset_dot(r: int, s: int):
-    """DOT rendering of the shuffle poset's Hasse diagram, yielded one line
-    at a time: the words, then the covers in ``hasse_edges`` order.  The
-    covers of one word come by the swapped position in descending order,
-    which is that order, so no cover pair is held or sorted."""
-    words = enumerate_shuffles(r, s)
-    yield "digraph shuffles {\n"
-    for w in words:
-        yield f'  "{w}";\n'
+def _covers(words):
+    """The covering pairs of the shuffle poset from each of ``words`` in turn.
+    The covers of one word come by the swapped position descending, which is
+    ascending order of the cover, so ascending words give the pairs sorted."""
     for w in words:
         for k in range(len(w) - 2, -1, -1):
             if w[k] == "H" and w[k + 1] == "V":
-                yield f'  "{w}" -> "{w[:k]}VH{w[k + 2:]}";\n'
-    yield "}\n"
+                yield w, f"{w[:k]}VH{w[k + 2:]}"
+
+
+def hasse_edges(r: int, s: int) -> list[tuple[str, str]]:
+    """Covering pairs of the shuffle poset (one ``HV`` swapped to ``VH``), sorted."""
+    return list(_covers(enumerate_shuffles(r, s)))
+
+
+def poset_dot(r: int, s: int):
+    """DOT rendering of the shuffle poset's Hasse diagram, as an iterator of
+    its lines: the words, then the covers in ``hasse_edges`` order.  A
+    negative ``r`` or ``s`` raises here, before any line is read."""
+    words = enumerate_shuffles(r, s)
+    covers = (f'  "{a}" -> "{b}";\n' for a, b in _covers(words))
+    return itertools.chain(["digraph shuffles {\n"], (f'  "{w}";\n' for w in words), covers, ["}\n"])
 
 
 def is_inner_generalized_horn(S, n: int) -> bool:
@@ -514,7 +512,8 @@ def attach_diagram(C: StringComplex, grid: GridDiagram) -> Attachment:
     report and the attachment; the excluded faces are read off the face
     cores of the path cores and the image is their face closure.  ``C``
     need not be face-closed, so the closure walks stop only at faces they
-    visit.
+    visit.  Every call, a no-op one too, builds the report: it checks all
+    of ``C`` for saturation and closes the boundary image, at ``O(|C|)``.
     """
     paths = path_cores(grid)
     hypothesis = _attachment_hypothesis(C, grid, paths)

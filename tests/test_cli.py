@@ -378,6 +378,24 @@ def test_output_probe_leaves_files_alone(tmp_path):
     assert code == 2 and not missing.exists()
 
 
+def test_bad_shape_refused_before_the_dot_output_is_opened(tmp_path):
+    # r and s are checked before --output is opened, so it keeps its bytes
+    existing = tmp_path / "existing.dot"
+    existing.write_text("keep me\n")
+    before = existing.stat()
+    argv = ["shuffles", "--r", "-1", "--s", "1", "--dot", "--output"]
+    code, out, err = run_cli(argv + [str(existing)])
+    _assert_clean_exit_one(code, out, err)
+    assert err == "error: --r must be >= 0\n"
+    after = existing.stat()
+    assert existing.read_text() == "keep me\n"
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    missing = tmp_path / "missing.dot"
+    code, out, err = run_cli(argv + [str(missing)])
+    _assert_clean_exit_one(code, out, err)
+    assert not missing.exists()
+
+
 def test_partial_output_file_is_removed(monkeypatch, tmp_path):
     # the disk fills after the first chunk: no truncated document is left
     real_open = open

@@ -183,12 +183,23 @@ def test_hasse_edges_are_single_swaps():
 def test_poset_dot_shape():
     dot = "".join(poset_dot(1, 1))
     assert dot.startswith("digraph") and '"HV" -> "VH"' in dot
+    # a bad shape raises at the call, before any line is read
+    with pytest.raises(InputError, match="r and s must be >= 0"):
+        poset_dot(-1, 1)
 
 
-def test_poset_dot_streams_the_hasse_edges_in_order():
-    # the covers of each word come without a sort, in hasse_edges order
+def test_hasse_edges_come_sorted_and_poset_dot_streams_them():
+    # the covers of each word come without a sort, in sorted order
     for r in range(5):
         for s in range(5):
+            words = enumerate_shuffles(r, s)
+            covers = [
+                (a, b)
+                for a in words
+                for b in words
+                if any(a[k : k + 2] == "HV" and b == a[:k] + "VH" + a[k + 2 :] for k in range(r + s - 1))
+            ]
+            assert hasse_edges(r, s) == sorted(covers)
             lines = ["digraph shuffles {"]
             lines += [f'  "{w}";' for w in enumerate_shuffles(r, s)]
             lines += [f'  "{a}" -> "{b}";' for a, b in hasse_edges(r, s)]
