@@ -65,7 +65,7 @@ def _check_output(path: str) -> None:
 _FLUSH_SIZE = 1 << 16
 _COUNT_PIECES = 64
 
-# ``_write`` joins this many lines of a line generator into one write.
+# ``_write`` joins this many lines of a line iterator into one write.
 _LINES_PER_WRITE = 4096
 
 # Values that repeat in a document, so their text is encoded once per call;
