@@ -215,7 +215,7 @@ def _emit(args, payload) -> None:
     A file that cannot be written to the end is removed, so a failed run
     leaves no partial output behind.
     """
-    if not args.output or args.output == "-":
+    if args.output == "-":
         _write(payload, sys.stdout.write)
         return
     try:
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
         for name in ("r", "s"):
             if getattr(args, name, None) is not None and getattr(args, name) < 0:
                 raise InputError(f"--{name} must be >= 0")
-        if args.output and args.output != "-":
+        if args.output != "-":
             _check_output(args.output)
         return args.fn(args)
     except InputError as exc:

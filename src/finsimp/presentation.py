@@ -435,7 +435,10 @@ def order_excess(profiles: list[ExcessProfile], alpha: int):
     index is pinned to one of the two junction-adjacent positions.  A
     violation raises with the witnessing string and face index.
     """
-    by_string = {p.string: p for p in profiles}
+    uppers = sorted((p for p in profiles if p.side == "upper"), key=ExcessProfile.weight)
+    # lookups reach faces, of lower degree, and partners, which are uppers
+    top = uppers[-1].degree if uppers else 0
+    by_string = {p.string: p for p in profiles if p.side == "upper" or p.degree < top}
 
     def census_profile(z: MapString, i: int, w: MapString) -> ExcessProfile:
         # the census holds every excess string of degree at most z's, so a
@@ -448,7 +451,6 @@ def order_excess(profiles: list[ExcessProfile], alpha: int):
             )
         return wp
 
-    uppers = sorted((p for p in profiles if p.side == "upper"), key=ExcessProfile.weight)
     report = {
         "cases": Counter(),
         "fibers": Counter(p.weight() for p in uppers),

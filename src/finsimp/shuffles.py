@@ -14,19 +14,13 @@ last shuffle).
 The past of a shuffle (the faces of its simplex that lie in the prism
 boundary or under a smaller shuffle) depends only on the move word.  A face
 is a set of positions ``0..n`` on the shuffle's path, held as an integer
-bitmask.  ``_excluded_faces`` derives the faces outside the past from its
-definition once per word, memoized by the word: an excluded face must hit
-one mask per row value, one per column value and one per smaller shuffle
-(the positions off that shuffle's path), so only the supersets of the
-positions forced by single-position masks are listed and tested.  The
-smaller shuffles are read off the word itself, by the cover lemma: every
-strictly smaller shuffle lies at or below a lower cover (one ``VH``
-swapped to ``HV``), whose off-path mask is the single position between
-the two swapped moves and is contained in the smaller shuffle's mask.  So
-the covers alone give the same excluded faces, with no scan of the shape.
-The excluded family stays small while the faces double with each move, so
-``horn_certificate`` checks the horn shape on it alone, and the attachment
-walk certifies each excluded face.
+bitmask.  ``_excluded_masks`` derives the faces outside the past from its
+definition once per word, memoized by the word, with the smaller shuffles
+read off the word's lower covers (one ``VH`` swapped to ``HV``), so no other
+shuffle of the shape is visited.  The excluded family stays small while the
+faces double with each move, so ``horn_certificate`` checks the horn shape
+on these masks alone; the attachment walk certifies each excluded face,
+read as a position tuple through ``_excluded_faces``.
 
 ``attach_walk`` walks the path cores of one grid: it adds the face closure
 of each new path core to a member set the caller owns, reads the core of
@@ -144,15 +138,10 @@ class HornCertificate(namedtuple("HornCertificate", "sigma kind S facets")):
         return _plain_json(self.json_form())
 
 
-def _positions(mask: int) -> tuple[int, ...]:
-    """The positions set in a face mask, ascending."""
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
-
-
 @lru_cache(maxsize=None)
-def _excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
+def _excluded_masks(word: str) -> tuple[int, ...]:
     """The faces of the simplex of the shuffle ``sigma = word`` outside its
-    past, by size then lexicographically.
+    past, as bitmasks; one pass over the word gives the row and column masks.
 
     A face is a nonempty set of positions ``0..n`` on the path, handled as a
     bitmask.  It lies in the past when its chain lies in the prism boundary,
@@ -175,30 +164,38 @@ def _excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
     the supersets of the forced positions are tested against the other
     masks; the list is exact.
     """
-    r, s = word.count("H"), word.count("V")
-    n = r + s
-    full = (1 << (n + 1)) - 1
-    path = _path(word)
-    hit = {sum(1 << x for x in range(n + 1) if path[x][0] == i) for i in range(r + 1)}
-    hit |= {sum(1 << x for x in range(n + 1) if path[x][1] == j) for j in range(s + 1)}
-    hit |= {1 << (k + 1) for k in range(n - 1) if word[k] == "V" and word[k + 1] == "H"}
-    forced = 0
+    rows, cols, forced = [1], [1], 0
+    for x, move in enumerate(word, 1):
+        if move == "H":
+            rows.append(1 << x)
+            cols[-1] |= 1 << x
+            if x > 1 and word[x - 2] == "V":
+                forced |= 1 << (x - 1)
+        else:
+            cols.append(1 << x)
+            rows[-1] |= 1 << x
+    hit = rows + cols
     for m in hit:
-        if m and not m & (m - 1):
+        if not m & (m - 1):
             forced |= m
     rest = [m for m in hit if not m & forced]
-    free = full & ~forced
+    free = ((2 << len(word)) - 1) & ~forced
     excluded = []
     sub = free
     while True:
         face = forced | sub
-        if face and all(face & m for m in rest):
-            excluded.append(_positions(face))
+        if all(face & m for m in rest):
+            excluded.append(face)
         if not sub:
             break
         sub = (sub - 1) & free
-    excluded.sort(key=lambda idx: (len(idx), idx))
     return tuple(excluded)
+
+
+def _excluded_faces(word: str) -> tuple[tuple[int, ...], ...]:
+    """``_excluded_masks(word)`` as position tuples, by size then lexicographically."""
+    faces = (tuple(x for x in range(m.bit_length()) if m >> x & 1) for m in _excluded_masks(word))
+    return tuple(sorted(faces, key=lambda idx: (len(idx), idx)))
 
 
 def horn_certificate(word: str) -> HornCertificate:
@@ -223,10 +220,10 @@ def horn_certificate(word: str) -> HornCertificate:
         raise InputError("horn certificates need r >= 1 and s >= 1")
     n = r + s
     full = (1 << (n + 1)) - 1
-    excluded = {sum(1 << x for x in idx) for idx in _excluded_faces(word)}
+    excluded = set(_excluded_masks(word))
     if full not in excluded:
         raise CertificateError("shuffle simplex lies in its own past", witness=word)
-    S = tuple(i for i in range(n + 1) if full & ~(1 << i) not in excluded)
+    S = tuple(i for i in range(n + 1) if full ^ (1 << i) not in excluded)
     if word == "V" * s + "H" * r:
         if excluded != {full}:
             raise CertificateError(
@@ -246,7 +243,8 @@ def horn_certificate(word: str) -> HornCertificate:
             )
         kind = "inner"
     # ascending tuple order drops the positions of S in descending order
-    facets = tuple(tuple(x for x in range(n + 1) if x != i) for i in reversed(S))
+    positions = tuple(range(n + 1))
+    facets = tuple(positions[:i] + positions[i + 1:] for i in reversed(S))
     return HornCertificate(word, kind, S, facets)
 
 

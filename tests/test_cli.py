@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import finsimp.cli as cli_mod
 from finsimp import FinMap, MapString
 from finsimp.cli import _complex_from_json, _write_json, main
+from finsimp.errors import InputError
 from finsimp.grids import defect_subcomplex, grid_from_json
 from finsimp.presentation import present
 from finsimp.shuffles import AttachmentCertificate, attach_diagram
@@ -336,6 +337,15 @@ def test_unwritable_output_exits_one(tmp_path):
     code, out, err = run_cli(["skeleton-dim", "--alpha", "1", "--output", str(target)])
     _assert_clean_exit_one(code, out, err)
     assert err.startswith("error: output: ")
+
+
+def test_empty_output_path_exits_one():
+    # an empty path is most often an unset shell variable, not stdout
+    code, out, err = run_cli(["skeleton-dim", "--alpha", "1", "--output", ""])
+    _assert_clean_exit_one(code, out, err)
+    assert err.startswith("error: output: ")
+    with pytest.raises(InputError, match="^output: "):
+        cli_mod._emit(types.SimpleNamespace(output=""), {"skeletal_dimension": 0})
 
 
 def test_console_script_runs():

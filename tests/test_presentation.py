@@ -743,6 +743,18 @@ def _audit_outcome(profiles, alpha):
 
 
 @pytest.mark.parametrize("alpha,degree_bound", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 5)])
+def test_order_audit_never_reads_top_degree_lowers(alpha, degree_bound):
+    # the audit looks up faces, of lower degree, and match partners, which
+    # are uppers: the same order and report, or the same witness, without
+    # the lower profiles of the top degree
+    profiles = excess_strings(alpha, degree_bound)
+    top = max(p.degree for p in profiles)
+    kept = [p for p in profiles if p.side == "upper" or p.degree < top]
+    assert len(kept) < len(profiles)
+    assert _audit_outcome(kept, alpha) == _audit_outcome(profiles, alpha)
+
+
+@pytest.mark.parametrize("alpha,degree_bound", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 5)])
 def test_excess_outputs_keep_census_order(alpha, degree_bound):
     # the profiles come sorted, so neither match_excess nor order_excess
     # re-sorts by serialization, and both give what a re-sort gives

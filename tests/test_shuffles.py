@@ -25,6 +25,7 @@ from finsimp.grids import (
 from finsimp.shuffles import (
     _attachment_hypothesis,
     _excluded_faces,
+    _excluded_masks,
     _path,
     _recover_gaps,
     _shuffles,
@@ -610,6 +611,28 @@ def test_past_closed_form_at_hv_corners():
                     assert oracle_horn_certificate(w).S == S
 
 
+def test_mask_kernel_matches_oracle_and_closed_form():
+    # the cached masks are the oracle's faces as bitmasks, each once, for
+    # r+s <= 7, and the full face less any set of HV corners for r+s <= 8
+    def mask(idx):
+        return sum(1 << x for x in idx)
+
+    for n in range(9):
+        full = (1 << (n + 1)) - 1
+        for r in range(n + 1):
+            for w in enumerate_shuffles(r, n - r):
+                masks = sorted(_excluded_masks(w))
+                if n <= 7:
+                    assert masks == sorted(map(mask, oracle_excluded_faces(w)))
+                corners = [x for x in range(1, n) if w[x - 1] == "H" and w[x] == "V"]
+                expected = {
+                    full & ~mask(drop)
+                    for k in range(len(corners) + 1)
+                    for drop in itertools.combinations(corners, k)
+                }
+                assert len(masks) == len(expected) and set(masks) == expected
+
+
 def test_lower_covers_bound_every_smaller_past():
     # independent of both implementations: each lower cover (one VH swapped
     # to HV) leaves sigma's path at one position, every strictly smaller
@@ -651,13 +674,14 @@ def test_lower_covers_bound_every_smaller_past():
     ],
 )
 def test_every_certificate_check_can_fail(monkeypatch, word, past, message):
-    # a doctored past reaches each raise, in the bitmask code and the oracle.
+    # a doctored past reaches each raise, in the mask kernel and the oracle.
     # The bitmask code lists the facets from S without a search, so its
     # count-and-containment check refuses a past whose overlap has a
     # maximal face of codimension > 1; the oracle's search names it.
     import finsimp.shuffles as shuffles_mod
 
-    monkeypatch.setattr(shuffles_mod, "_excluded_faces", lambda w: past)
+    masks = tuple(sum(1 << x for x in T) for T in past)
+    monkeypatch.setattr(shuffles_mod, "_excluded_masks", lambda w: masks)
     monkeypatch.setattr(helpers, "oracle_excluded_faces", lambda w: past)
     bitmask_message = {
         "overlap has a maximal face of codimension > 1": (
