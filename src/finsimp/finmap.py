@@ -31,6 +31,9 @@ from collections import namedtuple
 
 from .errors import InputError
 
+# The largest cardinality a JSON reader accepts: string walks are linear in it.
+MAX_CARD = 1 << 16
+
 
 class MapClass(enum.Enum):
     BIJECTIVE = "bijective"
@@ -146,6 +149,14 @@ def all_maps(src: int, dst: int):
     return (FinMap(src, dst, img) for img in itertools.product(range(dst), repeat=src))
 
 
+def _check_card(n, where: str) -> None:
+    """Refuse a JSON cardinality that is no integer or exceeds ``MAX_CARD``."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"{where}: expected an integer")
+    if n > MAX_CARD:
+        raise InputError(f"{where}: {n} exceeds the cardinality bound {MAX_CARD}")
+
+
 def from_json(obj, where: str = "map") -> FinMap:
     """Parse a FinMap from ``{"src":…, "dst":…, "img":[…]}``, naming bad fields."""
     if not isinstance(obj, dict):
@@ -154,10 +165,8 @@ def from_json(obj, where: str = "map") -> FinMap:
         if field not in obj:
             raise InputError(f"{where}.{field}: missing")
     src, dst, img = obj["src"], obj["dst"], obj["img"]
-    if not isinstance(src, int) or isinstance(src, bool):
-        raise InputError(f"{where}.src: expected an integer")
-    if not isinstance(dst, int) or isinstance(dst, bool):
-        raise InputError(f"{where}.dst: expected an integer")
+    _check_card(src, f"{where}.src")
+    _check_card(dst, f"{where}.dst")
     if not isinstance(img, list) or any(not isinstance(v, int) or isinstance(v, bool) for v in img):
         raise InputError(f"{where}.img: expected a list of integers")
     try:

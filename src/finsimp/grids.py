@@ -63,7 +63,7 @@ from functools import lru_cache
 
 from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
 from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, classify, compose, identity
-from .finmap import from_json as finmap_from_json
+from .finmap import _check_card, from_json as finmap_from_json
 from .strings import (
     ExtensionTable,
     MapString,
@@ -231,17 +231,15 @@ def complete_from_corner(c: CornerData) -> GridDiagram:
 @lru_cache(maxsize=None)
 def _boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
     """Each boundary facet as ``(k, x)``: shuffle path ``k`` less its
-    position ``x``, which is alone in its row or its column.  Facets are
-    nonempty and without repeats, each named by its first pair; built once
-    per shape."""
-    from .shuffles import _path, _shuffles  # local import to avoid a cycle
+    position ``x``, an end or between two equal moves, so alone in its row
+    or its column.  Only path ``k`` runs through that facet, so facets come
+    without repeats; they are nonempty and built once per shape."""
+    from .shuffles import _shuffles  # local import to avoid a cycle
 
-    facets: dict[tuple, tuple[int, int]] = {}
-    for k, p in enumerate(map(_path, _shuffles(r, s))):
-        for x, (i, j) in enumerate(p):
-            if sum(v[0] == i for v in p) == 1 or sum(v[1] == j for v in p) == 1:
-                facets.setdefault(p[:x] + p[x + 1 :], (k, x))
-    return tuple(kx for ch, kx in facets.items() if ch)
+    return tuple(
+        (k, x) for k, w in enumerate(_shuffles(r, s)) if w  # (0, 0) has one facet, the empty one
+        for x in range(len(w) + 1) if x in (0, len(w)) or w[x - 1] == w[x]
+    )
 
 
 # The face-core positions of each pattern of bijective flags.
@@ -513,15 +511,16 @@ def check_against_enumeration(C: StringComplex, alpha: int, by_degree: list[list
         return
     direct = {z for level in by_degree for z in level}
     if direct != C:
-        only_direct = sorted(direct - C, key=MapString.sort_key)
-        only_union = sorted(C - direct, key=MapString.sort_key)
         raise DualConstructionError(
             "defect enumeration and grid-image union disagree",
-            witness={
-                "only_direct": [serialize(z) for z in only_direct[:5]],
-                "only_union": [serialize(z) for z in only_union[:5]],
-            },
+            witness={"only_direct": _first_outside(direct, C), "only_union": _first_outside(C, direct)},
         )
+
+
+def _first_outside(A, B) -> list[str]:
+    """The first 5 members of ``A`` outside ``B`` in ``sort_key`` order,
+    serialized: the witness of two member sets that differ."""
+    return [serialize(z) for z in sorted(A - B, key=MapString.sort_key)[:5]]
 
 
 def complete_from_staircase(st: MapString) -> GridDiagram:
@@ -644,6 +643,7 @@ def grid_from_json(obj, where: str = "grid") -> GridDiagram:
         for j, v in enumerate(col):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InputError(f"{where}.cards[{i}][{j}]: expected a nonnegative integer")
+            _check_card(v, f"{where}.cards[{i}][{j}]")
     horiz_arr = int_grid("horiz", r, s + 1) if r else obj["horiz"]
     vert_arr = int_grid("vert", r + 1, s) if s else obj["vert"]
     if r == 0 and horiz_arr != []:

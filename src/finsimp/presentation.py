@@ -14,13 +14,13 @@ alone (its past, the gap patterns of its excluded faces, its horn
 certificate and its two records) is certified once per word and replay,
 in a plan the replay owns, so per grid only the work on its strings is
 left: the excluded faces read off the face cores and checked, and the
-closures walked.  ``verify_skeleton`` replays the generators through
-the same state, walking the path cores of each stored grid.  Both first
-walk the member trie of ``E^alpha`` once (``strings.walk_members``), which
-fills the face cores and the saturation cores of every member, so the
-replay cores nothing.  The replayed complex is the grid-image half of the
-dual construction of ``E^alpha``, and ``present`` compares it with the
-members that walk lists.
+closures walked.  ``present`` first walks the member trie of
+``E^alpha`` once (``strings.walk_members``), which fills the face cores
+and the saturation cores of every member, so the replay cores nothing,
+and compares the replayed complex, the grid-image half of the dual
+construction of ``E^alpha``, with the members that walk lists.  It
+re-derives every claim as it runs, so ``verify_skeleton`` runs it again
+and compares: one replay, and nothing a skeleton stores is read back.
 The excess strings (cardinalities bounded, defect above ``alpha``) carry a
 run-length profile that splits them into an upper and a lower class, with
 an inner-face matching between adjacent degrees and a precedence order
@@ -35,8 +35,8 @@ from collections import Counter, defaultdict, namedtuple
 
 from .errors import CertificateError, HypothesisError, InputError, MatchingError, OrderAuditError
 from .finmap import MapClass, _plain_json, epi_mono_factor
-from .grids import GridDiagram, _check_alpha, boundary_cores
-from .grids import check_against_enumeration, defect_subcomplex, enumerate_corner_grids, path_cores
+from .grids import GridDiagram, _check_alpha, _first_outside, boundary_cores
+from .grids import check_against_enumeration, defect_subcomplex, enumerate_corner_grids
 from .shuffles import AttachmentCertificate, attach_walk
 from .strings import (
     MapString,
@@ -106,6 +106,7 @@ class _Replay:
     the last saturation check are checked.  The plans of the shuffle
     words (``shuffles.attach_walk``) live as long as the replay, so each
     word is certified once and its records are shared by every grid.
+    ``present`` is its one user and reads the complex off ``members``.
     """
 
     def __init__(self):
@@ -151,9 +152,6 @@ class _Replay:
         self.unchecked += added
         return records
 
-    def complex(self) -> StringComplex:
-        return StringComplex(self.members)
-
 
 def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
     """Replay the corner grids through certified attachment.
@@ -176,27 +174,28 @@ def present(alpha: int, allow_empty: bool = False) -> PresentationSkeleton:
         recs = replay.attach(z, grid, paths)
         if recs:
             gens.append(Generator(z, grid, tuple(recs)))
-    C = replay.complex()
+    C = StringComplex(replay.members)
     check_against_enumeration(C, alpha, members)
     return PresentationSkeleton(alpha, allow_empty, C, tuple(gens))
 
 
 def verify_skeleton(skel: PresentationSkeleton) -> bool:
-    """Re-run every attachment and compare certificates field by field.
-
-    The alpha of the skeleton is bounded as in ``present``, since the
-    member walk before the replay covers all of ``E^alpha``."""
-    _check_alpha(skel.alpha)
-    walk_members(skel.alpha, skel.allow_empty, saturations=True)
-    replay = _Replay()
-    for k, g in enumerate(skel.generators):
-        fresh = replay.attach(g.corner, g.grid, path_cores(g.grid))
-        if tuple(fresh) != g.records:
-            raise CertificateError(
-                "attachment records changed under replay", witness={"cell": k}
-            )
-    if replay.complex() != skel.complex:
-        raise CertificateError("replay does not reproduce the stored complex")
+    """Recompute the skeleton with ``present`` and compare, the generators
+    cell by cell and then the complex.  The first difference raises, naming
+    the cell and its first differing field (``missing`` or ``extra`` for a
+    cell on one side only); counts, dimension and order derive from these."""
+    fresh = present(skel.alpha, skel.allow_empty)
+    for k, (want, got) in enumerate(itertools.zip_longest(fresh.generators, skel.generators)):
+        if want != got:
+            diff = (f for f in Generator._fields if getattr(want, f) != getattr(got, f))
+            field = "missing" if got is None else "extra" if want is None else next(diff)
+            raise CertificateError("skeleton differs from its recomputation", {"cell": k, "field": field})
+    C, D = fresh.complex, skel.complex
+    if C != D:
+        raise CertificateError(
+            "stored complex differs from its recomputation",
+            witness={"only_fresh": _first_outside(C, D), "only_stored": _first_outside(D, C)},
+        )
     return True
 
 

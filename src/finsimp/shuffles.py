@@ -49,12 +49,6 @@ from .grids import GridDiagram, boundary_cores, is_saturated, path_cores
 from .strings import MapString, StringComplex, face_closure, face_cores
 
 
-def _path(word: str) -> tuple[tuple[int, int], ...]:
-    """The cells of a move word's lattice path: position ``x`` is the cell
-    of the counts of ``H`` and ``V`` in the first ``x`` moves."""
-    return tuple((word.count("H", 0, x), word.count("V", 0, x)) for x in range(len(word) + 1))
-
-
 def enumerate_shuffles(r: int, s: int) -> list[str]:
     """All C(r+s, s) shuffles in a linear extension of the poset order.
 

@@ -93,7 +93,7 @@ from operator import itemgetter
 
 from .errors import InputError
 from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, compose, epi_mono_factor, identity
-from .finmap import from_json as finmap_from_json
+from .finmap import _check_card, from_json as finmap_from_json
 
 
 class MapString(namedtuple("MapString", "card0 maps")):
@@ -464,8 +464,7 @@ def string_from_json(obj, where: str = "string") -> MapString:
     if "card0" not in obj:
         raise InputError(f"{where}.card0: missing")
     card0 = obj["card0"]
-    if not isinstance(card0, int) or isinstance(card0, bool):
-        raise InputError(f"{where}.card0: expected an integer")
+    _check_card(card0, f"{where}.card0")
     maps_obj = obj.get("maps", [])
     if not isinstance(maps_obj, list):
         raise InputError(f"{where}.maps: expected a list")

@@ -4,7 +4,9 @@ the list-based frontier canonicalizer, which computes every step afresh,
 kept as an oracle for the memoised step on interned frontiers,
 the all-chains restriction table kept as an oracle for the grid images
 built from shuffle paths, the restricted boundary facets kept as an oracle
-for the boundary cores read off the path cores, the eager corner-grid
+for the boundary cores read off the path cores, the boundary positions
+found on the cells and deduplicated by chain kept as an oracle for those
+read off the move words, the eager corner-grid
 census and the per-grid image test kept as oracles for the streamed census
 and the incremental image walk, the materialized prior subcomplex and the
 set-of-faces past and horn certificate kept as oracles for the bitmask
@@ -33,7 +35,8 @@ and ``profile_of`` kept as oracles for the runs the census carries, and
 the staircase completion that restricts every shuffle path kept as an
 oracle for ``complete_from_staircase``, which reads the defects off the
 path cores.  It also keeps ``restrict``, ``image_subset`` and
-``corner_from_string``, which the library no longer needs, and
+``corner_from_string`` and ``_path``, the cells of a move word's path,
+which the library no longer needs, and
 ``relabel``, ``is_canonical``, ``corner_of``, ``contains`` and
 ``is_face_closed``, which only the tests use."""
 
@@ -77,7 +80,6 @@ from finsimp.shuffles import (
     HornCertificate,
     _excluded_faces,
     _gap_pattern_checks,
-    _path,
     _recover_gaps,
     _shuffles,
     attach_diagram,
@@ -99,6 +101,12 @@ from finsimp.strings import (
     serialize,
     walk_members,
 )
+
+
+def _path(word: str) -> tuple[tuple[int, int], ...]:
+    """The cells of a move word's lattice path: position ``x`` is the cell
+    of the counts of ``H`` and ``V`` in the first ``x`` moves."""
+    return tuple((word.count("H", 0, x), word.count("V", 0, x)) for x in range(len(word) + 1))
 
 
 def assert_rebuilds(z) -> None:
@@ -705,6 +713,17 @@ def compare_path_cores(grids) -> tuple[int, int, int, Counter]:
                     if t >= 3:
                         bijective["bottom" if k == 0 else "top" if k == t - 1 else "middle"] += 1
     return grids_seen, paths, bad, bijective
+
+
+def oracle_boundary_positions(r: int, s: int) -> tuple[tuple[int, int], ...]:
+    """``_boundary_positions`` from the cells: each position alone in its
+    row or its column, with the facets deduplicated by their cell chains."""
+    facets: dict[tuple, tuple[int, int]] = {}
+    for k, p in enumerate(map(_path, _shuffles(r, s))):
+        for x, (i, j) in enumerate(p):
+            if sum(v[0] == i for v in p) == 1 or sum(v[1] == j for v in p) == 1:
+                facets.setdefault(p[:x] + p[x + 1 :], (k, x))
+    return tuple(kx for ch, kx in facets.items() if ch)
 
 
 def oracle_boundary_facets(r: int, s: int) -> list[tuple[tuple[int, int], ...]]:

@@ -308,6 +308,35 @@ def _assert_clean_exit_one(code, out, err):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_HUGE = 10**8
+_ONE = {"src": 1, "dst": 1, "img": [0]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("defect", {"card0": _HUGE}, "input.card0"),
+        ("defect", {"card0": 1, "maps": [{"src": 1, "dst": _HUGE, "img": [0]}]}, "input.maps[0].dst"),
+        ("subset", [{"card0": _HUGE, "maps": []}], "subset[0].card0"),
+        ("subset", [{"card0": 1, "maps": [{"src": 1, "dst": _HUGE, "img": [0]}]}], "subset[0].maps[0].dst"),
+        ("grid", {"r": 1, "s": 0, "cards": [[_HUGE], [1]], "horiz": [[_ONE]], "vert": [[], []]}, "grid.cards[0][0]"),
+    ],
+)
+def test_cardinality_over_the_bound_exits_one(tmp_path, command, payload, field):
+    # a cardinality no array lists is refused before anything linear in it
+    # is built; at 10**8 the string walk alone would need about 16 GB
+    if command == "defect":
+        code, out, err = run_cli(["defect"], stdin_text=json.dumps(payload))
+    else:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        inputs = {"subset": str(FIXTURES / "attach_subset_e1.json"), "grid": str(FIXTURES / "attach_grid_1_1.json")}
+        inputs[command] = str(path)
+        code, out, err = run_cli(["attach", "--subset", inputs["subset"], "--grid", inputs["grid"]])
+    _assert_clean_exit_one(code, out, err)
+    assert f"{field}: {_HUGE} exceeds the cardinality bound 65536" in err
+
+
 def test_subset_not_utf8_exits_one(tmp_path):
     subset = tmp_path / "latin1.json"
     subset.write_bytes(b'["\xe9"]')

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from finsimp import FinMap, MapClass, classify, compose, epi_mono_factor, identity
 from finsimp.errors import InputError
-from finsimp.finmap import all_maps, from_json
+from finsimp.finmap import MAX_CARD, all_maps, from_json
 from helpers import assert_rebuilds
 
 
@@ -166,6 +166,15 @@ def test_json_diagnostics_name_fields(obj, fragment):
     with pytest.raises(InputError, match=None) as exc:
         from_json(obj)
     assert fragment in str(exc.value)
+
+
+def test_json_cardinalities_are_bounded():
+    assert from_json({"src": 0, "dst": MAX_CARD, "img": []}) == FinMap(0, MAX_CARD, ())
+    for field in ("src", "dst"):
+        # refused before the image is read, so nothing of that size is built
+        obj = {"src": 0, "dst": 1, "img": []} | {field: MAX_CARD + 1}
+        with pytest.raises(InputError, match=f"map.{field}: {MAX_CARD + 1} exceeds the cardinality bound {MAX_CARD}"):
+            from_json(obj)
 
 
 # Maps derived from valid maps are built without validation; each must equal

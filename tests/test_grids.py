@@ -20,20 +20,22 @@ from finsimp import (
     is_saturated,
 )
 from finsimp.errors import CertificateError, InputError, StaircaseDefectError
-from finsimp.finmap import all_maps
+from finsimp.finmap import MAX_CARD, all_maps
 from finsimp import grids, strings
 from finsimp.grids import (
     GridDiagram,
+    _boundary_positions,
     boundary_cores,
     boundary_image,
     enumerate_corner_grids,
     grid_from_json,
     path_cores,
 )
-from finsimp.shuffles import _path, _shuffles
+from finsimp.shuffles import _shuffles
 from finsimp.strings import StringComplex, enumerate_nondegenerate, interned_core, serialize
 
 from helpers import (
+    _path,
     are_isomorphic,
     assert_rebuilds,
     census_corner_strings,
@@ -47,6 +49,7 @@ from helpers import (
     iter_chains,
     oracle_boundary_facets,
     oracle_boundary_image,
+    oracle_boundary_positions,
     oracle_chain_cores,
     oracle_complete_from_staircase,
     oracle_corner_grids,
@@ -310,6 +313,14 @@ def test_grid_json_round_trip():
         assert grid_from_json(g.to_json()) == g
 
 
+def test_grid_json_bounds_cards():
+    obj = {"r": 0, "s": 0, "cards": [[MAX_CARD]], "horiz": [], "vert": [[]]}
+    assert grid_from_json(obj).cards == ((MAX_CARD,),)
+    obj["cards"] = [[MAX_CARD + 1]]
+    with pytest.raises(InputError, match=r"grid.cards\[0\]\[0\]: 65537 exceeds the cardinality bound 65536"):
+        grid_from_json(obj)
+
+
 def test_grid_json_diagnostics():
     c = CornerData(2, top=(FinMap(1, 2, (0,)),), left=(FinMap(2, 1, (0, 0)),))
     obj = complete_from_corner(c).to_json()
@@ -514,6 +525,14 @@ def test_boundary_cores_match_restricted_facets():
         derived = boundary_cores(g, paths)
         assert derived == [interned_core(restrict(g, ch)) for ch in oracle_boundary_facets(g.r, g.s)]
         assert boundary_image(g) == oracle_boundary_image(g)
+
+
+def test_boundary_positions_match_the_cell_oracle():
+    # the positions read off the move words are those alone in their row or
+    # column on the cells, in the same order, and no facet is named twice
+    for r in range(7):
+        for s in range(7):
+            assert _boundary_positions(r, s) == oracle_boundary_positions(r, s)
 
 
 def test_cached_tables_are_invisible():

@@ -564,8 +564,65 @@ def test_verify_skeleton_detects_tampering():
     tampered = recs[:-1] + (recs[-1]._replace(sigma="VH" if recs[-1].sigma != "VH" else "HV"),)
     gens[-1] = gens[-1]._replace(records=tampered)
     broken = skel._replace(generators=tuple(gens))
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError) as err:
         verify_skeleton(broken)
+    assert err.value.witness == {"cell": len(gens) - 1, "field": "records"}
+
+
+def _tampered(how):
+    if how == "cut":
+        # the first 10 of 29 generators, stored with the complex they replay
+        # to: each attachment adds exactly its grid's image
+        skel = present(3)
+        gens = skel.generators[:10]
+        return skel._replace(generators=gens, complex=StringComplex(z for g in gens for z in image_subset(g.grid)))
+    if how == "corner":
+        skel = present(3)
+        gens = list(skel.generators)
+        gens[5] = gens[5]._replace(corner=gens[6].corner)
+        return skel._replace(generators=tuple(gens))
+    skel = present(2)
+    if how == "repeat":
+        return skel._replace(generators=skel.generators + skel.generators[-1:])
+    top = max(skel.complex, key=MapString.sort_key)
+    return skel._replace(complex=StringComplex(skel.complex - {top}))
+
+
+@pytest.mark.parametrize(
+    "how, witness",
+    [
+        ("cut", {"cell": 10, "field": "missing"}),
+        ("corner", {"cell": 5, "field": "corner"}),
+        ("repeat", {"cell": 5, "field": "extra"}),
+        ("member", None),
+    ],
+)
+def test_verify_skeleton_names_the_first_difference(how, witness):
+    broken = _tampered(how)
+    with pytest.raises(CertificateError) as err:
+        verify_skeleton(broken)
+    if witness is None:
+        top = max(present(2).complex, key=MapString.sort_key)
+        witness = {"only_fresh": [serialize(top)], "only_stored": []}
+    assert err.value.witness == witness
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_verify_skeleton_accepts_present(alpha, allow_empty):
+    assert verify_skeleton(present(alpha, allow_empty))
+
+
+@pytest.mark.parametrize(
+    "allow_empty, counts", [(False, [1, 5, 29, 305]), (True, [3, 11, 59, 611])]
+)
+def test_every_corner_grid_is_a_generator(allow_empty, counts):
+    # present keeps a grid only when its attachment adds members; no corner
+    # grid has been dropped at any alpha run so far
+    for alpha, n in enumerate(counts, 1):
+        corners = [z for z, *_ in enumerate_corner_grids(alpha, allow_empty)]
+        assert [g.corner for g in present(alpha, allow_empty).generators] == corners
+        assert len(corners) == n
 
 
 def test_verify_skeleton_refuses_an_alpha_present_refuses():

@@ -26,7 +26,6 @@ from finsimp.shuffles import (
     _attachment_hypothesis,
     _excluded_faces,
     _excluded_masks,
-    _path,
     _recover_gaps,
     _shuffles,
     attach_walk,
@@ -37,6 +36,7 @@ from finsimp.strings import StringComplex, face
 
 import helpers
 from helpers import (
+    _path,
     chain_in_boundary,
     contains,
     corner_from_string,

@@ -15,7 +15,7 @@ from finsimp import (
     saturate,
 )
 from finsimp.errors import InputError
-from finsimp.finmap import identity
+from finsimp.finmap import MAX_CARD, identity
 from finsimp.grids import defect_subcomplex, enumerate_corner_grids, path_cores
 import finsimp.strings as strings_mod
 from finsimp.strings import (
@@ -390,6 +390,12 @@ def test_string_from_json_diagnostics():
     with pytest.raises(InputError) as exc:
         string_from_json({"card0": 2, "maps": [{"src": 1, "dst": 3, "img": [0]}]})
     assert "maps[0]" in str(exc.value)
+
+
+def test_string_from_json_bounds_card0():
+    assert string_from_json({"card0": MAX_CARD}) == MapString(MAX_CARD)
+    with pytest.raises(InputError, match=f"string.card0: {MAX_CARD + 1} exceeds the cardinality bound"):
+        string_from_json({"card0": MAX_CARD + 1})
 
 
 def test_is_canonical():
