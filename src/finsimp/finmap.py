@@ -14,7 +14,7 @@ completion).  A map derived from valid maps is valid by construction, so
 ``identity``, ``compose`` and ``epi_mono_factor`` build theirs with the one
 unchecked constructor ``_unchecked_map``, which is ``tuple.__new__(FinMap,
 (src, dst, img))``; so do ``strings.canonicalize`` and
-``grids.complete_from_corner``.
+the grid fill ``grids._add_column``.
 
 The value classes of the package state their JSON once, as a shallow form
 ``json_form()``: a dict whose children may be values themselves, tuples

@@ -8,10 +8,16 @@ its corner data (top row plus left column), and restricting along monotone
 paths turns grids into strings.
 
 A grid is checked once, where it enters: ``grid_from_json`` and
-``complete_from_staircase`` validate the grid they build, while
-``complete_from_corner`` validates its ``CornerData`` and builds a grid
-valid by construction, with unchecked maps.  The corner census grows the
-same grids, unchecked too, from corner strings its tables build valid.
+``complete_from_staircase`` validate the grid they build, and
+``GridDiagram.validate`` is the one check of a grid's shape, so
+``grid_from_json`` checks only the types of its arrays and the number of
+shuffle paths, at most ``MAX_PATHS``, before it reads one.  A grid is
+filled from its corner one way: its left column, then one column per top
+map by ``_add_column``, which takes any injection, keeps its order for
+the new top cell and lists each cell below increasingly.
+``complete_from_corner`` validates its ``CornerData`` and grows the grid
+so, with unchecked maps; the corner census grows its grids the same way,
+each from its parent, from corner strings its tables build valid.
 
 The image of a grid is the face closure of the cores of its
 ``C(r+s, s)`` shuffle paths: every chain of the cell poset lies on some
@@ -42,7 +48,8 @@ columns, and the path cores it yields with the grid continue the
 parent's walk up the new column, so ``present`` and ``defect_subcomplex``
 walk only parents whole, once each.  Only the parents still to extend
 and the children grown so far are held.  ``complete_from_corner`` and
-``path_cores`` serve grids from elsewhere and are the census's oracles.
+``path_cores`` serve grids from elsewhere; the tests check the census
+against the fill by ambient labels kept in ``tests/helpers.py``.
 The shuffles (in ``shuffles._shuffles``) and the boundary facet
 positions are cached per ``(r, s)``, and each step of the path walk per
 frontier and map, in the memo ``canonicalize`` shares.
@@ -58,11 +65,12 @@ memo too, so their grid loops core nothing; its lists of members are what
 
 from __future__ import annotations
 
+import math
 from collections import deque, namedtuple
 from functools import lru_cache
 
 from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
-from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, classify, compose, identity
+from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, classify, compose
 from .finmap import _check_card, from_json as finmap_from_json
 from .strings import (
     ExtensionTable,
@@ -163,9 +171,6 @@ class CornerData(namedtuple("CornerData", "corner_card top left", defaults=((), 
                 raise InputError(f"left[{k}] is not surjective")
             prev = f.dst
 
-    def is_nondegenerate(self) -> bool:
-        return all(not f.is_bijective for f in self.top + self.left)
-
     def to_string(self) -> MapString:
         """Read the corner as a single string, column first then row."""
         maps = tuple(reversed(self.left)) + self.top
@@ -174,58 +179,20 @@ class CornerData(namedtuple("CornerData", "corner_card top left", defaults=((), 
 
 
 def complete_from_corner(c: CornerData) -> GridDiagram:
-    """Fill the grid whose cell ``(i,j)`` is the image of ``(i,s)`` in ``(0,j)``.
+    """The grid of corner data ``c``: its left column, grown by one
+    ``_add_column`` per top map, as the corner census grows its grids.
 
-    Horizontal maps become inclusions of image subsets (re-indexed along the
-    increasing enumeration) and vertical maps are the restricted quotients.
-    The corner data is validated and the grid is valid by construction, so
-    it is not re-checked: each cell is a subset of the labels of ``(0, j)``,
-    rows include these subsets, columns restrict the corner's surjections
-    to them, and both composites of a square restrict the same ambient map.
+    The grid keeps ``c.top`` as its top row and ``c.left`` as its left
+    column.  The corner data is validated and the grid is valid by
+    construction, so it is not re-checked.
     """
     c.validate()
-    r, s = c.r, c.s
-    # inc[i]: composite injection (i,s) -> (0,s); quo[j]: composite surjection (0,s) -> (0,j)
-    inc = [identity(c.corner_card)]
+    z = c.to_string()
+    grid = _column(_unchecked_string(z.card0, z.maps[: c.s]))
+    maps: dict[FinMap, FinMap] = {}
     for f in c.top:
-        inc.append(compose(inc[-1], f))
-    quo = [identity(c.corner_card)]
-    for f in c.left:
-        quo.append(compose(f, quo[-1]))
-    quo.reverse()  # quo[j]: (0,s) -> (0,j)
-    subsets = [
-        [tuple(sorted({quo[j].img[v] for v in inc[i].img})) for j in range(s + 1)]
-        for i in range(r + 1)
-    ]
-    cards = tuple(tuple(len(subsets[i][j]) for j in range(s + 1)) for i in range(r + 1))
-    pos = [
-        [{v: k for k, v in enumerate(subsets[i][j])} for j in range(s + 1)]
-        for i in range(r + 1)
-    ]
-    horiz = tuple(
-        tuple(
-            _unchecked_map(
-                cards[i + 1][j],
-                cards[i][j],
-                tuple(pos[i][j][v] for v in subsets[i + 1][j]),
-            )
-            for j in range(s + 1)
-        )
-        for i in range(r)
-    )
-    step = [c.left[s - 1 - j] for j in range(s)]  # step[j]: (0,j+1) -> (0,j) on ambient labels
-    vert = tuple(
-        tuple(
-            _unchecked_map(
-                cards[i][j + 1],
-                cards[i][j],
-                tuple(pos[i][j][step[j].img[v]] for v in subsets[i][j + 1]),
-            )
-            for j in range(s)
-        )
-        for i in range(r + 1)
-    )
-    return GridDiagram(r, s, cards, horiz, vert)
+        grid = _add_column(grid, f, maps)
+    return grid
 
 
 @lru_cache(maxsize=None)
@@ -342,15 +309,22 @@ def is_saturated(C: StringComplex) -> bool:
     return all(_saturation_core(z) in C for z in C if z.degree >= 1)
 
 
+def _column(z: MapString) -> GridDiagram:
+    """The grid of one column whose vertical maps are those of ``z``."""
+    return GridDiagram(0, z.degree, (z.cards(),), (), (z.maps,))
+
+
 def _add_column(parent: GridDiagram, f: FinMap, maps: dict[FinMap, FinMap]) -> GridDiagram:
     """The child of ``parent`` whose top row goes on by the injection ``f``.
 
-    New cell ``(i+1, j)`` is the image of ``(i+1, s)`` in ``(i, j)``,
-    listed increasingly, as ``complete_from_corner`` fills it.  The maps of
-    the extension tables have increasing image tuples, so ``f`` lists the
-    new top right cell increasingly and every cell keeps its corner labels.
-    Each map of the new column is interned in ``maps``, a dict the census
-    call owns, so grids share every map they have in common.
+    Any injective ``f`` works, and its order labels the new top right cell,
+    so the child's top row ends in ``f`` itself.  Each new cell
+    ``(i+1, j)`` below it is the image of the new cell above it under
+    ``vert[i][j]``, a subset of ``(i, j)`` listed increasingly, with the
+    inclusion as its row map and the restriction of ``vert[i][j]`` as its
+    column map.  Each map of the new column is interned in ``maps``, a dict
+    the caller owns, so the grids one call grows share every map they have
+    in common.
     """
     i, s = parent.r, parent.s
     intern = maps.setdefault
@@ -417,15 +391,12 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
             )
         return split[r == 0]
 
-    def column(z: MapString) -> GridDiagram:
-        return GridDiagram(0, z.degree, (z.cards(),), (), (z.maps,))
-
     # each entry ``(z, frontier, grid)``: the remaining parents of one
     # degree, then the children grown so far
     queue = deque()
     for c in sorted(range(lo, max_card + 1), key=lambda c: serialize(MapString(c))):
         z = MapString(c)
-        grid = column(z)
+        grid = _column(z)
         yield z, 0, 0, grid, _cores(_last_column(grid), c, 0)
         queue.append((z, _start_frontier(c), grid))
     while queue:
@@ -433,7 +404,7 @@ def enumerate_corner_grids(max_card: int, allow_empty: bool = False):
         states = None
         for w, top, e in canonical_extensions(z, frontier, extensions(z.cards()[-1], parent.r)):
             if e.inc:
-                grid = column(w)
+                grid = _column(w)
                 walked = _last_column(grid)
             else:
                 if states is None:
@@ -616,6 +587,13 @@ def complete_from_staircase(st: MapString) -> GridDiagram:
     return grid
 
 
+# The most shuffle paths, ``C(r+s, s)``, that ``grid_from_json`` admits in a
+# grid: ``attach`` walks every one of them.  ``r = s = 8`` has 12,870; the
+# 10 x 10 grid of identities took 2.6 s and 225 MB in ``attach`` unbounded
+# (2-core Xeon, Python 3.11).
+MAX_PATHS = 1 << 14
+
+
 def grid_from_json(obj, where: str = "grid") -> GridDiagram:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected an object")
@@ -628,38 +606,25 @@ def grid_from_json(obj, where: str = "grid") -> GridDiagram:
     for name, v in (("r", r), ("s", s)):
         if v < 0:
             raise InputError(f"{where}.{name}: expected a nonnegative integer, got {v}")
-
-    def int_grid(name, n_i, n_j):
-        arr = obj[name]
-        if not isinstance(arr, list) or len(arr) != n_i:
-            raise InputError(f"{where}.{name}: expected a list of length {n_i}")
-        for i, col in enumerate(arr):
-            if not isinstance(col, list) or len(col) != n_j:
-                raise InputError(f"{where}.{name}[{i}]: expected a list of length {n_j}")
-        return arr
-
-    cards_arr = int_grid("cards", r + 1, s + 1)
-    for i, col in enumerate(cards_arr):
+    # C(r+s, s) >= r+s once r, s >= 1, so no huge binomial is computed
+    if r and s and (r + s > MAX_PATHS or math.comb(r + s, s) > MAX_PATHS):
+        raise InputError(f"{where}: r={r} and s={s} give more than MAX_PATHS={MAX_PATHS} shuffle paths")
+    for name in ("cards", "horiz", "vert"):
+        if not isinstance(obj[name], list) or not all(isinstance(col, list) for col in obj[name]):
+            raise InputError(f"{where}.{name}: expected a list of lists")
+    for i, col in enumerate(obj["cards"]):
         for j, v in enumerate(col):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InputError(f"{where}.cards[{i}][{j}]: expected a nonnegative integer")
             _check_card(v, f"{where}.cards[{i}][{j}]")
-    horiz_arr = int_grid("horiz", r, s + 1) if r else obj["horiz"]
-    vert_arr = int_grid("vert", r + 1, s) if s else obj["vert"]
-    if r == 0 and horiz_arr != []:
-        raise InputError(f"{where}.horiz: expected [] when r=0")
-    if s == 0:
-        if not isinstance(vert_arr, list) or any(col != [] for col in vert_arr):
-            raise InputError(f"{where}.vert: expected empty columns when s=0")
-    horiz = tuple(
-        tuple(finmap_from_json(m, f"{where}.horiz[{i}][{j}]") for j, m in enumerate(col))
-        for i, col in enumerate(horiz_arr)
-    )
-    vert = tuple(
-        tuple(finmap_from_json(m, f"{where}.vert[{i}][{j}]") for j, m in enumerate(col))
-        for i, col in enumerate(vert_arr)
-    )
-    grid = GridDiagram(r, s, tuple(tuple(col) for col in cards_arr), horiz, vert)
+
+    def maps(name):
+        return tuple(
+            tuple(finmap_from_json(m, f"{where}.{name}[{i}][{j}]") for j, m in enumerate(col))
+            for i, col in enumerate(obj[name])
+        )
+
+    grid = GridDiagram(r, s, tuple(map(tuple, obj["cards"])), maps("horiz"), maps("vert"))
     try:
         grid.validate()
     except InputError as exc:

@@ -34,7 +34,9 @@ shallow ``json_form`` of each value class, the map-by-map ``_top_runs``
 and ``profile_of`` kept as oracles for the runs the census carries, and
 the staircase completion that restricts every shuffle path kept as an
 oracle for ``complete_from_staircase``, which reads the defects off the
-path cores.  It also keeps ``restrict``, ``image_subset`` and
+path cores, and the fill by ambient labels kept as an oracle for
+``complete_from_corner``, which grows its columns as the corner census
+does.  It also keeps ``restrict``, ``image_subset`` and
 ``corner_from_string`` and ``_path``, the cells of a move word's path,
 which the library no longer needs, and
 ``relabel``, ``is_canonical``, ``corner_of``, ``contains`` and
@@ -56,7 +58,7 @@ from finsimp.errors import (
     MatchingError,
     StaircaseDefectError,
 )
-from finsimp.finmap import MapClass, all_maps, classify
+from finsimp.finmap import MapClass, _unchecked_map, all_maps, classify
 from finsimp.grids import (
     CornerData,
     GridDiagram,
@@ -537,6 +539,19 @@ def proper_grid(r, s):
     return complete_from_corner(CornerData(c, top, left))
 
 
+def identity_grid_json(n: int) -> dict:
+    """The JSON of the ``n x n`` grid of singletons and identities, which has
+    ``C(2n, n)`` shuffle paths."""
+    one = {"src": 1, "dst": 1, "img": [0]}
+    return {
+        "r": n,
+        "s": n,
+        "cards": [[1] * (n + 1) for _ in range(n + 1)],
+        "horiz": [[one] * (n + 1) for _ in range(n)],
+        "vert": [[one] * n for _ in range(n + 1)],
+    }
+
+
 def relabel_grid(grid, rng: random.Random) -> GridDiagram:
     """The same grid with every cell relabelled by a random bijection, so
     its bijective arrows are no longer identities; validated."""
@@ -818,13 +833,110 @@ def oracle_complete_from_staircase(st: MapString) -> GridDiagram:
     return grid
 
 
+def oracle_complete_from_corner(c: CornerData) -> GridDiagram:
+    """Fill the grid whose cell ``(i,j)`` is the image of ``(i,s)`` in ``(0,j)``.
+
+    Horizontal maps become inclusions of image subsets (re-indexed along the
+    increasing enumeration) and vertical maps are the restricted quotients.
+    The corner data is validated and the grid is valid by construction, so
+    it is not re-checked: each cell is a subset of the labels of ``(0, j)``,
+    rows include these subsets, columns restrict the corner's surjections
+    to them, and both composites of a square restrict the same ambient map.
+    """
+    c.validate()
+    r, s = c.r, c.s
+    # inc[i]: composite injection (i,s) -> (0,s); quo[j]: composite surjection (0,s) -> (0,j)
+    inc = [identity(c.corner_card)]
+    for f in c.top:
+        inc.append(compose(inc[-1], f))
+    quo = [identity(c.corner_card)]
+    for f in c.left:
+        quo.append(compose(f, quo[-1]))
+    quo.reverse()  # quo[j]: (0,s) -> (0,j)
+    subsets = [
+        [tuple(sorted({quo[j].img[v] for v in inc[i].img})) for j in range(s + 1)]
+        for i in range(r + 1)
+    ]
+    cards = tuple(tuple(len(subsets[i][j]) for j in range(s + 1)) for i in range(r + 1))
+    pos = [
+        [{v: k for k, v in enumerate(subsets[i][j])} for j in range(s + 1)]
+        for i in range(r + 1)
+    ]
+    horiz = tuple(
+        tuple(
+            _unchecked_map(
+                cards[i + 1][j],
+                cards[i][j],
+                tuple(pos[i][j][v] for v in subsets[i + 1][j]),
+            )
+            for j in range(s + 1)
+        )
+        for i in range(r)
+    )
+    step = [c.left[s - 1 - j] for j in range(s)]  # step[j]: (0,j+1) -> (0,j) on ambient labels
+    vert = tuple(
+        tuple(
+            _unchecked_map(
+                cards[i][j + 1],
+                cards[i][j],
+                tuple(pos[i][j][step[j].img[v]] for v in subsets[i][j + 1]),
+            )
+            for j in range(s)
+        )
+        for i in range(r + 1)
+    )
+    return GridDiagram(r, s, cards, horiz, vert)
+
+
+def all_corner_data(corner_cards, max_r: int, max_s: int):
+    """Every corner data with a corner cardinality in ``corner_cards``, at
+    most ``max_r`` top maps and at most ``max_s`` left maps, bijections and
+    empty sets included."""
+
+    def chains(card: int, k: int, injective: bool):
+        yield ()
+        for other in range(card + 1) if k else ():
+            for f in all_maps(other, card) if injective else all_maps(card, other):
+                if f.is_injective if injective else f.is_surjective:
+                    for rest in chains(other, k - 1, injective):
+                        yield (f,) + rest
+
+    for card in corner_cards:
+        lefts = list(chains(card, max_s, False))
+        for top in chains(card, max_r, True):
+            for left in lefts:
+                yield CornerData(card, top, left)
+
+
+def compare_completions(corners) -> Counter:
+    """Fill each corner data by ``complete_from_corner``, check the grid,
+    fill it by the oracle too, and count: the corners; the grids whose
+    cards or path cores differ from the oracle's; those whose top row or
+    left column is not the corner's own; the corners whose top maps all
+    have increasing images; and those of them whose grids differ."""
+    counts = Counter()
+    for c in corners:
+        grid, want = complete_from_corner(c), oracle_complete_from_corner(c)
+        grid.validate()
+        differ = grid != want
+        increasing = all(list(f.img) == sorted(f.img) for f in c.top)
+        counts["corners"] += 1
+        counts["cards or cores differ"] += differ and (
+            grid.cards != want.cards or path_cores(grid) != path_cores(want)
+        )
+        counts["corner not kept"] += corner_of(grid) != c
+        counts["increasing tops"] += increasing
+        counts["increasing tops, grids differ"] += increasing and differ
+    return counts
+
+
 def oracle_corner_grids(max_card: int, allow_empty: bool) -> list:
-    """Every corner grid completed up front from the canonicalize-then-dedupe
-    corner strings, then sorted."""
+    """Every corner grid completed up front by the oracle fill from the
+    canonicalize-then-dedupe corner strings, then sorted."""
     entries = []
     for z, s in oracle_corner_strings(max_card, allow_empty):
         r = z.degree - s
-        grid = complete_from_corner(corner_from_string(z, s, r))
+        grid = oracle_complete_from_corner(corner_from_string(z, s, r))
         entries.append((z, s, r, grid))
     entries.sort(key=lambda e: (e[0].degree, serialize(e[0]), e[1]))
     return entries

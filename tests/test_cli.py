@@ -16,11 +16,11 @@ import finsimp.cli as cli_mod
 from finsimp import FinMap, MapString
 from finsimp.cli import _complex_from_json, _write_json, main
 from finsimp.errors import InputError
-from finsimp.grids import defect_subcomplex, grid_from_json
+from finsimp.grids import MAX_PATHS, defect_subcomplex, grid_from_json
 from finsimp.presentation import present
 from finsimp.shuffles import AttachmentCertificate, attach_diagram
 from finsimp.shuffles import enumerate_shuffles, horn_certificate
-from helpers import expand_values, oracle_to_json
+from helpers import expand_values, identity_grid_json, oracle_to_json
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -125,20 +125,21 @@ def test_attach_subset_not_face_closed(tmp_path):
 
 def test_attach_oversized_identity_grid(tmp_path):
     # a (6,6) grid of singletons has 1.15M chains but only 924 shuffle paths
-    n = 6
-    one = {"src": 1, "dst": 1, "img": [0]}
-    grid = {
-        "r": n,
-        "s": n,
-        "cards": [[1] * (n + 1) for _ in range(n + 1)],
-        "horiz": [[one] * (n + 1) for _ in range(n)],
-        "vert": [[one] * n for _ in range(n + 1)],
-    }
     grid_path, subset = tmp_path / "grid.json", tmp_path / "point.json"
-    grid_path.write_text(json.dumps(grid))
+    grid_path.write_text(json.dumps(identity_grid_json(6)))
     subset.write_text(json.dumps([{"card0": 1, "maps": []}]))
     code, out, err = run_cli(["attach", "--subset", str(subset), "--grid", str(grid_path)])
     assert code == 0, err
+
+
+def test_attach_refuses_too_many_shuffle_paths(tmp_path):
+    # a (9,9) grid of singletons has 48,620 shuffle paths, over MAX_PATHS
+    grid_path, subset = tmp_path / "grid.json", tmp_path / "point.json"
+    grid_path.write_text(json.dumps(identity_grid_json(9)))
+    subset.write_text(json.dumps([{"card0": 1, "maps": []}]))
+    code, out, err = run_cli(["attach", "--subset", str(subset), "--grid", str(grid_path)])
+    _assert_clean_exit_one(code, out, err)
+    assert f"grid: r=9 and s=9 give more than MAX_PATHS={MAX_PATHS} shuffle paths" in err
 
 
 def _count_attach_calls(monkeypatch, tmp_path, fn_names):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import random
 from collections import Counter
@@ -36,14 +37,17 @@ from finsimp.strings import StringComplex, enumerate_nondegenerate, interned_cor
 
 from helpers import (
     _path,
+    all_corner_data,
     are_isomorphic,
     assert_rebuilds,
     census_corner_strings,
     chain_in_boundary,
+    compare_completions,
     compare_path_cores,
     contains,
     corner_from_string,
     corner_of,
+    identity_grid_json,
     image_subset,
     is_face_closed,
     iter_chains,
@@ -51,6 +55,7 @@ from helpers import (
     oracle_boundary_image,
     oracle_boundary_positions,
     oracle_chain_cores,
+    oracle_complete_from_corner,
     oracle_complete_from_staircase,
     oracle_corner_grids,
     oracle_corner_strings,
@@ -81,41 +86,19 @@ def test_complete_one_by_one():
 
 
 def test_complete_invariants_exhaustive():
-    # all corner data with cards <= 3 and r,s <= 2, including degenerate arrows
-    def injections(dst):
-        for src in range(dst + 1):
-            for f in all_maps(src, dst):
-                if f.is_injective:
-                    yield f
-
-    def surjections(src):
-        for dst in range(src + 1):
-            for f in all_maps(src, dst):
-                if f.is_surjective:
-                    yield f
-
-    count = 0
-    for corner_card in range(1, 4):
-        tops = [()]
-        tops += [(f,) for f in injections(corner_card)]
-        tops += [
-            (f1, f2)
-            for f1 in injections(corner_card)
-            for f2 in injections(f1.src)
-        ]
-        lefts = [()]
-        lefts += [(f,) for f in surjections(corner_card)]
-        lefts += [
-            (f1, f2)
-            for f1 in surjections(corner_card)
-            for f2 in surjections(f1.dst)
-        ]
-        for top in tops:
-            for left in lefts:
-                g = complete_from_corner(CornerData(corner_card, top, left))
-                g.validate()  # injective rows, surjective columns, commuting
-                count += 1
-    assert count > 100
+    # all corner data with cards <= 3 and r,s <= 2, including degenerate
+    # arrows: each fill is a valid grid (injective rows, surjective columns,
+    # commuting squares) with the oracle's cards and path cores, keeps the
+    # corner's top row and left column, and is the oracle's grid when every
+    # top map lists its image increasingly
+    counts = compare_completions(all_corner_data(range(1, 4), 2, 2))
+    assert counts == {
+        "corners": 16899,
+        "cards or cores differ": 0,
+        "corner not kept": 0,
+        "increasing tops": 4168,
+        "increasing tops, grids differ": 0,
+    }
 
 
 def test_completion_unique_up_to_levelwise_bijection():
@@ -336,6 +319,46 @@ def test_grid_json_diagnostics():
         assert str(exc.value) == f"grid.{name}: expected a nonnegative integer, got {value}"
 
 
+def test_grid_json_bounds_shuffle_paths():
+    # attach walks all C(r+s, s) shuffle paths of a grid: 12,870 at (8, 8)
+    # are read, 48,620 at (9, 9) are refused before any array is read, and
+    # a huge size is refused without its binomial
+    assert math.comb(16, 8) <= grids.MAX_PATHS < math.comb(18, 9)
+    assert grid_from_json(identity_grid_json(8)).r == 8
+    for r, s in ((9, 9), (10**12, 10**12), (1, grids.MAX_PATHS)):
+        bad = dict(identity_grid_json(1), r=r, s=s, cards="not an array")
+        with pytest.raises(InputError) as exc:
+            grid_from_json(bad)
+        assert str(exc.value) == f"grid: r={r} and s={s} give more than MAX_PATHS={grids.MAX_PATHS} shuffle paths"
+    # one path, however long: the shape check refuses the short arrays
+    with pytest.raises(InputError, match=r"^grid: cards must be an \(r\+1\) x \(s\+1\) array$"):
+        grid_from_json(dict(identity_grid_json(0), r=10**12))
+
+
+def test_grid_json_leaves_every_length_to_validate():
+    # the reader checks only that the arrays are lists of lists; every
+    # length mismatch, r = 0 and s = 0 included, reads as validate's message
+    one = {"src": 1, "dst": 1, "img": [0]}
+    for change, message in (
+        ({"cards": [[1, 1]]}, "cards must be an (r+1) x (s+1) array"),
+        ({"cards": [[1, 1], [1]]}, "cards must be an (r+1) x (s+1) array"),
+        ({"horiz": []}, "horiz must be an r x (s+1) array"),
+        ({"horiz": [[one]]}, "horiz must be an r x (s+1) array"),
+        ({"vert": [[one]]}, "vert must be an (r+1) x s array"),
+        ({"vert": [[one], []]}, "vert must be an (r+1) x s array"),
+        ({"r": 0, "cards": [[1, 1]], "vert": [[one]]}, "horiz must be an r x (s+1) array"),
+        ({"s": 0, "cards": [[1], [1]], "horiz": [[one]]}, "vert must be an (r+1) x s array"),
+    ):
+        with pytest.raises(InputError) as exc:
+            grid_from_json(dict(identity_grid_json(1), **change))
+        assert str(exc.value) == f"grid: {message}"
+    for name, value in (("cards", [1, 1]), ("horiz", one), ("vert", [one, [one]])):
+        with pytest.raises(InputError) as exc:
+            grid_from_json(dict(identity_grid_json(1), **{name: value}))
+        assert str(exc.value) == f"grid.{name}: expected a list of lists"
+    assert grid_from_json(dict(identity_grid_json(0), vert=[[]])).s == 0
+
+
 @pytest.mark.parametrize("allow_empty", [False, True])
 def test_census_grids_pass_the_check_they_skip(allow_empty):
     # complete_from_corner validates its corner data and builds the grid
@@ -539,7 +562,7 @@ def test_cached_tables_are_invisible():
     for z, s, r, g, _ in enumerate_corner_grids(3):
         image_subset(g)
         boundary_image(g)
-        fresh = complete_from_corner(corner_from_string(z, s, r))
+        fresh = oracle_complete_from_corner(corner_from_string(z, s, r))
         assert fresh is not g and not hasattr(g, "__dict__") and not hasattr(fresh, "__dict__")
         assert g == fresh and hash(g) == hash(fresh)
         assert g.to_json() == fresh.to_json()
@@ -593,11 +616,12 @@ def test_streamed_census_completes_grids_when_taken(monkeypatch):
 @pytest.mark.parametrize("allow_empty", [False, True])
 @pytest.mark.parametrize("max_card", [0, 1, 2, 3, 4])
 def test_grown_census_matches_completion_and_path_cores(max_card, allow_empty):
-    # each grid grown from its parent is the grid completed from its corner,
-    # field by field, and its path cores continued from the parent's walk
-    # are those of a walk of the whole grid, face indices included
+    # each grid grown from its parent is the grid the oracle fills from its
+    # corner by ambient labels, field by field, and its path cores continued
+    # from the parent's walk are those of a walk of the whole grid, face
+    # indices included
     for z, s, r, g, paths in enumerate_corner_grids(max_card, allow_empty):
-        want = complete_from_corner(corner_from_string(z, s, r))
+        want = oracle_complete_from_corner(corner_from_string(z, s, r))
         for name in GridDiagram._fields:
             assert getattr(g, name) == getattr(want, name), (serialize(z), name)
         assert paths == path_cores(g), serialize(z)
