@@ -217,6 +217,7 @@ def _emit(args, payload) -> None:
     """
     if args.output == "-":
         _write(payload, sys.stdout.write)
+        sys.stdout.flush()  # a closed pipe raises here, inside ``main``, not at shutdown
         return
     try:
         fh = open(args.output, "w", encoding="utf-8")
@@ -438,6 +439,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:
+        # stdout's reader left: what stays buffered goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: output: {exc}", file=sys.stderr)
         return 1
     except CertificateError as exc:
         payload = {"error": str(exc), "witness": exc.witness}

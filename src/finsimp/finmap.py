@@ -18,9 +18,10 @@ the grid fill ``grids._add_column``.
 
 The value classes of the package state their JSON once, as a shallow form
 ``json_form()``: a dict whose children may be values themselves, tuples
-(written as arrays) or ``map`` objects over values.  ``to_json()`` is
-``_plain_json`` of that form, a tree of plain dicts and lists, and the
-CLI writer streams the form itself, so it builds no such tree.
+(written as arrays) or ``map`` objects over values.  By default, on the
+base ``_Value``, it is the dict of the value's fields, and ``to_json()`` is
+``_plain_json`` of it, a tree of plain dicts and lists; the CLI writer
+streams the form itself, so it builds no such tree.
 """
 
 from __future__ import annotations
@@ -42,7 +43,19 @@ class MapClass(enum.Enum):
     NEITHER = "neither"
 
 
-class FinMap(namedtuple("FinMap", "src dst img")):
+class _Value:
+    """A value's JSON: ``json_form()``, by default its fields, and ``to_json()``."""
+
+    __slots__ = ()
+
+    def json_form(self) -> dict:
+        return self._asdict()
+
+    def to_json(self, *args):
+        return _plain_json(self.json_form(*args))
+
+
+class FinMap(namedtuple("FinMap", "src dst img"), _Value):
     """A map ``{0,..,src-1} -> {0,..,dst-1}`` given by its image tuple."""
 
     __slots__ = ()
@@ -78,12 +91,6 @@ class FinMap(namedtuple("FinMap", "src dst img")):
     def image(self) -> tuple[int, ...]:
         """Image of the map as an increasing tuple."""
         return tuple(sorted(set(self.img)))
-
-    def json_form(self) -> dict:
-        return {"src": self.src, "dst": self.dst, "img": self.img}
-
-    def to_json(self) -> dict:
-        return _plain_json(self.json_form())
 
 
 def _plain_json(form):

@@ -10,8 +10,9 @@ paths turns grids into strings.
 A grid is checked once, where it enters: ``grid_from_json`` and
 ``complete_from_staircase`` validate the grid they build, and
 ``GridDiagram.validate`` is the one check of a grid's shape, so
-``grid_from_json`` checks only the types of its arrays and the number of
-shuffle paths, at most ``MAX_PATHS``, before it reads one.  A grid is
+``grid_from_json`` checks only the types of its arrays, the number of
+shuffle paths, at most ``MAX_PATHS``, and the size of their walk, at most
+``MAX_WALK``, before it reads one.  A grid is
 filled from its corner one way: its left column, then one column per top
 map by ``_add_column``, which takes any injection, keeps its order for
 the new top cell and lists each cell below increasingly.
@@ -70,7 +71,7 @@ from collections import deque, namedtuple
 from functools import lru_cache
 
 from .errors import CertificateError, DualConstructionError, InputError, StaircaseDefectError
-from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, classify, compose
+from .finmap import FinMap, MapClass, _Value, _unchecked_map, classify, compose
 from .finmap import _check_card, from_json as finmap_from_json
 from .strings import (
     ExtensionTable,
@@ -94,7 +95,7 @@ from .strings import (
 )
 
 
-class GridDiagram(namedtuple("GridDiagram", "r s cards horiz vert")):
+class GridDiagram(namedtuple("GridDiagram", "r s cards horiz vert"), _Value):
     """An ``r x s`` grid: ``cards[i][j]`` is the cardinality of cell
     ``(i, j)``, ``horiz[i][j]`` the map ``(i+1,j) -> (i,j)`` and
     ``vert[i][j]`` the map ``(i,j+1) -> (i,j)``."""
@@ -130,12 +131,6 @@ class GridDiagram(namedtuple("GridDiagram", "r s cards horiz vert")):
                 down_then_left = compose(self.horiz[i][j], self.vert[i + 1][j])
                 if left_then_down != down_then_left:
                     raise InputError(f"square at ({i},{j}) does not commute")
-
-    def json_form(self) -> dict:
-        return {"r": self.r, "s": self.s, "cards": self.cards, "horiz": self.horiz, "vert": self.vert}
-
-    def to_json(self) -> dict:
-        return _plain_json(self.json_form())
 
 
 class CornerData(namedtuple("CornerData", "corner_card top left", defaults=((), ()))):
@@ -593,6 +588,11 @@ def complete_from_staircase(st: MapString) -> GridDiagram:
 # (2-core Xeon, Python 3.11).
 MAX_PATHS = 1 << 14
 
+# The largest path walk ``grid_from_json`` admits: its prefixes,
+# ``C(r+s+2, r+1) - 1``, times the path length ``r + s``; 777,904 at
+# ``r = s = 8``.  Unbounded, ``attach`` grew as ``s^3`` at ``r = 1``.
+MAX_WALK = 1 << 20
+
 
 def grid_from_json(obj, where: str = "grid") -> GridDiagram:
     if not isinstance(obj, dict):
@@ -609,6 +609,10 @@ def grid_from_json(obj, where: str = "grid") -> GridDiagram:
     # C(r+s, s) >= r+s once r, s >= 1, so no huge binomial is computed
     if r and s and (r + s > MAX_PATHS or math.comb(r + s, s) > MAX_PATHS):
         raise InputError(f"{where}: r={r} and s={s} give more than MAX_PATHS={MAX_PATHS} shuffle paths")
+    # a small binomial, since the check above bounds r + s unless r or s is 0
+    walk = (math.comb(r + s + 2, r + 1) - 1) * (r + s)
+    if walk > MAX_WALK:
+        raise InputError(f"{where}: r={r} and s={s} give a path walk of {walk}, over MAX_WALK={MAX_WALK}")
     for name in ("cards", "horiz", "vert"):
         if not isinstance(obj[name], list) or not all(isinstance(col, list) for col in obj[name]):
             raise InputError(f"{where}.{name}: expected a list of lists")

@@ -34,7 +34,7 @@ import itertools
 from collections import Counter, defaultdict, namedtuple
 
 from .errors import CertificateError, HypothesisError, InputError, MatchingError, OrderAuditError
-from .finmap import MapClass, _plain_json, epi_mono_factor
+from .finmap import MapClass, _Value, epi_mono_factor
 from .grids import GridDiagram, _check_alpha, _first_outside, boundary_cores
 from .grids import check_against_enumeration, defect_subcomplex, enumerate_corner_grids
 from .shuffles import AttachmentCertificate, attach_walk
@@ -62,7 +62,9 @@ class Generator(namedtuple("Generator", "corner grid records")):
     s = property(lambda self: self.grid.s)
 
 
-class PresentationSkeleton(namedtuple("PresentationSkeleton", "alpha allow_empty complex generators")):
+class PresentationSkeleton(
+    namedtuple("PresentationSkeleton", "alpha allow_empty complex generators"), _Value
+):
     """The generators in attachment order and the complex they attach."""
 
     __slots__ = ()
@@ -76,22 +78,20 @@ class PresentationSkeleton(namedtuple("PresentationSkeleton", "alpha allow_empty
         }
 
     def json_form(self) -> dict:
+        """Its per-generator arrays are ``map`` objects, formed as written."""
+        gens = self.generators
         return {
             "alpha": self.alpha,
             "allow_empty": self.allow_empty,
-            "cells": [
-                {"r": g.r, "s": g.s, "corner": g.corner.json_form(True), "grid": g.grid}
-                for g in self.generators
-            ],
-            "attachment_order": list(range(len(self.generators))),
-            "certificates": [{"cell": k, "records": g.records} for k, g in enumerate(self.generators)],
+            "cells": map(
+                lambda g: {"r": g.r, "s": g.s, "corner": g.corner.json_form(True), "grid": g.grid}, gens
+            ),
+            "attachment_order": list(range(len(gens))),
+            "certificates": map(lambda k, g: {"cell": k, "records": g.records}, itertools.count(), gens),
             "skeletal_dimension": self.complex.max_degree(),
             "counts": self.counts(),
             "complex": self.complex,
         }
-
-    def to_json(self) -> dict:
-        return _plain_json(self.json_form())
 
 
 class _Replay:
@@ -204,7 +204,7 @@ def skeletal_dimension(alpha: int, allow_empty: bool = False) -> int:
     return defect_subcomplex(alpha, allow_empty).max_degree()
 
 
-class ExcessProfile(namedtuple("ExcessProfile", "string excess_defect inj_run surj_run side")):
+class ExcessProfile(namedtuple("ExcessProfile", "string excess_defect inj_run surj_run side"), _Value):
     """Run-length profile of a string with bounded cards but excess defect.
 
     ``inj_run`` counts the properly injective maps at the top of the
@@ -237,9 +237,6 @@ class ExcessProfile(namedtuple("ExcessProfile", "string excess_defect inj_run su
             "surj_run": self.surj_run,
             "side": self.side,
         }
-
-    def to_json(self) -> dict:
-        return _plain_json(self.json_form())
 
 
 def _profile(z: MapString, d: int, runs: tuple[int, int, MapClass | None]) -> ExcessProfile:
@@ -302,7 +299,7 @@ def match_inverse(p: ExcessProfile) -> MapString:
     return canonicalize(MapString(p.string.card0, maps))
 
 
-class Matching(namedtuple("Matching", "alpha degree_bound pairs per_degree")):
+class Matching(namedtuple("Matching", "alpha degree_bound pairs per_degree"), _Value):
     """Verified inner-face matching from the upper to the lower class:
     ``pairs`` holds ``(upper, lower, face)`` triples and ``per_degree``
     ``(degree, upper count, lower count)`` triples."""
@@ -321,9 +318,6 @@ class Matching(namedtuple("Matching", "alpha degree_bound pairs per_degree")):
                 {"degree": d, "upper": nu, "lower": nl} for d, nu, nl in self.per_degree
             ],
         }
-
-    def to_json(self) -> dict:
-        return _plain_json(self.json_form())
 
 
 def _matching_faces(z: MapString, w: MapString, j: int) -> list[int]:

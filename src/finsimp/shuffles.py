@@ -44,7 +44,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import CertificateError, HypothesisError, InputError
-from .finmap import MapClass, _plain_json, classify
+from .finmap import MapClass, _Value, classify
 from .grids import GridDiagram, boundary_cores, is_saturated, path_cores
 from .strings import MapString, StringComplex, face_closure, face_cores
 
@@ -113,7 +113,7 @@ def is_inner_generalized_horn(S, n: int) -> bool:
     return any(t not in S for t in range(lo, hi))
 
 
-class HornCertificate(namedtuple("HornCertificate", "sigma kind S facets")):
+class HornCertificate(namedtuple("HornCertificate", "sigma kind S facets"), _Value):
     """Checked shape of the overlap between a shuffle simplex and its past.
 
     ``kind`` is ``"inner"`` or ``"boundary"``.  ``facets`` lists the
@@ -124,12 +124,6 @@ class HornCertificate(namedtuple("HornCertificate", "sigma kind S facets")):
     """
 
     __slots__ = ()
-
-    def json_form(self) -> dict:
-        return {"sigma": self.sigma, "kind": self.kind, "S": self.S, "facets": self.facets}
-
-    def to_json(self) -> dict:
-        return _plain_json(self.json_form())
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +245,7 @@ _ATTACHED_CHECKS = (
 
 
 class AttachmentCertificate(
-    namedtuple("AttachmentCertificate", "sigma status kind S excluded", defaults=(None, (), ()))
+    namedtuple("AttachmentCertificate", "sigma status kind S excluded", defaults=(None, (), ())), _Value
 ):
     """Per-shuffle record of the facts verified while attaching a grid image.
 
@@ -275,9 +269,6 @@ class AttachmentCertificate(
             "excluded": self.excluded,
             "checks": dict.fromkeys(_ATTACHED_CHECKS, True) if self.status == "attached" else {},
         }
-
-    def to_json(self) -> dict:
-        return _plain_json(self.json_form())
 
 
 def _gap_pattern_checks(word: str, T: tuple[int, ...]) -> None:
@@ -474,18 +465,12 @@ def attach_walk(
     return records, added
 
 
-class Attachment(namedtuple("Attachment", "hypothesis subset certificates")):
+class Attachment(namedtuple("Attachment", "hypothesis subset certificates"), _Value):
     """The attachment of one grid image: the hypothesis report of
     ``_attachment_hypothesis``, the resulting complex and the per-shuffle
     records.  The report is a dict, so an attachment is not hashable."""
 
     __slots__ = ()
-
-    def json_form(self) -> dict:
-        return {"hypothesis": self.hypothesis, "subset": self.subset, "certificates": self.certificates}
-
-    def to_json(self) -> dict:
-        return _plain_json(self.json_form())
 
 
 def attach_diagram(C: StringComplex, grid: GridDiagram) -> Attachment:

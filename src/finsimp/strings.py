@@ -92,11 +92,11 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .errors import InputError
-from .finmap import FinMap, MapClass, _plain_json, _unchecked_map, compose, epi_mono_factor, identity
+from .finmap import FinMap, MapClass, _Value, _unchecked_map, compose, epi_mono_factor, identity
 from .finmap import _check_card, from_json as finmap_from_json
 
 
-class MapString(namedtuple("MapString", "card0 maps")):
+class MapString(namedtuple("MapString", "card0 maps"), _Value):
     """A string of composable maps; ``card0`` is the cardinality of ``S_0``."""
 
     __slots__ = ()
@@ -133,9 +133,6 @@ class MapString(namedtuple("MapString", "card0 maps")):
         if canonical is not None:
             form["canonical"] = canonical
         return form
-
-    def to_json(self, canonical: bool | None = None) -> dict:
-        return _plain_json(self.json_form(canonical))
 
 
 def _unchecked_string(card0: int, maps: tuple[FinMap, ...]) -> MapString:
@@ -636,7 +633,7 @@ def face_closure(seed, stop=frozenset()) -> set[MapString]:
     return out
 
 
-class StringComplex(frozenset):
+class StringComplex(frozenset, _Value):
     """A face-closed set of canonical nondegenerate strings.
 
     Degenerate strings are never stored; membership of an arbitrary string
@@ -664,9 +661,6 @@ class StringComplex(frozenset):
         formed one at a time as the array is consumed."""
         members = sorted(self, key=MapString.sort_key)
         return map(MapString.json_form, members, itertools.repeat(True))
-
-    def to_json(self) -> list:
-        return _plain_json(self.json_form())
 
 
 def _tables(lo: int, max_card: int, cap: float):

@@ -539,16 +539,17 @@ def proper_grid(r, s):
     return complete_from_corner(CornerData(c, top, left))
 
 
-def identity_grid_json(n: int) -> dict:
-    """The JSON of the ``n x n`` grid of singletons and identities, which has
-    ``C(2n, n)`` shuffle paths."""
+def identity_grid_json(r: int, s: int | None = None) -> dict:
+    """The JSON of the ``r x s`` grid (``r x r`` without ``s``) of singletons
+    and identities, which has ``C(r+s, s)`` shuffle paths."""
+    s = r if s is None else s
     one = {"src": 1, "dst": 1, "img": [0]}
     return {
-        "r": n,
-        "s": n,
-        "cards": [[1] * (n + 1) for _ in range(n + 1)],
-        "horiz": [[one] * (n + 1) for _ in range(n)],
-        "vert": [[one] * n for _ in range(n + 1)],
+        "r": r,
+        "s": s,
+        "cards": [[1] * (s + 1) for _ in range(r + 1)],
+        "horiz": [[one] * (s + 1) for _ in range(r)],
+        "vert": [[one] * s for _ in range(r + 1)],
     }
 
 

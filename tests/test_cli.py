@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
+import time
 import types
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -16,11 +18,11 @@ import finsimp.cli as cli_mod
 from finsimp import FinMap, MapString
 from finsimp.cli import _complex_from_json, _write_json, main
 from finsimp.errors import InputError
-from finsimp.grids import MAX_PATHS, defect_subcomplex, grid_from_json
+from finsimp.grids import MAX_PATHS, MAX_WALK, defect_subcomplex, grid_from_json
 from finsimp.presentation import present
 from finsimp.shuffles import AttachmentCertificate, attach_diagram
 from finsimp.shuffles import enumerate_shuffles, horn_certificate
-from helpers import expand_values, identity_grid_json, oracle_to_json
+from helpers import expand_values, identity_grid_json, oracle_to_json, proper_grid
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -140,6 +142,51 @@ def test_attach_refuses_too_many_shuffle_paths(tmp_path):
     code, out, err = run_cli(["attach", "--subset", str(subset), "--grid", str(grid_path)])
     _assert_clean_exit_one(code, out, err)
     assert f"grid: r=9 and s=9 give more than MAX_PATHS={MAX_PATHS} shuffle paths" in err
+
+
+def test_attach_refuses_a_long_path_walk(monkeypatch, tmp_path):
+    # r = 1 and s = 2000 give 2,001 shuffle paths, under MAX_PATHS, but a
+    # walk of about 4e9 moves, which grew without bound before MAX_WALK
+    def never(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(cli_mod, "attach_diagram", never)
+    grid_path, subset = tmp_path / "grid.json", tmp_path / "point.json"
+    grid_path.write_text(json.dumps(identity_grid_json(1, 2000)))
+    subset.write_text(json.dumps([{"card0": 1, "maps": []}]))
+    start = time.perf_counter()
+    code, out, err = run_cli(["attach", "--subset", str(subset), "--grid", str(grid_path)])
+    assert time.perf_counter() - start < 0.2
+    _assert_clean_exit_one(code, out, err)
+    assert f"grid: r=1 and s=2000 give a path walk of 4012009002, over MAX_WALK={MAX_WALK}" in err
+
+
+def test_attach_refuses_a_grid_that_does_not_commute(tmp_path):
+    grid = proper_grid(1, 2).to_json()
+    grid["horiz"][0][1] = FinMap(2, 3, (1, 0)).to_json()
+    grid_path, subset = tmp_path / "grid.json", tmp_path / "point.json"
+    grid_path.write_text(json.dumps(grid))
+    subset.write_text(json.dumps([{"card0": 1, "maps": []}]))
+    code, out, err = run_cli(["attach", "--subset", str(subset), "--grid", str(grid_path)])
+    _assert_clean_exit_one(code, out, err)
+    assert err == "error: grid: square at (0,1) does not commute\n"
+
+
+@pytest.mark.parametrize("argv", [["horns", "--r", "5", "--s", "5"], ["present", "--alpha", "3"]])
+def test_closed_stdout_pipe_exits_one_without_a_traceback(argv):
+    # the reader takes 100 bytes and closes the pipe while the writer still
+    # has more than a pipe buffer to write: one error line and exit 1, and
+    # nothing more at interpreter shutdown
+    src = pathlib.Path(cli_mod.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "finsimp.cli", *argv]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1 and len(head) == 100
+    assert err == f"error: output: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
 def _count_attach_calls(monkeypatch, tmp_path, fn_names):

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -330,9 +331,52 @@ def test_grid_json_bounds_shuffle_paths():
         with pytest.raises(InputError) as exc:
             grid_from_json(bad)
         assert str(exc.value) == f"grid: r={r} and s={s} give more than MAX_PATHS={grids.MAX_PATHS} shuffle paths"
-    # one path, however long: the shape check refuses the short arrays
-    with pytest.raises(InputError, match=r"^grid: cards must be an \(r\+1\) x \(s\+1\) array$"):
+    # one path, however long, is no more than MAX_PATHS; MAX_WALK refuses it
+    with pytest.raises(InputError, match=r"^grid: r=1000000000000 and s=0 give a path walk of \d+, over MAX_WALK="):
         grid_from_json(dict(identity_grid_json(0), r=10**12))
+
+
+def test_grid_json_bounds_the_path_walk():
+    # a long grid has few shuffle paths, but the walk of their prefixes holds
+    # about s^3 / 2 moves at r = 1 and s^2 at r = 0.  It is refused before
+    # any array is read, with the (8, 8) grid and its 777,904 moves admitted
+    assert (math.comb(18, 9) - 1) * 16 <= grids.MAX_WALK
+    for r, s in ((1, 126), (0, 1023)):
+        assert grid_from_json(identity_grid_json(r, s)).s == s
+    for r, s in ((1, 127), (0, 1024), (1, 2000), (1, grids.MAX_PATHS - 1), (10**6, 0)):
+        bad = dict(identity_grid_json(1), r=r, s=s, cards="not an array")
+        start = time.perf_counter()
+        with pytest.raises(InputError) as exc:
+            grid_from_json(bad)
+        assert time.perf_counter() - start < 0.2
+        walk = (math.comb(r + s + 2, r + 1) - 1) * (r + s)
+        assert walk > grids.MAX_WALK
+        assert str(exc.value) == f"grid: r={r} and s={s} give a path walk of {walk}, over MAX_WALK={grids.MAX_WALK}"
+
+
+@pytest.mark.parametrize(
+    "array,i,j,f,message",
+    [
+        ("horiz", 0, 1, FinMap(2, 4, (0, 1)), "horiz[0][1] has wrong endpoints"),
+        ("horiz", 0, 1, FinMap(2, 3, (0, 0)), "horiz[0][1] is not injective"),
+        ("vert", 1, 1, FinMap(3, 3, (0, 1, 2)), "vert[1][1] has wrong endpoints"),
+        ("vert", 1, 1, FinMap(3, 2, (0, 0, 0)), "vert[1][1] is not surjective"),
+        ("horiz", 0, 1, FinMap(2, 3, (1, 0)), "square at (0,1) does not commute"),
+    ],
+)
+def test_grid_json_names_the_cell_validate_refuses(array, i, j, f, message):
+    # one map of a valid grid doctored: the reader names its cell
+    obj = proper_grid(1, 2).to_json()
+    obj[array][i][j] = f.to_json()
+    with pytest.raises(InputError) as exc:
+        grid_from_json(obj)
+    assert str(exc.value) == f"grid: {message}"
+
+
+def test_validate_refuses_a_negative_size():
+    # the JSON reader refuses a negative r or s itself
+    with pytest.raises(InputError, match="^negative grid size$"):
+        GridDiagram(-1, 0, (), (), ()).validate()
 
 
 def test_grid_json_leaves_every_length_to_validate():

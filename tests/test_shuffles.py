@@ -708,3 +708,53 @@ def test_attach_refuses_simplex_in_own_past(monkeypatch):
         attach_diagram(boundary_image(grid), grid)
     assert str(info.value) == "new shuffle simplex lies in its own past"
     assert info.value.witness == {"sigma": "HV", "excluded": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "shape,faces,message,witness",
+    [
+        ((1, 1), ((1, 2), (0, 1, 2)), "excluded face does not contain both endpoints", {"sigma": "HV", "T": [1, 2]}),
+        ((1, 2), ((0, 3), (0, 1, 2, 3)), "excluded face has a gap wider than one", {"sigma": "HVV", "T": [0, 3], "x": 1}),
+        (
+            (1, 2),
+            ((0, 1, 3), (0, 1, 2, 3)),
+            "excluded-face gap is not a horizontal-then-vertical corner",
+            {"sigma": "HVV", "T": [0, 1, 3], "x": 2},
+        ),
+        ((0, 1), ((0,), (0, 1)), "maximal shuffle has excluded proper faces", {"sigma": "V"}),
+    ],
+)
+def test_every_word_check_of_the_attachment_can_fail(monkeypatch, shape, faces, message, witness):
+    # a doctored excluded family reaches each raise of _certify_word at the
+    # grid's first new word; no gap of a one-letter word passes the gap
+    # checks, so they are switched off to reach the last one
+    import finsimp.shuffles as shuffles_mod
+
+    grid = proper_grid(*shape)
+    monkeypatch.setattr(shuffles_mod, "_excluded_faces", lambda w: faces)
+    if not shape[0]:
+        monkeypatch.setattr(shuffles_mod, "_gap_pattern_checks", lambda w, T: None)
+    with pytest.raises(CertificateError) as info:
+        attach_diagram(boundary_image(grid), grid)
+    assert type(info.value) is CertificateError and str(info.value) == message
+    assert info.value.witness == witness
+
+
+@pytest.mark.parametrize(
+    "degree,message",
+    [(0, "excluded proper face is degenerate"), (1, "excluded face already lies in the complex")],
+)
+def test_every_face_check_of_the_attachment_can_fail(monkeypatch, degree, message):
+    # every face core read as one member of the boundary image: a vertex is
+    # degenerate as the excluded edge of HV, and an edge is already present,
+    # which with the boundary inside the complex is a certificate failure
+    import finsimp.shuffles as shuffles_mod
+
+    grid = proper_grid(1, 1)
+    C = boundary_image(grid)
+    member = min((z for z in C if z.degree == degree), key=MapString.sort_key)
+    monkeypatch.setattr(shuffles_mod, "face_cores", lambda z: (member,) * (z.degree + 1))
+    with pytest.raises(CertificateError) as info:
+        attach_diagram(C, grid)
+    assert type(info.value) is CertificateError and str(info.value) == message
+    assert info.value.witness == {"sigma": "HV", "T": [0, 2]}
